@@ -9,6 +9,7 @@ bytes make the round trip bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -65,22 +66,33 @@ def save_checkpoint(obj, path) -> None:
 
 
 def load_checkpoint(path):
-    """Load a checkpoint back into a :class:`GmmSpec` or :class:`MlpDenoiser`."""
+    """Load a checkpoint back into a :class:`GmmSpec` or :class:`MlpDenoiser`.
+
+    The file must be exactly as long as its header declares: a truncated file
+    or one with trailing bytes raises ``ValueError``.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path} is not a diffinfo checkpoint (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"{path} is truncated: {len(raw)} bytes, shorter than the 16-byte preamble")
     (version,) = struct.unpack("<I", raw[4:8])
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     offset = 16 + header_len
+    if len(raw) < offset:
+        raise ValueError(f"{path} is truncated: {len(raw)} bytes, header ends at byte {offset}")
+    header = json.loads(raw[16:offset].decode("utf-8"))
+    shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(raw) != expected:
+        problem = "truncated" if len(raw) < expected else "followed by trailing bytes"
+        raise ValueError(f"{path} is {problem}: expected {expected} bytes, found {len(raw)}")
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[entry["name"]] = arr.copy()
+    for name, shape in shapes:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += count * 8
     if header["kind"] == "gmm":
         return GmmSpec(

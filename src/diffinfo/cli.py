@@ -29,13 +29,21 @@ from .reports import report_to_dict, write_csv, write_json, write_pgm, write_rep
 LN2 = math.log(2.0)
 
 
+def _load_checkpoint_field(path, field_path: str):
+    """Load the checkpoint a config field names; a read or format error names the field."""
+    try:
+        return load_checkpoint(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{field_path}: cannot load checkpoint: {exc}", field_path) from exc
+
+
 def _load_spec(cfg: RunConfig) -> GmmSpec:
     if cfg.data is None:
         raise ConfigError("this command needs a 'data' section", "data")
     if cfg.data.gmm is not None:
         return cfg.data.gmm
     if cfg.data.checkpoint is not None:
-        obj = load_checkpoint(cfg.data.checkpoint)
+        obj = _load_checkpoint_field(cfg.data.checkpoint, "data.checkpoint")
         if not isinstance(obj, GmmSpec):
             raise ConfigError("data.checkpoint must contain a mixture spec", "data.checkpoint")
         return obj
@@ -45,7 +53,7 @@ def _load_spec(cfg: RunConfig) -> GmmSpec:
 def _build_denoiser(cfg: RunConfig, spec: GmmSpec):
     if cfg.denoiser.kind == "closed_form":
         return gmm_mmse(spec)
-    obj = load_checkpoint(cfg.denoiser.path)
+    obj = _load_checkpoint_field(cfg.denoiser.path, "denoiser.path")
     if isinstance(obj, GmmSpec):
         return gmm_mmse(obj)
     if isinstance(obj, MlpDenoiser):

@@ -7,10 +7,23 @@ S = sigma(a) C + sigma(-a) I, and
 
     eps_hat(x_a) = sqrt(sigma(-a)) * S^{-1} (x_a - sqrt(sigma(a)) mu).
 
+The denoiser works in the eigenbasis of each covariance.  With C = U Lam U^T
+computed once, S = U (sigma(a) Lam + sigma(-a) I) U^T shares the eigenvectors
+of C, so in the rotated frame S is the diagonal s = sigma(a) lam + sigma(-a).
+The rotated residual z = U^T x_a - sqrt(sigma(a)) U^T mu then gives
+
+    log det S = sum log s,    Mahalanobis term = sum z^2 / s,
+    eps_hat(x_a) = sqrt(sigma(-a)) * U (z / s),
+
+at O(d^2) per row instead of a d x d solve.  No clamp on s is needed:
+:class:`GmmSpec` rejects covariances that are not positive definite, so
+lam > 0, and sigma(-a) > 0 for every finite a.
+
 For a mixture, eps_hat is the responsibility-weighted combination of the
 per-component predictors, with responsibilities taken under the corrupted
-marginals.  Responsibilities are computed in the log domain so that
-far-separated components underflow to zero weight instead of NaN.
+marginals.  Responsibilities are computed from log densities shifted by their
+per-row maximum, so that far-separated components underflow to zero weight
+instead of NaN.
 
 Conditioning is by token: a :class:`ConditionId` carries a label and/or
 context tokens, and selects the mixture components consistent with every one
@@ -26,7 +39,6 @@ from types import MappingProxyType
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import as_alpha, noise_weight, signal_weight
 
@@ -207,6 +219,9 @@ class GmmDenoiser:
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
+        # GmmSpec is frozen with read-only arrays, so this cache cannot go stale.
+        self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances)
+        self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
 
     @property
     def dim(self) -> int:
@@ -214,16 +229,14 @@ class GmmDenoiser:
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         x2, a, single = self._as_batch(x_alpha, alpha)
-        log_resp, eps_k = self._component_terms(x2, a, condition)
-        resp = np.exp(log_resp)
-        eps_hat = np.einsum("nk,nkd->nd", resp, eps_k)
+        resp, eps_k = self._component_terms(x2, a, condition)
+        eps_hat = np.einsum("nk,knd->nd", resp, eps_k)
         return eps_hat[0] if single else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
         """Posterior component probabilities under the corrupted marginal."""
         x2, a, single = self._as_batch(x_alpha, alpha)
-        log_resp, _ = self._component_terms(x2, a, condition)
-        resp = np.exp(log_resp)
+        resp, _ = self._component_terms(x2, a, condition)
         return resp[0] if single else resp
 
     def _as_batch(self, x_alpha, alpha):
@@ -239,25 +252,21 @@ class GmmDenoiser:
         return x2, a, single
 
     def _component_terms(self, x2, a, condition):
-        spec = self.spec
-        idx = spec.components_for(condition)
-        w = spec.conditional_weights(idx)
-        sa, sna = signal_weight(a), noise_weight(a)
-        n, d = x2.shape
-        eye = np.eye(d)
-        log_joint = np.empty((n, idx.size))
-        eps_k = np.empty((n, idx.size, d))
-        for j, k in enumerate(idx):
-            mean_k = np.sqrt(sa)[:, None] * spec.means[k]
-            cov_k = sa[:, None, None] * spec.covariances[k] + sna[:, None, None] * eye
-            diff = x2 - mean_k
-            sol = np.linalg.solve(cov_k, diff[..., None])[..., 0]
-            _, logdet = np.linalg.slogdet(cov_k)
-            maha = np.einsum("ni,ni->n", diff, sol)
-            log_joint[:, j] = np.log(w[j]) - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-            eps_k[:, j] = np.sqrt(sna)[:, None] * sol
-        log_resp = log_joint - logsumexp(log_joint, axis=1, keepdims=True)
-        return log_resp, eps_k
+        """Responsibilities (n, k) and per-component predictors (k, n, d)."""
+        idx = self.spec.components_for(condition)
+        w = self.spec.conditional_weights(idx)
+        sa, sna = signal_weight(a)[:, None], noise_weight(a)[:, None]
+        u = self._eigvecs[idx]
+        z = x2 @ u - np.sqrt(sa) * self._rot_means[idx, None, :]
+        s = sa * self._eigvals[idx, None, :] + sna
+        zs = z / s
+        logdet = np.log(s).sum(axis=2)
+        maha = np.einsum("knd,knd->kn", z, zs)
+        log_joint = np.log(w)[:, None] - 0.5 * (x2.shape[1] * np.log(2 * np.pi) + logdet + maha)
+        resp = np.exp(log_joint - log_joint.max(axis=0))
+        resp /= resp.sum(axis=0)
+        eps_k = np.sqrt(sna) * (zs @ u.transpose(0, 2, 1))
+        return resp.T, eps_k
 
 
 def gaussian_mmse(spec: GmmSpec) -> GmmDenoiser:

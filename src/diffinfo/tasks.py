@@ -44,12 +44,18 @@ class RankResult:
     tie: bool
 
 
+# Scores within this many nats of the best count as tied.  It sits far above
+# float rounding at score magnitudes of about 1e2 (about 1e-14) and far below
+# the score differences a Monte-Carlo estimate can resolve.
+TIE_ATOL = 1e-9
+
+
 def _select(scores) -> tuple[int, bool]:
-    """First-index argmax with an explicit tie flag (invariant to constant shifts)."""
+    """First index among the scores within ``TIE_ATOL`` of the max, and whether
+    that set holds more than one; a constant shift of the scores changes neither."""
     scores = np.asarray(scores, dtype=float)
-    best = int(np.argmax(scores))
-    tie = bool(np.sum(scores == scores[best]) > 1)
-    return best, tie
+    tied = np.flatnonzero(scores >= scores.max() - TIE_ATOL)
+    return int(tied[0]), bool(tied.size > 1)
 
 
 def rank_conditions(

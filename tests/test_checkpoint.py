@@ -86,6 +86,21 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("keep", [10, 20, -8, -1], ids=["preamble", "header", "array", "last_byte"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(GmmSpec.single([0.0, 1.0], np.eye(2)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint({"not": "a model"}, tmp_path / "x.ckpt")

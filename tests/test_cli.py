@@ -124,6 +124,34 @@ class TestSchemaDiagnostics:
         assert main(["oracle", "--config", cfg]) == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_missing_denoiser_checkpoint_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]]},
+                "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "absent.ckpt")},
+                "estimate": {"kind": "nll"},
+            },
+        )
+        assert main(["estimate", "--config", cfg]) == 2
+        assert "denoiser.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage", [lambda raw: b"NOPE" + raw[4:], lambda raw: raw[:-3], lambda raw: raw + b"\x00"],
+        ids=["bad_magic", "truncated", "trailing"],
+    )
+    def test_damaged_data_checkpoint_exits_2_and_names_it(self, tmp_path, capsys, damage):
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
+        path.write_bytes(damage(path.read_bytes()))
+        cfg = write_config(
+            tmp_path,
+            {"seed": 1, "data": {"checkpoint": str(path), "points": [[0.0]]}, "estimate": {"kind": "nll"}},
+        )
+        assert main(["estimate", "--config", cfg]) == 2
+        assert "data.checkpoint" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_writes_per_dim_and_pgm(self, tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import (
     ConditionId,
+    GmmDenoiser,
     GmmSpec,
     ZeroDenoiser,
     gaussian_mmse,
@@ -245,3 +247,75 @@ class TestOptimality:
                     err_c[rows] = ((eps[rows] - pred) ** 2).sum(axis=1)
                 diff = err_c - err_u
                 assert diff.mean() <= 3 * diff.std(ddof=1) / np.sqrt(diff.size)
+
+
+def direct_solve_terms(spec, x_a, alpha, condition=None):
+    """Reference posterior: a per-row d x d solve and slogdet of S = sigma(a) C + sigma(-a) I."""
+    idx = spec.components_for(condition)
+    w = spec.conditional_weights(idx)
+    a = np.broadcast_to(np.asarray(alpha, dtype=float), (x_a.shape[0],))
+    sa, sna = signal_weight(a), noise_weight(a)
+    n, d = x_a.shape
+    log_joint = np.empty((n, idx.size))
+    eps_k = np.empty((n, idx.size, d))
+    for j, k in enumerate(idx):
+        cov = sa[:, None, None] * spec.covariances[k] + sna[:, None, None] * np.eye(d)
+        diff = x_a - np.sqrt(sa)[:, None] * spec.means[k]
+        sol = np.linalg.solve(cov, diff[..., None])[..., 0]
+        _, logdet = np.linalg.slogdet(cov)
+        maha = np.einsum("ni,ni->n", diff, sol)
+        log_joint[:, j] = np.log(w[j]) - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
+        eps_k[:, j] = np.sqrt(sna)[:, None] * sol
+    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    return resp, np.einsum("nk,nkd->nd", resp, eps_k)
+
+
+def reference_spec(d, seed):
+    """Three components: two of the form R R^T / d + 0.05 I, and one with
+    eigenvalues spread from 1e-4 to 1e2 (condition number 1e6)."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(2):
+        r = rng.standard_normal((d, d))
+        covs.append(r @ r.T / d + 0.05 * np.eye(d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    covs.append((q * np.logspace(-4, 2, d)) @ q.T)
+    covs = [(c + c.T) / 2 for c in covs]
+    return GmmSpec(
+        weights=[0.3, 0.3, 0.4],
+        means=rng.standard_normal((3, d)),
+        covariances=covs,
+        condition_map={"wide": (0, 1), "ill": (1, 2)},
+    )
+
+
+class TestEigenbasisMatchesDirectSolve:
+    """The eigenbasis posterior equals a direct solve to rounding."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("condition", [None, ConditionId(label="ill")], ids=["all", "subset"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+    def test_predict_eps_and_responsibilities(self, d, condition, per_row):
+        spec = reference_spec(d, seed=d)
+        den = GmmDenoiser(spec)
+        rng = np.random.default_rng(100 + d)
+        n = 40
+        alpha = rng.uniform(-5.0, 7.0, n) if per_row else 1.3
+        x, _ = spec.sample(n, rng)
+        a = np.broadcast_to(alpha, (n,))[:, None]
+        x_a = np.sqrt(signal_weight(a)) * x + np.sqrt(noise_weight(a)) * rng.standard_normal((n, d))
+        ref_resp, ref_eps = direct_solve_terms(spec, x_a, alpha, condition)
+        np.testing.assert_allclose(
+            den.predict_eps(x_a, alpha, condition), ref_eps, rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            den.responsibilities(x_a, alpha, condition), ref_resp, rtol=1e-9, atol=1e-12
+        )
+
+    def test_single_point_matches_batch_row(self):
+        spec = reference_spec(8, seed=3)
+        den = GmmDenoiser(spec)
+        x_a = np.random.default_rng(4).standard_normal((3, 8))
+        batch = den.predict_eps(x_a, -2.0)
+        assert den.predict_eps(x_a[1], -2.0).shape == (8,)
+        np.testing.assert_allclose(den.predict_eps(x_a[1], -2.0), batch[1], rtol=1e-12, atol=1e-15)
