@@ -6,7 +6,7 @@ encode/decode/intervention, all driven by a pluggable noise-prediction
 interface and verified against closed-form Gaussian and mixture oracles.
 """
 
-from .channel import LogSnr, LogSnrSampler, NoisySample, corrupt, noise_weight, signal_weight
+from .channel import LogSnrSampler, corrupt, noise_weight, signal_weight
 from .checkpoint import load_checkpoint, save_checkpoint
 from .denoise import (
     ConditionId,
@@ -15,7 +15,6 @@ from .denoise import (
     GmmSpec,
     Sample,
     ZeroDenoiser,
-    gaussian_mmse,
     gmm_mmse,
 )
 from .estimators import (
@@ -72,11 +71,9 @@ __all__ = [
     "HeatmapEval",
     "InfoReport",
     "InterventionResult",
-    "LogSnr",
     "LogSnrSampler",
     "MlpDenoiser",
     "MlpTrainConfig",
-    "NoisySample",
     "OracleResult",
     "QuadratureError",
     "RankResult",
@@ -97,7 +94,6 @@ __all__ = [
     "evaluate_ranking",
     "flow_velocity",
     "gaussian_mi",
-    "gaussian_mmse",
     "gaussian_pointwise",
     "gmm_mi_numeric",
     "gmm_mmse",

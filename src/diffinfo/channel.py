@@ -6,10 +6,15 @@ The channel corrupts a data vector x into
 
 where a is the log signal-to-noise ratio and sigma the standard logistic
 sigmoid, so the signal weight sigma(a) and the noise weight sigma(-a) sum to
-one at every noise level.  Information integrals over a are estimated by
-importance sampling from a truncated logistic distribution; contributions
-outside the truncation interval are defined to be zero, which makes every
-estimate a deterministic function of its seed and its interval.
+one at every noise level.  :func:`corrupt` is the only code that applies the
+channel; it is batched, with one log-SNR per noise draw, so the estimators'
+(log-SNR, draw, dimension) grid and a training batch go through the same
+arithmetic.
+
+Information integrals over a are estimated by importance sampling from a
+truncated logistic distribution; contributions outside the truncation
+interval are defined to be zero, which makes every estimate a deterministic
+function of its seed and its interval.
 """
 
 from __future__ import annotations
@@ -22,88 +27,35 @@ from scipy.special import expit
 
 def signal_weight(alpha):
     """Signal weight sigma(a) of the channel at log-SNR ``alpha``."""
-    return expit(as_alpha(alpha))
+    return expit(alpha)
 
 
 def noise_weight(alpha):
     """Noise weight sigma(-a); complements :func:`signal_weight` to one."""
-    return expit(-as_alpha(alpha))
+    return expit(-alpha)
 
 
-def as_alpha(alpha):
-    """Unwrap a :class:`LogSnr` (or pass through floats/arrays) as ndarray-ready values."""
-    if isinstance(alpha, LogSnr):
-        return alpha.alpha
-    return alpha
-
-
-@dataclass(frozen=True)
-class LogSnr:
-    """A single noise level, stored as the log signal-to-noise ratio."""
-
-    alpha: float
-
-    @property
-    def snr(self) -> float:
-        return float(np.exp(self.alpha))
-
-    @property
-    def signal_weight(self) -> float:
-        return float(expit(self.alpha))
-
-    @property
-    def noise_weight(self) -> float:
-        return float(expit(-self.alpha))
-
-    def __float__(self) -> float:
-        return float(self.alpha)
-
-
-@dataclass(frozen=True, eq=False)
-class NoisySample:
-    """A corrupted data point together with the noise draw that produced it."""
-
-    x_alpha: np.ndarray
-    eps: np.ndarray
-    alpha: LogSnr
-
-
-def corrupt(x, alpha, eps=None, *, rng=None) -> NoisySample:
-    """Push ``x`` through the channel at noise level ``alpha``.
+def corrupt(x, alpha, eps) -> np.ndarray:
+    """Push ``x`` through the channel: ``sqrt(sigma(a)) x + sqrt(sigma(-a)) eps``.
 
     Parameters
     ----------
-    x : array_like, shape (d,)
-        Clean data vector.
-    alpha : LogSnr or float
-        Noise level.
-    eps : array_like, shape (d,), optional
-        Standard-normal draw.  Supply it for coupled or reproducible
-        corruptions; otherwise it is drawn from ``rng``.
-    rng : numpy Generator or seed, required when ``eps`` is None.
-
-    Returns
-    -------
-    NoisySample with ``x_alpha = sqrt(sigma(a)) x + sqrt(sigma(-a)) eps``.
+    x : array_like, shape (..., d)
+        Clean data; broadcasts against ``eps``.
+    alpha : float or array_like
+        Log-SNR, one per noise draw: broadcasts against ``eps.shape[:-1]``.
+    eps : array_like, shape (..., d)
+        Standard-normal draws.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, got shape {x.shape}")
-    if eps is None:
-        if rng is None:
-            raise ValueError("supply eps or an rng to draw it from")
-        eps = np.random.default_rng(rng).standard_normal(x.shape[0])
-    else:
-        eps = np.asarray(eps, dtype=float)
-    if eps.shape != x.shape:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    if x.shape[-1] != eps.shape[-1]:
         raise ValueError(
-            f"dimension mismatch: x has dimension {x.shape[0]} "
-            f"but eps has dimension {eps.shape[0] if eps.ndim == 1 else eps.shape}"
+            f"dimension mismatch: x has dimension {x.shape[-1]} "
+            f"but eps has dimension {eps.shape[-1]}"
         )
-    if not isinstance(alpha, LogSnr):
-        alpha = LogSnr(float(alpha))
-    x_alpha = np.sqrt(alpha.signal_weight) * x + np.sqrt(alpha.noise_weight) * eps
-    return NoisySample(x_alpha=x_alpha, eps=eps, alpha=alpha)
+    a = np.asarray(alpha, dtype=float)[..., None]
+    return np.sqrt(signal_weight(a)) * x + np.sqrt(noise_weight(a)) * eps
 
 
 @dataclass(frozen=True)
@@ -141,7 +93,7 @@ class LogSnrSampler:
 
     def pdf(self, alpha):
         """Renormalized density; zero outside the truncation interval."""
-        alpha = np.asarray(as_alpha(alpha), dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
         z = (alpha - self.loc) / self.scale
         dens = expit(z) * expit(-z) / (self.scale * self._truncated_mass)
         lo, hi = self.support

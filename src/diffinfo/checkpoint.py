@@ -65,11 +65,67 @@ def save_checkpoint(obj, path) -> None:
     Path(path).write_bytes(data)
 
 
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _counts(value) -> bool:
+    return isinstance(value, list) and all(_count(v) for v in value)
+
+
+# The header fields each kind needs: (check, what the check requires).
+_FIELDS = {
+    "gmm": {
+        "dim": (_count, "a non-negative integer"),
+        "n_components": (_count, "a non-negative integer"),
+        "condition_map": (
+            lambda v: isinstance(v, dict) and all(_counts(idx) for idx in v.values()),
+            "an object of component index lists",
+        ),
+    },
+    "mlp": {
+        "dim": (_count, "a non-negative integer"),
+        "vocabulary": (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
+        "n_frequencies": (_count, "a non-negative integer"),
+        "frequency_base": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+        "layer_widths": (lambda v: _counts(v) and len(v) >= 2, "a list of at least two integers"),
+    },
+}
+
+
+def _check_header(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """Check the header's fields and return the (name, shape) list its arrays must have."""
+    if not isinstance(header, dict) or header.get("kind") not in _FIELDS:
+        raise ValueError(f"{path}: header field 'kind' must be one of {sorted(_FIELDS)}")
+    for key, (check, requirement) in _FIELDS[header["kind"]].items():
+        if not check(header.get(key)):
+            raise ValueError(f"{path}: header field {key!r} must be {requirement}")
+    if header["kind"] == "gmm":
+        k, d = header["n_components"], header["dim"]
+        expected = [("weights", (k,)), ("means", (k, d)), ("covariances", (k, d, d))]
+    else:
+        widths = header["layer_widths"]
+        expected = []
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            expected += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+    entries = header.get("arrays")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path}: header field 'arrays' must be a list of objects")
+    declared = [(e.get("name"), tuple(e["shape"]) if _counts(e.get("shape")) else None) for e in entries]
+    if declared != expected:
+        raise ValueError(
+            f"{path}: header field 'arrays' declares {declared} but the header needs {expected}"
+        )
+    return expected
+
+
 def load_checkpoint(path):
     """Load a checkpoint back into a :class:`GmmSpec` or :class:`MlpDenoiser`.
 
-    The file must be exactly as long as its header declares: a truncated file
-    or one with trailing bytes raises ``ValueError``.
+    The header must hold every field its kind needs, with the right type, and
+    declare exactly the arrays those fields imply.  The file must be exactly
+    as long as its header declares: a truncated file or one with trailing
+    bytes raises ``ValueError``.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -84,7 +140,7 @@ def load_checkpoint(path):
     if len(raw) < offset:
         raise ValueError(f"{path} is truncated: {len(raw)} bytes, header ends at byte {offset}")
     header = json.loads(raw[16:offset].decode("utf-8"))
-    shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    shapes = _check_header(header, path)
     expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != expected:
         problem = "truncated" if len(raw) < expected else "followed by trailing bytes"
@@ -101,14 +157,12 @@ def load_checkpoint(path):
             covariances=arrays["covariances"],
             condition_map={t: tuple(v) for t, v in header["condition_map"].items()},
         )
-    if header["kind"] == "mlp":
-        n_layers = len(header["layer_widths"]) - 1
-        layers = [(arrays[f"w{i}"], arrays[f"b{i}"]) for i in range(n_layers)]
-        return MlpDenoiser(
-            layers,
-            dim=header["dim"],
-            vocabulary=header["vocabulary"],
-            n_frequencies=header["n_frequencies"],
-            frequency_base=header["frequency_base"],
-        )
-    raise ValueError(f"unknown checkpoint kind {header['kind']!r}")
+    n_layers = len(header["layer_widths"]) - 1
+    layers = [(arrays[f"w{i}"], arrays[f"b{i}"]) for i in range(n_layers)]
+    return MlpDenoiser(
+        layers,
+        dim=header["dim"],
+        vocabulary=header["vocabulary"],
+        n_frequencies=header["n_frequencies"],
+        frequency_base=header["frequency_base"],
+    )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, oracle, tasks
-from .channel import LogSnr
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
@@ -93,6 +92,19 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
     return samples
 
 
+def _check_finite(reports, cfg: RunConfig) -> None:
+    """A non-finite estimate is not a result: exit 2 naming the sample it came from."""
+    n_points = 0 if cfg.data.points is None else cfg.data.points.shape[0]
+    for i, report in enumerate(reports):
+        if not math.isfinite(report.total):
+            field = "data.points" if i < n_points else "data"
+            raise ConfigError(
+                f"{field}: sample {i} has the non-finite estimate {report.total!r}; "
+                "its point lies too far out for the estimate to be finite",
+                field,
+            )
+
+
 def _maybe_bits(report, bits: bool):
     return report.to_bits() if bits else report
 
@@ -139,6 +151,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         aggregate = estimators.aggregate_reports(reports, kind, cfg.sampler, cfg.n_eps)
     else:  # pragma: no cover - kinds are validated at parse time
         raise ConfigError(f"unsupported estimate kind {kind!r}", "estimate.kind")
+    _check_finite(reports, cfg)
 
     reports = [_maybe_bits(r, cfg.bits) for r in reports]
     write_report_csv(out / "estimates.csv", reports)
@@ -171,6 +184,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         s_est,
         condition_on_context=(kind == "cmi"),
     )
+    _check_finite(reports, cfg)
     reports = [_maybe_bits(r, cfg.bits) for r in reports]
 
     out = Path(cfg.out_dir)
@@ -383,7 +397,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if op == "gaussian_mi":
         result = oracle.gaussian_mi(params["correlation"])
     elif op == "mmse_gaussian":
-        result = oracle.mmse_gaussian(params["variance"], LogSnr(params["alpha"]))
+        result = oracle.mmse_gaussian(params["variance"], params["alpha"])
     elif op == "gaussian_pointwise":
         result = oracle.gaussian_pointwise(
             np.asarray(params["x"], dtype=float),

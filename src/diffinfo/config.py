@@ -119,6 +119,11 @@ def _parse_data(raw: dict, path: str = "data") -> DataConfig:
             points = np.atleast_2d(np.asarray(raw["points"], dtype=float))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.points must be a list of vectors: {exc}", f"{path}.points") from exc
+        if not np.isfinite(points).all():
+            row = int(np.argwhere(~np.isfinite(points))[0, 0])
+            raise ConfigError(
+                f"{path}.points[{row}] is not finite: {points[row].tolist()}", f"{path}.points"
+            )
     conds = None
     if "component_conditions" in raw:
         entries = raw["component_conditions"]

@@ -40,7 +40,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .channel import as_alpha, noise_weight, signal_weight
+from .channel import noise_weight, signal_weight
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class ConditionId:
         if self.label is None:
             return self.context
         return (self.label,) + self.context
-
-    def context_only(self) -> "ConditionId":
-        """The same event with the label dropped (context must be non-empty)."""
-        return ConditionId(label=None, context=self.context)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +94,18 @@ class Denoiser(Protocol):
     def dim(self) -> int: ...
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray: ...
+
+
+def as_batch(x_alpha, alpha, dim: int):
+    """Rows (n, dim) of ``x_alpha``, one log-SNR per row, and whether one point was given."""
+    x = np.asarray(x_alpha, dtype=float)
+    x2 = np.atleast_2d(x)
+    if x2.shape[1] != dim:
+        raise ValueError(
+            f"dimension mismatch: denoiser has dimension {dim} "
+            f"but x_alpha has dimension {x2.shape[1]}"
+        )
+    return x2, np.broadcast_to(np.asarray(alpha, dtype=float), (x2.shape[0],)), x.ndim == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,28 +236,16 @@ class GmmDenoiser:
         return self.spec.dim
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        x2, a, single = self._as_batch(x_alpha, alpha)
+        x2, a, single = as_batch(x_alpha, alpha, self.dim)
         resp, eps_k = self._component_terms(x2, a, condition)
         eps_hat = np.einsum("nk,knd->nd", resp, eps_k)
         return eps_hat[0] if single else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
         """Posterior component probabilities under the corrupted marginal."""
-        x2, a, single = self._as_batch(x_alpha, alpha)
+        x2, a, single = as_batch(x_alpha, alpha, self.dim)
         resp, _ = self._component_terms(x2, a, condition)
         return resp[0] if single else resp
-
-    def _as_batch(self, x_alpha, alpha):
-        x = np.asarray(x_alpha, dtype=float)
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        if x2.shape[1] != self.dim:
-            raise ValueError(
-                f"dimension mismatch: denoiser has dimension {self.dim} "
-                f"but x_alpha has dimension {x2.shape[1]}"
-            )
-        a = np.broadcast_to(np.asarray(as_alpha(alpha), dtype=float), (x2.shape[0],))
-        return x2, a, single
 
     def _component_terms(self, x2, a, condition):
         """Responsibilities (n, k) and per-component predictors (k, n, d)."""
@@ -267,13 +263,6 @@ class GmmDenoiser:
         resp /= resp.sum(axis=0)
         eps_k = np.sqrt(sna) * (zs @ u.transpose(0, 2, 1))
         return resp.T, eps_k
-
-
-def gaussian_mmse(spec: GmmSpec) -> GmmDenoiser:
-    """Closed-form denoiser for single-Gaussian data."""
-    if spec.n_components != 1:
-        raise ValueError(f"expected a single-Gaussian spec, got {spec.n_components} components")
-    return GmmDenoiser(spec)
 
 
 def gmm_mmse(spec: GmmSpec) -> GmmDenoiser:

@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import LogSnrSampler, noise_weight, signal_weight
+from .channel import LogSnrSampler, corrupt, signal_weight
 
-ESTIMATOR_KINDS = ("nll", "llr", "pointwise_s", "pointwise_o", "mi", "cmi")
+ESTIMATOR_KINDS = ("nll", "pointwise_s", "pointwise_o", "mi", "cmi")
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -104,12 +104,6 @@ def _draws(sampler: LogSnrSampler, n_eps: int, dim: int, seed):
     return alphas, weights, eps
 
 
-def _corrupt_batch(x, alphas, eps):
-    sa = np.sqrt(signal_weight(alphas))[:, None, None]
-    sna = np.sqrt(noise_weight(alphas))[:, None, None]
-    return sa * x + sna * eps
-
-
 def _predict(denoiser, x_a, alphas, condition):
     n, n_eps, d = x_a.shape
     flat = denoiser.predict_eps(x_a.reshape(n * n_eps, d), np.repeat(alphas, n_eps), condition)
@@ -142,6 +136,8 @@ def _check_point(denoiser, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ValueError(f"x must be a vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x!r}")
     if x.shape[0] != denoiser.dim:
         raise ValueError(
             f"dimension mismatch: denoiser has dimension {denoiser.dim} "
@@ -167,7 +163,7 @@ def nll(
     """
     x = _check_point(denoiser, x)
     alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
-    x_a = _corrupt_batch(x, alphas, eps)
+    x_a = corrupt(x, alphas[:, None], eps)
     eps_hat = _predict(denoiser, x_a, alphas, condition)
     mse = ((eps - eps_hat) ** 2).mean(axis=1)
     contrib = weights[:, None] * 0.5 * (signal_weight(alphas)[:, None] - mse)
@@ -182,7 +178,7 @@ def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_co
             f"but conditional has dimension {cond.dim}"
         )
     alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
-    x_a = _corrupt_batch(x, alphas, eps)
+    x_a = corrupt(x, alphas[:, None], eps)
     eps_u = _predict(uncond, x_a, alphas, uncond_condition)
     eps_c = _predict(cond, x_a, alphas, condition)
     if kind == "pointwise_o":

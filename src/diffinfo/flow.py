@@ -107,12 +107,10 @@ def _integrate(denoiser, z0, grid, condition, direction) -> Trajectory:
     return Trajectory(alphas=grid, states=states, direction=direction)
 
 
-def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig(), seed=None) -> Trajectory:
+def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Transport data to the latent end of the channel (alpha_max -> alpha_min).
 
     ``x`` may be a single point of shape (d,) or a batch of shape (m, d).
-    ``seed`` is accepted for interface symmetry; the solver is deterministic
-    and ignores it.
     """
     grid = np.linspace(config.alpha_max, config.alpha_min, config.n_steps + 1)
     return _integrate(denoiser, x, grid, condition, "encode")

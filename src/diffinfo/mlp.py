@@ -5,16 +5,25 @@ fixed sinusoidal embedding of the log-SNR, and a multi-hot encoding of the
 condition tokens (all zeros when unconditional).  A fraction of each batch is
 trained with the condition encoding zeroed out, so a single network serves
 both the conditional and the unconditional estimator terms.
+
+Inference and training share one feature builder and one forward pass,
+which keeps every activation for backpropagation.  Adam uses the fixed
+constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` and updates one flat
+buffer, of which the layer weights are views.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LogSnrSampler, as_alpha, noise_weight, signal_weight
-from .denoise import ConditionId, Sample
+from .channel import LogSnrSampler, corrupt
+from .denoise import ConditionId, Sample, as_batch
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FREQUENCY_BASE = 0.25
 
 
 class TrainingDivergedError(RuntimeError):
@@ -27,12 +36,8 @@ class MlpTrainConfig:
     n_steps: int = 20_000
     batch_size: int = 128
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     condition_drop: float = 0.2
     n_frequencies: int = 8
-    frequency_base: float = 0.25
 
     def __post_init__(self):
         if self.n_steps < 1 or self.batch_size < 1:
@@ -41,18 +46,54 @@ class MlpTrainConfig:
             raise ValueError(f"condition_drop must lie in [0, 1], got {self.condition_drop}")
 
 
-def alpha_embedding(alpha, n_frequencies: int = 8, base: float = 0.25) -> np.ndarray:
+def alpha_embedding(alpha, n_frequencies: int = 8, base: float = FREQUENCY_BASE) -> np.ndarray:
     """Sinusoidal features of the log-SNR: sin/cos at geometrically spaced frequencies."""
     freqs = base * 2.0 ** np.arange(n_frequencies)
-    angles = np.asarray(as_alpha(alpha), dtype=float)[..., None] * freqs
+    angles = np.asarray(alpha, dtype=float)[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+def _multi_hot(conditions, vocabulary) -> np.ndarray:
+    """One row per condition, 1.0 at each of its tokens; ``None`` gives a zero row."""
+    lookup = {token: i for i, token in enumerate(vocabulary)}
+    rows = np.zeros((len(conditions), len(vocabulary)))
+    for row, condition in zip(rows, conditions):
+        if condition is None:
+            continue
+        if not isinstance(condition, ConditionId):
+            raise TypeError(f"expected ConditionId or None, got {type(condition).__name__}")
+        for token in condition.tokens:
+            if token not in lookup:
+                raise ValueError(
+                    f"unknown condition token {token!r}; vocabulary is {list(vocabulary)}"
+                )
+            row[lookup[token]] = 1.0
+    return rows
+
+
+def _features(x_a, alphas, cond, n_frequencies, base) -> np.ndarray:
+    """Network input rows ``[x_a, alpha_embedding(alphas), cond]``."""
+    return np.concatenate([x_a, alpha_embedding(alphas, n_frequencies, base), cond], axis=1)
+
+
+def _forward(layers, feats) -> list[np.ndarray]:
+    """Activations of every layer, input first and output last (tanh hidden layers)."""
+    activations = [feats]
+    h = feats
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+        activations.append(h)
+    w, b = layers[-1]
+    activations.append(h @ w + b)
+    return activations
 
 
 class MlpDenoiser:
     """Tanh MLP noise predictor (see module docstring for the input layout)."""
 
-    def __init__(self, layers, dim, vocabulary=(), n_frequencies=8, frequency_base=0.25):
-        self.layers = [(np.asarray(w, dtype=float), np.asarray(b, dtype=float)) for w, b in layers]
+    def __init__(self, layers, dim, vocabulary=(), n_frequencies=8, frequency_base=FREQUENCY_BASE):
+        # Copies: training passes views of its flat parameter buffer.
+        self.layers = [(np.array(w, dtype=float), np.array(b, dtype=float)) for w, b in layers]
         self._dim = int(dim)
         self.vocabulary = tuple(vocabulary)
         self.n_frequencies = int(n_frequencies)
@@ -74,47 +115,18 @@ class MlpDenoiser:
     def layer_widths(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w, _ in self.layers) + (self.layers[-1][0].shape[1],)
 
-    def condition_vector(self, condition) -> np.ndarray:
-        vec = np.zeros(len(self.vocabulary))
-        if condition is None:
-            return vec
-        if not isinstance(condition, ConditionId):
-            raise TypeError(f"expected ConditionId or None, got {type(condition).__name__}")
-        lookup = {token: i for i, token in enumerate(self.vocabulary)}
-        for token in condition.tokens:
-            if token not in lookup:
-                raise ValueError(
-                    f"unknown condition token {token!r}; vocabulary is {list(self.vocabulary)}"
-                )
-            vec[lookup[token]] = 1.0
-        return vec
-
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        x = np.asarray(x_alpha, dtype=float)
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        if x2.shape[1] != self._dim:
-            raise ValueError(
-                f"dimension mismatch: denoiser has dimension {self._dim} "
-                f"but x_alpha has dimension {x2.shape[1]}"
-            )
-        a = np.broadcast_to(np.asarray(as_alpha(alpha), dtype=float), (x2.shape[0],))
-        cond = np.broadcast_to(self.condition_vector(condition), (x2.shape[0], len(self.vocabulary)))
-        feats = np.concatenate(
-            [x2, alpha_embedding(a, self.n_frequencies, self.frequency_base), cond], axis=1
-        )
-        out = self._forward(feats)[-1]
+        x2, a, single = as_batch(x_alpha, alpha, self._dim)
+        cond = np.broadcast_to(_multi_hot([condition], self.vocabulary), (a.size, len(self.vocabulary)))
+        feats = _features(x2, a, cond, self.n_frequencies, self.frequency_base)
+        out = _forward(self.layers, feats)[-1]
         return out[0] if single else out
 
-    def _forward(self, feats):
-        activations = [feats]
-        h = feats
-        for w, b in self.layers[:-1]:
-            h = np.tanh(h @ w + b)
-            activations.append(h)
-        w, b = self.layers[-1]
-        activations.append(h @ w + b)
-        return activations
+
+def _views(buffer, shapes) -> list[np.ndarray]:
+    """Consecutive slices of the flat ``buffer``, reshaped to ``shapes``."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(buffer, ends[:-1]), shapes)]
 
 
 def train_mlp(
@@ -140,21 +152,18 @@ def train_mlp(
         raise ValueError("dataset points have inconsistent dimensions")
     xs = np.stack(points)
     vocab = sorted({t for s in dataset if s.condition is not None for t in s.condition.tokens})
-    cond_rows = np.zeros((len(dataset), len(vocab)))
-    lookup = {t: i for i, t in enumerate(vocab)}
-    for i, s in enumerate(dataset):
-        if s.condition is not None:
-            for t in s.condition.tokens:
-                cond_rows[i, lookup[t]] = 1.0
+    cond_rows = _multi_hot([s.condition for s in dataset], vocab)
 
     rng = np.random.default_rng(seed)
     widths = (d + 2 * config.n_frequencies + len(vocab),) + tuple(config.hidden) + (d,)
-    params = []
+    shapes = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        params.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-        params.append(np.zeros(fan_out))
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    flat_params, flat_grads, m, v = np.zeros((4, sum(math.prod(s) for s in shapes)))
+    params, grads = _views(flat_params, shapes), _views(flat_grads, shapes)
+    for w in params[::2]:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    layers = list(zip(params[::2], params[1::2]))
     n_hidden = len(config.hidden)
     trace = np.empty(config.n_steps)
     batch_sampler = LogSnrSampler(sampler.loc, sampler.scale, sampler.clip, config.batch_size)
@@ -168,18 +177,9 @@ def train_mlp(
             cond[drop] = 0.0
         alphas = batch_sampler.sample(rng)[0]
         eps = rng.standard_normal((config.batch_size, d))
-        x_a = np.sqrt(signal_weight(alphas))[:, None] * x + np.sqrt(noise_weight(alphas))[:, None] * eps
-        feats = np.concatenate(
-            [x_a, alpha_embedding(alphas, config.n_frequencies, config.frequency_base), cond], axis=1
-        )
-
-        acts = [feats]
-        h = feats
-        for i in range(n_hidden):
-            h = np.tanh(h @ params[2 * i] + params[2 * i + 1])
-            acts.append(h)
-        out = h @ params[2 * n_hidden] + params[2 * n_hidden + 1]
-        err = out - eps
+        x_a = corrupt(x, alphas, eps)
+        acts = _forward(layers, _features(x_a, alphas, cond, config.n_frequencies, FREQUENCY_BASE))
+        err = acts[-1] - eps
         loss = float((err**2).mean())
         trace[step - 1] = loss
         if not np.isfinite(loss):
@@ -189,29 +189,21 @@ def train_mlp(
                 f"[{alphas.min()!r}, {alphas.max()!r}]"
             )
 
-        grads = [None] * len(params)
         g = 2.0 * err / err.size
-        grads[2 * n_hidden] = acts[-1].T @ g
-        grads[2 * n_hidden + 1] = g.sum(axis=0)
+        grads[2 * n_hidden][...] = acts[-2].T @ g
+        grads[2 * n_hidden + 1][...] = g.sum(axis=0)
         for i in range(n_hidden - 1, -1, -1):
             g = (g @ params[2 * (i + 1)].T) * (1.0 - acts[i + 1] ** 2)
-            grads[2 * i] = acts[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            grads[2 * i][...] = acts[i].T @ g
+            grads[2 * i + 1][...] = g.sum(axis=0)
 
-        b1, b2 = config.adam_beta1, config.adam_beta2
-        for i, grad in enumerate(grads):
-            m[i] = b1 * m[i] + (1 - b1) * grad
-            v[i] = b2 * v[i] + (1 - b2) * grad * grad
-            m_hat = m[i] / (1 - b1**step)
-            v_hat = v[i] / (1 - b2**step)
-            params[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * flat_grads
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * flat_grads * flat_grads
+        m_hat = m / (1 - ADAM_BETA1**step)
+        v_hat = v / (1 - ADAM_BETA2**step)
+        flat_params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    layers = [(params[2 * i], params[2 * i + 1]) for i in range(n_hidden + 1)]
-    denoiser = MlpDenoiser(
-        layers,
-        dim=d,
-        vocabulary=vocab,
-        n_frequencies=config.n_frequencies,
-        frequency_base=config.frequency_base,
-    )
+    denoiser = MlpDenoiser(layers, dim=d, vocabulary=vocab, n_frequencies=config.n_frequencies)
     return denoiser, trace

@@ -16,8 +16,6 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from .channel import as_alpha
-
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -62,7 +60,7 @@ def mmse_gaussian(variance: float, alpha) -> OracleResult:
     s2 = float(variance)
     if s2 < 0:
         raise ValueError(f"variance must be non-negative, got {s2}")
-    a = float(as_alpha(alpha))
+    a = float(alpha)
     sa = 1.0 / (1.0 + math.exp(-a))
     sna = 1.0 - sa
     value = sa * s2 / (sa * s2 + sna) if (sa * s2 + sna) > 0 else 0.0

@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON/PGM writers for estimates and trajectories.
+"""Deterministic CSV/JSON/PGM writers for estimates.
 
 CSV floats use '.' as the decimal separator and 17 significant digits, which
 round-trips IEEE doubles exactly; JSON is dumped with sorted keys.  Rerunning
@@ -74,12 +74,3 @@ def write_pgm(path, image) -> None:
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + levels.tobytes())
 
-
-def write_trajectory_csv(path, trajectory) -> None:
-    """Rows of (step, alpha, state components); batch states are flattened."""
-    states = trajectory.states.reshape(trajectory.states.shape[0], -1)
-    header = ["step", "alpha"] + [f"state_{j}" for j in range(states.shape[1])]
-    rows = [
-        (i, trajectory.alphas[i], *states[i]) for i in range(trajectory.alphas.shape[0])
-    ]
-    write_csv(path, header, rows)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffinfo.channel import LogSnr, LogSnrSampler, corrupt, noise_weight, signal_weight
+from diffinfo.channel import LogSnrSampler, corrupt, noise_weight, signal_weight
 
 EPS = np.finfo(float).eps
 
@@ -22,48 +22,53 @@ class TestWeights:
         assert abs(signal_weight(alpha) + noise_weight(alpha) - 1.0) <= EPS
 
     def test_snr_positive_and_monotone(self):
-        levels = [LogSnr(a) for a in (-10.0, 0.0, 3.0)]
-        snrs = [lvl.snr for lvl in levels]
-        assert all(s > 0 for s in snrs)
-        assert snrs == sorted(snrs)
-        assert LogSnr(0.0).signal_weight == pytest.approx(0.5)
+        alphas = np.array([-10.0, 0.0, 3.0])
+        snrs = signal_weight(alphas) / noise_weight(alphas)
+        assert np.all(snrs > 0)
+        assert np.all(np.diff(snrs) > 0)
+        np.testing.assert_allclose(snrs, np.exp(alphas), rtol=1e-12)
+        assert signal_weight(0.0) == pytest.approx(0.5)
 
 
 class TestCorrupt:
     def test_high_snr_returns_x(self):
         x = np.array([0.3, -1.2, 5.0])
         eps = np.array([1.0, -1.0, 2.0])
-        out = corrupt(x, LogSnr(40.0), eps)
-        np.testing.assert_allclose(out.x_alpha, x, atol=1e-8)
+        out = corrupt(x, 40.0, eps)
+        np.testing.assert_allclose(out, x, atol=1e-8)
 
     def test_alpha_zero_mixes_equally(self):
         out = corrupt([1.0, 1.0], 0.0, [1.0, -1.0])
-        np.testing.assert_allclose(out.x_alpha, [np.sqrt(2.0), 0.0], atol=1e-15)
+        np.testing.assert_allclose(out, [np.sqrt(2.0), 0.0], atol=1e-15)
 
     def test_zero_signal_is_scaled_noise(self):
         eps = np.array([0.4, -0.7])
         for alpha in (-3.0, 0.0, 2.0):
             out = corrupt(np.zeros(2), alpha, eps)
-            np.testing.assert_allclose(out.x_alpha, np.sqrt(noise_weight(alpha)) * eps, atol=1e-15)
+            np.testing.assert_allclose(out, np.sqrt(noise_weight(alpha)) * eps, atol=1e-15)
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(5)
         eps = rng.standard_normal(5)
         out = corrupt(x, 1.3, eps)
-        recovered = (out.x_alpha - np.sqrt(signal_weight(1.3)) * x) / np.sqrt(noise_weight(1.3))
+        recovered = (out - np.sqrt(signal_weight(1.3)) * x) / np.sqrt(noise_weight(1.3))
         np.testing.assert_allclose(recovered, eps, atol=1e-12)
 
     def test_dimension_mismatch_names_both_dimensions(self):
         with pytest.raises(ValueError, match=r"dimension 3.*dimension 2"):
             corrupt([1.0, 2.0, 3.0], 0.0, [1.0, 2.0])
 
-    def test_internal_draw_needs_rng_and_is_deterministic(self):
-        with pytest.raises(ValueError, match="rng"):
-            corrupt([1.0], 0.0)
-        a = corrupt([1.0, 2.0], 0.0, rng=7)
-        b = corrupt([1.0, 2.0], 0.0, rng=7)
-        np.testing.assert_array_equal(a.eps, b.eps)
+    def test_batch_matches_single_points_exactly(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(3)
+        alphas = rng.uniform(-5.0, 7.0, 6)
+        eps = rng.standard_normal((6, 4, 3))
+        batch = corrupt(x, alphas[:, None], eps)
+        assert batch.shape == eps.shape
+        for i, alpha in enumerate(alphas):
+            for j in range(eps.shape[1]):
+                np.testing.assert_array_equal(batch[i, j], corrupt(x, alpha, eps[i, j]))
 
     @given(
         st.floats(min_value=-8, max_value=8),
@@ -75,9 +80,9 @@ class TestCorrupt:
     def test_affine_in_signal(self, scale, alpha, x0, e0):
         x = np.array([x0])
         eps = np.array([e0])
-        base = corrupt(np.zeros(1), alpha, eps).x_alpha
-        lhs = corrupt(scale * x, alpha, eps).x_alpha - base
-        rhs = scale * (corrupt(x, alpha, eps).x_alpha - base)
+        base = corrupt(np.zeros(1), alpha, eps)
+        lhs = corrupt(scale * x, alpha, eps) - base
+        rhs = scale * (corrupt(x, alpha, eps) - base)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

@@ -1,5 +1,7 @@
 """Binary checkpoint round trips must be bit-exact."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ def tiny_mlp():
         dataset, MlpTrainConfig(hidden=(16,), n_steps=50), LogSnrSampler(n_draws=16), seed=1
     )
     return denoiser
+
+
+def rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by ``edit(header)``, keeping its arrays."""
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    blob = json.dumps(edit(json.loads(raw[16:end]))).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
 
 
 class TestGmmCheckpoint:
@@ -99,6 +109,44 @@ class TestFormatErrors:
         save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda h: {"arrays": []}, "kind"),
+            (lambda h: {**h, "kind": "vae"}, "kind"),
+            (lambda h: {k: v for k, v in h.items() if k != "condition_map"}, "condition_map"),
+            (lambda h: {**h, "condition_map": {"a": 0}}, "condition_map"),
+            (lambda h: {**h, "n_components": "1"}, "n_components"),
+            (lambda h: {**h, "dim": True}, "dim"),
+            (lambda h: {**h, "arrays": [{"name": "weights"}]}, "arrays"),
+            (lambda h: {**h, "arrays": h["arrays"][::-1]}, "arrays"),
+        ],
+    )
+    def test_gmm_header_schema_checked(self, tmp_path, edit, field):
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda h: {k: v for k, v in h.items() if k != "vocabulary"}, "vocabulary"),
+            (lambda h: {**h, "vocabulary": [1, 2]}, "vocabulary"),
+            (lambda h: {**h, "frequency_base": "0.25"}, "frequency_base"),
+            (lambda h: {**h, "layer_widths": h["layer_widths"][:1]}, "layer_widths"),
+            (lambda h: {**h, "layer_widths": [w + 1 for w in h["layer_widths"]]}, "arrays"),
+            (lambda h: {**h, "arrays": [{**a, "name": a["name"].upper()} for a in h["arrays"]]}, "arrays"),
+        ],
+    )
+    def test_mlp_header_schema_checked(self, tiny_mlp, tmp_path, edit, field):
+        path = tmp_path / "mlp.ckpt"
+        save_checkpoint(tiny_mlp, path)
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"'{field}'"):
             load_checkpoint(path)
 
     def test_unsupported_object_rejected(self, tmp_path):

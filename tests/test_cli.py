@@ -113,6 +113,33 @@ class TestEstimate:
         assert "estimate" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    def test_nan_point_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            '{"seed": 1, "data": {"gmm": %s, "points": [[NaN]]}, "estimate": {"kind": "nll"}}'
+            % json.dumps(STD_NORMAL_GMM)
+        )
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "data.points" in capsys.readouterr().err
+
+    def test_overflowing_estimate_exits_2_and_names_the_sample(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0], [1e300]]},
+                "sampler": {"n_snr": 20, "n_eps": 2},
+                "estimate": {"kind": "nll"},
+            },
+        )
+        with np.errstate(all="ignore"):
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data.points" in err and "sample 1" in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+
 class TestSchemaDiagnostics:
     def test_missing_required_field_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"data": {"gmm": STD_NORMAL_GMM}})
@@ -138,8 +165,14 @@ class TestSchemaDiagnostics:
         assert "denoiser.path" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "damage", [lambda raw: b"NOPE" + raw[4:], lambda raw: raw[:-3], lambda raw: raw + b"\x00"],
-        ids=["bad_magic", "truncated", "trailing"],
+        "damage",
+        [
+            lambda raw: b"NOPE" + raw[4:],
+            lambda raw: raw[:-3],
+            lambda raw: raw + b"\x00",
+            lambda raw: raw[:8] + len(b'{"arrays": []}').to_bytes(8, "little") + b'{"arrays": []}',
+        ],
+        ids=["bad_magic", "truncated", "trailing", "header_without_kind"],
     )
     def test_damaged_data_checkpoint_exits_2_and_names_it(self, tmp_path, capsys, damage):
         path = tmp_path / "spec.ckpt"
@@ -306,6 +339,55 @@ class TestOracleCommand:
             tmp_path,
             {"seed": 0, "data": {"gmm": PAIR_GMM}, "oracle": {"op": "gmm_mi_numeric"}},
         )
-        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["value"] == pytest.approx(0.69305364548292, abs=1e-6)
+
+
+class TestReproducibility:
+    def test_rerun_rewrites_every_output_byte_for_byte(self, tmp_path):
+        editing_gmm = {
+            "components": [
+                {"weight": 0.5, "mean": [-3.0], "cov": [[1.0]]},
+                {"weight": 0.5, "mean": [3.0], "cov": [[1.0]]},
+            ],
+            "condition_map": {"neg": [0], "pos": [1]},
+        }
+        labeled = {
+            "gmm": editing_gmm,
+            "n_samples": 6,
+            "component_conditions": [{"label": "neg"}, {"label": "pos"}],
+        }
+        sampler = {"n_snr": 20, "n_eps": 2}
+        runs = {
+            "train": {
+                "seed": 3,
+                "data": labeled,
+                "sampler": sampler,
+                "train": {"hidden": [8], "n_steps": 40, "batch_size": 16},
+            },
+            "estimate": {
+                "seed": 3,
+                "data": {"gmm": editing_gmm, "points": [[-1.0], [2.5]]},
+                "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "train" / "mlp.ckpt")},
+                "sampler": sampler,
+                "estimate": {"kind": "nll"},
+            },
+            "decompose": {"seed": 3, "data": labeled, "sampler": sampler, "decompose": {}},
+            "intervene": {
+                "seed": 3,
+                "data": labeled,
+                "sampler": sampler,
+                "solver": {"n_steps": 10},
+                "intervene": {"n_samples": 3, "swap": {"neg": "pos", "pos": "neg"}},
+            },
+        }
+        for command, payload in runs.items():
+            cfg = write_config(tmp_path, payload, f"{command}.json")
+            out = tmp_path / command
+            snapshots = []
+            for _ in range(2):
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+                snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert snapshots[0], command
+            assert snapshots[0] == snapshots[1], command

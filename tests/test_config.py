@@ -113,6 +113,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match="oracle"):
             parse_config({"seed": 1, "oracle": {"op": "gaussian_mi", "rho": 0.8}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ConfigError, match=r"data\.points\[1\]") as info:
+            parse_config({"seed": 1, "data": {"points": [[0.0], [bad]]}})
+        assert info.value.field == "data.points"
+
     def test_intervene_swap_required(self):
         with pytest.raises(ConfigError, match="swap"):
             parse_config({"seed": 1, "intervene": {"n_samples": 5}})

@@ -12,7 +12,6 @@ from diffinfo.denoise import (
     GmmDenoiser,
     GmmSpec,
     ZeroDenoiser,
-    gaussian_mmse,
     gmm_mmse,
 )
 from diffinfo.oracle import mmse_gaussian
@@ -36,7 +35,7 @@ def empirical_mse(denoiser, spec, alpha, n, seed, condition=None, components=Non
 
 class TestGaussianMmse:
     def test_standard_normal_closed_form(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         rng = np.random.default_rng(0)
         for alpha in (-2.0, 0.0, 1.5, 4.0):
             x_a = rng.standard_normal((5, 1))
@@ -46,7 +45,7 @@ class TestGaussianMmse:
     def test_regression_on_simulated_pairs(self):
         # E[eps | x_a] is linear for Gaussian data; the fitted slope and the
         # residual MSE over 10^6 pairs must match the closed form.
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         rng = np.random.default_rng(1)
         alpha = 0.0
         x = rng.standard_normal(1_000_000)
@@ -59,7 +58,7 @@ class TestGaussianMmse:
 
     def test_narrow_source_recovers_noise_exactly(self):
         mu, s = 2.0, 1e-4
-        den = gaussian_mmse(GmmSpec.single([mu], [[s**2]]))
+        den = gmm_mmse(GmmSpec.single([mu], [[s**2]]))
         rng = np.random.default_rng(3)
         for alpha in (-1.0, 0.0, 2.0):
             x_a = mu * np.sqrt(signal_weight(alpha)) + rng.standard_normal((4, 1))
@@ -67,20 +66,13 @@ class TestGaussianMmse:
             np.testing.assert_allclose(den.predict_eps(x_a, alpha), expected, rtol=1e-6)
 
     def test_high_snr_prediction_vanishes(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         x_a = np.array([[1.0], [-2.0]])
         for alpha in (20.0, 40.0):
             pred = den.predict_eps(x_a, alpha)
             bound = np.sqrt(noise_weight(alpha)) * np.abs(x_a)
             assert np.all(np.abs(pred) <= bound + 1e-15)
         assert np.abs(den.predict_eps(x_a, 40.0)).max() < 1e-8
-
-    def test_requires_single_component(self):
-        spec = GmmSpec(
-            weights=[0.5, 0.5], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]]
-        )
-        with pytest.raises(ValueError, match="single-Gaussian"):
-            gaussian_mmse(spec)
 
     def test_non_positive_definite_covariance_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -100,13 +92,12 @@ class TestGmmMmse:
     def test_single_component_matches_gaussian(self):
         spec = GmmSpec.single([1.5], [[2.0]])
         gmm = gmm_mmse(spec)
-        gauss = gaussian_mmse(spec)
         rng = np.random.default_rng(4)
         x_a = rng.standard_normal((8, 1)) * 2
         alphas = rng.uniform(-4, 6, 8)
-        np.testing.assert_allclose(
-            gmm.predict_eps(x_a, alphas), gauss.predict_eps(x_a, alphas), atol=1e-15
-        )
+        sa, sna = signal_weight(alphas)[:, None], noise_weight(alphas)[:, None]
+        gauss = np.sqrt(sna) * (x_a - np.sqrt(sa) * 1.5) / (sa * 2.0 + sna)
+        np.testing.assert_allclose(gmm.predict_eps(x_a, alphas), gauss, rtol=1e-12, atol=1e-15)
 
     def test_far_separated_component_dominates(self):
         spec = GmmSpec(
@@ -206,7 +197,7 @@ class TestOptimality:
 
     @pytest.mark.parametrize("alpha", [-2.0, 0.0, 2.0])
     def test_closed_form_attains_analytic_mmse(self, alpha):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         mse, se = empirical_mse(den, STD_NORMAL, alpha, 10_000, seed=5)
         assert mse >= mmse_gaussian(1.0, alpha).value - 3 * se
         assert abs(mse - mmse_gaussian(1.0, alpha).value) <= 3 * se

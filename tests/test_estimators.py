@@ -8,17 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from diffinfo.benchmarks import (
-    correlated_gaussian,
-    editing_dataset,
-    hierarchy_dataset,
-    hierarchy_spec,
-    labeled_dataset,
-    redundant_editing_spec,
-    symmetric_pair_spec,
-)
 from diffinfo.channel import LogSnrSampler
-from diffinfo.denoise import ConditionId, GmmSpec, Sample, gaussian_mmse, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
 from diffinfo.estimators import (
     InfoReport,
     cmi,
@@ -30,6 +21,16 @@ from diffinfo.estimators import (
 )
 from diffinfo.oracle import gaussian_mi, gaussian_pointwise, gmm_mi_numeric
 
+from toys import (
+    correlated_gaussian,
+    editing_dataset,
+    hierarchy_dataset,
+    hierarchy_spec,
+    labeled_dataset,
+    redundant_editing_spec,
+    symmetric_pair_spec,
+)
+
 SAMPLER = LogSnrSampler()
 DENSE_SAMPLER = LogSnrSampler(n_draws=400)
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -39,14 +40,14 @@ STD_NORMAL = GmmSpec.single([0.0], [[1.0]])
 class TestNll:
     @pytest.mark.parametrize("x, expected", [(0.0, HALF_LOG_2PI), (2.0, HALF_LOG_2PI + 2.0)])
     def test_standard_normal_points(self, x, expected):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         report = nll(den, [x], DENSE_SAMPLER, n_eps=8, seed=0)
         assert abs(report.total - expected) <= 3 * report.std_error
         assert report.estimator_kind == "nll"
         assert report.alpha_interval == (-5.0, 7.0)
 
     def test_two_dims_factorize(self):
-        den = gaussian_mmse(GmmSpec.single([0.0, 0.0], np.eye(2)))
+        den = gmm_mmse(GmmSpec.single([0.0, 0.0], np.eye(2)))
         report = nll(den, [0.0, 0.0], DENSE_SAMPLER, n_eps=8, seed=1)
         assert abs(report.total - 2 * HALF_LOG_2PI) <= 3 * report.std_error
         for value in report.per_dim:
@@ -61,12 +62,18 @@ class TestNll:
         assert conditional.total < unconditional.total
 
     def test_dimension_mismatch(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match="dimension"):
             nll(den, [0.0, 1.0], SAMPLER)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        den = gmm_mmse(STD_NORMAL)
+        with pytest.raises(ValueError, match="finite"):
+            nll(den, [bad], SAMPLER)
+
     def test_deterministic_given_seed(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         a = nll(den, [0.3], SAMPLER, n_eps=4, seed=11)
         b = nll(den, [0.3], SAMPLER, n_eps=4, seed=11)
         assert a.total == b.total and a.std_error == b.std_error
@@ -133,7 +140,7 @@ class TestPointwise:
         assert abs(diffs.mean()) <= 3 * diffs.std(ddof=1) / math.sqrt(diffs.size)
 
     def test_identical_denoisers_give_exact_zero(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         report = pointwise_o(den, den, [0.7], None, SAMPLER, seed=5)
         assert report.total == 0.0
         assert np.all(report.per_dim == 0.0)
@@ -215,12 +222,12 @@ class TestMi:
         assert abs(t_s.mean() - t_o.mean()) <= 3 * se
 
     def test_empty_dataset_rejected(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match="empty"):
             mi(den, den, [], SAMPLER)
 
     def test_missing_condition_rejected(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match="condition"):
             mi(den, den, [Sample(x=np.zeros(1))], SAMPLER)
 
@@ -331,7 +338,7 @@ class TestPerDimDecomposition:
             )
 
     def test_bits_conversion_scales_all_fields(self):
-        den = gaussian_mmse(STD_NORMAL)
+        den = gmm_mmse(STD_NORMAL)
         report = nll(den, [0.0], SAMPLER, n_eps=2, seed=23)
         bits = report.to_bits()
         assert bits.total == pytest.approx(report.total / math.log(2))

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from diffinfo.benchmarks import symmetric_pair_spec
 from diffinfo.channel import signal_weight
-from diffinfo.denoise import ConditionId, GmmSpec, ZeroDenoiser, gaussian_mmse, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmSpec, ZeroDenoiser, gmm_mmse
 from diffinfo.flow import (
     SolverConfig,
     SolverError,
@@ -16,7 +15,8 @@ from diffinfo.flow import (
     intervene,
 )
 from diffinfo.oracle import component_responsibilities
-from diffinfo.reports import write_trajectory_csv
+
+from toys import symmetric_pair_spec
 
 PAIR = symmetric_pair_spec(4.0)
 
@@ -51,7 +51,7 @@ class TestVelocityAlgebra:
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.5)
 
     def test_standard_normal_is_a_fixed_point(self):
-        den = gaussian_mmse(GmmSpec.single([0.0], [[1.0]]))
+        den = gmm_mmse(GmmSpec.single([0.0], [[1.0]]))
         for alpha in (-4.0, 0.0, 3.0):
             v = flow_velocity(den, np.array([0.8]), alpha)
             assert abs(v[0]) <= 1e-12
@@ -92,7 +92,7 @@ class TestEncodeDecode:
         assert ratio == pytest.approx(4.0, rel=0.5)
 
     def test_gaussian_source_maps_to_unit_latent(self):
-        den = gaussian_mmse(GmmSpec.single([0.0], [[1.0]]))
+        den = gmm_mmse(GmmSpec.single([0.0], [[1.0]]))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1000, 1))
         latent = encode(x, den).final
@@ -130,15 +130,6 @@ class TestEncodeDecode:
             SolverConfig(n_steps=0)
         with pytest.raises(ValueError):
             SolverConfig(alpha_min=2.0, alpha_max=-2.0)
-
-    def test_trajectory_csv_export(self, gmm_points, tmp_path):
-        x, _, den = gmm_points
-        traj = encode(x[0], den, config=SolverConfig(n_steps=10))
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, traj)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,alpha,state_0"
-        assert len(lines) == 12  # header + 11 nodes
 
 
 class TestIntervene:

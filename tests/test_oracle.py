@@ -21,7 +21,6 @@ from diffinfo.oracle import (
     mmse_gaussian,
 )
 from diffinfo.denoise import GmmSpec
-from diffinfo.channel import LogSnr
 
 # Regression-pinned quadrature/closed-form values (step-halving to < 1e-6).
 GAUSSIAN_MI_RHO_08 = 0.5108256237659907
@@ -59,7 +58,7 @@ class TestGaussianMi:
 
 class TestMmseGaussian:
     def test_unit_variance_at_alpha_zero(self):
-        assert mmse_gaussian(1.0, LogSnr(0.0)).value == pytest.approx(0.5, abs=1e-15)
+        assert mmse_gaussian(1.0, 0.0).value == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_variance_equals_signal_weight(self):
         for alpha in (-3.0, -1.0, 0.5, 2.0):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffinfo.benchmarks import symmetric_pair_spec
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import mi
@@ -25,6 +24,8 @@ from diffinfo.tasks import (
     segment_from_heatmap,
     sweep_threshold,
 )
+
+from toys import symmetric_pair_spec
 
 SAMPLER = LogSnrSampler()
 

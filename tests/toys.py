@@ -1,4 +1,4 @@
-"""Canonical toy generative setups shared by the tests, scripts and CLI demos."""
+"""Canonical toy generative setups shared by the tests."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import as_alpha, noise_weight, signal_weight
-from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gaussian_mmse
+from diffinfo.channel import noise_weight, signal_weight
+from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, as_batch, gmm_mmse
 
 
 class CorrelatedGaussianDenoiser:
@@ -30,10 +30,7 @@ class CorrelatedGaussianDenoiser:
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         if condition is None:
             raise ValueError("this denoiser requires the observed y as the condition")
-        x = np.asarray(x_alpha, dtype=float)
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        a = np.broadcast_to(np.asarray(as_alpha(alpha), dtype=float), (x2.shape[0],))
+        x2, a, single = as_batch(x_alpha, alpha, self.dim)
         sa, sna = signal_weight(a), noise_weight(a)
         mean = self.rho * float(condition)
         var = 1.0 - self.rho**2
@@ -59,7 +56,7 @@ class CorrelatedGaussian:
 def correlated_gaussian(rho: float) -> CorrelatedGaussian:
     return CorrelatedGaussian(
         rho=float(rho),
-        uncond=gaussian_mmse(GmmSpec.single([0.0], [[1.0]])),
+        uncond=gmm_mmse(GmmSpec.single([0.0], [[1.0]])),
         cond=CorrelatedGaussianDenoiser(rho),
     )
 
