@@ -92,6 +92,17 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
     return samples
 
 
+def _require_conditions(dataset) -> None:
+    """Pointwise estimates contrast conditional and unconditional terms, so need conditions."""
+    for i, sample in enumerate(dataset):
+        if sample.condition is None:
+            raise ConfigError(
+                f"sample {i} carries no condition, which this estimate needs: data.points carry "
+                "no condition, and drawn samples take theirs from data.component_conditions",
+                "data.component_conditions",
+            )
+
+
 def _check_finite(reports, cfg: RunConfig) -> None:
     """A non-finite estimate is not a result: exit 2 naming the sample it came from."""
     n_points = 0 if cfg.data.points is None else cfg.data.points.shape[0]
@@ -122,6 +133,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     s_data, s_est, _, _ = _streams(cfg.seed)
     dataset = _build_dataset(cfg, spec, s_data)
     kind = cfg.estimate.kind
+    if kind != "nll":
+        _require_conditions(dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -173,6 +186,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     den = _build_denoiser(cfg, spec)
     s_data, s_est, _, _ = _streams(cfg.seed)
     dataset = _build_dataset(cfg, spec, s_data)
+    _require_conditions(dataset)
     kind = cfg.decompose.kind
     reports = estimators.pointwise_dataset(
         den,
@@ -306,18 +320,34 @@ def cmd_intervene(cfg: RunConfig) -> int:
     dataset = _build_dataset(cfg, spec, s_data)
     if any(s.condition is None or s.condition.label is None for s in dataset):
         raise ConfigError("every sampled component needs a labeled condition", "data.component_conditions")
+    n_edit = cfg.intervene.n_samples
+    if n_edit > len(dataset):
+        raise ConfigError(
+            f"intervene.n_samples is {n_edit} but the data section yields {len(dataset)} samples",
+            "intervene.n_samples",
+        )
+    samples = dataset[:n_edit]
     swap = cfg.intervene.swap
+    for sample in samples:
+        if sample.condition.label not in swap:
+            raise ConfigError(
+                f"intervene.swap does not cover label {sample.condition.label!r}", "intervene.swap"
+            )
+    edits = flow_intervene(
+        np.stack([s.x for s in samples]),
+        den,
+        [s.condition for s in samples],
+        [ConditionId(label=swap[s.condition.label], context=s.condition.context) for s in samples],
+        cfg.solver,
+    )
+    deltas = edits.delta_l2.tolist()
     children = s_est.spawn(len(dataset))
 
     rows = []
-    scores, deltas = [], []
-    for i, (sample, child) in enumerate(zip(dataset[: cfg.intervene.n_samples], children)):
-        label = sample.condition.label
-        if label not in swap:
-            raise ConfigError(f"intervene.swap does not cover label {label!r}", "intervene.swap")
-        cond_out = ConditionId(label=swap[label], context=sample.condition.context)
-        roundtrip = flow_intervene(sample.x, den, sample.condition, sample.condition, cfg.solver)
-        edited = flow_intervene(sample.x, den, sample.condition, cond_out, cfg.solver)
+    scores = []
+    for i, (sample, child, roundtrip, delta) in enumerate(
+        zip(samples, children, edits.roundtrip_l2.tolist(), deltas)
+    ):
         score = estimators.pointwise_o(
             den,
             den,
@@ -331,16 +361,8 @@ def cmd_intervene(cfg: RunConfig) -> int:
         if cfg.bits:
             score /= LN2
         scores.append(score)
-        deltas.append(edited.delta_l2)
         rows.append(
-            (
-                i,
-                label,
-                "|".join(sample.condition.context),
-                score,
-                roundtrip.delta_l2,
-                edited.delta_l2,
-            )
+            (i, sample.condition.label, "|".join(sample.condition.context), score, roundtrip, delta)
         )
 
     out = Path(cfg.out_dir)

@@ -9,6 +9,7 @@ over log-SNR [-5, 7]).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -53,6 +54,12 @@ def _number(value, path: str) -> float:
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path!r} must be an integer, got {value!r}", path)
+    return value
+
+
+def _positive(value, path: str) -> int:
+    if _integer(value, path) < 1:
+        raise ConfigError(f"{path!r} must be at least 1, got {value!r}", path)
     return value
 
 
@@ -110,9 +117,7 @@ def _parse_data(raw: dict, path: str = "data") -> DataConfig:
     checkpoint = _string(raw["checkpoint"], f"{path}.checkpoint") if "checkpoint" in raw else None
     if gmm is not None and checkpoint is not None:
         raise ConfigError(f"{path} must give either 'gmm' or 'checkpoint', not both", path)
-    n_samples = _integer(raw["n_samples"], f"{path}.n_samples") if "n_samples" in raw else None
-    if n_samples is not None and n_samples < 1:
-        raise ConfigError(f"{path}.n_samples must be positive", f"{path}.n_samples")
+    n_samples = _positive(raw["n_samples"], f"{path}.n_samples") if "n_samples" in raw else None
     points = None
     if "points" in raw:
         try:
@@ -190,9 +195,7 @@ def _parse_sampler(raw: dict, path: str = "sampler") -> tuple[LogSnrSampler, int
         )
     except ValueError as exc:
         raise ConfigError(f"invalid {path}: {exc}", path) from exc
-    n_eps = _integer(_get(raw, "n_eps", path, default=4), f"{path}.n_eps")
-    if n_eps < 1:
-        raise ConfigError(f"{path}.n_eps must be positive", f"{path}.n_eps")
+    n_eps = _positive(_get(raw, "n_eps", path, default=4), f"{path}.n_eps")
     return sampler, n_eps
 
 
@@ -377,6 +380,25 @@ _ORACLE_PARAMS = {
 }
 
 
+def _check_oracle_param(name: str, value) -> None:
+    """Type-check one oracle parameter; the oracle itself checks value ranges."""
+    path = f"oracle.{name}"
+    if name in ("correlation", "variance", "alpha"):
+        if not math.isfinite(_number(value, path)):
+            raise ConfigError(f"{path!r} must be finite, got {value!r}", path)
+    elif name == "labels":
+        if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+            raise ConfigError(f"{path!r} must be a list of strings, got {value!r}", path)
+    else:
+        try:
+            arr = np.asarray(value)
+            ok = arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path!r} must be an array of finite numbers, got {value!r}", path)
+
+
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("the configuration document must be a JSON object")
@@ -426,7 +448,7 @@ def parse_config(raw: dict) -> RunConfig:
     rank = None
     if "rank" in raw:
         _check_keys(raw["rank"], {"n_samples", "candidates", "estimator_kind"}, "rank")
-        n_samples = _integer(_get(raw["rank"], "n_samples", "rank", required=True), "rank.n_samples")
+        n_samples = _positive(_get(raw["rank"], "n_samples", "rank", required=True), "rank.n_samples")
         candidates = raw["rank"].get("candidates")
         if candidates is not None:
             candidates = tuple(_string(c, "rank.candidates[]") for c in candidates)
@@ -441,7 +463,7 @@ def parse_config(raw: dict) -> RunConfig:
     intervene = None
     if "intervene" in raw:
         _check_keys(raw["intervene"], {"n_samples", "swap"}, "intervene")
-        n_samples = _integer(
+        n_samples = _positive(
             _get(raw["intervene"], "n_samples", "intervene", required=True), "intervene.n_samples"
         )
         swap = _get(raw["intervene"], "swap", "intervene", required=True)
@@ -488,6 +510,8 @@ def parse_config(raw: dict) -> RunConfig:
             )
         params = {k: v for k, v in section.items() if k != "op"}
         _check_keys(params, _ORACLE_PARAMS[op], "oracle")
+        for name, value in params.items():
+            _check_oracle_param(name, value)
         oracle = OracleConfig(op=op, params=params)
 
     return RunConfig(

@@ -30,6 +30,13 @@ context tokens, and selects the mixture components consistent with every one
 of its tokens (intersection of the ``condition_map`` entries), with weights
 renormalized.  Conditioning on context alone therefore marginalizes over all
 labels consistent with that context.
+
+A batch may carry one condition per row.  The mixture denoiser then
+evaluates the union of the components that any row selects, and gives each
+row the log-weights of its own conditional mixture, with -inf on the
+components its condition excludes; those get zero responsibility.  A single
+condition selects the same subset for every row, which keeps the arithmetic
+of a batch under one condition unchanged.
 """
 
 from __future__ import annotations
@@ -86,8 +93,11 @@ class Denoiser(Protocol):
 
     ``predict_eps`` accepts a single point of shape (d,) with a scalar
     log-SNR, or a batch of shape (n, d) with a scalar or per-row log-SNR, and
-    returns an array of the same shape as ``x_alpha``.  Implementations are
-    deterministic: identical inputs yield identical outputs.
+    returns an array of the same shape as ``x_alpha``.  ``condition`` is
+    ``None``, one condition for every row, or a list or tuple with one
+    condition per row; a per-row list of the wrong length raises
+    ``ValueError``.  Implementations are deterministic: identical inputs
+    yield identical outputs.
     """
 
     @property
@@ -106,6 +116,15 @@ def as_batch(x_alpha, alpha, dim: int):
             f"but x_alpha has dimension {x2.shape[1]}"
         )
     return x2, np.broadcast_to(np.asarray(alpha, dtype=float), (x2.shape[0],)), x.ndim == 1
+
+
+def is_per_row(condition, n_rows: int) -> bool:
+    """Whether ``condition`` is a list or tuple of per-row conditions, checked for length."""
+    if not isinstance(condition, (list, tuple)):
+        return False
+    if len(condition) != n_rows:
+        raise ValueError(f"got {len(condition)} per-row conditions for {n_rows} rows")
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,15 +261,37 @@ class GmmDenoiser:
         return eps_hat[0] if single else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        """Posterior component probabilities under the corrupted marginal."""
+        """Posterior component probabilities under the corrupted marginal.
+
+        One column per component the condition selects, in index order; for
+        per-row conditions, per component any row selects.
+        """
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
         resp, _ = self._component_terms(x2, a, condition)
         return resp[0] if single else resp
 
+    def _log_weights(self, condition, n_rows):
+        """Components to evaluate and their log-weights, (k, 1) or per row (k, n).
+
+        Per-row conditions get the union of their components, with -inf where
+        a row's condition excludes a component.  Each distinct condition is
+        resolved once.
+        """
+        if not is_per_row(condition, n_rows):
+            idx = self.spec.components_for(condition)
+            return idx, np.log(self.spec.conditional_weights(idx))[:, None]
+        distinct: dict = {}
+        columns = [distinct.setdefault(c, len(distinct)) for c in condition]
+        selections = [self.spec.components_for(c) for c in distinct]
+        idx = np.unique(np.concatenate(selections))
+        log_w = np.full((idx.size, len(selections)), -np.inf)
+        for j, sel in enumerate(selections):
+            log_w[np.searchsorted(idx, sel), j] = np.log(self.spec.conditional_weights(sel))
+        return idx, log_w[:, columns]
+
     def _component_terms(self, x2, a, condition):
         """Responsibilities (n, k) and per-component predictors (k, n, d)."""
-        idx = self.spec.components_for(condition)
-        w = self.spec.conditional_weights(idx)
+        idx, log_w = self._log_weights(condition, x2.shape[0])
         sa, sna = signal_weight(a)[:, None], noise_weight(a)[:, None]
         u = self._eigvecs[idx]
         z = x2 @ u - np.sqrt(sa) * self._rot_means[idx, None, :]
@@ -258,7 +299,7 @@ class GmmDenoiser:
         zs = z / s
         logdet = np.log(s).sum(axis=2)
         maha = np.einsum("knd,knd->kn", z, zs)
-        log_joint = np.log(w)[:, None] - 0.5 * (x2.shape[1] * np.log(2 * np.pi) + logdet + maha)
+        log_joint = log_w - 0.5 * (x2.shape[1] * np.log(2 * np.pi) + logdet + maha)
         resp = np.exp(log_joint - log_joint.max(axis=0))
         resp /= resp.sum(axis=0)
         eps_k = np.sqrt(sna) * (zs @ u.transpose(0, 2, 1))

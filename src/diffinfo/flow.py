@@ -26,6 +26,11 @@ corrector update; an Euler fallback at the terminal node would contribute a
 local error around h^2/2 * |z''| by itself, which at 100 steps is larger
 than the round-trip budget.  Encoding integrates from alpha_max down to
 alpha_min (data to latent); decoding reverses the grid.
+
+Conditions pass through to the denoiser, so a batch may carry one condition
+per row.  ``intervene`` uses this: it encodes every point once under its own
+condition, then decodes the round trip and the edit together, as one batch
+of twice the rows under the input conditions followed by the output ones.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import noise_weight
+from .denoise import is_per_row
 
 
 class SolverError(RuntimeError):
@@ -110,7 +116,8 @@ def _integrate(denoiser, z0, grid, condition, direction) -> Trajectory:
 def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> Trajectory:
     """Transport data to the latent end of the channel (alpha_max -> alpha_min).
 
-    ``x`` may be a single point of shape (d,) or a batch of shape (m, d).
+    ``x`` may be a single point of shape (d,) or a batch of shape (m, d);
+    ``condition`` may be one condition or a list with one per row.
     """
     grid = np.linspace(config.alpha_max, config.alpha_min, config.n_steps + 1)
     return _integrate(denoiser, x, grid, condition, "encode")
@@ -124,11 +131,17 @@ def decode(latent, denoiser, condition=None, config: SolverConfig = SolverConfig
 
 @dataclass(frozen=True, eq=False)
 class InterventionResult:
-    """An edited point with its per-dimension squared change and total L2."""
+    """Edited points, their per-dimension squared change and L2 change, and
+    the L2 error of the round trip under the input condition.
+
+    For a single input point the L2 fields are floats; for rows of shape
+    (n, d) every field has one entry per row.
+    """
 
     x_edited: np.ndarray
     delta_per_dim: np.ndarray
-    delta_l2: float
+    delta_l2: float | np.ndarray
+    roundtrip_l2: float | np.ndarray
 
 
 def intervene(
@@ -140,15 +153,21 @@ def intervene(
 ) -> InterventionResult:
     """Encode under ``cond_in``, decode under ``cond_out``, measure the change.
 
-    With ``cond_out == cond_in`` this is exactly the round trip (same code
-    path), so the null intervention's delta equals the round-trip error.
+    ``x`` is one point of shape (d,) or rows of shape (n, d); ``cond_in`` and
+    ``cond_out`` are single conditions or lists with one per row.  The points
+    are encoded once, and the round trip and the edit are decoded in one
+    batch, so a row whose output condition equals its input condition has
+    ``delta_l2 == roundtrip_l2`` exactly.
     """
-    latent = encode(x, denoiser, cond_in, config).final
-    edited = decode(latent, denoiser, cond_out, config).final
     x = np.asarray(x, dtype=float)
-    delta = (x - edited) ** 2
-    return InterventionResult(
-        x_edited=edited,
-        delta_per_dim=delta,
-        delta_l2=float(np.sqrt(delta.sum())),
-    )
+    rows = np.atleast_2d(x)
+    n = rows.shape[0]
+    cond_in, cond_out = (list(c) if is_per_row(c, n) else [c] * n for c in (cond_in, cond_out))
+    latent = encode(rows, denoiser, cond_in, config).final
+    decoded = decode(np.concatenate([latent, latent]), denoiser, cond_in + cond_out, config).final
+    delta = (rows - decoded[n:]) ** 2
+    delta_l2 = np.sqrt(delta.sum(axis=1))
+    roundtrip_l2 = np.sqrt(((rows - decoded[:n]) ** 2).sum(axis=1))
+    if x.ndim == 1:
+        return InterventionResult(decoded[n], delta[0], float(delta_l2[0]), float(roundtrip_l2[0]))
+    return InterventionResult(decoded[n:], delta, delta_l2, roundtrip_l2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt
-from .denoise import ConditionId, Sample, as_batch
+from .denoise import ConditionId, Sample, as_batch, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
@@ -117,7 +117,11 @@ class MlpDenoiser:
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self._dim)
-        cond = np.broadcast_to(_multi_hot([condition], self.vocabulary), (a.size, len(self.vocabulary)))
+        if is_per_row(condition, a.size):
+            cond = _multi_hot(condition, self.vocabulary)
+        else:
+            one = _multi_hot([condition], self.vocabulary)
+            cond = np.broadcast_to(one, (a.size, len(self.vocabulary)))
         feats = _features(x2, a, cond, self.n_frequencies, self.frequency_base)
         out = _forward(self.layers, feats)[-1]
         return out[0] if single else out

@@ -186,6 +186,50 @@ class TestSchemaDiagnostics:
         assert "data.checkpoint" in capsys.readouterr().err
 
 
+class TestUnconditionedSamples:
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("decompose", {"decompose": {}}),
+            ("estimate", {"estimate": {"kind": "pointwise_s"}}),
+            ("estimate", {"estimate": {"kind": "pointwise_o"}}),
+            ("estimate", {"estimate": {"kind": "mi"}}),
+            ("estimate", {"estimate": {"kind": "cmi"}}),
+        ],
+    )
+    def test_points_without_condition_exit_2(self, tmp_path, capsys, command, section):
+        raw = {"seed": 1, "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0], [1.0]]}, **section}
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data.component_conditions" in err and "data.points carry no condition" in err
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize(
+        "command, section, field",
+        [
+            ("intervene", {"intervene": {"n_samples": -1}}, "intervene.n_samples"),
+            ("intervene", {"intervene": {"n_samples": 0}}, "intervene.n_samples"),
+            ("intervene", {"intervene": {"n_samples": 40}}, "intervene.n_samples"),
+            ("rank", {"rank": {"n_samples": 0}}, "rank.n_samples"),
+            ("rank", {"rank": {"n_samples": -2}}, "rank.n_samples"),
+        ],
+    )
+    def test_bad_count_exits_2_and_names_it(self, tmp_path, capsys, command, section, field):
+        if command == "intervene":
+            section["intervene"]["swap"] = {"neg": "pos", "pos": "neg"}
+        data = {
+            "gmm": PAIR_GMM,
+            "n_samples": 5,
+            "component_conditions": [{"label": "neg"}, {"label": "pos"}],
+        }
+        cfg = write_config(tmp_path, {"seed": 1, "data": data, **section})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDecompose:
     def test_writes_per_dim_and_pgm(self, tmp_path):
         gmm = {
@@ -333,6 +377,13 @@ class TestOracleCommand:
         assert printed["value"] == pytest.approx(0.5108256237659907)
         assert printed["method"] == "closed_form"
         assert read_json(tmp_path / "out" / "oracle.json")["value"] == printed["value"]
+
+    def test_mistyped_parameter_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"seed": 0, "oracle": {"op": "mmse_gaussian", "variance": 1.0, "alpha": "high"}}
+        )
+        assert main(["oracle", "--config", cfg]) == 2
+        assert "oracle.alpha" in capsys.readouterr().err
 
     def test_gmm_oracle_uses_data_section(self, tmp_path, capsys):
         cfg = write_config(

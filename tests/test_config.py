@@ -33,6 +33,8 @@ FULL = {
     "oracle": {"op": "gaussian_mi", "correlation": 0.8},
 }
 
+POINTWISE = {"op": "gaussian_pointwise", "x": [0.5], "y": [1], "joint_covariance": [[1, 0.5], [0.5, 1]]}
+
 
 class TestDefaults:
     def test_minimal_config_gets_standard_hyperparameters(self):
@@ -112,6 +114,42 @@ class TestRejections:
             parse_config({"seed": 1, "oracle": {"op": "magic"}})
         with pytest.raises(ConfigError, match="oracle"):
             parse_config({"seed": 1, "oracle": {"op": "gaussian_mi", "rho": 0.8}})
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"op": "mmse_gaussian", "variance": 1.0, "alpha": "high"}, "oracle.alpha"),
+            ({"op": "mmse_gaussian", "variance": float("inf"), "alpha": 0.0}, "oracle.variance"),
+            ({"op": "gaussian_mi", "correlation": True}, "oracle.correlation"),
+            ({"op": "gaussian_mi", "correlation": float("nan")}, "oracle.correlation"),
+            ({**POINTWISE, "x": ["1"]}, "oracle.x"),
+            ({**POINTWISE, "y": [[0.0], 1.0]}, "oracle.y"),
+            ({**POINTWISE, "joint_covariance": [[1, None], [0, 1]]}, "oracle.joint_covariance"),
+            ({"op": "gmm_mi_numeric", "labels": ["neg", 3]}, "oracle.labels"),
+            ({"op": "gmm_mi_numeric", "labels": "neg"}, "oracle.labels"),
+        ],
+    )
+    def test_oracle_param_types_checked(self, section, field):
+        with pytest.raises(ConfigError, match=field) as info:
+            parse_config({"seed": 1, "oracle": section})
+        assert info.value.field == field
+
+    def test_well_typed_oracle_params_accepted(self):
+        assert parse_config({"seed": 1, "oracle": POINTWISE}).oracle.params == {
+            k: v for k, v in POINTWISE.items() if k != "op"
+        }
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("intervene", 0), ("intervene", -1), ("rank", 0), ("rank", -2)],
+    )
+    def test_sample_counts_must_be_positive(self, section, value):
+        raw = {"seed": 1, section: {"n_samples": value}}
+        if section == "intervene":
+            raw[section]["swap"] = {"neg": "pos"}
+        with pytest.raises(ConfigError, match="at least 1") as info:
+            parse_config(raw)
+        assert info.value.field == f"{section}.n_samples"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_points_rejected(self, bad):

@@ -16,6 +16,8 @@ from diffinfo.denoise import (
 )
 from diffinfo.oracle import mmse_gaussian
 
+from toys import redundant_editing_spec
+
 STD_NORMAL = GmmSpec.single([0.0], [[1.0]])
 
 
@@ -310,3 +312,64 @@ class TestEigenbasisMatchesDirectSolve:
         batch = den.predict_eps(x_a, -2.0)
         assert den.predict_eps(x_a[1], -2.0).shape == (8,)
         np.testing.assert_allclose(den.predict_eps(x_a[1], -2.0), batch[1], rtol=1e-12, atol=1e-15)
+
+
+def mixed_conditions_case(d):
+    """A spec, and 42 noisy rows whose conditions mix None, label-only and label+context."""
+    if d == 1:
+        spec = redundant_editing_spec()
+        distinct = [
+            None,
+            ConditionId(label="low"),
+            ConditionId(label="high", context=("plain",)),
+            ConditionId(label="low", context=("split",)),
+        ]
+    else:
+        spec = reference_spec(d, seed=5)
+        distinct = [None, ConditionId(label="wide"), ConditionId(label="wide", context=("ill",))]
+    rng = np.random.default_rng(20 + d)
+    n = 42
+    conditions = [distinct[i] for i in rng.integers(0, len(distinct), n)]
+    alpha = rng.uniform(-5.0, 7.0, n)
+    x, _ = spec.sample(n, rng)
+    a = alpha[:, None]
+    x_a = np.sqrt(signal_weight(a)) * x + np.sqrt(noise_weight(a)) * rng.standard_normal((n, d))
+    return spec, x_a, alpha, conditions
+
+
+class TestPerRowConditions:
+    """A list of per-row conditions gives each row its own conditional mixture."""
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_equals_single_condition_batches_exactly(self, d):
+        spec, x_a, alpha, conditions = mixed_conditions_case(d)
+        den = GmmDenoiser(spec)
+        batch = den.predict_eps(x_a, alpha, conditions)
+        for condition in set(conditions):
+            rows = [i for i, c in enumerate(conditions) if c == condition]
+            np.testing.assert_array_equal(
+                batch[rows], den.predict_eps(x_a[rows], alpha[rows], condition)
+            )
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_equals_one_call_per_row(self, d):
+        spec, x_a, alpha, conditions = mixed_conditions_case(d)
+        den = GmmDenoiser(spec)
+        eps = den.predict_eps(x_a, alpha, conditions)
+        resp = den.responsibilities(x_a, alpha, conditions)
+        # every mix includes None, so the columns span all components
+        assert resp.shape == (len(conditions), spec.n_components)
+        for i, condition in enumerate(conditions):
+            np.testing.assert_allclose(
+                eps[i], den.predict_eps(x_a[i], alpha[i], condition), rtol=1e-12, atol=1e-15
+            )
+            row = np.zeros(spec.n_components)
+            row[spec.components_for(condition)] = den.responsibilities(x_a[i], alpha[i], condition)
+            np.testing.assert_allclose(resp[i], row, rtol=1e-12, atol=1e-15)
+
+    def test_wrong_length_names_both_lengths(self):
+        den = GmmDenoiser(redundant_editing_spec())
+        with pytest.raises(ValueError, match="2 per-row conditions for 3 rows"):
+            den.predict_eps(np.zeros((3, 1)), 0.0, [None, ConditionId(label="low")])
+        with pytest.raises(ValueError, match="2 per-row conditions for 1 rows"):
+            den.responsibilities(np.zeros(1), 0.0, [None, None])

@@ -16,7 +16,7 @@ from diffinfo.flow import (
 )
 from diffinfo.oracle import component_responsibilities
 
-from toys import symmetric_pair_spec
+from toys import editing_dataset, redundant_editing_spec, symmetric_pair_spec
 
 PAIR = symmetric_pair_spec(4.0)
 
@@ -168,3 +168,42 @@ class TestIntervene:
         result = intervene(x[0], den, ConditionId(label="neg"), ConditionId(label="pos"))
         np.testing.assert_allclose(result.delta_per_dim, (x[0] - result.x_edited) ** 2)
         assert result.delta_l2 == pytest.approx(np.sqrt(result.delta_per_dim.sum()))
+        assert result.x_edited.shape == (1,)
+        assert isinstance(result.delta_l2, float) and isinstance(result.roundtrip_l2, float)
+
+
+class TestBatchedIntervene:
+    """Rows of shape (n, d) with per-row conditions: one encode, one joint decode."""
+
+    @pytest.fixture(scope="class")
+    def edits(self):
+        spec = redundant_editing_spec()
+        den = gmm_mmse(spec)
+        samples = editing_dataset(spec, 10, seed=3)
+        x = np.stack([s.x for s in samples])
+        cond_in = [s.condition for s in samples]
+        swap = {"low": "high", "high": "low"}
+        cond_out = [ConditionId(label=swap[c.label], context=c.context) for c in cond_in]
+        return den, x, cond_in, cond_out, intervene(x, den, cond_in, cond_out)
+
+    def test_equals_per_sample_encode_decode_exactly(self, edits):
+        den, x, cond_in, cond_out, result = edits
+        assert result.x_edited.shape == x.shape and result.delta_l2.shape == (len(x),)
+        for i in range(len(x)):
+            latent = encode(x[i], den, cond_in[i]).final
+            edited = decode(latent, den, cond_out[i]).final
+            round_trip = decode(latent, den, cond_in[i]).final
+            np.testing.assert_array_equal(result.x_edited[i], edited)
+            assert result.delta_l2[i] == np.sqrt(((x[i] - edited) ** 2).sum())
+            assert result.roundtrip_l2[i] == np.sqrt(((x[i] - round_trip) ** 2).sum())
+
+    def test_plain_context_swaps_equal_the_round_trip(self, edits):
+        _, x, cond_in, _, result = edits
+        plain = [i for i, c in enumerate(cond_in) if c.context == ("plain",)]
+        assert 0 < len(plain) < len(x)
+        np.testing.assert_array_equal(result.delta_l2[plain], result.roundtrip_l2[plain])
+
+    def test_wrong_length_condition_list_raises(self, edits):
+        den, x, cond_in, _, _ = edits
+        with pytest.raises(ValueError, match=f"{len(x) - 1} per-row conditions for {len(x)} rows"):
+            intervene(x, den, cond_in, cond_in[1:])

@@ -133,3 +133,36 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             denoiser.predict_eps(x_a, 0.3), denoiser.predict_eps(x_a, 0.3)
         )
+
+
+def random_mlp(d, vocabulary, seed):
+    """An untrained net with random weights over ``vocabulary``."""
+    rng = np.random.default_rng(seed)
+    widths = (d + 16 + len(vocabulary), 32, 32, d)
+    layers = [
+        (rng.standard_normal((m, k)) / np.sqrt(m), 0.1 * rng.standard_normal(k))
+        for m, k in zip(widths[:-1], widths[1:])
+    ]
+    return MlpDenoiser(layers, dim=d, vocabulary=vocabulary)
+
+
+class TestPerRowConditions:
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_equals_one_call_per_row(self, d):
+        net = random_mlp(d, ("high", "low", "plain", "split"), seed=d)
+        distinct = [None, ConditionId(label="low"), ConditionId(label="high", context=("plain",))]
+        rng = np.random.default_rng(30 + d)
+        n = 42
+        conditions = [distinct[i] for i in rng.integers(0, len(distinct), n)]
+        x_a = rng.standard_normal((n, d))
+        alpha = rng.uniform(-5.0, 7.0, n)
+        batch = net.predict_eps(x_a, alpha, conditions)
+        for i, condition in enumerate(conditions):
+            np.testing.assert_allclose(
+                batch[i], net.predict_eps(x_a[i], alpha[i], condition), rtol=1e-12, atol=1e-15
+            )
+
+    def test_wrong_length_names_both_lengths(self):
+        net = random_mlp(1, ("low",), seed=0)
+        with pytest.raises(ValueError, match="3 per-row conditions for 2 rows"):
+            net.predict_eps(np.zeros((2, 1)), 0.0, (None, None, ConditionId(label="low")))
