@@ -15,24 +15,50 @@ Information integrals over a are estimated by importance sampling from a
 truncated logistic distribution; contributions outside the truncation
 interval are defined to be zero, which makes every estimate a deterministic
 function of its seed and its interval.
+
+The sigmoid is :func:`sigmoid` here rather than ``scipy.special.expit``, so
+that the estimator path imports numpy alone; importing scipy costs about a
+second, several times the work of a typical command.  It computes the same
+``1/(1+exp(-a))`` as ``expit``.  A scalar goes through ``math.exp``, the C
+library's exponential that ``expit`` also calls, and so matches ``expit``
+bit for bit; an array goes through ``np.exp`` in place, which may differ from
+it in the last bits.  The exponent is clamped at 709 so that it cannot
+overflow, which keeps the result finite without the cost of ``np.errstate``;
+below a = -709, where the sigmoid is subnormal, the result stays near
+sigma(-709) instead of falling to zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+_EXP_MAX = 709.0  # exp(709) is finite; exp(710) overflows
+
+
+def sigmoid(a):
+    """Logistic sigmoid ``1/(1+exp(-a))``: a float for a scalar, else a new array."""
+    if isinstance(a, float):  # numpy's float64 scalars too
+        return 1.0 / (1.0 + math.exp(_EXP_MAX if a < -_EXP_MAX else -a))
+    t = np.negative(a, dtype=float)
+    if t.ndim == 0:
+        return sigmoid(float(a))
+    np.minimum(t, _EXP_MAX, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
 
 
 def signal_weight(alpha):
     """Signal weight sigma(a) of the channel at log-SNR ``alpha``."""
-    return expit(alpha)
+    return sigmoid(alpha)
 
 
 def noise_weight(alpha):
     """Noise weight sigma(-a); complements :func:`signal_weight` to one."""
-    return expit(-alpha)
+    return sigmoid(-alpha)
 
 
 def corrupt(x, alpha, eps) -> np.ndarray:
@@ -89,13 +115,13 @@ class LogSnrSampler:
     @property
     def _truncated_mass(self) -> float:
         # CDF mass of the untruncated logistic inside the interval.
-        return float(expit(self.clip) - expit(-self.clip))
+        return sigmoid(self.clip) - sigmoid(-self.clip)
 
     def pdf(self, alpha):
         """Renormalized density; zero outside the truncation interval."""
         alpha = np.asarray(alpha, dtype=float)
         z = (alpha - self.loc) / self.scale
-        dens = expit(z) * expit(-z) / (self.scale * self._truncated_mass)
+        dens = sigmoid(z) * sigmoid(-z) / (self.scale * self._truncated_mass)
         lo, hi = self.support
         return np.where((alpha >= lo) & (alpha <= hi), dens, 0.0)
 
@@ -105,8 +131,9 @@ class LogSnrSampler:
         ``rng`` may be an int seed, a ``SeedSequence`` or a ``Generator``.
         """
         rng = np.random.default_rng(rng)
-        u = rng.uniform(expit(-self.clip), expit(self.clip), size=self.n_draws)
+        u = rng.uniform(sigmoid(-self.clip), sigmoid(self.clip), size=self.n_draws)
         z = np.log(u) - np.log1p(-u)
         alphas = self.loc + self.scale * z
-        weights = self.scale * self._truncated_mass / (expit(z) * expit(-z))
+        # z is the logit of u, so the density factor sigma(z) sigma(-z) is u (1 - u).
+        weights = self.scale * self._truncated_mass / (u * (1.0 - u))
         return alphas, weights

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import locale  # noqa: F401  argparse's first message lookup (gettext) imports it otherwise
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; every command but oracle draws from it
 
 from . import estimators, oracle, tasks
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -412,23 +414,38 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+# The parameter whose value an oracle rejects with ValueError, per op.
+_ORACLE_RANGE_PARAM = {
+    "gaussian_mi": "correlation",
+    "mmse_gaussian": "variance",
+    "gaussian_pointwise": "joint_covariance",
+    "gmm_mi_numeric": "labels",
+}
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.oracle is None:
         raise ConfigError("the oracle command needs an 'oracle' section", "oracle")
     op, params = cfg.oracle.op, cfg.oracle.params
-    if op == "gaussian_mi":
-        result = oracle.gaussian_mi(params["correlation"])
-    elif op == "mmse_gaussian":
-        result = oracle.mmse_gaussian(params["variance"], params["alpha"])
-    elif op == "gaussian_pointwise":
-        result = oracle.gaussian_pointwise(
-            np.asarray(params["x"], dtype=float),
-            np.asarray(params["y"], dtype=float),
-            np.asarray(params["joint_covariance"], dtype=float),
-        )
-    else:
-        spec = _load_spec(cfg)
-        result = oracle.gmm_mi_numeric(spec, labels=params.get("labels"))
+    # Outside the try: a ConfigError is a ValueError too, and names its own field.
+    spec = _load_spec(cfg) if op == "gmm_mi_numeric" else None
+    try:
+        if op == "gaussian_mi":
+            result = oracle.gaussian_mi(params["correlation"])
+        elif op == "mmse_gaussian":
+            result = oracle.mmse_gaussian(params["variance"], params["alpha"])
+        elif op == "gaussian_pointwise":
+            result = oracle.gaussian_pointwise(
+                np.asarray(params["x"], dtype=float),
+                np.asarray(params["y"], dtype=float),
+                np.asarray(params["joint_covariance"], dtype=float),
+            )
+        else:
+            result = oracle.gmm_mi_numeric(spec, labels=params.get("labels"))
+    except ValueError as exc:
+        name = _ORACLE_RANGE_PARAM[op]
+        field = f"oracle.{name}" if name in params else "oracle"
+        raise ConfigError(f"{field}: {exc}", field) from exc
     value, bound = result.value, result.abs_error_bound
     if cfg.bits and op != "mmse_gaussian":
         value, bound = value / LN2, bound / LN2

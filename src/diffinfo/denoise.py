@@ -283,7 +283,8 @@ class GmmDenoiser:
         distinct: dict = {}
         columns = [distinct.setdefault(c, len(distinct)) for c in condition]
         selections = [self.spec.components_for(c) for c in distinct]
-        idx = np.unique(np.concatenate(selections))
+        # A sorted set, not np.unique, which would import numpy.ma.
+        idx = np.array(sorted({int(k) for sel in selections for k in sel}))
         log_w = np.full((idx.size, len(selections)), -np.inf)
         for j, sel in enumerate(selections):
             log_w[np.searchsorted(idx, sel), j] = np.log(self.spec.conditional_weights(sel))
@@ -292,7 +293,10 @@ class GmmDenoiser:
     def _component_terms(self, x2, a, condition):
         """Responsibilities (n, k) and per-component predictors (k, n, d)."""
         idx, log_w = self._log_weights(condition, x2.shape[0])
-        sa, sna = signal_weight(a)[:, None], noise_weight(a)[:, None]
+        # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
+        # weigh it once, on the sigmoid's scalar path.
+        a = float(a[0]) if a.size and a.strides == (0,) else a[:, None]
+        sa, sna = signal_weight(a), noise_weight(a)
         u = self._eigvecs[idx]
         z = x2 @ u - np.sqrt(sa) * self._rot_means[idx, None, :]
         s = sa * self._eigvals[idx, None, :] + sna

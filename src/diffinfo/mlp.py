@@ -76,20 +76,33 @@ def _features(x_a, alphas, cond, n_frequencies, base) -> np.ndarray:
     return np.concatenate([x_a, alpha_embedding(alphas, n_frequencies, base), cond], axis=1)
 
 
-def _forward(layers, feats) -> list[np.ndarray]:
-    """Activations of every layer, input first and output last (tanh hidden layers)."""
+def _forward(layers, feats, hidden=None) -> list[np.ndarray]:
+    """Activations of every layer, input first and output last (tanh hidden layers).
+
+    ``hidden``, if given, holds one array per hidden layer to write its
+    activations into; otherwise each hidden layer gets a new array.
+    """
     activations = [feats]
     h = feats
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
+    for i, (w, b) in enumerate(layers[:-1]):
+        # In place: one array per layer, not three, so big batches don't churn the heap.
+        h = np.matmul(h, w, out=None if hidden is None else hidden[i])
+        h += b
+        np.tanh(h, out=h)
         activations.append(h)
     w, b = layers[-1]
-    activations.append(h @ w + b)
+    out = h @ w
+    out += b
+    activations.append(out)
     return activations
 
 
 class MlpDenoiser:
-    """Tanh MLP noise predictor (see module docstring for the input layout)."""
+    """Tanh MLP noise predictor (see module docstring for the input layout).
+
+    ``predict_eps`` writes the hidden layers into arrays the instance keeps,
+    so one instance must not serve two threads at once.
+    """
 
     def __init__(self, layers, dim, vocabulary=(), n_frequencies=8, frequency_base=FREQUENCY_BASE):
         # Copies: training passes views of its flat parameter buffer.
@@ -98,6 +111,7 @@ class MlpDenoiser:
         self.vocabulary = tuple(vocabulary)
         self.n_frequencies = int(n_frequencies)
         self.frequency_base = float(frequency_base)
+        self._hidden = (0, [])  # (rows, arrays) reused by predict_eps, see _hidden_arrays
         expected = self._dim + 2 * self.n_frequencies + len(self.vocabulary)
         if self.layers[0][0].shape[0] != expected:
             raise ValueError(
@@ -123,8 +137,20 @@ class MlpDenoiser:
             one = _multi_hot([condition], self.vocabulary)
             cond = np.broadcast_to(one, (a.size, len(self.vocabulary)))
         feats = _features(x2, a, cond, self.n_frequencies, self.frequency_base)
-        out = _forward(self.layers, feats)[-1]
+        out = _forward(self.layers, feats, self._hidden_arrays(a.size))[-1]
         return out[0] if single else out
+
+    def _hidden_arrays(self, n_rows) -> list[np.ndarray]:
+        """Hidden-layer arrays for ``n_rows`` rows, kept while the batch size repeats.
+
+        A batch of a few hundred rows makes hidden layers of a few hundred KB.
+        Allocated afresh on every call, they can make glibc trim the heap when
+        they are freed and grow it again on the next call, at the cost of a
+        page fault per page.
+        """
+        if self._hidden[0] != n_rows:
+            self._hidden = (n_rows, [np.empty((n_rows, w.shape[1])) for w, _ in self.layers[:-1]])
+        return self._hidden[1]
 
 
 def _views(buffer, shapes) -> list[np.ndarray]:

@@ -5,6 +5,12 @@ paths: densities come from explicit formulas or ``scipy.stats``, integrals
 from step-halving trapezoid quadrature or plain Monte Carlo.  Quadrature
 domains span the component means plus/minus ten maximal standard deviations
 per dimension, where Gaussian tails are below 1e-22.
+
+``scipy.stats`` and ``scipy.special`` are imported inside the functions
+that use them, not with this module: importing them takes about a second,
+and the package imports this module, so an eager import would make every
+command pay for it.  The command-line path stays numpy-only, and scipy is
+loaded only by the ``oracle`` command and by callers of these functions.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -61,7 +65,8 @@ def mmse_gaussian(variance: float, alpha) -> OracleResult:
     if s2 < 0:
         raise ValueError(f"variance must be non-negative, got {s2}")
     a = float(alpha)
-    sa = 1.0 / (1.0 + math.exp(-a))
+    e = math.exp(-abs(a))  # never overflows, however far out a is
+    sa = 1.0 / (1.0 + e) if a >= 0 else e / (1.0 + e)
     sna = 1.0 - sa
     value = sa * s2 / (sa * s2 + sna) if (sa * s2 + sna) > 0 else 0.0
     return OracleResult(value=value, method="closed_form", abs_error_bound=0.0)
@@ -81,6 +86,8 @@ def gaussian_pointwise(x, y, joint_covariance) -> OracleResult:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError("joint covariance is singular or not positive definite") from None
+    from scipy.stats import multivariate_normal
+
     joint = multivariate_normal(mean=np.zeros(cov.shape[0]), cov=cov).logpdf(np.concatenate([x, y]))
     marg_x = multivariate_normal(mean=np.zeros(p), cov=cov[:p, :p]).logpdf(x)
     marg_y = multivariate_normal(mean=np.zeros(y.shape[0]), cov=cov[p:, p:]).logpdf(y)
@@ -110,6 +117,9 @@ def _partition_labels(spec, labels):
 
 def _label_log_densities(spec, labels, points):
     """Log densities of each label-conditional mixture and the label priors."""
+    from scipy.special import logsumexp
+    from scipy.stats import multivariate_normal
+
     comp_logpdf = np.stack(
         [
             multivariate_normal(mean=spec.means[k], cov=spec.covariances[k]).logpdf(points)
@@ -147,6 +157,7 @@ def gmm_mi_numeric(
     labels = _partition_labels(spec, labels)
     if spec.dim > 2:
         return _gmm_mi_monte_carlo(spec, labels, mc_samples, seed)
+    from scipy.special import logsumexp
 
     stds = np.sqrt(np.max([np.diag(c) for c in spec.covariances], axis=0))
     lo = spec.means.min(axis=0) - 10.0 * stds.max()
@@ -191,6 +202,8 @@ def gmm_mi_numeric(
 
 
 def _gmm_mi_monte_carlo(spec, labels, n_samples, seed):
+    from scipy.special import logsumexp
+
     rng = np.random.default_rng(seed)
     priors = np.array([spec.weights[list(spec.condition_map[t])].sum() for t in labels])
     which = rng.choice(len(labels), size=n_samples, p=priors)
@@ -219,6 +232,9 @@ def component_responsibilities(spec, x) -> np.ndarray:
     Computed from scipy log-densities only (no denoiser code); used to build
     Bayes-classifier baselines and to check where edited points land.
     """
+    from scipy.special import logsumexp
+    from scipy.stats import multivariate_normal
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     log_joint = np.stack(
         [

@@ -1,11 +1,14 @@
 """Noise channel and importance-sampling distribution."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from diffinfo.channel import LogSnrSampler, corrupt, noise_weight, signal_weight
+from diffinfo.channel import LogSnrSampler, corrupt, noise_weight, sigmoid, signal_weight
 
 EPS = np.finfo(float).eps
 
@@ -28,6 +31,41 @@ class TestWeights:
         assert np.all(np.diff(snrs) > 0)
         np.testing.assert_allclose(snrs, np.exp(alphas), rtol=1e-12)
         assert signal_weight(0.0) == pytest.approx(0.5)
+
+
+class TestSigmoid:
+    def test_array_within_4_ulp_of_expit(self):
+        grid = np.linspace(-700.0, 700.0, 400_001)
+        want = expit(grid)
+        ulps = np.abs(sigmoid(grid) - want) / np.spacing(want)
+        assert ulps.max() <= 4
+
+    def test_scalar_bit_equal_to_expit(self):
+        grid = np.linspace(-700.0, 700.0, 14_001)
+        got = [sigmoid(float(a)) for a in grid]
+        assert all(type(v) is float for v in got)
+        assert got == expit(grid).tolist()
+
+    def test_extremes_are_finite_without_warnings(self):
+        extremes = np.array([-1e4, -745.0, -709.5, 709.5, 745.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.concatenate(
+                [
+                    sigmoid(extremes),
+                    [sigmoid(float(a)) for a in extremes],
+                    signal_weight(extremes),
+                    noise_weight(extremes),
+                ]
+            )
+            noised = corrupt(np.ones(1), extremes, np.ones((extremes.size, 1)))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(noised))
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+    def test_accepts_lists_ints_and_zero_dim_arrays(self):
+        assert sigmoid(0) == 0.5
+        assert sigmoid(np.asarray(1.3)) == expit(1.3)
+        np.testing.assert_array_equal(sigmoid([0, 2]), sigmoid(np.array([0.0, 2.0])))
 
 
 class TestCorrupt:

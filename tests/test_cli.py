@@ -385,6 +385,43 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg]) == 2
         assert "oracle.alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, extra, field",
+        [
+            ({"op": "gaussian_mi", "correlation": 1.5}, {}, "oracle.correlation"),
+            ({"op": "mmse_gaussian", "variance": -1.0, "alpha": 0}, {}, "oracle.variance"),
+            (
+                {
+                    "op": "gaussian_pointwise",
+                    "x": [0.5],
+                    "y": [-0.5],
+                    "joint_covariance": [[1.0, 1.0], [1.0, 1.0]],
+                },
+                {},
+                "oracle.joint_covariance",
+            ),
+            (
+                {"op": "gmm_mi_numeric", "labels": ["neg", "all"]},
+                {"data": {"gmm": {**PAIR_GMM, "condition_map": {"neg": [0], "all": [0, 1]}}}},
+                "oracle.labels",
+            ),
+        ],
+        ids=["correlation", "variance", "singular_joint_covariance", "labels_not_a_partition"],
+    )
+    def test_out_of_range_value_exits_2_and_names_it(self, tmp_path, capsys, section, extra, field):
+        cfg = write_config(tmp_path, {"seed": 0, "oracle": section, **extra})
+        assert main(["oracle", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err
+        assert "Traceback" not in err
+
+    def test_far_negative_alpha_does_not_overflow(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"seed": 0, "oracle": {"op": "mmse_gaussian", "variance": 1.0, "alpha": -1000}}
+        )
+        assert main(["oracle", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
     def test_gmm_oracle_uses_data_section(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

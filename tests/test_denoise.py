@@ -313,6 +313,21 @@ class TestEigenbasisMatchesDirectSolve:
         assert den.predict_eps(x_a[1], -2.0).shape == (8,)
         np.testing.assert_allclose(den.predict_eps(x_a[1], -2.0), batch[1], rtol=1e-12, atol=1e-15)
 
+    def test_one_log_snr_matches_the_same_value_per_row(self):
+        # A scalar log-SNR takes the sigmoid's scalar path, an array its array path.
+        den = GmmDenoiser(reference_spec(8, seed=6))
+        x_a = np.random.default_rng(7).standard_normal((5, 8))
+        for alpha in (-5.0, 1.3, 7.0):
+            np.testing.assert_allclose(
+                den.predict_eps(x_a, alpha), den.predict_eps(x_a, np.full(5, alpha)),
+                rtol=1e-12, atol=1e-15,
+            )
+
+    def test_empty_batch(self):
+        den = GmmDenoiser(reference_spec(8, seed=6))
+        assert den.predict_eps(np.zeros((0, 8)), 1.3).shape == (0, 8)
+        assert den.predict_eps(np.zeros((0, 8)), np.zeros(0)).shape == (0, 8)
+
 
 def mixed_conditions_case(d):
     """A spec, and 42 noisy rows whose conditions mix None, label-only and label+context."""

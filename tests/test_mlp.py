@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from diffinfo import mlp
 from diffinfo.channel import LogSnrSampler, noise_weight, signal_weight
+from diffinfo.checkpoint import save_checkpoint
 from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
 from diffinfo.mlp import MlpDenoiser, MlpTrainConfig, TrainingDivergedError, train_mlp
 from diffinfo.oracle import mmse_gaussian
@@ -166,3 +168,50 @@ class TestPerRowConditions:
         net = random_mlp(1, ("low",), seed=0)
         with pytest.raises(ValueError, match="3 per-row conditions for 2 rows"):
             net.predict_eps(np.zeros((2, 1)), 0.0, (None, None, ConditionId(label="low")))
+
+
+def reference_forward(layers, feats, hidden=None):
+    """The chain ``np.tanh(h @ w + b)`` on new arrays, which ``mlp._forward`` computes in place."""
+    activations = [feats]
+    h = feats
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+        activations.append(h)
+    w, b = layers[-1]
+    activations.append(h @ w + b)
+    return activations
+
+
+class TestInPlaceForward:
+    def test_predict_eps_equals_reference_chain(self, monkeypatch):
+        net = random_mlp(2, ("a", "b"), seed=5)
+        rng = np.random.default_rng(6)
+        x_a = rng.standard_normal((400, 2))
+        alpha = rng.uniform(-5.0, 7.0, 400)
+        # Same row count twice (the hidden arrays are reused), then other counts.
+        calls = [
+            (x_a, alpha, None),
+            (x_a, alpha, [ConditionId(label="b"), None] * 200),
+            (x_a[:7], alpha[:7], ConditionId(label="a")),
+            (x_a[0], alpha[0], None),
+            (x_a, alpha, ConditionId(label="a")),
+        ]
+        got = [net.predict_eps(*call) for call in calls]
+        monkeypatch.setattr(mlp, "_forward", reference_forward)
+        for call, value in zip(calls, got):
+            np.testing.assert_array_equal(value, net.predict_eps(*call))
+
+    def test_training_gives_reference_checkpoint_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        conds = [ConditionId(label="a"), ConditionId(label="b")]
+        dataset = [Sample(x=rng.standard_normal(2), condition=conds[i % 2]) for i in range(64)]
+        cfg = MlpTrainConfig(hidden=(16, 16), n_steps=150, batch_size=32)
+        trained = {}
+        for name in ("in_place", "reference"):
+            if name == "reference":
+                monkeypatch.setattr(mlp, "_forward", reference_forward)
+            net, trace = train_mlp(dataset, cfg, SAMPLER, seed=8)
+            save_checkpoint(net, tmp_path / f"{name}.ckpt")
+            trained[name] = ((tmp_path / f"{name}.ckpt").read_bytes(), trace)
+        assert trained["in_place"][0] == trained["reference"][0]
+        np.testing.assert_array_equal(trained["in_place"][1], trained["reference"][1])

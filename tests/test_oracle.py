@@ -74,6 +74,10 @@ class TestMmseGaussian:
         assert mmse_gaussian(1.0, -40.0).value == pytest.approx(0.0, abs=1e-12)
         assert mmse_gaussian(1.0, 40.0).value == pytest.approx(1.0, abs=1e-12)
 
+    def test_far_out_alpha_does_not_overflow(self):
+        assert mmse_gaussian(1.0, -1000.0).value == 0.0
+        assert mmse_gaussian(1.0, 1000.0).value == 1.0
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             mmse_gaussian(-0.1, 0.0)
