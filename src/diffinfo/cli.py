@@ -21,7 +21,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; every command but orac
 
 from . import estimators, oracle, tasks
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_config
+from .config import ORACLE_OPS, ConfigError, RunConfig, load_config
 from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
 from .flow import intervene as flow_intervene
 from .mlp import MlpDenoiser, train_mlp
@@ -128,6 +128,7 @@ def _streams(seed: int):
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    """Estimate NLL or pointwise, mutual or conditional mutual information per sample."""
     if cfg.estimate is None:
         raise ConfigError("the estimate command needs an 'estimate' section", "estimate")
     spec = _load_spec(cfg)
@@ -182,6 +183,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    """Split pointwise information into per-dimension heatmaps, scored against a truth mask."""
     if cfg.decompose is None:
         raise ConfigError("the decompose command needs a 'decompose' section", "decompose")
     spec = _load_spec(cfg)
@@ -239,6 +241,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_rank(cfg: RunConfig) -> int:
+    """Rank candidate labels for samples by their pointwise information."""
     if cfg.rank is None:
         raise ConfigError("the rank command needs a 'rank' section", "rank")
     spec = _load_spec(cfg)
@@ -309,6 +312,7 @@ def cmd_rank(cfg: RunConfig) -> int:
 
 
 def cmd_intervene(cfg: RunConfig) -> int:
+    """Swap labels along the probability flow and relate each edit to its information."""
     if cfg.intervene is None:
         raise ConfigError("the intervene command needs an 'intervene' section", "intervene")
     spec = _load_spec(cfg)
@@ -389,6 +393,7 @@ def cmd_intervene(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Train a conditional MLP denoiser and save its checkpoint and loss trace."""
     if cfg.train is None:
         raise ConfigError("the train command needs a 'train' section", "train")
     spec = _load_spec(cfg)
@@ -414,36 +419,17 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-# The parameter whose value an oracle rejects with ValueError, per op.
-_ORACLE_RANGE_PARAM = {
-    "gaussian_mi": "correlation",
-    "mmse_gaussian": "variance",
-    "gaussian_pointwise": "joint_covariance",
-    "gmm_mi_numeric": "labels",
-}
-
-
 def cmd_oracle(cfg: RunConfig) -> int:
+    """Print a closed-form or numerical reference value (Gaussian MI, MMSE, pointwise, mixture MI)."""
     if cfg.oracle is None:
         raise ConfigError("the oracle command needs an 'oracle' section", "oracle")
     op, params = cfg.oracle.op, cfg.oracle.params
     # Outside the try: a ConfigError is a ValueError too, and names its own field.
-    spec = _load_spec(cfg) if op == "gmm_mi_numeric" else None
+    args = (_load_spec(cfg),) if op == "gmm_mi_numeric" else ()
     try:
-        if op == "gaussian_mi":
-            result = oracle.gaussian_mi(params["correlation"])
-        elif op == "mmse_gaussian":
-            result = oracle.mmse_gaussian(params["variance"], params["alpha"])
-        elif op == "gaussian_pointwise":
-            result = oracle.gaussian_pointwise(
-                np.asarray(params["x"], dtype=float),
-                np.asarray(params["y"], dtype=float),
-                np.asarray(params["joint_covariance"], dtype=float),
-            )
-        else:
-            result = oracle.gmm_mi_numeric(spec, labels=params.get("labels"))
+        result = getattr(oracle, op)(*args, **params)
     except ValueError as exc:
-        name = _ORACLE_RANGE_PARAM[op]
+        name = ORACLE_OPS[op].range_param
         field = f"oracle.{name}" if name in params else "oracle"
         raise ConfigError(f"{field}: {exc}", field) from exc
     value, bound = result.value, result.abs_error_bound

@@ -1,23 +1,31 @@
 """Run configuration: a single JSON document, validated before any computation.
 
-Unknown keys are rejected at every level and missing required fields are
-reported by their dotted path.  Defaults mirror the standard hyperparameters
-(sampler [loc, scale, clip] = [1, 2, 3] with 100 SNR draws, 100 solver steps
-over log-SNR [-5, 7]).
+The schema is one table per section, mapping each JSON key to a check
+``(value, dotted_path) -> parsed value`` that raises :class:`ConfigError`
+naming the path.  ``_fields`` reads a table, rejecting unknown keys, and
+``_build`` makes the section's dataclass, reporting a missing required field
+by its dotted path.  Defaults are the dataclass field defaults and are written
+nowhere else.  ``RunConfig.resolved`` reads the same tables back into JSON
+(``_dump``), omitting ``None``; the result parses back to itself.  JSON keys
+are field names, except the renames in ``_ATTR``, the keys a :class:`_Section`
+holds for an enclosing object (``sampler.n_eps``, ``output.dir``,
+``train.checkpoint_name``), and the ``oracle`` parameters, which sit beside
+``op`` and are checked by ``ORACLE_OPS``.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .channel import LogSnrSampler
 from .denoise import ConditionId, GmmSpec
+from .estimators import ESTIMATOR_KINDS
 from .flow import SolverConfig
 from .mlp import MlpTrainConfig
 
@@ -30,71 +38,250 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {path or 'the top level'}", f"{path}.{key}" if path else key)
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _get(mapping: dict, key: str, path: str, required: bool = False, default=None):
-    if key not in mapping:
-        if required:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"missing required field {dotted!r}", dotted)
-        return default
-    return mapping[key]
+def _missing(path: str):
+    raise ConfigError(f"missing required field {path!r}", path)
+
+
+# --- checks: (value, dotted path) -> parsed value ---------------------------
+
+
+def _integer(low: int | None = None):
+    def check(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or low is not None and value < low:
+            bound = "" if low is None else f" of at least {low}"
+            raise ConfigError(f"{path!r} must be an integer{bound}, got {value!r}", path)
+        return value
+
+    return check
+
+
+_positive = _integer(1)
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path!r} must be a number, got {value!r}", path)
+    # NaN fails the comparison, and so does an int beyond float range, where math.isfinite would raise
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path!r} must be a finite number, got {value!r}", path)
     return float(value)
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path!r} must be an integer, got {value!r}", path)
-    return value
+def _typed(kind, noun: str):
+    def check(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path!r} must be {noun}, got {value!r}", path)
+        return value
+
+    return check
 
 
-def _positive(value, path: str) -> int:
-    if _integer(value, path) < 1:
-        raise ConfigError(f"{path!r} must be at least 1, got {value!r}", path)
-    return value
+_string = _typed(str, "a string")
+_boolean = _typed(bool, "a boolean")
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path!r} must be a string, got {value!r}", path)
-    return value
+def _one_of(*choices: str):
+    def check(value, path: str) -> str:
+        if _string(value, path) not in choices:
+            raise ConfigError(f"{path} must be one of {', '.join(choices)}; got {value!r}", path)
+        return value
+
+    return check
 
 
-def _parse_gmm(raw: dict, path: str) -> GmmSpec:
-    _check_keys(raw, {"components", "condition_map"}, path)
-    comps = _get(raw, "components", path, required=True)
-    if not isinstance(comps, list) or not comps:
-        raise ConfigError(f"{path}.components must be a non-empty list", f"{path}.components")
-    weights, means, covs = [], [], []
-    for i, comp in enumerate(comps):
-        cpath = f"{path}.components[{i}]"
-        if not isinstance(comp, dict):
-            raise ConfigError(f"{cpath} must be an object", cpath)
-        _check_keys(comp, {"weight", "mean", "cov"}, cpath)
-        weights.append(_number(_get(comp, "weight", cpath, required=True), f"{cpath}.weight"))
-        means.append(_get(comp, "mean", cpath, required=True))
-        covs.append(_get(comp, "cov", cpath, required=True))
-    cmap = _get(raw, "condition_map", path, default={})
-    if not isinstance(cmap, dict):
-        raise ConfigError(f"{path}.condition_map must be an object", f"{path}.condition_map")
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _as_given(check):
+    """``check`` for validation only: the value is kept as written."""
+    return lambda value, path: (check(value, path), value)[1]
+
+
+def _list(check, length: int | None = None):
+    """A JSON list checked entry by entry; an entry's error is filed under the list."""
+
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            shape = "a list" if length is None else f"a list of {length}"
+            raise ConfigError(f"{path!r} must be {shape}, got {value!r}", path)
+        try:
+            return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(value))
+        except ConfigError as exc:
+            raise ConfigError(str(exc), path) from None
+
+    return parse
+
+
+def _mapping(check):
+    """A JSON object with free keys, each value checked."""
+
+    def parse(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path!r} must be an object, got {value!r}", path)
+        return {key: check(v, _join(path, key)) for key, v in value.items()}
+
+    return parse
+
+
+def _asarray(value) -> np.ndarray:
+    """``np.asarray``, with ragged nesting as an object array."""
     try:
-        return GmmSpec(
-            weights=weights,
-            means=np.asarray(means, dtype=float),
-            covariances=np.asarray(covs, dtype=float),
-            condition_map={t: tuple(v) for t, v in cmap.items()},
-        )
-    except (ValueError, TypeError) as exc:
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
+def _array(value, path: str) -> np.ndarray:
+    """A number or nested list of finite numbers, checked in one numpy pass."""
+    array = _asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ConfigError(f"{path!r} must be an array of numbers, got {value!r}", path)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        raise ConfigError(f"{path}{''.join(f'[{i}]' for i in first)} is not finite", path)
+    return array.astype(float)
+
+
+def _points(value, path: str) -> np.ndarray:
+    points = np.atleast_2d(_array(value, path))
+    if points.ndim != 2:
+        raise ConfigError(f"{path!r} must be a list of vectors", path)
+    return points
+
+
+def _mask(value, path: str) -> np.ndarray:
+    """A 1-D list of 0/1 or booleans."""
+    mask = _asarray(value)
+    if mask.ndim != 1 or (mask.size and (mask.dtype.kind not in "biu" or not np.isin(mask, (0, 1)).all())):
+        raise ConfigError(f"{path!r} must be a list of 0/1 or booleans, got {value!r}", path)
+    return mask.astype(bool)
+
+
+# --- reading and writing a table --------------------------------------------
+
+# JSON key -> attribute, where they differ.
+_ATTR = {"n_snr": "n_draws", "dir": "out_dir"}
+
+
+def _fields(raw, path: str, table: dict, required=()) -> dict:
+    """Check a JSON object against ``table``; the parsed values by attribute (or a _Section's)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path!r} must be an object, got {raw!r}", path)
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {path or 'the top level'}", _join(path, key))
+    for key in required:
+        if key not in raw:
+            _missing(_join(path, key))
+    out = {}
+    for key, value in raw.items():
+        parsed = table[key](value, _join(path, key))
+        out.update(parsed if isinstance(table[key], _Section) else {_ATTR.get(key, key): parsed})
+    return out
+
+
+def _build(cls, kwargs: dict, path: str):
+    """``cls(**kwargs)``: a missing required field or a value ``cls`` rejects names its path."""
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            _missing(_join(path, f.name))
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(f"invalid {path}: {exc}", path) from exc
+
+
+def _dump(table: dict, *objs) -> dict:
+    """The inverse of ``_fields``: each key's attribute, from the first of ``objs`` that has it."""
+    out = {}
+    for key, check in table.items():
+        if isinstance(check, _Section):
+            value = check.dump(objs[-1])
+        else:
+            attr = _ATTR.get(key, key)
+            value = _plain(getattr(next(o for o in objs if hasattr(o, attr)), attr))
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def _plain(value):
+    """A parsed value as JSON."""
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, ConditionId):
+        return {"label": value.label, "context": list(value.context)}
+    if isinstance(value, OracleConfig):
+        return {"op": value.op, **value.params}
+    if isinstance(value, GmmSpec):
+        parts = zip(value.weights.tolist(), value.means.tolist(), value.covariances.tolist())
+        return {
+            "components": [{"weight": w, "mean": m, "cov": c} for w, m, c in parts],
+            "condition_map": {t: list(v) for t, v in value.condition_map.items()},
+        }
+    return value
+
+
+class _Section:
+    """A top-level JSON object whose keys, checked by ``table``, fill the dataclasses of
+    ``chain``: ``(attribute, class)`` pairs, innermost first, each built from the keys that
+    are its fields and the object before it.  The keys left over are RunConfig fields."""
+
+    def __init__(self, table: dict, *chain, required=()):
+        self.table, self.chain, self.required = table, chain, required
+
+    def __call__(self, raw, path: str) -> dict:
+        kwargs = _fields(raw, path, self.table, self.required)
+        for attr, cls in self.chain:
+            own = {f.name: kwargs.pop(f.name) for f in fields(cls) if f.name in kwargs}
+            kwargs[attr] = _build(cls, own, path)
+        return kwargs
+
+    def dump(self, cfg):
+        objs = [cfg]
+        for attr, _ in reversed(self.chain):
+            objs.insert(0, getattr(objs[0], attr))
+            if objs[0] is None:
+                return None
+        return _dump(self.table, *objs)
+
+
+# --- sections --------------------------------------------------------------
+
+_COMPONENT = {"weight": _number, "mean": _array, "cov": _array}
+_GMM = {
+    "components": _list(lambda raw, path: _fields(raw, path, _COMPONENT, required=tuple(_COMPONENT))),
+    "condition_map": _mapping(_list(_integer())),
+}
+
+
+def _gmm(raw, path: str) -> GmmSpec:
+    kwargs = _fields(raw, path, _GMM, required=("components",))
+    comps = kwargs.pop("components")
+    if not comps:
+        raise ConfigError(f"{path}.components must be a non-empty list", f"{path}.components")
+    weights, means, covs = ([c[key] for c in comps] for key in _COMPONENT)
+    try:
+        return GmmSpec(weights, np.asarray(means), np.asarray(covs), **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path}: {exc}", path) from exc
+
+
+_CONDITION = {"label": _optional(_string), "context": _list(_string)}
+
+
+def _condition(raw, path: str) -> ConditionId:
+    return _build(ConditionId, _fields(raw, path, _CONDITION), path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,111 +294,19 @@ class DataConfig:
     grid: tuple[int, int] | None = None
     truth_mask: np.ndarray | None = None
 
-
-def _parse_data(raw: dict, path: str = "data") -> DataConfig:
-    allowed = {"gmm", "checkpoint", "n_samples", "points", "component_conditions", "grid", "truth_mask"}
-    _check_keys(raw, allowed, path)
-    gmm = None
-    if "gmm" in raw:
-        gmm = _parse_gmm(raw["gmm"], f"{path}.gmm")
-    checkpoint = _string(raw["checkpoint"], f"{path}.checkpoint") if "checkpoint" in raw else None
-    if gmm is not None and checkpoint is not None:
-        raise ConfigError(f"{path} must give either 'gmm' or 'checkpoint', not both", path)
-    n_samples = _positive(raw["n_samples"], f"{path}.n_samples") if "n_samples" in raw else None
-    points = None
-    if "points" in raw:
-        try:
-            points = np.atleast_2d(np.asarray(raw["points"], dtype=float))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}.points must be a list of vectors: {exc}", f"{path}.points") from exc
-        if not np.isfinite(points).all():
-            row = int(np.argwhere(~np.isfinite(points))[0, 0])
-            raise ConfigError(
-                f"{path}.points[{row}] is not finite: {points[row].tolist()}", f"{path}.points"
-            )
-    conds = None
-    if "component_conditions" in raw:
-        entries = raw["component_conditions"]
-        if not isinstance(entries, list):
-            raise ConfigError(f"{path}.component_conditions must be a list", f"{path}.component_conditions")
-        parsed = []
-        for i, entry in enumerate(entries):
-            epath = f"{path}.component_conditions[{i}]"
-            if entry is None:
-                parsed.append(None)
-                continue
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{epath} must be an object or null", epath)
-            _check_keys(entry, {"label", "context"}, epath)
-            label = entry.get("label")
-            context = tuple(entry.get("context", ()))
-            parsed.append(ConditionId(label=label, context=context))
-        conds = tuple(parsed)
-    grid = None
-    if "grid" in raw:
-        g = raw["grid"]
-        if not (isinstance(g, list) and len(g) == 2):
-            raise ConfigError(f"{path}.grid must be [rows, cols]", f"{path}.grid")
-        grid = (_integer(g[0], f"{path}.grid[0]"), _integer(g[1], f"{path}.grid[1]"))
-    truth_mask = None
-    if "truth_mask" in raw:
-        truth_mask = np.asarray(raw["truth_mask"], dtype=bool)
-    return DataConfig(
-        gmm=gmm,
-        checkpoint=checkpoint,
-        n_samples=n_samples,
-        points=points,
-        component_conditions=conds,
-        grid=grid,
-        truth_mask=truth_mask,
-    )
+    def __post_init__(self):
+        if self.gmm is not None and self.checkpoint is not None:
+            raise ConfigError("data must give either 'gmm' or 'checkpoint', not both", "data")
 
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    kind: str = "closed_form"
+    kind: str
     path: str | None = None
 
-
-def _parse_denoiser(raw: dict, path: str = "denoiser") -> DenoiserConfig:
-    _check_keys(raw, {"kind", "path"}, path)
-    kind = _string(_get(raw, "kind", path, required=True), f"{path}.kind")
-    if kind not in ("closed_form", "checkpoint"):
-        raise ConfigError(f"{path}.kind must be 'closed_form' or 'checkpoint'", f"{path}.kind")
-    ckpt = _string(raw["path"], f"{path}.path") if "path" in raw else None
-    if kind == "checkpoint" and ckpt is None:
-        raise ConfigError(f"missing required field {path}.path", f"{path}.path")
-    return DenoiserConfig(kind=kind, path=ckpt)
-
-
-def _parse_sampler(raw: dict, path: str = "sampler") -> tuple[LogSnrSampler, int]:
-    _check_keys(raw, {"loc", "scale", "clip", "n_snr", "n_eps"}, path)
-    try:
-        sampler = LogSnrSampler(
-            loc=_number(_get(raw, "loc", path, default=1.0), f"{path}.loc"),
-            scale=_number(_get(raw, "scale", path, default=2.0), f"{path}.scale"),
-            clip=_number(_get(raw, "clip", path, default=3.0), f"{path}.clip"),
-            n_draws=_integer(_get(raw, "n_snr", path, default=100), f"{path}.n_snr"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {path}: {exc}", path) from exc
-    n_eps = _positive(_get(raw, "n_eps", path, default=4), f"{path}.n_eps")
-    return sampler, n_eps
-
-
-def _parse_solver(raw: dict, path: str = "solver") -> SolverConfig:
-    _check_keys(raw, {"n_steps", "alpha_min", "alpha_max"}, path)
-    try:
-        return SolverConfig(
-            n_steps=_integer(_get(raw, "n_steps", path, default=100), f"{path}.n_steps"),
-            alpha_min=_number(_get(raw, "alpha_min", path, default=-5.0), f"{path}.alpha_min"),
-            alpha_max=_number(_get(raw, "alpha_max", path, default=7.0), f"{path}.alpha_max"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {path}: {exc}", path) from exc
-
-
-_ESTIMATE_KINDS = ("nll", "pointwise_s", "pointwise_o", "mi", "cmi")
+    def __post_init__(self):
+        if self.kind == "checkpoint" and self.path is None:
+            _missing("denoiser.path")
 
 
 @dataclass(frozen=True)
@@ -235,7 +330,11 @@ class RankConfig:
 @dataclass(frozen=True)
 class InterveneConfig:
     n_samples: int
-    swap: Any = field(default_factory=dict)
+    swap: dict
+
+    def __post_init__(self):
+        if not self.swap:
+            raise ConfigError("intervene.swap must be a non-empty object", "intervene.swap")
 
 
 @dataclass(frozen=True)
@@ -250,6 +349,78 @@ class OracleConfig:
     params: Any = field(default_factory=dict)
 
 
+class OracleOp(NamedTuple):
+    params: dict  # parameter -> check; values are kept as written
+    range_param: str  # the parameter a ValueError from the oracle function is blamed on
+    required: bool = True  # all parameters must be given, or none
+
+
+_FINITE, _NUMBERS = _as_given(_number), _as_given(_array)
+
+# The oracle ops, each named after its function in ``oracle``.
+ORACLE_OPS = {
+    "gaussian_mi": OracleOp({"correlation": _FINITE}, "correlation"),
+    "mmse_gaussian": OracleOp({"variance": _FINITE, "alpha": _FINITE}, "variance"),
+    "gaussian_pointwise": OracleOp(dict.fromkeys(("x", "y", "joint_covariance"), _NUMBERS), "joint_covariance"),
+    "gmm_mi_numeric": OracleOp({"labels": _as_given(_list(_string))}, "labels", required=False),
+}
+
+
+def _oracle(raw, path: str) -> OracleConfig:
+    params = _mapping(lambda value, _: value)(raw, path)
+    if "op" not in params:
+        _missing(f"{path}.op")
+    op = _one_of(*ORACLE_OPS)(params.pop("op"), f"{path}.op")
+    spec = ORACLE_OPS[op]
+    return OracleConfig(op=op, params=_fields(params, path, spec.params, spec.params if spec.required else ()))
+
+
+_POINTWISE = _one_of("pointwise_s", "pointwise_o")
+_DATA = {
+    "gmm": _gmm,
+    "checkpoint": _string,
+    "n_samples": _positive,
+    "points": _points,
+    "component_conditions": _list(_optional(_condition)),
+    "grid": _list(_positive, length=2),
+    "truth_mask": _mask,
+}
+_SAMPLER = {"loc": _number, "scale": _number, "clip": _number, "n_snr": _positive, "n_eps": _positive}
+_TRAIN = {
+    "hidden": _list(_positive),
+    "n_steps": _positive,
+    "batch_size": _positive,
+    "learning_rate": _number,
+    "condition_drop": _number,
+    "n_frequencies": _integer(0),
+    "checkpoint_name": _string,
+}
+_RUN = {
+    "seed": _integer(),
+    "output": _Section({"dir": _string}, required=("dir",)),
+    "bits": _boolean,
+    "data": _Section(_DATA, ("data", DataConfig)),
+    "sampler": _Section(_SAMPLER, ("sampler", LogSnrSampler)),
+    "solver": _Section(
+        {"n_steps": _positive, "alpha_min": _number, "alpha_max": _number}, ("solver", SolverConfig)
+    ),
+    "denoiser": _Section(
+        {"kind": _one_of("closed_form", "checkpoint"), "path": _string}, ("denoiser", DenoiserConfig)
+    ),
+    "estimate": _Section(
+        {"kind": _one_of(*ESTIMATOR_KINDS), "estimator_kind": _POINTWISE}, ("estimate", EstimateConfig)
+    ),
+    "decompose": _Section({"kind": _one_of("pointwise_s", "pointwise_o", "cmi")}, ("decompose", DecomposeConfig)),
+    "rank": _Section(
+        {"n_samples": _positive, "candidates": _optional(_list(_string)), "estimator_kind": _POINTWISE},
+        ("rank", RankConfig),
+    ),
+    "intervene": _Section({"n_samples": _positive, "swap": _mapping(_string)}, ("intervene", InterveneConfig)),
+    "train": _Section(_TRAIN, ("mlp", MlpTrainConfig), ("train", TrainConfigSection)),
+    "oracle": _oracle,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     seed: int
@@ -259,7 +430,7 @@ class RunConfig:
     sampler: LogSnrSampler = LogSnrSampler()
     n_eps: int = 4
     solver: SolverConfig = SolverConfig()
-    denoiser: DenoiserConfig = DenoiserConfig()
+    denoiser: DenoiserConfig = DenoiserConfig("closed_form")
     estimate: EstimateConfig | None = None
     decompose: DecomposeConfig | None = None
     rank: RankConfig | None = None
@@ -269,267 +440,13 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """The fully-defaulted configuration, embedded in every output."""
-        out: dict[str, Any] = {
-            "seed": self.seed,
-            "output": {"dir": self.out_dir},
-            "bits": self.bits,
-            "sampler": {
-                "loc": self.sampler.loc,
-                "scale": self.sampler.scale,
-                "clip": self.sampler.clip,
-                "n_snr": self.sampler.n_draws,
-                "n_eps": self.n_eps,
-            },
-            "solver": {
-                "n_steps": self.solver.n_steps,
-                "alpha_min": self.solver.alpha_min,
-                "alpha_max": self.solver.alpha_max,
-            },
-            "denoiser": (
-                {"kind": self.denoiser.kind}
-                if self.denoiser.path is None
-                else {"kind": self.denoiser.kind, "path": self.denoiser.path}
-            ),
-        }
-        if self.data is not None:
-            data: dict[str, Any] = {}
-            if self.data.gmm is not None:
-                spec = self.data.gmm
-                data["gmm"] = {
-                    "components": [
-                        {
-                            "weight": float(spec.weights[k]),
-                            "mean": [float(v) for v in spec.means[k]],
-                            "cov": [[float(v) for v in row] for row in spec.covariances[k]],
-                        }
-                        for k in range(spec.n_components)
-                    ],
-                    "condition_map": {t: list(v) for t, v in spec.condition_map.items()},
-                }
-            if self.data.checkpoint is not None:
-                data["checkpoint"] = self.data.checkpoint
-            if self.data.n_samples is not None:
-                data["n_samples"] = self.data.n_samples
-            if self.data.points is not None:
-                data["points"] = [[float(v) for v in row] for row in self.data.points]
-            if self.data.component_conditions is not None:
-                data["component_conditions"] = [
-                    None if c is None else {"label": c.label, "context": list(c.context)}
-                    for c in self.data.component_conditions
-                ]
-            if self.data.grid is not None:
-                data["grid"] = list(self.data.grid)
-            if self.data.truth_mask is not None:
-                data["truth_mask"] = [int(v) for v in self.data.truth_mask]
-            out["data"] = data
-        if self.estimate is not None:
-            out["estimate"] = {
-                "kind": self.estimate.kind,
-                "estimator_kind": self.estimate.estimator_kind,
-            }
-        if self.decompose is not None:
-            out["decompose"] = {"kind": self.decompose.kind}
-        if self.rank is not None:
-            out["rank"] = {
-                "n_samples": self.rank.n_samples,
-                "candidates": None if self.rank.candidates is None else list(self.rank.candidates),
-                "estimator_kind": self.rank.estimator_kind,
-            }
-        if self.intervene is not None:
-            out["intervene"] = {
-                "n_samples": self.intervene.n_samples,
-                "swap": dict(self.intervene.swap),
-            }
-        if self.train is not None:
-            mlp = self.train.mlp
-            out["train"] = {
-                "hidden": list(mlp.hidden),
-                "n_steps": mlp.n_steps,
-                "batch_size": mlp.batch_size,
-                "learning_rate": mlp.learning_rate,
-                "condition_drop": mlp.condition_drop,
-                "n_frequencies": mlp.n_frequencies,
-                "checkpoint_name": self.train.checkpoint_name,
-            }
-        if self.oracle is not None:
-            out["oracle"] = {"op": self.oracle.op, **self.oracle.params}
-        return out
-
-
-_TOP_LEVEL = {
-    "seed",
-    "output",
-    "bits",
-    "data",
-    "sampler",
-    "solver",
-    "denoiser",
-    "estimate",
-    "decompose",
-    "rank",
-    "intervene",
-    "train",
-    "oracle",
-}
-
-_ORACLE_PARAMS = {
-    "gaussian_mi": {"correlation"},
-    "mmse_gaussian": {"variance", "alpha"},
-    "gmm_mi_numeric": {"labels"},
-    "gaussian_pointwise": {"x", "y", "joint_covariance"},
-}
-
-
-def _check_oracle_param(name: str, value) -> None:
-    """Type-check one oracle parameter; the oracle itself checks value ranges."""
-    path = f"oracle.{name}"
-    if name in ("correlation", "variance", "alpha"):
-        if not math.isfinite(_number(value, path)):
-            raise ConfigError(f"{path!r} must be finite, got {value!r}", path)
-    elif name == "labels":
-        if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-            raise ConfigError(f"{path!r} must be a list of strings, got {value!r}", path)
-    else:
-        try:
-            arr = np.asarray(value)
-            ok = arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
-        except ValueError:  # ragged nesting
-            ok = False
-        if not ok:
-            raise ConfigError(f"{path!r} must be an array of finite numbers, got {value!r}", path)
+        return _dump(_RUN, self)
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("the configuration document must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL, "")
-    seed = _integer(_get(raw, "seed", "", required=True), "seed")
-
-    out_dir = "out"
-    if "output" in raw:
-        _check_keys(raw["output"], {"dir"}, "output")
-        out_dir = _string(_get(raw["output"], "dir", "output", required=True), "output.dir")
-    bits = raw.get("bits", False)
-    if not isinstance(bits, bool):
-        raise ConfigError(f"'bits' must be a boolean, got {bits!r}", "bits")
-
-    data = _parse_data(raw["data"], "data") if "data" in raw else None
-    sampler, n_eps = _parse_sampler(raw.get("sampler", {}))
-    solver = _parse_solver(raw.get("solver", {}))
-    denoiser = _parse_denoiser(raw.get("denoiser", {"kind": "closed_form"}))
-
-    estimate = None
-    if "estimate" in raw:
-        _check_keys(raw["estimate"], {"kind", "estimator_kind"}, "estimate")
-        kind = _string(_get(raw["estimate"], "kind", "estimate", required=True), "estimate.kind")
-        if kind not in _ESTIMATE_KINDS:
-            raise ConfigError(
-                f"estimate.kind must be one of {_ESTIMATE_KINDS}, got {kind!r}", "estimate.kind"
-            )
-        inner = _string(raw["estimate"].get("estimator_kind", "pointwise_o"), "estimate.estimator_kind")
-        if inner not in ("pointwise_s", "pointwise_o"):
-            raise ConfigError(
-                f"estimate.estimator_kind must be pointwise_s or pointwise_o, got {inner!r}",
-                "estimate.estimator_kind",
-            )
-        estimate = EstimateConfig(kind=kind, estimator_kind=inner)
-
-    decompose = None
-    if "decompose" in raw:
-        _check_keys(raw["decompose"], {"kind"}, "decompose")
-        kind = _string(_get(raw["decompose"], "kind", "decompose", default="pointwise_o"), "decompose.kind")
-        if kind not in ("pointwise_s", "pointwise_o", "cmi"):
-            raise ConfigError(
-                f"decompose.kind must be pointwise_s, pointwise_o or cmi, got {kind!r}",
-                "decompose.kind",
-            )
-        decompose = DecomposeConfig(kind=kind)
-
-    rank = None
-    if "rank" in raw:
-        _check_keys(raw["rank"], {"n_samples", "candidates", "estimator_kind"}, "rank")
-        n_samples = _positive(_get(raw["rank"], "n_samples", "rank", required=True), "rank.n_samples")
-        candidates = raw["rank"].get("candidates")
-        if candidates is not None:
-            candidates = tuple(_string(c, "rank.candidates[]") for c in candidates)
-        kind = _string(raw["rank"].get("estimator_kind", "pointwise_s"), "rank.estimator_kind")
-        if kind not in ("pointwise_s", "pointwise_o"):
-            raise ConfigError(
-                f"rank.estimator_kind must be pointwise_s or pointwise_o, got {kind!r}",
-                "rank.estimator_kind",
-            )
-        rank = RankConfig(n_samples=n_samples, candidates=candidates, estimator_kind=kind)
-
-    intervene = None
-    if "intervene" in raw:
-        _check_keys(raw["intervene"], {"n_samples", "swap"}, "intervene")
-        n_samples = _positive(
-            _get(raw["intervene"], "n_samples", "intervene", required=True), "intervene.n_samples"
-        )
-        swap = _get(raw["intervene"], "swap", "intervene", required=True)
-        if not isinstance(swap, dict) or not swap:
-            raise ConfigError("intervene.swap must be a non-empty object", "intervene.swap")
-        intervene = InterveneConfig(n_samples=n_samples, swap=dict(swap))
-
-    train = None
-    if "train" in raw:
-        allowed = {
-            "hidden",
-            "n_steps",
-            "batch_size",
-            "learning_rate",
-            "condition_drop",
-            "n_frequencies",
-            "checkpoint_name",
-        }
-        _check_keys(raw["train"], allowed, "train")
-        section = raw["train"]
-        try:
-            mlp = MlpTrainConfig(
-                hidden=tuple(section.get("hidden", (64, 64))),
-                n_steps=_integer(section.get("n_steps", 20_000), "train.n_steps"),
-                batch_size=_integer(section.get("batch_size", 128), "train.batch_size"),
-                learning_rate=_number(section.get("learning_rate", 1e-3), "train.learning_rate"),
-                condition_drop=_number(section.get("condition_drop", 0.2), "train.condition_drop"),
-                n_frequencies=_integer(section.get("n_frequencies", 8), "train.n_frequencies"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid train section: {exc}", "train") from exc
-        train = TrainConfigSection(
-            mlp=mlp,
-            checkpoint_name=_string(section.get("checkpoint_name", "mlp.ckpt"), "train.checkpoint_name"),
-        )
-
-    oracle = None
-    if "oracle" in raw:
-        section = dict(raw["oracle"])
-        op = _string(_get(section, "op", "oracle", required=True), "oracle.op")
-        if op not in _ORACLE_PARAMS:
-            raise ConfigError(
-                f"oracle.op must be one of {sorted(_ORACLE_PARAMS)}, got {op!r}", "oracle.op"
-            )
-        params = {k: v for k, v in section.items() if k != "op"}
-        _check_keys(params, _ORACLE_PARAMS[op], "oracle")
-        for name, value in params.items():
-            _check_oracle_param(name, value)
-        oracle = OracleConfig(op=op, params=params)
-
-    return RunConfig(
-        seed=seed,
-        out_dir=out_dir,
-        bits=bits,
-        data=data,
-        sampler=sampler,
-        n_eps=n_eps,
-        solver=solver,
-        denoiser=denoiser,
-        estimate=estimate,
-        decompose=decompose,
-        rank=rank,
-        intervene=intervene,
-        train=train,
-        oracle=oracle,
-    )
+    return _build(RunConfig, _fields(raw, "", _RUN), "")
 
 
 def load_config(path) -> RunConfig:

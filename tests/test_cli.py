@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from diffinfo import oracle
 from diffinfo.checkpoint import load_checkpoint, save_checkpoint
-from diffinfo.cli import main
+from diffinfo.cli import _COMMANDS, main
+from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import GmmSpec
 
 STD_NORMAL_GMM = {
@@ -184,6 +187,71 @@ class TestSchemaDiagnostics:
         )
         assert main(["estimate", "--config", cfg]) == 2
         assert "data.checkpoint" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+ONE_COMPONENT = {"components": [{"weight": 1.0, "mean": [NAN], "cov": [[1.0]]}]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            # a section or list of the wrong shape
+            ({"data": 5}, "data"),
+            ({"sampler": 5}, "sampler"),
+            ({"rank": {"n_samples": 2, "candidates": 5}}, "rank.candidates"),
+            ({"train": {"hidden": 5}}, "train.hidden"),
+            ({"oracle": "x"}, "oracle"),
+            ({"output": "dir"}, "output"),
+            ({"rank": {"n_samples": 2, "candidates": "neg"}}, "rank.candidates"),
+            (
+                {"data": {"gmm": PAIR_GMM, "component_conditions": [{"label": "neg", "context": "ab"}, None]}},
+                "data.component_conditions",
+            ),
+            ({"train": {"hidden": "ab"}}, "train.hidden"),
+            ({"sampler": {"n_snr": 2.5}}, "sampler.n_snr"),
+            ({"solver": {"n_steps": 2.5}}, "solver.n_steps"),
+            ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+            # non-finite or out-of-range numbers
+            ({"sampler": {"loc": NAN}}, "sampler.loc"),
+            ({"data": {"gmm": ONE_COMPONENT}}, "data.gmm.components"),
+            ({"train": {"learning_rate": NAN}}, "train.learning_rate"),
+            ({"train": {"hidden": [0]}}, "train.hidden"),
+            ({"train": {"n_frequencies": -1}}, "train.n_frequencies"),
+            ({"sampler": {"scale": INF}}, "sampler.scale"),
+            ({"sampler": {"clip": 10**400}}, "sampler.clip"),
+            ({"solver": {"alpha_min": -INF}}, "solver.alpha_min"),
+            ({"data": {"grid": [0, -3]}}, "data.grid"),
+            # the remaining data fields
+            ({"data": {"truth_mask": ["x", "y"]}}, "data.truth_mask"),
+            ({"data": {"truth_mask": [[1, 0], [0, 1]]}}, "data.truth_mask"),
+            ({"data": {"truth_mask": [2, 0]}}, "data.truth_mask"),
+            ({"data": {"component_conditions": [{"label": 3}]}}, "data.component_conditions"),
+            ({"data": {"component_conditions": [{}]}}, "data.component_conditions"),
+            # strings and missing parameters that reached the commands
+            ({"data": {"gmm": {**PAIR_GMM, "condition_map": {"neg": "0"}}}}, "data.gmm.condition_map.neg"),
+            ({"intervene": {"n_samples": 1, "swap": {"neg": 3}}}, "intervene.swap.neg"),
+            ({"oracle": {"op": "gaussian_mi"}}, "oracle.correlation"),
+        ],
+    )
+    def test_exits_2_and_names_the_field(self, tmp_path, capsys, raw, field):
+        doc = {"seed": 1, **raw}
+        cfg = write_config(tmp_path, doc)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.field == field
+
+
+def test_help_describes_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for name in _COMMANDS:
+        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
 
 
 class TestUnconditionedSamples:
@@ -414,6 +482,14 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert f"config error: {field}:" in err
         assert "Traceback" not in err
+
+    def test_pointwise_op_passes_its_parameters_as_written(self, tmp_path, capsys):
+        section = {"op": "gaussian_pointwise", "x": [0.5], "y": 1, "joint_covariance": [[1, 0.5], [0.5, 1]]}
+        cfg = write_config(tmp_path, {"seed": 0, "oracle": section})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        expected = oracle.gaussian_pointwise([0.5], [1.0], [[1.0, 0.5], [0.5, 1.0]]).value
+        assert json.loads(capsys.readouterr().out)["value"] == expected
+        assert read_json(tmp_path / "out" / "oracle.json")["config"]["oracle"] == section
 
     def test_far_negative_alpha_does_not_overflow(self, tmp_path, capsys):
         cfg = write_config(

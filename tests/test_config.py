@@ -33,6 +33,44 @@ FULL = {
     "oracle": {"op": "gaussian_mi", "correlation": 0.8},
 }
 
+# Every section, and every optional field but data.checkpoint (it excludes data.gmm).
+EVERY_FIELD = {
+    "seed": 5,
+    "output": {"dir": "results"},
+    "bits": True,
+    "data": {
+        "gmm": {
+            "components": [
+                {"weight": 0.25, "mean": [-1, 0.5], "cov": [[1.0, 0.2], [0.2, 2.0]]},
+                {"weight": 0.75, "mean": [2.0, 1.0], "cov": [[0.5, 0.0], [0.0, 0.5]]},
+            ],
+            "condition_map": {"neg": [0], "pos": [1], "any": [0, 1]},
+        },
+        "n_samples": 6,
+        "points": [[0.0, 1.0], [2, -3.5]],
+        "component_conditions": [None, {"label": "pos", "context": ["any"]}],
+        "grid": [1, 2],
+        "truth_mask": [True, 0],
+    },
+    "sampler": {"loc": 0, "scale": 1.5, "clip": 2.0, "n_snr": 30, "n_eps": 3},
+    "solver": {"n_steps": 12, "alpha_min": -4, "alpha_max": 6.5},
+    "denoiser": {"kind": "checkpoint", "path": "model.ckpt"},
+    "estimate": {"kind": "cmi", "estimator_kind": "pointwise_s"},
+    "decompose": {"kind": "cmi"},
+    "rank": {"n_samples": 9, "candidates": ["neg", "pos"], "estimator_kind": "pointwise_o"},
+    "intervene": {"n_samples": 2, "swap": {"neg": "pos", "pos": "neg"}},
+    "train": {
+        "hidden": [8, 4],
+        "n_steps": 10,
+        "batch_size": 4,
+        "learning_rate": 0.01,
+        "condition_drop": 0.5,
+        "n_frequencies": 3,
+        "checkpoint_name": "net.ckpt",
+    },
+    "oracle": {"op": "gmm_mi_numeric", "labels": ["neg", "pos"]},
+}
+
 POINTWISE = {"op": "gaussian_pointwise", "x": [0.5], "y": [1], "joint_covariance": [[1, 0.5], [0.5, 1]]}
 
 
@@ -59,6 +97,24 @@ class TestDefaults:
         reparsed = parse_config(json.loads(json.dumps(resolved)))
         assert reparsed.sampler == cfg.sampler
         assert reparsed.estimate == cfg.estimate
+
+    def test_resolved_is_a_fixpoint_of_parsing(self):
+        resolved = parse_config(EVERY_FIELD).resolved()
+        # nothing given is dropped: every section and field comes back
+        assert set(resolved) == set(EVERY_FIELD)
+        for section, body in EVERY_FIELD.items():
+            if isinstance(body, dict):
+                assert set(resolved[section]) == set(body), section
+        assert resolved["data"]["component_conditions"][0] is None
+        assert resolved["data"]["truth_mask"] == [1, 0]
+        again = parse_config(json.loads(json.dumps(resolved))).resolved()
+        assert json.dumps(again, sort_keys=True) == json.dumps(resolved, sort_keys=True)
+
+    def test_null_candidates_mean_every_token(self):
+        # resolved documents used to write "candidates": null; they still parse
+        rank = parse_config({"seed": 1, "rank": {"n_samples": 3, "candidates": None}}).rank
+        assert rank.candidates is None
+        assert "candidates" not in parse_config({"seed": 1, "rank": {"n_samples": 3}}).resolved()["rank"]
 
 
 class TestRejections:
