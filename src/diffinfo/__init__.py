@@ -48,16 +48,11 @@ from .oracle import (
     mmse_gaussian,
 )
 from .tasks import (
-    HeatmapEval,
-    RankingSample,
-    RankingTask,
-    RankResult,
     evaluate_ranking,
     intervention_correlation,
     iou,
     pixelwise_intervention_correlation,
     rank_conditions,
-    segment_from_heatmap,
     sweep_threshold,
 )
 
@@ -68,7 +63,6 @@ __all__ = [
     "Denoiser",
     "GmmDenoiser",
     "GmmSpec",
-    "HeatmapEval",
     "InfoReport",
     "InterventionResult",
     "LogSnrSampler",
@@ -76,9 +70,6 @@ __all__ = [
     "MlpTrainConfig",
     "OracleResult",
     "QuadratureError",
-    "RankResult",
-    "RankingSample",
-    "RankingTask",
     "Sample",
     "SolverConfig",
     "SolverError",
@@ -111,7 +102,6 @@ __all__ = [
     "pointwise_s",
     "rank_conditions",
     "save_checkpoint",
-    "segment_from_heatmap",
     "signal_weight",
     "sweep_threshold",
     "train_mlp",

@@ -249,30 +249,15 @@ def cmd_rank(cfg: RunConfig) -> int:
     tokens = cfg.rank.candidates or tuple(sorted(spec.condition_map))
     if len(tokens) < 2:
         raise ConfigError("ranking needs at least two candidate tokens", "rank.candidates")
-    label_of = {}
-    for token in tokens:
-        if token not in spec.condition_map:
-            raise ConfigError(f"unknown candidate token {token!r}", "rank.candidates")
-        for k in spec.condition_map[token]:
-            label_of[k] = token
+    try:
+        token_of = spec.partition(tokens)
+    except ValueError as exc:
+        raise ConfigError(f"rank.candidates: {exc}", "rank.candidates") from exc
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, comps = spec.sample(cfg.rank.n_samples, s_data)
-    missing = {int(k) for k in comps if int(k) not in label_of}
-    if missing:
-        raise ConfigError(
-            f"components {sorted(missing)} carry no candidate token", "rank.candidates"
-        )
-    candidates = {t: ConditionId(label=t) for t in tokens}
-    samples = tuple(
-        tasks.RankingSample(
-            x=xi,
-            true_condition=candidates[label_of[int(k)]],
-            distractors=tuple(candidates[t] for t in tokens if t != label_of[int(k)]),
-        )
-        for xi, k in zip(x, comps)
-    )
-    report = tasks.evaluate_ranking(
-        tasks.RankingTask(samples=samples),
+    scores = tasks.evaluate_ranking(
+        x,
+        [ConditionId(label=t) for t in tokens],
         den,
         den,
         cfg.sampler,
@@ -280,32 +265,32 @@ def cmd_rank(cfg: RunConfig) -> int:
         seed=s_est,
         estimator_kind=cfg.rank.estimator_kind,
     )
+    # Columns follow ``tokens``.  ``chosen`` is the first candidate, in that
+    # order, within tasks.TIE_ATOL of the row's best score, and ``tie`` says
+    # whether another one was; a tie is correct only if the truth comes first.
+    truth = token_of[comps]
+    chosen, tie = tasks.select(scores)
+    correct = chosen == truth
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["id", "true", "chosen", "tie", "correct"] + [f"score_{t}" for t in tokens]
-    rows = []
-    for i, (sample, result) in enumerate(report.outcomes):
-        ordered = [sample.true_condition, *sample.distractors]
-        by_token = {c.label: s for c, s in zip(ordered, result.scores)}
-        rows.append(
-            (
-                i,
-                sample.true_condition.label,
-                result.chosen.label,
-                result.tie,
-                result.chosen == sample.true_condition,
-                *[by_token[t] for t in tokens],
-            )
-        )
+    rows = [
+        (i, tokens[t], tokens[c], bool(ti), bool(ok), *row)
+        for i, (t, c, ti, ok, row) in enumerate(zip(truth, chosen, tie, correct, scores))
+    ]
     write_csv(out / "rank.csv", header, rows)
     write_json(
         out / "rank.json",
         {
             "config": cfg.resolved(),
-            "accuracy": report.accuracy,
-            "n_ties": report.n_ties,
-            "per_condition": {c.label: acc for c, acc in report.per_condition.items()},
+            "accuracy": float(correct.mean()),
+            "n_ties": int(tie.sum()),
+            "per_condition": {
+                t: float(correct[truth == j].mean())
+                for j, t in enumerate(tokens)
+                if np.any(truth == j)
+            },
         },
     )
     return 0
@@ -347,29 +332,16 @@ def cmd_intervene(cfg: RunConfig) -> int:
         cfg.solver,
     )
     deltas = edits.delta_l2.tolist()
-    children = s_est.spawn(len(dataset))
-
-    rows = []
-    scores = []
-    for i, (sample, child, roundtrip, delta) in enumerate(
-        zip(samples, children, edits.roundtrip_l2.tolist(), deltas)
-    ):
-        score = estimators.pointwise_o(
-            den,
-            den,
-            sample.x,
-            sample.condition,
-            cfg.sampler,
-            n_eps=cfg.n_eps,
-            seed=child,
-            uncond_condition=sample.context,
-        ).total
-        if cfg.bits:
-            score /= LN2
-        scores.append(score)
-        rows.append(
-            (i, sample.condition.label, "|".join(sample.condition.context), score, roundtrip, delta)
+    reports = estimators.pointwise_dataset(
+        den, den, samples, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, condition_on_context=True
+    )
+    scores = [_maybe_bits(r, cfg.bits).total for r in reports]
+    rows = [
+        (i, s.condition.label, "|".join(s.condition.context), score, roundtrip, delta)
+        for i, (s, score, roundtrip, delta) in enumerate(
+            zip(samples, scores, edits.roundtrip_l2.tolist(), deltas)
         )
+    ]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -211,6 +211,28 @@ class GmmSpec:
             raise ValueError(f"condition {condition} selects no components")
         return np.array(sorted(selected))
 
+    def partition(self, tokens) -> np.ndarray:
+        """For each component, the index in ``tokens`` of the one token that selects it.
+
+        Raises ``ValueError`` unless the tokens partition the components:
+        every token is known and every component sits under exactly one.
+        """
+        owner = np.full(self.n_components, -1)
+        for j, token in enumerate(tokens):
+            if token not in self.condition_map:
+                raise ValueError(f"unknown label token {token!r}")
+            for k in self.condition_map[token]:
+                if owner[k] >= 0:
+                    raise ValueError(
+                        f"labels do not partition the components: {k} appears under "
+                        f"{tokens[owner[k]]!r} and {token!r}"
+                    )
+                owner[k] = j
+        missing = np.flatnonzero(owner < 0)
+        if missing.size:
+            raise ValueError(f"labels do not cover components {missing.tolist()}")
+        return owner
+
     def conditional_weights(self, indices) -> np.ndarray:
         w = self.weights[np.asarray(indices)]
         return w / w.sum()

@@ -278,9 +278,10 @@ def pointwise_dataset(
         raise ValueError("every sample must carry a condition")
     if estimator_kind not in ("pointwise_s", "pointwise_o"):
         raise ValueError(f"estimator_kind must be pointwise_s or pointwise_o, got {estimator_kind!r}")
+    estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
     children = seed_sequence(seed).spawn(len(dataset))
     return [
-        _pointwise(
+        estimate(
             uncond,
             cond,
             s.x,
@@ -288,7 +289,6 @@ def pointwise_dataset(
             sampler,
             n_eps,
             child,
-            estimator_kind,
             s.context if condition_on_context else None,
         )
         for s, child in zip(dataset, children)

@@ -94,27 +94,6 @@ def gaussian_pointwise(x, y, joint_covariance) -> OracleResult:
     return OracleResult(value=float(joint - marg_x - marg_y), method="closed_form", abs_error_bound=0.0)
 
 
-def _partition_labels(spec, labels):
-    """Validate that the label tokens partition the mixture components."""
-    if labels is None:
-        labels = sorted(spec.condition_map)
-    seen: dict[int, str] = {}
-    for token in labels:
-        if token not in spec.condition_map:
-            raise ValueError(f"unknown label token {token!r}")
-        for k in spec.condition_map[token]:
-            if k in seen:
-                raise ValueError(
-                    f"labels do not partition the components: {k} appears under "
-                    f"{seen[k]!r} and {token!r}"
-                )
-            seen[k] = token
-    missing = set(range(spec.n_components)) - set(seen)
-    if missing:
-        raise ValueError(f"labels do not cover components {sorted(missing)}")
-    return list(labels)
-
-
 def _label_log_densities(spec, labels, points):
     """Log densities of each label-conditional mixture and the label priors."""
     from scipy.special import logsumexp
@@ -154,7 +133,8 @@ def gmm_mi_numeric(
     higher-dimensional mixtures fall back to Monte Carlo with a reported
     3-standard-error bound.  The label tokens must partition the components.
     """
-    labels = _partition_labels(spec, labels)
+    labels = sorted(spec.condition_map) if labels is None else list(labels)
+    spec.partition(labels)
     if spec.dim > 2:
         return _gmm_mi_monte_carlo(spec, labels, mc_samples, seed)
     from scipy.special import logsumexp

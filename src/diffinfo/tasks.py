@@ -1,48 +1,22 @@
 """Toy evaluation tasks: condition ranking, heatmap segmentation, and
-intervention-effect correlation."""
+intervention-effect correlation.
+
+Ranking is a score matrix: :func:`evaluate_ranking` gives one row per point
+and one column per candidate, in the order the candidates are listed, and
+:func:`select` picks each row's best candidate.  Which candidate is the
+truth is the caller's business, so a tie resolves to the first listed
+candidate whatever the truth is.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .channel import LogSnrSampler
 from .estimators import pointwise_o, pointwise_s, seed_sequence
-
-
-@dataclass(frozen=True, eq=False)
-class RankingSample:
-    x: np.ndarray
-    true_condition: Any
-    distractors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "distractors", tuple(self.distractors))
-        if len(self.distractors) < 1:
-            raise ValueError("a ranking sample needs at least one distractor")
-        if self.true_condition in self.distractors:
-            raise ValueError("the true condition must not appear among the distractors")
-
-
-@dataclass(frozen=True, eq=False)
-class RankingTask:
-    samples: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise ValueError("ranking task has no samples")
-
-
-@dataclass(frozen=True, eq=False)
-class RankResult:
-    chosen: Any
-    scores: np.ndarray
-    tie: bool
-
 
 # Scores within this many nats of the best count as tied.  It sits far above
 # float rounding at score magnitudes of about 1e2 (about 1e-14) and far below
@@ -50,12 +24,14 @@ class RankResult:
 TIE_ATOL = 1e-9
 
 
-def _select(scores) -> tuple[int, bool]:
-    """First index among the scores within ``TIE_ATOL`` of the max, and whether
-    that set holds more than one; a constant shift of the scores changes neither."""
+def select(scores) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``scores``, the first index within ``TIE_ATOL`` of the row's
+    max, and whether that set holds more than one.  A constant shift of a row
+    changes neither, unless a gap lies within float rounding of ``TIE_ATOL``.
+    A vector counts as one row and gives scalars."""
     scores = np.asarray(scores, dtype=float)
-    tied = np.flatnonzero(scores >= scores.max() - TIE_ATOL)
-    return int(tied[0]), bool(tied.size > 1)
+    near = scores >= scores.max(axis=-1, keepdims=True) - TIE_ATOL
+    return near.argmax(axis=-1), near.sum(axis=-1) > 1
 
 
 def rank_conditions(
@@ -67,8 +43,8 @@ def rank_conditions(
     n_eps: int = 4,
     seed=0,
     estimator_kind: str = "pointwise_s",
-) -> RankResult:
-    """Score every candidate condition on the same draws and pick the argmax.
+) -> np.ndarray:
+    """Score every candidate condition for one point on the same draws.
 
     All candidates share the same (alpha, eps) draws, so score differences
     are free of common Monte-Carlo noise.  The default score is the
@@ -83,77 +59,31 @@ def rank_conditions(
         raise ValueError(f"need at least 2 candidates, got {len(candidates)}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
     shared = seed_sequence(seed)
-    scores = np.array(
+    return np.array(
         [estimate(uncond, cond, x, c, sampler, n_eps=n_eps, seed=shared).total for c in candidates]
     )
-    best, tie = _select(scores)
-    return RankResult(chosen=candidates[best], scores=scores, tie=tie)
-
-
-@dataclass(frozen=True, eq=False)
-class RankingReport:
-    accuracy: float
-    n_ties: int
-    per_condition: dict
-    outcomes: tuple
 
 
 def evaluate_ranking(
-    task: RankingTask,
+    xs,
+    candidates,
     uncond,
     cond,
     sampler: LogSnrSampler = LogSnrSampler(),
     n_eps: int = 4,
     seed=0,
     estimator_kind: str = "pointwise_s",
-) -> RankingReport:
-    """Ranking accuracy over a task, with a per-true-condition breakdown."""
-    children = seed_sequence(seed).spawn(len(task.samples))
-    outcomes = []
-    for sample, child in zip(task.samples, children):
-        result = rank_conditions(
-            sample.x,
-            [sample.true_condition, *sample.distractors],
-            uncond,
-            cond,
-            sampler,
-            n_eps=n_eps,
-            seed=child,
-            estimator_kind=estimator_kind,
-        )
-        outcomes.append((sample, result))
-    hits: dict[Any, list[bool]] = {}
-    for sample, result in outcomes:
-        hits.setdefault(sample.true_condition, []).append(result.chosen == sample.true_condition)
-    per_condition = {k: float(np.mean(v)) for k, v in hits.items()}
-    correct = [result.chosen == sample.true_condition for sample, result in outcomes]
-    return RankingReport(
-        accuracy=float(np.mean(correct)),
-        n_ties=sum(result.tie for _, result in outcomes),
-        per_condition=per_condition,
-        outcomes=tuple(outcomes),
+) -> np.ndarray:
+    """The (n, K) scores of K candidates for n points, one spawned seed per point."""
+    if len(xs) == 0:
+        raise ValueError("no points to rank")
+    children = seed_sequence(seed).spawn(len(xs))
+    return np.stack(
+        [
+            rank_conditions(x, candidates, uncond, cond, sampler, n_eps, child, estimator_kind)
+            for x, child in zip(xs, children)
+        ]
     )
-
-
-@dataclass(frozen=True, eq=False)
-class HeatmapEval:
-    """A non-negative heatmap, a binary ground-truth mask, and a threshold."""
-
-    heatmap: np.ndarray
-    truth_mask: np.ndarray
-    threshold: float
-
-    def __post_init__(self):
-        heatmap = np.asarray(self.heatmap, dtype=float)
-        truth = np.asarray(self.truth_mask, dtype=bool)
-        if heatmap.ndim != 1 or truth.shape != heatmap.shape:
-            raise ValueError("heatmap and truth_mask must be vectors of the same length")
-        if np.any(heatmap < 0):
-            raise ValueError("heatmap values must be non-negative")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-        object.__setattr__(self, "heatmap", heatmap)
-        object.__setattr__(self, "truth_mask", truth)
 
 
 def rescale_unit(values) -> np.ndarray:
@@ -175,12 +105,6 @@ def iou(mask, truth) -> float:
     return float(np.logical_and(mask, truth).sum() / union)
 
 
-def segment_from_heatmap(ev: HeatmapEval) -> tuple[np.ndarray, float]:
-    """Threshold the rescaled heatmap and score the mask against the truth."""
-    mask = rescale_unit(ev.heatmap) >= ev.threshold
-    return mask, iou(mask, ev.truth_mask)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     threshold: float
@@ -189,9 +113,17 @@ class SweepResult:
 
 
 def sweep_threshold(heatmap, truth_mask) -> SweepResult:
-    """Best fixed threshold on a 0.01 grid over [0, 1]."""
-    scaled = rescale_unit(heatmap)
+    """Best fixed threshold on a 0.01 grid over [0, 1] of the rescaled heatmap."""
+    heatmap = np.asarray(heatmap, dtype=float)
     truth = np.asarray(truth_mask, dtype=bool)
+    if heatmap.ndim != 1 or truth.shape != heatmap.shape:
+        raise ValueError(
+            f"heatmap and truth_mask must be vectors of the same length, "
+            f"got shapes {heatmap.shape} and {truth.shape}"
+        )
+    if np.any(heatmap < 0):
+        raise ValueError("heatmap values must be non-negative")
+    scaled = rescale_unit(heatmap)
     best = SweepResult(threshold=0.0, iou=-1.0, mask=np.zeros_like(truth))
     for t in np.round(np.arange(0, 101) / 100.0, 2):
         mask = scaled >= t

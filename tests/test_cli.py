@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, error codes."""
 
+import csv
 import json
 import math
 import re
@@ -354,6 +355,71 @@ class TestRank:
         assert lines[0] == "id,true,chosen,tie,correct,score_neg,score_pos"
         assert len(lines) == 41
 
+    def test_ties_go_to_the_first_candidate_whatever_the_truth(self, tmp_path):
+        # Both tokens of the denoiser's spec select both components, so it
+        # cannot tell the labels apart and every row is a tie.
+        blind = GmmSpec(
+            weights=[0.5, 0.5],
+            means=[[-4.0], [4.0]],
+            covariances=[[[1.0]], [[1.0]]],
+            condition_map={"neg": (0, 1), "pos": (0, 1)},
+        )
+        save_checkpoint(blind, tmp_path / "blind.ckpt")
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 4,
+                "data": {"gmm": PAIR_GMM},
+                "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "blind.ckpt")},
+                "sampler": {"n_snr": 50, "n_eps": 2},
+                "rank": {"n_samples": 40},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["rank", "--config", cfg]) == 0
+        payload = read_json(tmp_path / "out" / "rank.json")
+        with open(tmp_path / "out" / "rank.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert payload["n_ties"] == len(rows) == 40
+        assert all(r["tie"] == "true" and r["chosen"] == "neg" for r in rows)
+        share = sum(r["true"] == "neg" for r in rows) / len(rows)
+        assert 0 < share < 1
+        assert payload["accuracy"] == share
+        assert payload["per_condition"] == {"neg": 1.0, "pos": 0.0}
+
+    @pytest.mark.parametrize(
+        "condition_map, candidates, message",
+        [
+            ({"a": [0, 1], "b": [0, 1]}, None, "do not partition"),
+            ({"neg": [0], "pos": [1], "far": [2]}, ["neg", "pos"], "do not cover components [2]"),
+            ({"neg": [0], "pos": [1, 2]}, ["neg", "nope"], "unknown label token 'nope'"),
+        ],
+        ids=["overlapping_default_tokens", "uncovered_component", "unknown_token"],
+    )
+    def test_candidates_must_partition_the_components(
+        self, tmp_path, capsys, condition_map, candidates, message
+    ):
+        gmm = {
+            "components": [
+                {"weight": 0.5, "mean": [-4.0], "cov": [[1.0]]},
+                {"weight": 0.4, "mean": [4.0], "cov": [[1.0]]},
+                {"weight": 0.1, "mean": [40.0], "cov": [[1.0]]},
+            ],
+            "condition_map": condition_map,
+        }
+        rank = {"n_samples": 4}
+        if candidates is not None:
+            rank["candidates"] = candidates
+        cfg = write_config(
+            tmp_path,
+            {"seed": 0, "data": {"gmm": gmm}, "rank": rank, "output": {"dir": str(tmp_path / "out")}},
+        )
+        assert main(["rank", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: rank.candidates:" in err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestIntervene:
     def test_redundant_and_informative_swaps(self, tmp_path):
@@ -495,7 +561,7 @@ class TestOracleCommand:
         cfg = write_config(
             tmp_path, {"seed": 0, "oracle": {"op": "mmse_gaussian", "variance": 1.0, "alpha": -1000}}
         )
-        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
     def test_gmm_oracle_uses_data_section(self, tmp_path, capsys):
@@ -537,6 +603,13 @@ class TestReproducibility:
                 "sampler": sampler,
                 "estimate": {"kind": "nll"},
             },
+            "rank": {
+                "seed": 3,
+                "data": {"gmm": editing_gmm},
+                "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "train" / "mlp.ckpt")},
+                "sampler": sampler,
+                "rank": {"n_samples": 5},
+            },
             "decompose": {"seed": 3, "data": labeled, "sampler": sampler, "decompose": {}},
             "intervene": {
                 "seed": 3,
@@ -545,6 +618,7 @@ class TestReproducibility:
                 "solver": {"n_steps": 10},
                 "intervene": {"n_samples": 3, "swap": {"neg": "pos", "pos": "neg"}},
             },
+            "oracle": {"seed": 3, "data": {"gmm": editing_gmm}, "oracle": {"op": "gmm_mi_numeric"}},
         }
         for command, payload in runs.items():
             cfg = write_config(tmp_path, payload, f"{command}.json")

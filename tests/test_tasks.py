@@ -10,10 +10,6 @@ from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import mi
 from diffinfo.oracle import component_responsibilities
 from diffinfo.tasks import (
-    HeatmapEval,
-    RankingSample,
-    RankingTask,
-    _select,
     evaluate_ranking,
     intervention_correlation,
     iou,
@@ -21,27 +17,15 @@ from diffinfo.tasks import (
     pixelwise_intervention_correlation,
     rank_conditions,
     rescale_unit,
-    segment_from_heatmap,
+    select,
     sweep_threshold,
 )
 
 from toys import symmetric_pair_spec
 
 SAMPLER = LogSnrSampler()
-
-
-def make_task(spec, labels, n, seed):
-    x, comps = spec.sample(n, seed)
-    conditions = {l: ConditionId(label=l) for l in labels}
-    samples = [
-        RankingSample(
-            x=xi,
-            true_condition=conditions[labels[k]],
-            distractors=tuple(conditions[l] for l in labels if l != labels[k]),
-        )
-        for xi, k in zip(x, comps)
-    ]
-    return RankingTask(samples=samples), x, comps
+LABELS = ("neg", "pos")
+CANDIDATES = [ConditionId(label=l) for l in LABELS]
 
 
 def bayes_accuracy(spec, x, comps):
@@ -49,33 +33,37 @@ def bayes_accuracy(spec, x, comps):
     return float((np.argmax(resp, axis=1) == comps).mean())
 
 
+def ranked(spec, n, data_seed, rank_seed, estimator_kind="pointwise_s"):
+    """Points of the pair spec, their components, and the candidate each row chooses."""
+    x, comps = spec.sample(n, data_seed)
+    den = gmm_mmse(spec)
+    scores = evaluate_ranking(
+        x, CANDIDATES, den, den, SAMPLER, seed=rank_seed, estimator_kind=estimator_kind
+    )
+    assert scores.shape == (n, len(CANDIDATES))
+    return x, comps, select(scores)[0]
+
+
 class TestRanking:
     def test_well_separated_accuracy(self):
-        spec = symmetric_pair_spec(4.0)
-        task, _, _ = make_task(spec, ("neg", "pos"), 200, seed=0)
-        report = evaluate_ranking(task, gmm_mmse(spec), gmm_mmse(spec), SAMPLER, seed=1)
-        assert report.accuracy >= 0.95
-        assert len(report.per_condition) == 2
-        assert all(acc >= 0.9 for acc in report.per_condition.values())
+        _, comps, chosen = ranked(symmetric_pair_spec(4.0), 200, data_seed=0, rank_seed=1)
+        assert (chosen == comps).mean() >= 0.95
+        assert set(comps) == {0, 1}
+        assert all((chosen[comps == k] == k).mean() >= 0.9 for k in (0, 1))
 
     def test_overlapping_accuracy_tracks_bayes(self):
         spec = symmetric_pair_spec(1.0)
-        task, x, comps = make_task(spec, ("neg", "pos"), 200, seed=2)
-        report = evaluate_ranking(task, gmm_mmse(spec), gmm_mmse(spec), SAMPLER, seed=3)
-        bayes = bayes_accuracy(spec, x, comps)
-        assert abs(report.accuracy - bayes) <= 0.05
+        x, comps, chosen = ranked(spec, 200, data_seed=2, rank_seed=3)
+        assert abs((chosen == comps).mean() - bayes_accuracy(spec, x, comps)) <= 0.05
 
     def test_likelihood_ratio_score_dominates_squared_difference_here(self):
         # With exact denoisers and candidates that partition the mixture, the
         # squared-difference score is smallest for the best-supported label,
         # so it anti-ranks; the log-likelihood-ratio default does not.
         spec = symmetric_pair_spec(4.0)
-        task, _, _ = make_task(spec, ("neg", "pos"), 60, seed=4)
-        den = gmm_mmse(spec)
-        acc_s = evaluate_ranking(task, den, den, SAMPLER, seed=5).accuracy
-        acc_o = evaluate_ranking(
-            task, den, den, SAMPLER, seed=5, estimator_kind="pointwise_o"
-        ).accuracy
+        _, comps, chosen_s = ranked(spec, 60, data_seed=4, rank_seed=5)
+        _, _, chosen_o = ranked(spec, 60, data_seed=4, rank_seed=5, estimator_kind="pointwise_o")
+        acc_s, acc_o = (chosen_s == comps).mean(), (chosen_o == comps).mean()
         assert acc_s >= 0.95
         assert acc_o <= 1.0 - acc_s + 0.10
 
@@ -87,7 +75,7 @@ class TestRanking:
             condition_map={"a": (0, 1), "b": (0, 1)},
         )
         den = gmm_mmse(spec)
-        result = rank_conditions(
+        scores = rank_conditions(
             np.array([1.0]),
             [ConditionId(label="a"), ConditionId(label="b")],
             den,
@@ -95,21 +83,30 @@ class TestRanking:
             SAMPLER,
             seed=6,
         )
-        assert result.tie
-        assert result.chosen == ConditionId(label="a")
+        chosen, tie = select(scores)
+        assert tie
+        assert chosen == 0
 
     def test_needs_two_candidates(self):
         den = gmm_mmse(symmetric_pair_spec(1.0))
         with pytest.raises(ValueError, match="2 candidates"):
             rank_conditions(np.zeros(1), [ConditionId(label="pos")], den, den, SAMPLER)
 
-    def test_ranking_sample_validation(self):
-        with pytest.raises(ValueError, match="distractor"):
-            RankingSample(x=np.zeros(1), true_condition="a", distractors=())
-        with pytest.raises(ValueError, match="must not appear"):
-            RankingSample(x=np.zeros(1), true_condition="a", distractors=("a",))
-        with pytest.raises(ValueError, match="no samples"):
-            RankingTask(samples=())
+    def test_each_row_scores_one_point_on_its_own_spawned_seed(self):
+        spec = symmetric_pair_spec(1.0)
+        den = gmm_mmse(spec)
+        x, _ = spec.sample(3, 7)
+        scores = evaluate_ranking(x, CANDIDATES, den, den, SAMPLER, seed=8)
+        children = np.random.SeedSequence(8).spawn(3)
+        for row, xi, child in zip(scores, x, children):
+            np.testing.assert_array_equal(row, rank_conditions(xi, CANDIDATES, den, den, SAMPLER, seed=child))
+        with pytest.raises(ValueError, match="no points"):
+            evaluate_ranking(x[:0], CANDIDATES, den, den, SAMPLER)
+
+    def test_select_is_row_wise_and_ties_go_to_the_first_index(self):
+        chosen, tie = select([[1.0, 3.0, 3.0], [2.0, 1.0, 0.0], [5.0, 5.0 - 1e-12, 4.0]])
+        np.testing.assert_array_equal(chosen, [1, 0, 0])
+        np.testing.assert_array_equal(tie, [True, False, True])
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=6),
@@ -117,8 +114,8 @@ class TestRanking:
     )
     @settings(max_examples=100)
     def test_argmax_invariant_to_constant_shift(self, scores, shift):
-        base_idx, base_tie = _select(scores)
-        shifted_idx, shifted_tie = _select([s + shift for s in scores])
+        base_idx, base_tie = select(scores)
+        shifted_idx, shifted_tie = select([s + shift for s in scores])
         assert base_idx == shifted_idx
         assert base_tie == shifted_tie
 
@@ -127,11 +124,12 @@ class TestSegmentation:
     def test_perfect_heatmap_has_unit_iou(self):
         truth = np.array([1, 0, 1, 0, 0], dtype=bool)
         for threshold in (0.01, 0.5, 1.0):
-            mask, score = segment_from_heatmap(
-                HeatmapEval(heatmap=truth.astype(float), truth_mask=truth, threshold=threshold)
-            )
-            assert score == 1.0
+            mask = rescale_unit(truth.astype(float)) >= threshold
+            assert iou(mask, truth) == 1.0
             np.testing.assert_array_equal(mask, truth)
+        best = sweep_threshold(truth.astype(float), truth)
+        assert best.iou == 1.0
+        np.testing.assert_array_equal(best.mask, truth)
 
     def test_uniform_heatmap_best_is_whole_image(self):
         truth = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool)
@@ -166,10 +164,10 @@ class TestSegmentation:
         for _ in range(20):
             heatmap = rng.uniform(0, 1, 12)
             truth = rng.uniform(0, 1, 12) > 0.6
-            fixed = segment_from_heatmap(
-                HeatmapEval(heatmap=heatmap, truth_mask=truth, threshold=0.5)
-            )[1]
-            assert sweep_threshold(heatmap, truth).iou >= fixed
+            fixed = iou(rescale_unit(heatmap) >= 0.5, truth)
+            best = sweep_threshold(heatmap, truth)
+            assert best.iou >= fixed
+            assert 0.0 <= best.threshold <= 1.0
 
     def test_empty_union_convention(self):
         assert iou(np.zeros(4, bool), np.zeros(4, bool)) == 1.0
@@ -185,13 +183,13 @@ class TestSegmentation:
         score = iou(mask, np.array(truth[:n]))
         assert 0.0 <= score <= 1.0
 
-    def test_heatmap_eval_validation(self):
+    def test_sweep_threshold_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
-            HeatmapEval(heatmap=np.array([-1.0, 0.5]), truth_mask=np.array([1, 0]), threshold=0.5)
-        with pytest.raises(ValueError, match="threshold"):
-            HeatmapEval(heatmap=np.array([1.0, 0.5]), truth_mask=np.array([1, 0]), threshold=1.5)
+            sweep_threshold(np.array([-1.0, 0.5]), np.array([1, 0]))
         with pytest.raises(ValueError, match="same length"):
-            HeatmapEval(heatmap=np.array([1.0]), truth_mask=np.array([1, 0]), threshold=0.5)
+            sweep_threshold([0.3], [1, 1, 0, 0])
+        with pytest.raises(ValueError, match="same length"):
+            sweep_threshold(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
 
 
 class TestCorrelation:
