@@ -8,15 +8,7 @@ interface and verified against closed-form Gaussian and mixture oracles.
 
 from .channel import LogSnrSampler, corrupt, noise_weight, signal_weight
 from .checkpoint import load_checkpoint, save_checkpoint
-from .denoise import (
-    ConditionId,
-    Denoiser,
-    GmmDenoiser,
-    GmmSpec,
-    Sample,
-    ZeroDenoiser,
-    gmm_mmse,
-)
+from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
 from .estimators import (
     InfoReport,
     aggregate_reports,
@@ -27,16 +19,7 @@ from .estimators import (
     pointwise_o,
     pointwise_s,
 )
-from .flow import (
-    InterventionResult,
-    SolverConfig,
-    SolverError,
-    Trajectory,
-    decode,
-    encode,
-    flow_velocity,
-    intervene,
-)
+from .flow import InterventionResult, SolverConfig, SolverError, decode, encode, intervene
 from .mlp import MlpDenoiser, MlpTrainConfig, TrainingDivergedError, train_mlp
 from .oracle import (
     OracleResult,
@@ -51,7 +34,6 @@ from .tasks import (
     evaluate_ranking,
     intervention_correlation,
     iou,
-    pixelwise_intervention_correlation,
     rank_conditions,
     sweep_threshold,
 )
@@ -60,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionId",
-    "Denoiser",
     "GmmDenoiser",
     "GmmSpec",
     "InfoReport",
@@ -73,9 +54,7 @@ __all__ = [
     "Sample",
     "SolverConfig",
     "SolverError",
-    "Trajectory",
     "TrainingDivergedError",
-    "ZeroDenoiser",
     "aggregate_reports",
     "cmi",
     "component_responsibilities",
@@ -83,7 +62,6 @@ __all__ = [
     "decode",
     "encode",
     "evaluate_ranking",
-    "flow_velocity",
     "gaussian_mi",
     "gaussian_pointwise",
     "gmm_mi_numeric",
@@ -96,7 +74,6 @@ __all__ = [
     "mmse_gaussian",
     "nll",
     "noise_weight",
-    "pixelwise_intervention_correlation",
     "pointwise_dataset",
     "pointwise_o",
     "pointwise_s",

@@ -25,7 +25,7 @@ from .config import ORACLE_OPS, ConfigError, RunConfig, load_config
 from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
 from .flow import intervene as flow_intervene
 from .mlp import MlpDenoiser, train_mlp
-from .reports import report_to_dict, write_csv, write_json, write_pgm, write_report_csv
+from .reports import NonFiniteOutputError, report_to_dict, write_csv, write_json, write_pgm, write_report_csv
 
 LN2 = math.log(2.0)
 
@@ -276,7 +276,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = ["id", "true", "chosen", "tie", "correct"] + [f"score_{t}" for t in tokens]
     rows = [
-        (i, tokens[t], tokens[c], bool(ti), bool(ok), *row)
+        (i, tokens[t], tokens[c], ti, ok, *row)
         for i, (t, c, ti, ok, row) in enumerate(zip(truth, chosen, tie, correct, scores))
     ]
     write_csv(out / "rank.csv", header, rows)
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteOutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,5 +1,14 @@
 """Minimum-mean-square-error denoisers for Gaussian and mixture data.
 
+Every denoiser in the package, here and in :mod:`diffinfo.mlp`, is a noise
+predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, condition=None)``.
+``predict_eps`` accepts a single point of shape (d,) with a scalar log-SNR,
+or a batch of shape (n, d) with a scalar or per-row log-SNR, and returns an
+array of the same shape as ``x_alpha``.  ``condition`` is ``None``, one
+condition for every row, or a list or tuple with one condition per row; a
+per-row list of the wrong length raises ``ValueError``.  Predictions are
+deterministic: identical inputs yield identical outputs.
+
 The optimal noise predictor for the channel in :mod:`diffinfo.channel` is the
 posterior mean E[eps | x_a].  For a Gaussian source N(mu, C) the corrupted
 marginal at log-SNR a is N(sqrt(sigma(a)) mu, S) with
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
@@ -85,25 +94,6 @@ class Sample:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-
-@runtime_checkable
-class Denoiser(Protocol):
-    """Noise-prediction interface.
-
-    ``predict_eps`` accepts a single point of shape (d,) with a scalar
-    log-SNR, or a batch of shape (n, d) with a scalar or per-row log-SNR, and
-    returns an array of the same shape as ``x_alpha``.  ``condition`` is
-    ``None``, one condition for every row, or a list or tuple with one
-    condition per row; a per-row list of the wrong length raises
-    ``ValueError``.  Implementations are deterministic: identical inputs
-    yield identical outputs.
-    """
-
-    @property
-    def dim(self) -> int: ...
-
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray: ...
 
 
 def as_batch(x_alpha, alpha, dim: int):
@@ -335,13 +325,3 @@ class GmmDenoiser:
 def gmm_mmse(spec: GmmSpec) -> GmmDenoiser:
     """Closed-form denoiser for Gaussian-mixture data."""
     return GmmDenoiser(spec)
-
-
-@dataclass(frozen=True)
-class ZeroDenoiser:
-    """Predicts zero noise everywhere; useful as a flow/MSE baseline."""
-
-    dim: int
-
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        return np.zeros_like(np.asarray(x_alpha, dtype=float))

@@ -47,13 +47,14 @@ class InfoReport:
     ``per_dim`` always sums to ``total`` (to 1e-9 relative tolerance, checked
     at construction).  ``std_error`` is the sample standard deviation of the
     per-draw (or per-sample, for averaged estimators) contributions divided
-    by the square root of their count.  All values are in nats; use
+    by the square root of their count, and ``None`` when it cannot be
+    estimated because there is only one.  All values are in nats; use
     :meth:`to_bits` for bits.
     """
 
     total: float
     per_dim: np.ndarray
-    std_error: float
+    std_error: float | None
     n_snr_draws: int
     n_eps_draws: int
     estimator_kind: str
@@ -81,7 +82,7 @@ class InfoReport:
             self,
             total=self.total / ln2,
             per_dim=self.per_dim / ln2,
-            std_error=self.std_error / ln2,
+            std_error=None if self.std_error is None else self.std_error / ln2,
         )
 
 
@@ -119,7 +120,7 @@ def _finalize(contrib, constant_per_dim, kind, sampler, n_eps, n_samples=1):
         std_error = math.inf
     else:
         n = per_alpha.shape[0]
-        std_error = float(per_alpha.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+        std_error = float(per_alpha.std(ddof=1) / math.sqrt(n)) if n > 1 else None
     return InfoReport(
         total=float(per_dim.sum()),
         per_dim=per_dim,

@@ -25,7 +25,8 @@ parametrization, so every step, including the final one, uses the full
 corrector update; an Euler fallback at the terminal node would contribute a
 local error around h^2/2 * |z''| by itself, which at 100 steps is larger
 than the round-trip budget.  Encoding integrates from alpha_max down to
-alpha_min (data to latent); decoding reverses the grid.
+alpha_min (data to latent); decoding reverses the grid.  Both return only
+the end state, in the shape of their input: no path is stored.
 
 Conditions pass through to the denoiser, so a batch may carry one condition
 per row.  ``intervene`` uses this: it encodes every point once under its own
@@ -66,67 +67,42 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Ordered flow states: ``states[i]`` is the state at ``alphas[i]``."""
-
-    alphas: np.ndarray
-    states: np.ndarray
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in ("encode", "decode"):
-            raise ValueError(f"direction must be encode or decode, got {self.direction!r}")
-        diffs = np.diff(self.alphas)
-        if self.direction == "encode" and not np.all(diffs < 0):
-            raise ValueError("encode trajectories must have strictly decreasing alphas")
-        if self.direction == "decode" and not np.all(diffs > 0):
-            raise ValueError("decode trajectories must have strictly increasing alphas")
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def flow_velocity(denoiser, state, alpha, condition=None) -> np.ndarray:
+def _velocity(denoiser, state, alpha, condition) -> np.ndarray:
     """dz/da of the probability flow at ``state`` and log-SNR ``alpha``."""
-    state = np.asarray(state, dtype=float)
     sna = noise_weight(float(alpha))
     return 0.5 * sna * state - 0.5 * np.sqrt(sna) * np.asarray(
         denoiser.predict_eps(state, float(alpha), condition)
     )
 
 
-def _integrate(denoiser, z0, grid, condition, direction) -> Trajectory:
+def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
     z = np.asarray(z0, dtype=float).copy()
-    states = np.empty((grid.size,) + z.shape)
-    states[0] = z
     for i in range(grid.size - 1):
         h = grid[i + 1] - grid[i]
-        v0 = flow_velocity(denoiser, z, grid[i], condition)
+        v0 = _velocity(denoiser, z, grid[i], condition)
         z_pred = z + h * v0
-        v1 = flow_velocity(denoiser, z_pred, grid[i + 1], condition)
+        v1 = _velocity(denoiser, z_pred, grid[i + 1], condition)
         z = z + 0.5 * h * (v0 + v1)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"non-finite state at step {i + 1} (alpha={grid[i + 1]!r})", step=i + 1)
-        states[i + 1] = z
-    return Trajectory(alphas=grid, states=states, direction=direction)
+    return z
 
 
-def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> Trajectory:
-    """Transport data to the latent end of the channel (alpha_max -> alpha_min).
+def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> np.ndarray:
+    """The latent that ``x`` flows to at the noise end (alpha_max -> alpha_min).
 
     ``x`` may be a single point of shape (d,) or a batch of shape (m, d);
-    ``condition`` may be one condition or a list with one per row.
+    ``condition`` may be one condition or a list with one per row.  The
+    result has the shape of ``x``.
     """
     grid = np.linspace(config.alpha_max, config.alpha_min, config.n_steps + 1)
-    return _integrate(denoiser, x, grid, condition, "encode")
+    return _integrate(denoiser, x, grid, condition)
 
 
-def decode(latent, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> Trajectory:
-    """Transport a latent back to the data end (alpha_min -> alpha_max)."""
+def decode(latent, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> np.ndarray:
+    """The data point that ``latent`` flows back to (alpha_min -> alpha_max)."""
     grid = np.linspace(config.alpha_min, config.alpha_max, config.n_steps + 1)
-    return _integrate(denoiser, latent, grid, condition, "decode")
+    return _integrate(denoiser, latent, grid, condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +139,8 @@ def intervene(
     rows = np.atleast_2d(x)
     n = rows.shape[0]
     cond_in, cond_out = (list(c) if is_per_row(c, n) else [c] * n for c in (cond_in, cond_out))
-    latent = encode(rows, denoiser, cond_in, config).final
-    decoded = decode(np.concatenate([latent, latent]), denoiser, cond_in + cond_out, config).final
+    latent = encode(rows, denoiser, cond_in, config)
+    decoded = decode(np.concatenate([latent, latent]), denoiser, cond_in + cond_out, config)
     delta = (rows - decoded[n:]) ** 2
     delta_l2 = np.sqrt(delta.sum(axis=1))
     roundtrip_l2 = np.sqrt(((rows - decoded[:n]) ** 2).sum(axis=1))

@@ -2,7 +2,10 @@
 
 CSV floats use '.' as the decimal separator and 17 significant digits, which
 round-trips IEEE doubles exactly; JSON is dumped with sorted keys.  Rerunning
-a command with the same config and seed reproduces every output byte.
+a command with the same config and seed reproduces every output byte.  A value
+that could not be estimated is ``None``: JSON writes ``null`` and CSV an empty
+cell.  JSON never holds a non-finite number: ``write_json`` raises
+:class:`NonFiniteOutputError` on one and removes the partial file.
 """
 
 from __future__ import annotations
@@ -16,18 +19,22 @@ import numpy as np
 from .tasks import rescale_unit
 
 
+class NonFiniteOutputError(ValueError):
+    """A JSON output would hold a non-finite number; the message names the file."""
+
+
 def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
 def _format_cell(value):
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, (float, np.floating)):
         return format_float(value)
+    if isinstance(value, (bool, np.bool_)):  # before int: bool is an int
+        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_csv(path, header, rows) -> None:
@@ -39,9 +46,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # Streamed: joining the document first would hold every chunk at once.
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        Path(path).unlink()
+        raise NonFiniteOutputError(f"{path}: {exc}") from exc
 
 
 def report_to_dict(report) -> dict:

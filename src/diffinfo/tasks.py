@@ -150,15 +150,6 @@ def intervention_correlation(scores, deltas) -> float:
     return float((s * d).sum() / math.sqrt((s * s).sum() * (d * d).sum()))
 
 
-def pixelwise_intervention_correlation(score_rows, delta_rows) -> float:
-    """Per-sample correlation of per-dimension vectors, averaged over samples."""
-    if len(score_rows) != len(delta_rows) or not score_rows:
-        raise ValueError("need matching, non-empty lists of per-sample vectors")
-    return float(
-        np.mean([intervention_correlation(s, d) for s, d in zip(score_rows, delta_rows)])
-    )
-
-
 def pearson_confidence(r: float, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Fisher-z 95% interval for a Pearson correlation from n pairs."""
     if n < 4:

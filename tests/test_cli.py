@@ -13,6 +13,7 @@ from diffinfo.checkpoint import load_checkpoint, save_checkpoint
 from diffinfo.cli import _COMMANDS, main
 from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import GmmSpec
+from diffinfo.reports import write_csv
 
 STD_NORMAL_GMM = {
     "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}],
@@ -142,6 +143,58 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert "data.points" in err and "sample 1" in err
         assert not (tmp_path / "out" / "estimates.csv").exists()
+
+
+class TestNonFiniteOutput:
+    def _refuse(self, name):
+        raise AssertionError(f"non-finite constant {name} in the JSON output")
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_unestimable_std_error_is_null_and_an_empty_cell(self, tmp_path, bits):
+        # One log-SNR draw per sample leaves no spread to estimate a
+        # per-sample SE from; the aggregate SE comes from the sample totals.
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 3,
+                "data": {
+                    "gmm": PAIR_GMM,
+                    "n_samples": 20,
+                    "component_conditions": [{"label": "neg"}, {"label": "pos"}],
+                },
+                "sampler": {"n_snr": 1, "n_eps": 2},
+                "estimate": {"kind": "mi"},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["estimate", "--config", cfg] + (["--bits"] if bits else [])) == 0
+        text = (tmp_path / "out" / "estimates.json").read_text()
+        payload = json.loads(text, parse_constant=self._refuse)
+        assert [r["std_error"] for r in payload["reports"]] == [None] * 20
+        assert math.isfinite(payload["aggregate"]["std_error"])
+        with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20 and all(r["std_error"] == "" for r in rows)
+
+    def test_non_finite_json_value_exits_2_and_names_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("diffinfo.cli.report_to_dict", lambda report: {"total": math.inf})
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]]},
+                "sampler": {"n_snr": 20, "n_eps": 2},
+                "estimate": {"kind": "nll"},
+            },
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "estimates.json" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimates.json").exists()
+
+
+def test_csv_cells_spell_booleans_and_missing_values_one_way(tmp_path):
+    write_csv(tmp_path / "cells.csv", list("abcdef"), [(True, np.True_, np.False_, None, 0.1, 3)])
+    assert (tmp_path / "cells.csv").read_text() == "a,b,c,d,e,f\ntrue,true,false,,0.10000000000000001,3\n"
 
 
 class TestSchemaDiagnostics:

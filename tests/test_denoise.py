@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from diffinfo.channel import noise_weight, signal_weight
-from diffinfo.denoise import (
-    ConditionId,
-    GmmDenoiser,
-    GmmSpec,
-    ZeroDenoiser,
-    gmm_mmse,
-)
+from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, gmm_mmse
 from diffinfo.oracle import mmse_gaussian
 
-from toys import redundant_editing_spec
+from toys import ZeroDenoiser, redundant_editing_spec
 
 STD_NORMAL = GmmSpec.single([0.0], [[1.0]])
 

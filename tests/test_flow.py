@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from diffinfo.channel import signal_weight
-from diffinfo.denoise import ConditionId, GmmSpec, ZeroDenoiser, gmm_mmse
-from diffinfo.flow import (
-    SolverConfig,
-    SolverError,
-    Trajectory,
-    decode,
-    encode,
-    flow_velocity,
-    intervene,
-)
+from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
+from diffinfo.flow import SolverConfig, SolverError, decode, encode, intervene
 from diffinfo.oracle import component_responsibilities
 
-from toys import editing_dataset, redundant_editing_spec, symmetric_pair_spec
+from toys import ZeroDenoiser, editing_dataset, redundant_editing_spec, symmetric_pair_spec
 
 PAIR = symmetric_pair_spec(4.0)
 
@@ -35,7 +27,7 @@ class TestVelocityAlgebra:
         den = ZeroDenoiser(dim=2)
         z0 = np.array([1.7, -0.3])
         cfg = SolverConfig(n_steps=100)
-        latent = encode(z0, den, config=cfg).final
+        latent = encode(z0, den, config=cfg)
         exact = z0 * np.sqrt(signal_weight(-5.0) / signal_weight(7.0))
         np.testing.assert_allclose(latent, exact, atol=1e-3)
 
@@ -44,24 +36,25 @@ class TestVelocityAlgebra:
         z0 = np.array([2.0])
         exact = z0 * np.sqrt(signal_weight(-5.0) / signal_weight(7.0))
         errors = [
-            abs(encode(z0, den, config=SolverConfig(n_steps=n)).final[0] - exact[0])
+            abs(encode(z0, den, config=SolverConfig(n_steps=n))[0] - exact[0])
             for n in (50, 100, 200)
         ]
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.5)
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.5)
 
     def test_standard_normal_is_a_fixed_point(self):
+        # For an N(0, 1) source eps_hat(z) = sqrt(sigma(-a)) z, so the velocity
+        # is zero everywhere and every point stays where it is.
         den = gmm_mmse(GmmSpec.single([0.0], [[1.0]]))
-        for alpha in (-4.0, 0.0, 3.0):
-            v = flow_velocity(den, np.array([0.8]), alpha)
-            assert abs(v[0]) <= 1e-12
+        x = np.array([[0.8], [-2.5], [0.0]])
+        np.testing.assert_allclose(encode(x, den), x, rtol=0, atol=1e-12)
 
 
 class TestEncodeDecode:
     def test_round_trip_under_one_permille(self, gmm_points):
         x, _, den = gmm_points
-        latent = encode(x, den).final
-        recovered = decode(latent, den).final
+        latent = encode(x, den)
+        recovered = decode(latent, den)
         rel = np.linalg.norm(recovered - x) / np.linalg.norm(x)
         assert rel < 1e-3
 
@@ -70,7 +63,7 @@ class TestEncodeDecode:
         errors = {}
         for n in (100, 200):
             cfg = SolverConfig(n_steps=n)
-            recovered = decode(encode(x, den, config=cfg).final, den, config=cfg).final
+            recovered = decode(encode(x, den, config=cfg), den, config=cfg)
             errors[n] = np.linalg.norm(recovered - x) / np.linalg.norm(x)
         assert errors[100] / errors[200] >= 3.0
 
@@ -78,13 +71,13 @@ class TestEncodeDecode:
         x, _, den = gmm_points
         def round_trip(n):
             cfg = SolverConfig(n_steps=n)
-            return np.linalg.norm(decode(encode(x, den, config=cfg).final, den, config=cfg).final - x)
+            return np.linalg.norm(decode(encode(x, den, config=cfg), den, config=cfg) - x)
         assert round_trip(1) > round_trip(100)
 
     def test_latent_doubling_converges_at_second_order(self, gmm_points):
         x, _, den = gmm_points
         latents = {
-            n: encode(x, den, config=SolverConfig(n_steps=n)).final for n in (100, 200, 400)
+            n: encode(x, den, config=SolverConfig(n_steps=n)) for n in (100, 200, 400)
         }
         ratio = np.linalg.norm(latents[100] - latents[200]) / np.linalg.norm(
             latents[200] - latents[400]
@@ -95,25 +88,17 @@ class TestEncodeDecode:
         den = gmm_mmse(GmmSpec.single([0.0], [[1.0]]))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1000, 1))
-        latent = encode(x, den).final
+        latent = encode(x, den)
         assert latent.std() == pytest.approx(1.0, rel=0.05)
 
     def test_symmetric_mixture_fixes_the_origin(self):
         den = gmm_mmse(PAIR)
-        decoded = decode(np.zeros(1), den).final
+        decoded = decode(np.zeros(1), den)
         assert abs(decoded[0]) <= 1e-6
 
     def test_deterministic(self, gmm_points):
         x, _, den = gmm_points
-        t1 = encode(x[:4], den)
-        t2 = encode(x[:4], den)
-        np.testing.assert_array_equal(t1.states, t2.states)
-
-    def test_trajectory_direction_validation(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            Trajectory(alphas=np.array([0.0, 1.0]), states=np.zeros((2, 1)), direction="encode")
-        with pytest.raises(ValueError, match="increasing"):
-            Trajectory(alphas=np.array([1.0, 0.0]), states=np.zeros((2, 1)), direction="decode")
+        np.testing.assert_array_equal(encode(x[:4], den), encode(x[:4], den))
 
     def test_non_finite_state_raises_with_step(self):
         class BrokenDenoiser:
@@ -137,7 +122,7 @@ class TestIntervene:
         x, comps, den = gmm_points
         cond = ConditionId(label="pos" if comps[0] else "neg")
         null = intervene(x[0], den, cond, cond)
-        round_trip = decode(encode(x[0], den, cond).final, den, cond).final
+        round_trip = decode(encode(x[0], den, cond), den, cond)
         np.testing.assert_array_equal(null.x_edited, round_trip)
 
     def test_identical_conditionals_make_swaps_null(self):
@@ -190,9 +175,9 @@ class TestBatchedIntervene:
         den, x, cond_in, cond_out, result = edits
         assert result.x_edited.shape == x.shape and result.delta_l2.shape == (len(x),)
         for i in range(len(x)):
-            latent = encode(x[i], den, cond_in[i]).final
-            edited = decode(latent, den, cond_out[i]).final
-            round_trip = decode(latent, den, cond_in[i]).final
+            latent = encode(x[i], den, cond_in[i])
+            edited = decode(latent, den, cond_out[i])
+            round_trip = decode(latent, den, cond_in[i])
             np.testing.assert_array_equal(result.x_edited[i], edited)
             assert result.delta_l2[i] == np.sqrt(((x[i] - edited) ** 2).sum())
             assert result.roundtrip_l2[i] == np.sqrt(((x[i] - round_trip) ** 2).sum())

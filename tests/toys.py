@@ -10,6 +10,16 @@ from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, as_batch, gmm_mmse
 
 
+@dataclass(frozen=True)
+class ZeroDenoiser:
+    """Predicts zero noise everywhere: the flow is then linear, with a closed-form map."""
+
+    dim: int
+
+    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+        return np.zeros_like(np.asarray(x_alpha, dtype=float))
+
+
 class CorrelatedGaussianDenoiser:
     """Conditional closed-form denoiser for x | y with (x, y) bivariate normal.
 
