@@ -106,16 +106,16 @@ class LogSnrSampler:
             raise ValueError(f"clip must be positive, got {self.clip}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws must be at least 1, got {self.n_draws}")
+        # Constants of the sampler, computed once: the untruncated logistic's
+        # CDF at the ends of the interval, and its mass inside the interval.
+        lo, hi = sigmoid(-self.clip), sigmoid(self.clip)
+        object.__setattr__(self, "_cdf_bounds", (lo, hi))
+        object.__setattr__(self, "_truncated_mass", hi - lo)
 
     @property
     def support(self) -> tuple[float, float]:
         half = self.clip * self.scale
         return (self.loc - half, self.loc + half)
-
-    @property
-    def _truncated_mass(self) -> float:
-        # CDF mass of the untruncated logistic inside the interval.
-        return sigmoid(self.clip) - sigmoid(-self.clip)
 
     def pdf(self, alpha):
         """Renormalized density; zero outside the truncation interval."""
@@ -131,7 +131,7 @@ class LogSnrSampler:
         ``rng`` may be an int seed, a ``SeedSequence`` or a ``Generator``.
         """
         rng = np.random.default_rng(rng)
-        u = rng.uniform(sigmoid(-self.clip), sigmoid(self.clip), size=self.n_draws)
+        u = rng.uniform(*self._cdf_bounds, size=self.n_draws)
         z = np.log(u) - np.log1p(-u)
         alphas = self.loc + self.scale * z
         # z is the logit of u, so the density factor sigma(z) sigma(-z) is u (1 - u).

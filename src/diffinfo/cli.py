@@ -56,10 +56,39 @@ def _build_denoiser(cfg: RunConfig, spec: GmmSpec):
         return gmm_mmse(spec)
     obj = _load_checkpoint_field(cfg.denoiser.path, "denoiser.path")
     if isinstance(obj, GmmSpec):
-        return gmm_mmse(obj)
-    if isinstance(obj, MlpDenoiser):
-        return obj
-    raise ConfigError("denoiser.path holds no usable checkpoint", "denoiser.path")
+        den = gmm_mmse(obj)
+    elif isinstance(obj, MlpDenoiser):
+        den = obj
+    else:
+        raise ConfigError("denoiser.path holds no usable checkpoint", "denoiser.path")
+    if den.dim != spec.dim:
+        raise ConfigError(
+            f"denoiser.path: the checkpoint has dimension {den.dim} "
+            f"but the data have dimension {spec.dim}",
+            "denoiser.path",
+        )
+    return den
+
+
+def _check_conditions(cfg: RunConfig, den, conditions, field_path: str) -> None:
+    """Reject, before any estimation, a condition the denoiser cannot take.
+
+    The checkpoint is at fault when the denoiser comes from one, and
+    otherwise the field the conditions came from.
+    """
+    field = "denoiser.path" if cfg.denoiser.kind == "checkpoint" else field_path
+    for condition in dict.fromkeys(conditions):
+        try:
+            if isinstance(den, MlpDenoiser):
+                for token in () if condition is None else condition.tokens:
+                    if token not in den.vocabulary:
+                        raise ValueError(
+                            f"unknown condition token {token!r}; vocabulary is {list(den.vocabulary)}"
+                        )
+            else:
+                den.spec.components_for(condition)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}", field) from exc
 
 
 def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
@@ -138,6 +167,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     kind = cfg.estimate.kind
     if kind != "nll":
         _require_conditions(dataset)
+    _check_conditions(cfg, den, [s.condition for s in dataset], "data.component_conditions")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -191,6 +221,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     s_data, s_est, _, _ = _streams(cfg.seed)
     dataset = _build_dataset(cfg, spec, s_data)
     _require_conditions(dataset)
+    _check_conditions(cfg, den, [s.condition for s in dataset], "data.component_conditions")
     kind = cfg.decompose.kind
     reports = estimators.pointwise_dataset(
         den,
@@ -253,11 +284,13 @@ def cmd_rank(cfg: RunConfig) -> int:
         token_of = spec.partition(tokens)
     except ValueError as exc:
         raise ConfigError(f"rank.candidates: {exc}", "rank.candidates") from exc
+    candidates = [ConditionId(label=t) for t in tokens]
+    _check_conditions(cfg, den, candidates, "rank.candidates")
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, comps = spec.sample(cfg.rank.n_samples, s_data)
     scores = tasks.evaluate_ranking(
         x,
-        [ConditionId(label=t) for t in tokens],
+        candidates,
         den,
         den,
         cfg.sampler,
@@ -324,13 +357,11 @@ def cmd_intervene(cfg: RunConfig) -> int:
             raise ConfigError(
                 f"intervene.swap does not cover label {sample.condition.label!r}", "intervene.swap"
             )
-    edits = flow_intervene(
-        np.stack([s.x for s in samples]),
-        den,
-        [s.condition for s in samples],
-        [ConditionId(label=swap[s.condition.label], context=s.condition.context) for s in samples],
-        cfg.solver,
-    )
+    sources = [s.condition for s in samples]
+    targets = [ConditionId(label=swap[c.label], context=c.context) for c in sources]
+    _check_conditions(cfg, den, sources, "data.component_conditions")
+    _check_conditions(cfg, den, targets, "intervene.swap")
+    edits = flow_intervene(np.stack([s.x for s in samples]), den, sources, targets, cfg.solver)
     deltas = edits.delta_l2.tolist()
     reports = estimators.pointwise_dataset(
         den, den, samples, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, condition_on_context=True

@@ -21,9 +21,12 @@ coordinate-wise, which is what the ``per_dim`` field reports.
 
 The conditional and unconditional denoisers always see the same (a, eps)
 draws (common random numbers): this lets i_o be evaluated as a single squared
-difference and removes shared noise from i_s.  Each report carries the
-truncation interval the integral was taken over; contributions outside it
-are defined to be zero.
+difference and removes shared noise from i_s.  Several conditions for one
+point share those draws too, and with them the unconditional prediction: a
+list of K conditions costs one unconditional pass and K conditional ones,
+and each report equals, bit for bit, the one a single-condition call on the
+same seed gives.  Each report carries the truncation interval the integral
+was taken over; contributions outside it are defined to be zero.
 """
 
 from __future__ import annotations
@@ -172,6 +175,11 @@ def nll(
 
 
 def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_condition):
+    """One report per condition on shared draws; a list or tuple gives a list."""
+    many = isinstance(condition, (list, tuple))
+    conditions = condition if many else [condition]
+    if not conditions:
+        raise ValueError("need at least one condition")
     x = _check_point(uncond, x)
     if cond.dim != uncond.dim:
         raise ValueError(
@@ -181,13 +189,16 @@ def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_co
     alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
     x_a = corrupt(x, alphas[:, None], eps)
     eps_u = _predict(uncond, x_a, alphas, uncond_condition)
-    eps_c = _predict(cond, x_a, alphas, condition)
-    if kind == "pointwise_o":
-        integrand = (eps_u - eps_c) ** 2
-    else:
-        integrand = (eps - eps_u) ** 2 - (eps - eps_c) ** 2
-    contrib = weights[:, None] * 0.5 * integrand.mean(axis=1)
-    return _finalize(contrib, 0.0, kind, sampler, n_eps)
+    reports = []
+    for c in conditions:
+        eps_c = _predict(cond, x_a, alphas, c)
+        if kind == "pointwise_o":
+            integrand = (eps_u - eps_c) ** 2
+        else:
+            integrand = (eps - eps_u) ** 2 - (eps - eps_c) ** 2
+        contrib = weights[:, None] * 0.5 * integrand.mean(axis=1)
+        reports.append(_finalize(contrib, 0.0, kind, sampler, n_eps))
+    return reports if many else reports[0]
 
 
 def pointwise_s(
@@ -199,12 +210,16 @@ def pointwise_s(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport:
+) -> InfoReport | list[InfoReport]:
     """Pointwise information of (x, condition): the log-likelihood-ratio form.
 
     Estimates log p(x|y) - log p(x) as the integrated reduction in squared
     denoising error from conditioning.  Can be negative: a condition that
     makes x less likely is misinformative.
+
+    A list or tuple of conditions gives a list of reports, one per condition,
+    all on the same draws and one shared unconditional prediction; an empty
+    one raises ``ValueError``.
     """
     return _pointwise(
         uncond, cond, x, condition, sampler, n_eps, seed, "pointwise_s", uncond_condition
@@ -220,13 +235,14 @@ def pointwise_o(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport:
+) -> InfoReport | list[InfoReport]:
     """Pointwise information of (x, condition): the orthogonality form.
 
     Integrates the squared difference between the conditional and
     unconditional predictions.  Non-negative by construction, equal to
     :func:`pointwise_s` in expectation over the joint distribution, and lower
-    variance on the same draws.
+    variance on the same draws.  A list or tuple of conditions gives a list
+    of reports, as for :func:`pointwise_s`.
     """
     return _pointwise(
         uncond, cond, x, condition, sampler, n_eps, seed, "pointwise_o", uncond_condition

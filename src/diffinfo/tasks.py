@@ -47,7 +47,9 @@ def rank_conditions(
     """Score every candidate condition for one point on the same draws.
 
     All candidates share the same (alpha, eps) draws, so score differences
-    are free of common Monte-Carlo noise.  The default score is the
+    are free of common Monte-Carlo noise, and they share the unconditional
+    prediction on those draws: K candidates cost one unconditional denoiser
+    pass and K conditional ones.  The default score is the
     log-likelihood-ratio estimate, whose argmax matches the Bayes rule for
     equal-prior candidate sets that cover the generating mixture; the
     squared-difference score (``pointwise_o``) orders such candidate sets
@@ -58,10 +60,8 @@ def rank_conditions(
     if len(candidates) < 2:
         raise ValueError(f"need at least 2 candidates, got {len(candidates)}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    shared = seed_sequence(seed)
-    return np.array(
-        [estimate(uncond, cond, x, c, sampler, n_eps=n_eps, seed=shared).total for c in candidates]
-    )
+    reports = estimate(uncond, cond, x, candidates, sampler, n_eps=n_eps, seed=seed)
+    return np.array([r.total for r in reports])
 
 
 def evaluate_ranking(

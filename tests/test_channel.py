@@ -138,6 +138,19 @@ class TestLogSnrSampler:
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(w1, w2)
 
+    @pytest.mark.parametrize("clip", [3.0, 3, 0.5])
+    def test_draws_match_the_per_call_formula_bit_for_bit(self, clip):
+        # The sampler computes its CDF bounds and truncated mass once; the
+        # draws must equal those of the same formula evaluated per call.
+        sampler = LogSnrSampler(loc=0.5, scale=1.5, clip=clip, n_draws=50)
+        rng = np.random.default_rng(9)
+        u = rng.uniform(sigmoid(-clip), sigmoid(clip), size=50)
+        mass = sigmoid(clip) - sigmoid(-clip)
+        alphas, weights = sampler.sample(9)
+        np.testing.assert_array_equal(alphas, 0.5 + 1.5 * (np.log(u) - np.log1p(-u)))
+        np.testing.assert_array_equal(weights, 1.5 * mass / (u * (1.0 - u)))
+        assert sampler == LogSnrSampler(loc=0.5, scale=1.5, clip=clip, n_draws=50)
+
     def test_constant_integrand_gives_interval_length(self):
         sampler = LogSnrSampler(n_draws=20_000)
         _, weights = sampler.sample(1)

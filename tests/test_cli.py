@@ -13,6 +13,7 @@ from diffinfo.checkpoint import load_checkpoint, save_checkpoint
 from diffinfo.cli import _COMMANDS, main
 from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import GmmSpec
+from diffinfo.mlp import MlpDenoiser
 from diffinfo.reports import write_csv
 
 STD_NORMAL_GMM = {
@@ -241,6 +242,108 @@ class TestSchemaDiagnostics:
         )
         assert main(["estimate", "--config", cfg]) == 2
         assert "data.checkpoint" in capsys.readouterr().err
+
+
+def save_mlp_checkpoint(path, dim, vocabulary):
+    """An untrained MLP checkpoint of the given dimension and vocabulary."""
+    rng = np.random.default_rng(0)
+    n_in = dim + 2 * 8 + len(vocabulary)
+    layers = [(rng.standard_normal((n_in, 4)), np.zeros(4)), (rng.standard_normal((4, dim)), np.zeros(dim))]
+    save_checkpoint(MlpDenoiser(layers, dim, vocabulary), path)
+
+
+PAIR_2D_GMM = {
+    "components": [
+        {"weight": 0.5, "mean": [-4.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        {"weight": 0.5, "mean": [4.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    ],
+    "condition_map": {"neg": [0], "pos": [1]},
+}
+LABELED = [{"label": "neg"}, {"label": "pos"}]
+
+
+class TestCheckpointMismatch:
+    """A denoiser checkpoint that cannot serve the data exits 2 before any estimation."""
+
+    def _run(self, tmp_path, command, payload):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"seed": 1, "output": {"dir": str(out)}, **payload})
+        status = main([command, "--config", cfg])
+        assert not out.exists() or not any(out.iterdir())
+        return status
+
+    @pytest.mark.parametrize("kind", ["mlp", "gmm"])
+    def test_dimension_mismatch_names_denoiser_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "den.ckpt"
+        if kind == "mlp":
+            save_mlp_checkpoint(path, 1, ("neg", "pos"))
+        else:
+            save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
+        payload = {
+            "data": {"gmm": PAIR_2D_GMM, "n_samples": 4, "component_conditions": LABELED},
+            "denoiser": {"kind": "checkpoint", "path": str(path)},
+            "estimate": {"kind": "pointwise_s"},
+        }
+        assert self._run(tmp_path, "estimate", payload) == 2
+        err = capsys.readouterr().err
+        assert "config error: denoiser.path:" in err
+        assert "dimension 1" in err and "dimension 2" in err
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("rank", {"rank": {"n_samples": 4}}),
+            ("estimate", {"estimate": {"kind": "pointwise_s"}}),
+            ("estimate", {"estimate": {"kind": "nll"}}),
+            ("decompose", {"decompose": {}}),
+            ("intervene", {"intervene": {"n_samples": 4, "swap": {"neg": "pos", "pos": "neg"}}}),
+        ],
+        ids=["rank", "pointwise_s", "nll", "decompose", "intervene"],
+    )
+    def test_token_missing_from_vocabulary_names_denoiser_path(self, tmp_path, capsys, command, section):
+        save_mlp_checkpoint(tmp_path / "mlp.ckpt", 1, ("neg",))
+        payload = {
+            "data": {"gmm": PAIR_GMM, "n_samples": 8, "component_conditions": LABELED},
+            "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "mlp.ckpt")},
+            **section,
+        }
+        assert self._run(tmp_path, command, payload) == 2
+        err = capsys.readouterr().err
+        assert "config error: denoiser.path:" in err
+        assert "'pos'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, conditions, section, field",
+        [
+            (
+                "estimate",
+                [{"label": "neg"}, {"label": "nope"}],
+                {"estimate": {"kind": "mi"}},
+                "data.component_conditions",
+            ),
+            (
+                "intervene",
+                LABELED,
+                {"intervene": {"n_samples": 4, "swap": {"neg": "nope", "pos": "neg"}}},
+                "intervene.swap",
+            ),
+            (
+                "decompose",
+                [{"label": "neg", "context": ["pos"]}, {"label": "pos"}],
+                {"decompose": {}},
+                "data.component_conditions",
+            ),
+        ],
+        ids=["unknown_token", "unknown_swap_target", "empty_selection"],
+    )
+    def test_closed_form_bad_condition_names_its_field(
+        self, tmp_path, capsys, command, conditions, section, field
+    ):
+        payload = {"data": {"gmm": PAIR_GMM, "n_samples": 8, "component_conditions": conditions}, **section}
+        assert self._run(tmp_path, command, payload) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err and "Traceback" not in err
+        assert "'nope'" in err or "selects no components" in err
 
 
 NAN, INF = float("nan"), float("inf")

@@ -19,9 +19,11 @@ from diffinfo.estimators import (
     pointwise_o,
     pointwise_s,
 )
+from diffinfo.mlp import MlpTrainConfig, train_mlp
 from diffinfo.oracle import gaussian_mi, gaussian_pointwise, gmm_mi_numeric
 
 from toys import (
+    coordinate_localized_spec,
     correlated_gaussian,
     editing_dataset,
     hierarchy_dataset,
@@ -344,3 +346,47 @@ class TestPerDimDecomposition:
         assert bits.total == pytest.approx(report.total / math.log(2))
         assert bits.std_error == pytest.approx(report.std_error / math.log(2))
         np.testing.assert_allclose(bits.per_dim, report.per_dim / math.log(2))
+
+
+@pytest.fixture(scope="module")
+def localized_denoisers():
+    """The exact denoiser of a 2-D labeled pair and a small MLP trained on it."""
+    spec = coordinate_localized_spec(dim=2, informative=1)
+    dataset = labeled_dataset(spec, ("lo", "hi"), 64, seed=30)
+    config = MlpTrainConfig(hidden=(8,), n_steps=60, batch_size=16)
+    trained, _ = train_mlp(dataset, config, SAMPLER, seed=31)
+    return {"gmm": gmm_mmse(spec), "mlp": trained}
+
+
+class TestConditionLists:
+    CONDITIONS = [ConditionId(label="hi"), ConditionId(label="lo"), ConditionId(label="hi")]
+
+    @pytest.mark.parametrize("estimate", [pointwise_s, pointwise_o], ids=["s", "o"])
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_list_equals_separate_calls_bit_for_bit(self, localized_denoisers, estimate, kind):
+        den = localized_denoisers[kind]
+        x = [0.4, -1.2]
+        seed = np.random.SeedSequence(32)
+        together = estimate(den, den, x, self.CONDITIONS, SAMPLER, 3, seed)
+        assert isinstance(together, list) and len(together) == len(self.CONDITIONS)
+        for report, condition in zip(together, self.CONDITIONS):
+            alone = estimate(den, den, x, condition, SAMPLER, 3, seed)
+            assert report.total == alone.total
+            assert report.std_error == alone.std_error
+            np.testing.assert_array_equal(report.per_dim, alone.per_dim)
+        assert together[0].total != together[1].total
+
+    def test_tuple_is_a_list_and_one_condition_is_not(self):
+        den = gmm_mmse(symmetric_pair_spec())
+        condition = ConditionId(label="pos")
+        single = pointwise_s(den, den, [1.0], condition, SAMPLER, seed=33)
+        assert isinstance(single, InfoReport)
+        (listed,) = pointwise_s(den, den, [1.0], (condition,), SAMPLER, seed=33)
+        assert listed.total == single.total
+
+    @pytest.mark.parametrize("estimate", [pointwise_s, pointwise_o], ids=["s", "o"])
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_empty_list_rejected(self, estimate, empty):
+        den = gmm_mmse(symmetric_pair_spec())
+        with pytest.raises(ValueError, match="at least one condition"):
+            estimate(den, den, [1.0], empty, SAMPLER)

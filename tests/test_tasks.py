@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffinfo import tasks
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import mi
@@ -21,7 +22,7 @@ from diffinfo.tasks import (
     sweep_threshold,
 )
 
-from toys import symmetric_pair_spec
+from toys import CountingDenoiser, hierarchy_spec, symmetric_pair_spec
 
 SAMPLER = LogSnrSampler()
 LABELS = ("neg", "pos")
@@ -102,6 +103,40 @@ class TestRanking:
             np.testing.assert_array_equal(row, rank_conditions(xi, CANDIDATES, den, den, SAMPLER, seed=child))
         with pytest.raises(ValueError, match="no points"):
             evaluate_ranking(x[:0], CANDIDATES, den, den, SAMPLER)
+
+    @pytest.mark.parametrize("estimator_kind", ["pointwise_s", "pointwise_o"])
+    def test_one_unconditional_pass_shared_by_all_candidates(self, estimator_kind):
+        den = CountingDenoiser(gmm_mmse(hierarchy_spec(branching=4)))
+        candidates = [ConditionId(label=f"L{j}") for j in range(4)]
+        sampler = LogSnrSampler(n_draws=30)
+        rank_conditions(
+            np.array([3.0]), candidates, den, den, sampler, n_eps=3, seed=9, estimator_kind=estimator_kind
+        )
+        assert den.rows == [30 * 3] * (len(candidates) + 1)
+
+    @pytest.mark.parametrize("estimator_kind", ["pointwise_s", "pointwise_o"])
+    def test_one_rank_call_and_one_estimator_call_per_point(self, monkeypatch, estimator_kind):
+        # bench/spans.py counts one item per rank_conditions call and times the
+        # candidates at the estimator names tasks binds, so each must run once
+        # per point.
+        calls = {"rank_conditions": 0, estimator_kind: 0}
+
+        def counted(name):
+            fn = getattr(tasks, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tasks, name, counted(name))
+        spec = symmetric_pair_spec(1.0)
+        den = gmm_mmse(spec)
+        x, _ = spec.sample(5, 10)
+        tasks.evaluate_ranking(x, CANDIDATES, den, den, SAMPLER, seed=11, estimator_kind=estimator_kind)
+        assert calls == {"rank_conditions": 5, estimator_kind: 5}
 
     def test_select_is_row_wise_and_ties_go_to_the_first_index(self):
         chosen, tie = select([[1.0, 3.0, 3.0], [2.0, 1.0, 0.0], [5.0, 5.0 - 1e-12, 4.0]])

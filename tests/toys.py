@@ -20,6 +20,22 @@ class ZeroDenoiser:
         return np.zeros_like(np.asarray(x_alpha, dtype=float))
 
 
+class CountingDenoiser:
+    """Wraps a denoiser and records the row count of every ``predict_eps`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+        self.rows.append(np.atleast_2d(x_alpha).shape[0])
+        return self.inner.predict_eps(x_alpha, alpha, condition)
+
+
 class CorrelatedGaussianDenoiser:
     """Conditional closed-form denoiser for x | y with (x, y) bivariate normal.
 
