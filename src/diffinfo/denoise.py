@@ -28,6 +28,18 @@ at O(d^2) per row instead of a d x d solve.  No clamp on s is needed:
 :class:`GmmSpec` rejects covariances that are not positive definite, so
 lam > 0, and sigma(-a) > 0 for every finite a.
 
+The per-component terms are laid out (k, d, n), with the n rows on the last,
+contiguous axis.  Every elementwise step (s, the shift by sqrt(sigma(a)) U^T mu,
+z / s) and every sum over the d eigen-directions (log det S, the Mahalanobis
+term) is then one loop over rows, instead of a loop of length d per row; at
+small d, where the estimators call the denoiser with hundreds of rows, that
+loop overhead is most of the cost.  The two products with the eigenvectors,
+x_a U and (z / s)^T U^T, stay GEMMs with the rows as the matrices' rows, so
+each row's output is computed the same way wherever it sits in the batch:
+duplicate rows give identical bits, which the flow's exact null edits rely
+on.  Computing the second as a (d, d) @ (d, n) product, U (z / s), gave
+duplicate rows different last bits at d = 64.
+
 For a mixture, eps_hat is the responsibility-weighted combination of the
 per-component predictors, with responsibilities taken under the corrupted
 marginals.  Responsibilities are computed from log densities shifted by their
@@ -38,7 +50,9 @@ Conditioning is by token: a :class:`ConditionId` carries a label and/or
 context tokens, and selects the mixture components consistent with every one
 of its tokens (intersection of the ``condition_map`` entries), with weights
 renormalized.  Conditioning on context alone therefore marginalizes over all
-labels consistent with that context.
+labels consistent with that context.  A :class:`GmmDenoiser` resolves each
+condition once, into its components and their log conditional weights, and
+keeps the result; a condition that fails to resolve raises on every call.
 
 A batch may carry one condition per row.  The mixture denoiser then
 evaluates the union of the components that any row selects, and gives each
@@ -258,9 +272,10 @@ class GmmDenoiser:
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
-        # GmmSpec is frozen with read-only arrays, so this cache cannot go stale.
+        # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.
         self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances)
         self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
+        self._resolved: dict = {}  # condition -> (components, log conditional weights)
 
     @property
     def dim(self) -> int:
@@ -268,8 +283,10 @@ class GmmDenoiser:
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        resp, eps_k = self._component_terms(x2, a, condition)
-        eps_hat = np.einsum("nk,knd->nd", resp, eps_k)
+        u, resp, zs, sna = self._component_terms(x2, a, condition)
+        zs *= np.sqrt(sna) * resp[:, None, :]
+        # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
+        eps_hat = (zs.transpose(0, 2, 1) @ u.transpose(0, 2, 1)).sum(axis=0)
         return eps_hat[0] if single else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
@@ -279,47 +296,59 @@ class GmmDenoiser:
         per-row conditions, per component any row selects.
         """
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        resp, _ = self._component_terms(x2, a, condition)
+        resp = self._component_terms(x2, a, condition)[1].T
         return resp[0] if single else resp
+
+    def _resolve(self, condition):
+        """Components ``condition`` selects and their log conditional weights.
+
+        Each condition is resolved once per denoiser; a condition that raises
+        is not stored, so it raises again on every call.
+        """
+        entry = self._resolved.get(condition)
+        if entry is None:
+            idx = self.spec.components_for(condition)
+            entry = idx, np.log(self.spec.conditional_weights(idx))
+            self._resolved[condition] = entry
+        return entry
 
     def _log_weights(self, condition, n_rows):
         """Components to evaluate and their log-weights, (k, 1) or per row (k, n).
 
         Per-row conditions get the union of their components, with -inf where
-        a row's condition excludes a component.  Each distinct condition is
-        resolved once.
+        a row's condition excludes a component.
         """
         if not is_per_row(condition, n_rows):
-            idx = self.spec.components_for(condition)
-            return idx, np.log(self.spec.conditional_weights(idx))[:, None]
+            idx, log_w = self._resolve(condition)
+            return idx, log_w[:, None]
         distinct: dict = {}
         columns = [distinct.setdefault(c, len(distinct)) for c in condition]
-        selections = [self.spec.components_for(c) for c in distinct]
+        entries = [self._resolve(c) for c in distinct]
         # A sorted set, not np.unique, which would import numpy.ma.
-        idx = np.array(sorted({int(k) for sel in selections for k in sel}))
-        log_w = np.full((idx.size, len(selections)), -np.inf)
-        for j, sel in enumerate(selections):
-            log_w[np.searchsorted(idx, sel), j] = np.log(self.spec.conditional_weights(sel))
+        idx = np.array(sorted({int(k) for sel, _ in entries for k in sel}))
+        log_w = np.full((idx.size, len(entries)), -np.inf)
+        for j, (sel, sel_log_w) in enumerate(entries):
+            log_w[np.searchsorted(idx, sel), j] = sel_log_w
         return idx, log_w[:, columns]
 
     def _component_terms(self, x2, a, condition):
-        """Responsibilities (n, k) and per-component predictors (k, n, d)."""
+        """Eigenvectors (k, d, d), responsibilities (k, n), z / s (k, d, n) and sigma(-a)."""
         idx, log_w = self._log_weights(condition, x2.shape[0])
         # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
         # weigh it once, on the sigmoid's scalar path.
-        a = float(a[0]) if a.size and a.strides == (0,) else a[:, None]
+        a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
         u = self._eigvecs[idx]
-        z = x2 @ u - np.sqrt(sa) * self._rot_means[idx, None, :]
-        s = sa * self._eigvals[idx, None, :] + sna
+        z = np.ascontiguousarray((x2 @ u).transpose(0, 2, 1))
+        z -= np.sqrt(sa) * self._rot_means[idx, :, None]
+        s = sa * self._eigvals[idx, :, None] + sna
         zs = z / s
-        logdet = np.log(s).sum(axis=2)
-        maha = np.einsum("knd,knd->kn", z, zs)
+        z *= zs  # z^2 / s, the Mahalanobis terms
+        logdet, maha = np.log(s).sum(axis=1), z.sum(axis=1)
         log_joint = log_w - 0.5 * (x2.shape[1] * np.log(2 * np.pi) + logdet + maha)
         resp = np.exp(log_joint - log_joint.max(axis=0))
         resp /= resp.sum(axis=0)
-        eps_k = np.sqrt(sna) * (zs @ u.transpose(0, 2, 1))
-        return resp.T, eps_k
+        return u, resp, zs, sna
 
 
 def gmm_mmse(spec: GmmSpec) -> GmmDenoiser:

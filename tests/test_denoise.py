@@ -349,10 +349,14 @@ def mixed_conditions_case(d):
 class TestPerRowConditions:
     """A list of per-row conditions gives each row its own conditional mixture."""
 
+    @pytest.mark.parametrize("single_first", [False, True], ids=["per_row_first", "single_first"])
     @pytest.mark.parametrize("d", [1, 8])
-    def test_equals_single_condition_batches_exactly(self, d):
+    def test_equals_single_condition_batches_exactly(self, d, single_first):
         spec, x_a, alpha, conditions = mixed_conditions_case(d)
         den = GmmDenoiser(spec)
+        if single_first:  # let single-condition calls resolve the conditions
+            for condition in set(conditions):
+                den.predict_eps(x_a, alpha, condition)
         batch = den.predict_eps(x_a, alpha, conditions)
         for condition in set(conditions):
             rows = [i for i, c in enumerate(conditions) if c == condition]
@@ -382,3 +386,65 @@ class TestPerRowConditions:
             den.predict_eps(np.zeros((3, 1)), 0.0, [None, ConditionId(label="low")])
         with pytest.raises(ValueError, match="2 per-row conditions for 1 rows"):
             den.responsibilities(np.zeros(1), 0.0, [None, None])
+
+
+class TestRowPositionIndependence:
+    """A row's prediction does not depend on where it sits in its batch, to the bit.
+
+    The flow decodes a round trip and an edit in one batch, and a null edit
+    must reproduce the round trip exactly.
+    """
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one_condition", "per_row"])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_permuted_and_repeated_batches(self, d, per_row):
+        spec, x_a, alpha, conditions = mixed_conditions_case(d)
+        den = GmmDenoiser(spec)
+        subset = next(c for c in conditions if c is not None)
+
+        def predict(rows):
+            condition = [conditions[i] for i in rows] if per_row else subset
+            return den.predict_eps(x_a[rows], alpha[rows], condition)
+
+        rows = np.arange(len(conditions))
+        out = predict(rows)
+        perm = np.random.default_rng(d).permutation(rows)
+        np.testing.assert_array_equal(predict(perm), out[perm])
+        twice = np.concatenate([rows, rows])
+        np.testing.assert_array_equal(predict(twice), np.concatenate([out, out]))
+
+
+class TestConditionCache:
+    """Conditions are resolved once per denoiser; that changes no prediction."""
+
+    def test_warmed_denoiser_matches_a_fresh_one(self):
+        spec, x_a, alpha, conditions = mixed_conditions_case(8)
+        warm = GmmDenoiser(spec)
+        queries = [*dict.fromkeys(conditions), conditions]
+        for condition in queries:
+            warm.predict_eps(x_a, alpha, condition)
+        for condition in queries:
+            np.testing.assert_array_equal(
+                warm.predict_eps(x_a, alpha, condition),
+                GmmDenoiser(spec).predict_eps(x_a, alpha, condition),
+            )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (ConditionId(label="missing"), "unknown condition token"),
+            (ConditionId(label="pos", context=("neg",)), "selects no components"),
+        ],
+        ids=["unknown_token", "empty_selection"],
+    )
+    def test_errors_are_raised_on_every_call(self, bad, message):
+        den = gmm_mmse(pair_spec(4.0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                den.predict_eps(np.zeros(1), 0.0, bad)
+            with pytest.raises(ValueError, match=message):
+                den.predict_eps(np.zeros((2, 1)), 0.0, [None, bad])
+        pos, fresh = ConditionId(label="pos"), gmm_mmse(pair_spec(4.0))
+        np.testing.assert_array_equal(
+            den.predict_eps(np.zeros(1), 0.0, pos), fresh.predict_eps(np.zeros(1), 0.0, pos)
+        )

@@ -390,3 +390,43 @@ class TestConditionLists:
         den = gmm_mmse(symmetric_pair_spec())
         with pytest.raises(ValueError, match="at least one condition"):
             estimate(den, den, [1.0], empty, SAMPLER)
+
+
+class TestTranslationInvariance:
+    """Moving the source and the point by one vector b changes no estimate.
+
+    x + b corrupts to x_a + sqrt(sigma(a)) b, and the shifted mixture's
+    corrupted means move by the same amount, so every residual is unchanged:
+    a check of the mixture denoiser's algebra at any dimension, with no oracle.
+    """
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_nll_and_pointwise_unchanged(self, d, seed):
+        rng = np.random.default_rng(seed)
+        covs = [r @ r.T / d + 0.05 * np.eye(d) for r in rng.standard_normal((3, d, d))]
+        means = 2.0 * rng.standard_normal((3, d))
+        shift = 10.0 * rng.standard_normal(d)
+
+        def source(m):
+            return GmmSpec(
+                weights=[0.2, 0.3, 0.5],
+                means=m,
+                covariances=[(c + c.T) / 2 for c in covs],
+                condition_map={"a": (0, 1), "b": (2,), "c": (1, 2)},
+            )
+
+        spec = source(means)
+        x = spec.sample(1, rng)[0][0]
+        conditions = [ConditionId(label="a"), ConditionId(label="c")]
+        den, moved = gmm_mmse(spec), gmm_mmse(source(means + shift))
+        pairs = [(nll(den, x, seed=seed), nll(moved, x + shift, seed=seed))]
+        for estimate in (pointwise_s, pointwise_o):
+            pairs += zip(
+                estimate(den, den, x, conditions, seed=seed),
+                estimate(moved, moved, x + shift, conditions, seed=seed),
+            )
+        for report, shifted in pairs:
+            assert abs(shifted.total - report.total) <= 1e-9
+            np.testing.assert_allclose(shifted.per_dim, report.per_dim, rtol=0, atol=1e-9)
