@@ -172,11 +172,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "nll":
-        children = s_est.spawn(len(dataset))
-        reports = [
-            estimators.nll(den, s.x, cfg.sampler, cfg.n_eps, child, condition=s.condition)
-            for s, child in zip(dataset, children)
-        ]
+        xs = np.stack([s.x for s in dataset])
+        conditions = [s.condition for s in dataset]
+        reports = estimators.nll(den, xs, cfg.sampler, cfg.n_eps, s_est, conditions)
         aggregate = None
     elif kind in ("pointwise_s", "pointwise_o"):
         reports = estimators.pointwise_dataset(

@@ -131,6 +131,17 @@ def is_per_row(condition, n_rows: int) -> bool:
     return True
 
 
+def distinct_rows(conditions):
+    """The distinct conditions of a per-row list, and each row's index into them.
+
+    The conditions come in order of first appearance; equal conditions are
+    one entry, so a per-row list costs one entry per distinct condition.
+    """
+    slot: dict = {}
+    index = [slot.setdefault(c, len(slot)) for c in conditions]
+    return list(slot), index
+
+
 @dataclass(frozen=True, eq=False)
 class GmmSpec:
     """A Gaussian mixture with token-addressable component subsets.
@@ -321,8 +332,7 @@ class GmmDenoiser:
         if not is_per_row(condition, n_rows):
             idx, log_w = self._resolve(condition)
             return idx, log_w[:, None]
-        distinct: dict = {}
-        columns = [distinct.setdefault(c, len(distinct)) for c in condition]
+        distinct, columns = distinct_rows(condition)
         entries = [self._resolve(c) for c in distinct]
         # A sorted set, not np.unique, which would import numpy.ma.
         idx = np.array(sorted({int(k) for sel, _ in entries for k in sel}))

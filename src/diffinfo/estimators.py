@@ -27,6 +27,21 @@ list of K conditions costs one unconditional pass and K conditional ones,
 and each report equals, bit for bit, the one a single-condition call on the
 same seed gives.  Each report carries the truncation interval the integral
 was taken over; contributions outside it are defined to be zero.
+
+:func:`nll` also takes a whole dataset, an (n, d) array, and returns one
+report per point.  Point i draws from child i of one
+``seed_sequence(seed).spawn(n)``, so its report is the one a one-point call
+on that child gives, bit for bit, whenever the denoiser's output for a row
+does not depend on the rest of its batch.  Both denoisers here have that
+property at the usual hundreds of rows a point.  With only one or two rows a
+point, numpy and BLAS may evaluate the small products of a one-point call
+another way, and the two reports can then differ in the last bits.  The
+points go through in chunks of at most ``NLL_CHUNK_ELEMENTS`` denoiser-input
+elements (rows times d), or of one point when its rows alone exceed that,
+each chunk with one ``corrupt`` and one denoiser call; that removes most of
+the per-point overhead.  Chunks stay small because past about ten thousand
+rows the arrays a chunk makes no longer fit in the processor's cache, and a
+pass slows again.
 """
 
 from __future__ import annotations
@@ -37,10 +52,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt, signal_weight
+from .denoise import is_per_row
 
 ESTIMATOR_KINDS = ("nll", "pointwise_s", "pointwise_o", "mi", "cmi")
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+
+# Denoiser-input elements (rows x d) per chunk of points in nll.  On the
+# nll-wide benchmark's estimate (3072 points at d = 2, 800 rows a point; one
+# core of a 2-vCPU x86 host, median of 5), a chunk of 800 rows took 1.75 s,
+# 3,200 rows 1.21 s, 6,400 rows 1.06 s, 8,000 rows (this budget) 0.95 s,
+# 12,800 rows 0.97 s and 25,600 rows 1.19 s: past about ten thousand rows the
+# arrays of a chunk no longer fit in cache.
+NLL_CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,45 +133,67 @@ def _draws(sampler: LogSnrSampler, n_eps: int, dim: int, seed):
 
 
 def _predict(denoiser, x_a, alphas, condition):
-    n, n_eps, d = x_a.shape
-    flat = denoiser.predict_eps(x_a.reshape(n * n_eps, d), np.repeat(alphas, n_eps), condition)
-    return np.asarray(flat).reshape(n, n_eps, d)
+    """Predictions for ``x_a`` of shape (..., n_eps, d), one log-SNR per entry of ``alphas`` (...)."""
+    n_eps, d = x_a.shape[-2:]
+    flat = denoiser.predict_eps(x_a.reshape(-1, d), np.repeat(alphas.ravel(), n_eps), condition)
+    return np.asarray(flat).reshape(x_a.shape)
 
 
-def _finalize(contrib, constant_per_dim, kind, sampler, n_eps, n_samples=1):
-    """Turn per-(alpha, dim) contributions into a report, flagging overflow as +inf."""
-    per_dim = constant_per_dim - contrib.mean(axis=0) if kind == "nll" else contrib.mean(axis=0)
-    per_alpha = contrib.sum(axis=1)
-    if not np.all(np.isfinite(per_dim)):
-        per_dim = np.full(contrib.shape[1], math.inf)
-        std_error = math.inf
-    else:
-        n = per_alpha.shape[0]
-        std_error = float(per_alpha.std(ddof=1) / math.sqrt(n)) if n > 1 else None
-    return InfoReport(
-        total=float(per_dim.sum()),
-        per_dim=per_dim,
-        std_error=std_error,
-        n_snr_draws=sampler.n_draws,
-        n_eps_draws=n_eps,
-        estimator_kind=kind,
-        alpha_interval=sampler.support,
-        n_samples=n_samples,
-    )
+def _finalize(contrib, kind, sampler, n_eps):
+    """One report per point from contributions of shape (points, draws, d); overflow reads +inf."""
+    n_points, n, d = contrib.shape
+    per_dim = contrib.mean(axis=1)
+    if kind == "nll":
+        per_dim = 0.5 * LOG_2PI_E - per_dim
+    finite = np.isfinite(per_dim).all(axis=1)
+    std_error = [None] * n_points
+    if n > 1:
+        per_alpha = contrib.sum(axis=2)
+        per_alpha[~finite] = 0.0  # an overflowed point's error is +inf, set below
+        std_error = (per_alpha.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
+    reports = []
+    for row, total, se, ok in zip(per_dim, per_dim.sum(axis=1).tolist(), std_error, finite.tolist()):
+        if not ok:
+            row, total, se = np.full(d, math.inf), math.inf, math.inf
+        reports.append(
+            InfoReport(
+                total=total,
+                per_dim=row,
+                std_error=se,
+                n_snr_draws=sampler.n_draws,
+                n_eps_draws=n_eps,
+                estimator_kind=kind,
+                alpha_interval=sampler.support,
+            )
+        )
+    return reports
+
+
+def _check_points(denoiser, x):
+    """``x`` as rows of shape (n, d), checked, and whether it was a single vector."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1
+    rows = np.atleast_2d(x) if single else x
+    if rows.ndim != 2:
+        raise ValueError(f"x must be a vector or an (n, d) array, got shape {x.shape}")
+    if rows.shape[0] == 0:
+        raise ValueError(f"x holds no points, got shape {x.shape}")
+    if rows.shape[1] != denoiser.dim:
+        raise ValueError(
+            f"dimension mismatch: denoiser has dimension {denoiser.dim} "
+            f"but x has dimension {rows.shape[1]}"
+        )
+    if not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise ValueError(f"x must be finite, but point {bad} is {rows[bad]!r}")
+    return rows, single
 
 
 def _check_point(denoiser, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x.shape[0] != denoiser.dim:
-        raise ValueError(
-            f"dimension mismatch: denoiser has dimension {denoiser.dim} "
-            f"but x has dimension {x.shape[0]}"
-        )
-    return x
+    rows, single = _check_points(denoiser, x)
+    if not single:
+        raise ValueError(f"x must be a vector, got shape {rows.shape}")
+    return rows[0]
 
 
 def nll(
@@ -157,21 +203,53 @@ def nll(
     n_eps: int = 4,
     seed=0,
     condition=None,
-) -> InfoReport:
+) -> InfoReport | list[InfoReport]:
     """Estimate -log p(x) in nats (conditional when ``condition`` is given).
+
+    ``x`` is one point, a vector, or a dataset of shape (n, d), which gives a
+    list of n reports.  A vector draws from ``seed`` as it is; row i of a
+    dataset draws from ``seed_sequence(seed).spawn(n)[i]``, so its report
+    equals a one-point call on that child (bit for bit, with the exception the
+    module docstring gives).  ``condition`` is one condition for every point,
+    or a list or tuple with one per point.
+
+    The points are evaluated in chunks of at most ``NLL_CHUNK_ELEMENTS``
+    denoiser-input elements, each with one ``corrupt`` and one denoiser call;
+    a point whose own rows exceed the budget gets a chunk to itself.
 
     The per-dimension vector splits both the d/2 log(2 pi e) constant and the
     integrand coordinate-wise, so it sums to the total.  A source with
-    (near-)zero variance makes the integral diverge; overflowing estimates
-    are reported as +inf rather than NaN.
+    (near-)zero variance makes the integral diverge; an overflowing estimate
+    is reported as +inf rather than NaN, without touching the other points.
     """
-    x = _check_point(denoiser, x)
-    alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
-    x_a = corrupt(x, alphas[:, None], eps)
+    xs, single = _check_points(denoiser, x)
+    n, d = xs.shape
+    conditions = list(condition) if is_per_row(condition, n) else [condition] * n
+    if n_eps < 1:
+        raise ValueError(f"n_eps must be at least 1, got {n_eps}")
+    seeds = [seed] if single else seed_sequence(seed).spawn(n)
+    step = max(1, NLL_CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d))
+    reports = []
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        reports += _nll_chunk(denoiser, xs[chunk], sampler, n_eps, seeds[chunk], conditions[chunk])
+    return reports[0] if single else reports
+
+
+def _nll_chunk(denoiser, xs, sampler, n_eps, seeds, conditions):
+    """Reports for the points ``xs`` (p, d), one seed and one condition each."""
+    draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
+    alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
+    x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
+    if all(c == conditions[0] for c in conditions):
+        condition = conditions[0]  # keeps both denoisers on their one-condition path
+    else:
+        rows = sampler.n_draws * n_eps
+        condition = [c for c in conditions for _ in range(rows)]
     eps_hat = _predict(denoiser, x_a, alphas, condition)
-    mse = ((eps - eps_hat) ** 2).mean(axis=1)
-    contrib = weights[:, None] * 0.5 * (signal_weight(alphas)[:, None] - mse)
-    return _finalize(contrib, 0.5 * LOG_2PI_E, "nll", sampler, n_eps)
+    mse = ((eps - eps_hat) ** 2).mean(axis=2)
+    contrib = weights[..., None] * 0.5 * (signal_weight(alphas)[..., None] - mse)
+    return _finalize(contrib, "nll", sampler, n_eps)
 
 
 def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_condition):
@@ -189,15 +267,15 @@ def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_co
     alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
     x_a = corrupt(x, alphas[:, None], eps)
     eps_u = _predict(uncond, x_a, alphas, uncond_condition)
-    reports = []
+    contribs = []
     for c in conditions:
         eps_c = _predict(cond, x_a, alphas, c)
         if kind == "pointwise_o":
             integrand = (eps_u - eps_c) ** 2
         else:
             integrand = (eps - eps_u) ** 2 - (eps - eps_c) ** 2
-        contrib = weights[:, None] * 0.5 * integrand.mean(axis=1)
-        reports.append(_finalize(contrib, 0.0, kind, sampler, n_eps))
+        contribs.append(weights[:, None] * 0.5 * integrand.mean(axis=1))
+    reports = _finalize(np.stack(contribs), kind, sampler, n_eps)
     return reports if many else reports[0]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt
-from .denoise import ConditionId, Sample, as_batch, is_per_row
+from .denoise import ConditionId, Sample, as_batch, distinct_rows, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
@@ -54,10 +54,15 @@ def alpha_embedding(alpha, n_frequencies: int = 8, base: float = FREQUENCY_BASE)
 
 
 def _multi_hot(conditions, vocabulary) -> np.ndarray:
-    """One row per condition, 1.0 at each of its tokens; ``None`` gives a zero row."""
+    """One row per condition, 1.0 at each of its tokens; ``None`` gives a zero row.
+
+    Each distinct condition is encoded once and its row gathered, so a
+    per-row list costs one encoding per distinct condition, not one per row.
+    """
     lookup = {token: i for i, token in enumerate(vocabulary)}
-    rows = np.zeros((len(conditions), len(vocabulary)))
-    for row, condition in zip(rows, conditions):
+    distinct, index = distinct_rows(conditions)
+    rows = np.zeros((len(distinct), len(vocabulary)))
+    for row, condition in zip(rows, distinct):
         if condition is None:
             continue
         if not isinstance(condition, ConditionId):
@@ -68,7 +73,7 @@ def _multi_hot(conditions, vocabulary) -> np.ndarray:
                     f"unknown condition token {token!r}; vocabulary is {list(vocabulary)}"
                 )
             row[lookup[token]] = 1.0
-    return rows
+    return rows[index]
 
 
 def _features(x_a, alphas, cond, n_frequencies, base) -> np.ndarray:

@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from diffinfo import oracle
+from diffinfo import estimators, oracle
+from diffinfo.channel import LogSnrSampler
 from diffinfo.checkpoint import load_checkpoint, save_checkpoint
 from diffinfo.cli import _COMMANDS, main
 from diffinfo.config import ConfigError, parse_config
-from diffinfo.denoise import GmmSpec
+from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.mlp import MlpDenoiser
 from diffinfo.reports import write_csv
 
@@ -62,6 +63,53 @@ class TestEstimate:
         csv_lines = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
         assert csv_lines[0] == "id,total,std_error"
         assert len(csv_lines) == 3
+
+    def test_nll_spawns_one_child_per_sample_from_the_estimation_stream(
+        self, tmp_path, monkeypatch
+    ):
+        seed, n = 3, 25
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": seed,
+                "data": {
+                    "gmm": PAIR_GMM,
+                    "n_samples": n,
+                    "component_conditions": [{"label": "neg"}, {"label": "pos"}],
+                },
+                "sampler": {"n_snr": 30, "n_eps": 2},
+                "estimate": {"kind": "nll"},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        # The CLI must reach nll through the module attribute, where a tracer wraps it.
+        shapes = []
+        real_nll = estimators.nll
+
+        def counting_nll(*args, **kwargs):
+            shapes.append(np.shape(args[1]))
+            return real_nll(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "nll", counting_nll)
+        assert main(["estimate", "--config", cfg]) == 0
+        assert shapes == [(n, 1)]
+
+        spec = GmmSpec(
+            weights=[0.5, 0.5],
+            means=[[-4.0], [4.0]],
+            covariances=[[[1.0]], [[1.0]]],
+            condition_map={"neg": [0], "pos": [1]},
+        )
+        s_data, s_est, _, _ = np.random.SeedSequence(seed).spawn(4)
+        x, comps = spec.sample(n, s_data)
+        assert set(comps) == {0, 1}
+        children = s_est.spawn(n)
+        den = gmm_mmse(spec)
+        payload = read_json(tmp_path / "out" / "estimates.json")
+        for i, report in enumerate(payload["reports"]):
+            label = ConditionId(label=("neg", "pos")[comps[i]])
+            expected = real_nll(den, x[i], LogSnrSampler(n_draws=30), 2, children[i], label)
+            assert report["total"] == expected.total
 
     def test_mi_has_aggregate(self, tmp_path):
         cfg = write_config(

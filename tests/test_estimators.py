@@ -11,6 +11,7 @@ from scipy.stats import norm
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
 from diffinfo.estimators import (
+    NLL_CHUNK_ELEMENTS,
     InfoReport,
     cmi,
     mi,
@@ -18,11 +19,13 @@ from diffinfo.estimators import (
     pointwise_dataset,
     pointwise_o,
     pointwise_s,
+    seed_sequence,
 )
 from diffinfo.mlp import MlpTrainConfig, train_mlp
 from diffinfo.oracle import gaussian_mi, gaussian_pointwise, gmm_mi_numeric
 
 from toys import (
+    CountingDenoiser,
     coordinate_localized_spec,
     correlated_gaussian,
     editing_dataset,
@@ -430,3 +433,126 @@ class TestTranslationInvariance:
         for report, shifted in pairs:
             assert abs(shifted.total - report.total) <= 1e-9
             np.testing.assert_allclose(shifted.per_dim, report.per_dim, rtol=0, atol=1e-9)
+
+
+def assert_same_report(report, expected):
+    assert report.total == expected.total
+    assert report.std_error == expected.std_error
+    np.testing.assert_array_equal(report.per_dim, expected.per_dim)
+
+
+class TestDatasetNll:
+    """nll over an (n, d) array: one report per point, each on its own spawned seed."""
+
+    LABELS = [ConditionId(label="lo"), ConditionId(label="hi")]
+
+    def check_against_single_points(self, den, xs, sampler, n_eps, seed, condition):
+        reports = nll(den, xs, sampler, n_eps, seed, condition)
+        assert isinstance(reports, list) and len(reports) == len(xs)
+        children = seed_sequence(seed).spawn(len(xs))
+        for i, report in enumerate(reports):
+            c = condition[i] if isinstance(condition, (list, tuple)) else condition
+            assert_same_report(report, nll(den, xs[i], sampler, n_eps, children[i], c))
+
+    @pytest.mark.parametrize("conditions", ["none", "one", "per_point"])
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_chunks_equal_single_points_bit_for_bit(self, localized_denoisers, kind, conditions):
+        den = localized_denoisers[kind]
+        sampler, n_eps, n = LogSnrSampler(n_draws=200), 4, 23
+        rows_per_point = sampler.n_draws * n_eps
+        per_chunk = NLL_CHUNK_ELEMENTS // (rows_per_point * 2)
+        assert 1 < per_chunk < n and n % per_chunk  # several chunks, the last one partial
+        xs = np.random.default_rng(40).standard_normal((n, 2))
+        condition = {
+            "none": None,
+            "one": self.LABELS[1],
+            "per_point": tuple(self.LABELS[i % 3 % 2] if i % 3 else None for i in range(n)),
+        }[conditions]
+        counting = CountingDenoiser(den)
+        self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition)
+        chunks = [per_chunk] * (n // per_chunk) + [n % per_chunk]
+        assert counting.rows[: len(chunks)] == [p * rows_per_point for p in chunks]
+
+    def test_point_over_the_budget_gets_its_own_chunk(self, localized_denoisers):
+        den = CountingDenoiser(localized_denoisers["gmm"])
+        sampler, n_eps = LogSnrSampler(n_draws=NLL_CHUNK_ELEMENTS // 2 + 1), 1
+        xs = np.array([[0.5, -0.5], [3.0, 0.0], [-1.0, 2.0]])
+        self.check_against_single_points(den, xs, sampler, n_eps, 42, self.LABELS[0])
+        assert den.rows[:3] == [sampler.n_draws] * 3
+
+    def test_one_condition_keeps_the_single_condition_path(self, localized_denoisers):
+        seen = []
+
+        class Recording(CountingDenoiser):
+            def predict_eps(self, x_alpha, alpha, condition=None):
+                seen.append(condition)
+                return super().predict_eps(x_alpha, alpha, condition)
+
+        den = Recording(localized_denoisers["gmm"])
+        xs = np.zeros((4, 2))
+        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 4)
+        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, None, None])
+        assert seen[0] == self.LABELS[0]
+        assert isinstance(seen[1], list) and len(seen[1]) == 4 * SAMPLER.n_draws * 2
+
+    def test_vector_uses_the_seed_as_it_is(self):
+        den = gmm_mmse(STD_NORMAL)
+        (first,) = nll(den, [[0.7]], SAMPLER, 2, 44)
+        child = np.random.SeedSequence(44).spawn(1)[0]
+        assert_same_report(first, nll(den, [0.7], SAMPLER, 2, child))
+        as_is = nll(den, [0.7], SAMPLER, 2, 44)
+        assert_same_report(as_is, nll(den, 0.7, SAMPLER, 2, seed_sequence(44)))
+        assert as_is.total != first.total
+
+    def test_overflowing_row_is_inf_and_spares_its_neighbours(self):
+        class FarExploding:
+            """Exact for a standard normal, but explodes on rows far from the origin."""
+
+            dim = 1
+            inner = gmm_mmse(STD_NORMAL)
+
+            def predict_eps(self, x_alpha, alpha, condition=None):
+                out = self.inner.predict_eps(x_alpha, alpha, condition)
+                return np.where(np.abs(x_alpha) > 50.0, 1e308, out)
+
+        xs = np.array([[0.0], [1.0], [1e4], [-0.5]])
+        with np.errstate(over="ignore"):
+            reports = nll(FarExploding(), xs, SAMPLER, 2, 45)
+        far = reports[2]
+        assert far.total == math.inf and far.std_error == math.inf
+        assert np.all(np.isinf(far.per_dim))
+        children = seed_sequence(45).spawn(len(xs))
+        for i in (0, 1, 3):
+            assert math.isfinite(reports[i].total)
+            assert_same_report(reports[i], nll(gmm_mmse(STD_NORMAL), xs[i], SAMPLER, 2, children[i]))
+
+    def test_one_log_snr_draw_gives_no_std_error(self):
+        den = gmm_mmse(STD_NORMAL)
+        reports = nll(den, np.linspace(-1.0, 1.0, 30)[:, None], LogSnrSampler(n_draws=1), 3, 46)
+        assert all(r.std_error is None for r in reports)
+        assert all(math.isfinite(r.total) for r in reports)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_named_by_index(self, bad):
+        xs = np.zeros((5, 1))
+        xs[3, 0] = bad
+        with pytest.raises(ValueError, match="point 3 is"):
+            nll(gmm_mmse(STD_NORMAL), xs, SAMPLER)
+
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            (np.zeros((3, 2)), "dimension mismatch"),
+            (np.zeros((0, 1)), "no points"),
+            (np.zeros((2, 2, 1)), "vector or an \\(n, d\\) array"),
+        ],
+        ids=["dimension", "empty", "three_axes"],
+    )
+    def test_malformed_points_rejected(self, xs, message):
+        with pytest.raises(ValueError, match=message):
+            nll(gmm_mmse(STD_NORMAL), xs, SAMPLER)
+
+    def test_wrong_number_of_conditions_rejected(self):
+        den = gmm_mmse(symmetric_pair_spec())
+        with pytest.raises(ValueError, match="2 per-row conditions for 3 rows"):
+            nll(den, np.zeros((3, 1)), SAMPLER, condition=[None, ConditionId(label="pos")])

@@ -164,6 +164,42 @@ class TestPerRowConditions:
                 batch[i], net.predict_eps(x_a[i], alpha[i], condition), rtol=1e-12, atol=1e-15
             )
 
+    def test_equals_single_condition_batches_exactly(self):
+        net = random_mlp(2, ("high", "low", "plain"), seed=9)
+        # The last entry equals the second but is a separate object: both encode alike.
+        distinct = [
+            None,
+            ConditionId(label="low"),
+            ConditionId(label="high", context=("plain",)),
+            ConditionId(label="low"),
+        ]
+        rng = np.random.default_rng(10)
+        n = 60
+        conditions = [distinct[i] for i in rng.integers(0, len(distinct), n)]
+        x_a = rng.standard_normal((n, 2))
+        alpha = rng.uniform(-5.0, 7.0, n)
+        batch = net.predict_eps(x_a, alpha, conditions)
+        for condition in distinct:
+            rows = [i for i, c in enumerate(conditions) if c is condition]
+            assert rows
+            np.testing.assert_array_equal(
+                batch[rows], net.predict_eps(x_a, alpha, condition)[rows]
+            )
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (ConditionId(label="missing"), ValueError, "unknown condition token 'missing'"),
+            (1.5, TypeError, "expected ConditionId or None, got float"),
+            (["low"], TypeError, "list"),
+        ],
+        ids=["unknown_token", "float", "unhashable"],
+    )
+    def test_bad_per_row_condition_raises(self, bad, error, message):
+        net = random_mlp(1, ("low",), seed=0)
+        with pytest.raises(error, match=message):
+            net.predict_eps(np.zeros((4, 1)), 0.0, [None, ConditionId(label="low"), bad, None])
+
     def test_wrong_length_names_both_lengths(self):
         net = random_mlp(1, ("low",), seed=0)
         with pytest.raises(ValueError, match="3 per-row conditions for 2 rows"):
