@@ -39,9 +39,11 @@ another way, and the two reports can then differ in the last bits.  The
 points go through in chunks of at most ``NLL_CHUNK_ELEMENTS`` denoiser-input
 elements (rows times d), or of one point when its rows alone exceed that,
 each chunk with one ``corrupt`` and one denoiser call; that removes most of
-the per-point overhead.  Chunks stay small because past about ten thousand
-rows the arrays a chunk makes no longer fit in the processor's cache, and a
-pass slows again.
+the per-point overhead.  A chunk only holds points with the same condition,
+so the denoiser is always called with one condition, never a per-row list,
+and a mixture evaluates only the components that condition selects.  Chunks
+stay small because past about ten thousand rows the arrays a chunk makes no
+longer fit in the processor's cache, and a pass slows again.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt, signal_weight
-from .denoise import is_per_row
+from .denoise import distinct_rows, is_per_row
 
 ESTIMATOR_KINDS = ("nll", "pointwise_s", "pointwise_o", "mi", "cmi")
 
@@ -211,11 +213,15 @@ def nll(
     dataset draws from ``seed_sequence(seed).spawn(n)[i]``, so its report
     equals a one-point call on that child (bit for bit, with the exception the
     module docstring gives).  ``condition`` is one condition for every point,
-    or a list or tuple with one per point.
+    or a list or tuple with one per point; any payload the denoiser accepts
+    will do.
 
-    The points are evaluated in chunks of at most ``NLL_CHUNK_ELEMENTS``
-    denoiser-input elements, each with one ``corrupt`` and one denoiser call;
-    a point whose own rows exceed the budget gets a chunk to itself.
+    The points are grouped by condition (equal conditions together; in a list
+    holding an unhashable payload, such as an array, by identity), and each
+    group is evaluated in chunks of at most ``NLL_CHUNK_ELEMENTS``
+    denoiser-input elements, each with one ``corrupt`` and one denoiser call
+    under that single condition; a point whose own rows exceed the budget gets
+    a chunk to itself.  The reports come back in the order of ``x``.
 
     The per-dimension vector splits both the d/2 log(2 pi e) constant and the
     integrand coordinate-wise, so it sums to the total.  A source with
@@ -229,23 +235,37 @@ def nll(
         raise ValueError(f"n_eps must be at least 1, got {n_eps}")
     seeds = [seed] if single else seed_sequence(seed).spawn(n)
     step = max(1, NLL_CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d))
-    reports = []
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        reports += _nll_chunk(denoiser, xs[chunk], sampler, n_eps, seeds[chunk], conditions[chunk])
+    reports = [None] * n
+    for group in _condition_groups(conditions):
+        for start in range(0, group.size, step):
+            chunk = group[start : start + step]
+            found = _nll_chunk(
+                denoiser, xs[chunk], sampler, n_eps, [seeds[i] for i in chunk], conditions[chunk[0]]
+            )
+            for i, report in zip(chunk.tolist(), found):
+                reports[i] = report
     return reports[0] if single else reports
 
 
-def _nll_chunk(denoiser, xs, sampler, n_eps, seeds, conditions):
-    """Reports for the points ``xs`` (p, d), one seed and one condition each."""
+def _condition_groups(conditions):
+    """Indices of the points with each distinct condition, in order of first appearance.
+
+    A list holding an unhashable payload, such as an array, is grouped by
+    identity instead.
+    """
+    try:
+        _, index = distinct_rows(conditions)
+    except TypeError:
+        _, index = distinct_rows([id(c) for c in conditions])
+    order = np.argsort(index, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(np.sort(index))) + 1)
+
+
+def _nll_chunk(denoiser, xs, sampler, n_eps, seeds, condition):
+    """Reports for the points ``xs`` (p, d), one seed each, all under ``condition``."""
     draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
     alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
     x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
-    if all(c == conditions[0] for c in conditions):
-        condition = conditions[0]  # keeps both denoisers on their one-condition path
-    else:
-        rows = sampler.n_draws * n_eps
-        condition = [c for c in conditions for _ in range(rows)]
     eps_hat = _predict(denoiser, x_a, alphas, condition)
     mse = ((eps - eps_hat) ** 2).mean(axis=2)
     contrib = weights[..., None] * 0.5 * (signal_weight(alphas)[..., None] - mse)

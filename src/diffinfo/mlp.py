@@ -60,7 +60,12 @@ def _multi_hot(conditions, vocabulary) -> np.ndarray:
     per-row list costs one encoding per distinct condition, not one per row.
     """
     lookup = {token: i for i, token in enumerate(vocabulary)}
-    distinct, index = distinct_rows(conditions)
+    try:
+        distinct, index = distinct_rows(conditions)
+    except TypeError:
+        # An unhashable condition is no ConditionId: encoding every row raises
+        # at the first bad one.
+        distinct, index = list(conditions), None
     rows = np.zeros((len(distinct), len(vocabulary)))
     for row, condition in zip(rows, distinct):
         if condition is None:

@@ -466,11 +466,13 @@ class TestDatasetNll:
         condition = {
             "none": None,
             "one": self.LABELS[1],
-            "per_point": tuple(self.LABELS[i % 3 % 2] if i % 3 else None for i in range(n)),
+            "per_point": tuple(self.LABELS[i % 2] if i % 6 else None for i in range(n)),
         }[conditions]
         counting = CountingDenoiser(den)
         self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition)
-        chunks = [per_chunk] * (n // per_chunk) + [n % per_chunk]
+        # Per point: None (4 points), "hi" (11) and "lo" (8), each group chunked on its own.
+        groups = [4, 11, 8] if conditions == "per_point" else [n]
+        chunks = [p for g in groups for p in [per_chunk] * (g // per_chunk) + [g % per_chunk] if p]
         assert counting.rows[: len(chunks)] == [p * rows_per_point for p in chunks]
 
     def test_point_over_the_budget_gets_its_own_chunk(self, localized_denoisers):
@@ -480,7 +482,7 @@ class TestDatasetNll:
         self.check_against_single_points(den, xs, sampler, n_eps, 42, self.LABELS[0])
         assert den.rows[:3] == [sampler.n_draws] * 3
 
-    def test_one_condition_keeps_the_single_condition_path(self, localized_denoisers):
+    def test_every_call_gets_a_single_condition(self, localized_denoisers):
         seen = []
 
         class Recording(CountingDenoiser):
@@ -489,11 +491,24 @@ class TestDatasetNll:
                 return super().predict_eps(x_alpha, alpha, condition)
 
         den = Recording(localized_denoisers["gmm"])
-        xs = np.zeros((4, 2))
-        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 4)
-        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, None, None])
-        assert seen[0] == self.LABELS[0]
-        assert isinstance(seen[1], list) and len(seen[1]) == 4 * SAMPLER.n_draws * 2
+        xs = np.zeros((5, 2))
+        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 5)
+        assert seen == [self.LABELS[0]]
+        seen.clear()
+        equal_copy = ConditionId(label="lo")
+        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, equal_copy, None, self.LABELS[1]])
+        assert seen == [self.LABELS[0], None, self.LABELS[1]]
+        assert den.rows[1:] == [2 * SAMPLER.n_draws * 2, 2 * SAMPLER.n_draws * 2, SAMPLER.n_draws * 2]
+
+    @pytest.mark.parametrize("payload", ["float", "array"])
+    def test_per_point_payloads_of_any_kind(self, payload):
+        """Float payloads group by value, unhashable 0-d arrays by identity."""
+        cond = CountingDenoiser(correlated_gaussian(0.6).cond)
+        ys = [0.5, -1.0, 0.5, 2.0] if payload == "float" else [np.array(y) for y in (0.5, -1.0, 2.0)]
+        condition = [ys[i % len(ys)] for i in range(9)]
+        xs = np.random.default_rng(47).standard_normal((9, 1))
+        self.check_against_single_points(cond, xs, SAMPLER, 2, 48, condition)
+        assert len(cond.rows) - 9 == 3  # three distinct conditions, each one chunk
 
     def test_vector_uses_the_seed_as_it_is(self):
         den = gmm_mmse(STD_NORMAL)

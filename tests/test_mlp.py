@@ -191,7 +191,7 @@ class TestPerRowConditions:
         [
             (ConditionId(label="missing"), ValueError, "unknown condition token 'missing'"),
             (1.5, TypeError, "expected ConditionId or None, got float"),
-            (["low"], TypeError, "list"),
+            (["low"], TypeError, "expected ConditionId or None, got list"),
         ],
         ids=["unknown_token", "float", "unhashable"],
     )
