@@ -176,25 +176,19 @@ def cmd_estimate(cfg: RunConfig) -> int:
         conditions = [s.condition for s in dataset]
         reports = estimators.nll(den, xs, cfg.sampler, cfg.n_eps, s_est, conditions)
         aggregate = None
-    elif kind in ("pointwise_s", "pointwise_o"):
-        reports = estimators.pointwise_dataset(
-            den, den, dataset, cfg.sampler, kind, cfg.n_eps, s_est
-        )
-        aggregate = None
-    elif kind in ("mi", "cmi"):
+    else:
+        pointwise = kind in ("pointwise_s", "pointwise_o")
         reports = estimators.pointwise_dataset(
             den,
             den,
             dataset,
             cfg.sampler,
-            cfg.estimate.estimator_kind,
+            kind if pointwise else cfg.estimate.estimator_kind,
             cfg.n_eps,
             s_est,
             condition_on_context=(kind == "cmi"),
         )
-        aggregate = estimators.aggregate_reports(reports, kind, cfg.sampler, cfg.n_eps)
-    else:  # pragma: no cover - kinds are validated at parse time
-        raise ConfigError(f"unsupported estimate kind {kind!r}", "estimate.kind")
+        aggregate = None if pointwise else estimators.aggregate_reports(reports, kind, cfg.sampler, cfg.n_eps)
     _check_finite(reports, cfg)
 
     reports = [_maybe_bits(r, cfg.bits) for r in reports]
@@ -220,6 +214,11 @@ def cmd_decompose(cfg: RunConfig) -> int:
     dataset = _build_dataset(cfg, spec, s_data)
     _require_conditions(dataset)
     _check_conditions(cfg, den, [s.condition for s in dataset], "data.component_conditions")
+    d = spec.dim
+    if cfg.data.grid is not None and math.prod(cfg.data.grid) != d:
+        raise ConfigError(f"data.grid {cfg.data.grid} does not tile dimension {d}", "data.grid")
+    if cfg.data.truth_mask is not None and cfg.data.truth_mask.shape[0] != d:
+        raise ConfigError("data.truth_mask length must match the data dimension", "data.truth_mask")
     kind = cfg.decompose.kind
     reports = estimators.pointwise_dataset(
         den,
@@ -236,7 +235,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    d = spec.dim
     header = ["id", "total", "std_error"] + [f"dim_{j}" for j in range(d)]
     rows = [(i, r.total, r.std_error, *r.per_dim) for i, r in enumerate(reports)]
     write_csv(out / "decompose.csv", header, rows)
@@ -250,16 +248,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
     }
     if cfg.data.grid is not None:
         rows_, cols = cfg.data.grid
-        if rows_ * cols != d:
-            raise ConfigError(
-                f"data.grid {cfg.data.grid} does not tile dimension {d}", "data.grid"
-            )
         write_pgm(out / "heatmap_mean.pgm", mean_heatmap.reshape(rows_, cols))
         for i, r in enumerate(reports):
             write_pgm(out / f"heatmap_{i}.pgm", np.maximum(r.per_dim, 0.0).reshape(rows_, cols))
     if cfg.data.truth_mask is not None:
-        if cfg.data.truth_mask.shape[0] != d:
-            raise ConfigError("data.truth_mask length must match the data dimension", "data.truth_mask")
         sweeps = [
             tasks.sweep_threshold(np.maximum(r.per_dim, 0.0), cfg.data.truth_mask) for r in reports
         ]

@@ -23,27 +23,35 @@ The conditional and unconditional denoisers always see the same (a, eps)
 draws (common random numbers): this lets i_o be evaluated as a single squared
 difference and removes shared noise from i_s.  Several conditions for one
 point share those draws too, and with them the unconditional prediction: a
-list of K conditions costs one unconditional pass and K conditional ones,
-and each report equals, bit for bit, the one a single-condition call on the
-same seed gives.  Each report carries the truncation interval the integral
-was taken over; contributions outside it are defined to be zero.
+list or tuple of K candidates costs one unconditional pass and K conditional
+ones, and gives one report per candidate.  Each report carries the
+truncation interval the integral was taken over; contributions outside it
+are defined to be zero.
 
-:func:`nll` also takes a whole dataset, an (n, d) array, and returns one
-report per point.  Point i draws from child i of one
-``seed_sequence(seed).spawn(n)``, so its report is the one a one-point call
-on that child gives, bit for bit, whenever the denoiser's output for a row
-does not depend on the rest of its batch.  Both denoisers here have that
-property at the usual hundreds of rows a point.  With only one or two rows a
-point, numpy and BLAS may evaluate the small products of a one-point call
-another way, and the two reports can then differ in the last bits.  The
-points go through in chunks of at most ``NLL_CHUNK_ELEMENTS`` denoiser-input
-elements (rows times d), or of one point when its rows alone exceed that,
-each chunk with one ``corrupt`` and one denoiser call; that removes most of
-the per-point overhead.  A chunk only holds points with the same condition,
-so the denoiser is always called with one condition, never a per-row list,
-and a mixture evaluates only the components that condition selects.  Chunks
-stay small because past about ten thousand rows the arrays a chunk makes no
-longer fit in the processor's cache, and a pass slows again.
+Every kind takes a vector or an (n, d) dataset, which gives one result per
+point, through one pass.  A vector draws from ``seed`` as it is; point i of
+a dataset from child i of ``seed_sequence(seed).spawn(n)``.  For a dataset,
+``condition`` and ``uncond_condition`` are one entry for every point or a
+list or tuple of one entry per point (a list is always per point there, so
+candidates shared by all points are ``[tuple(candidates)] * n``); an entry
+is what a vector takes.  The points are grouped by their (unconditional,
+conditional) entry pair, and each group goes through in chunks of at most
+``CHUNK_ELEMENTS`` denoiser-input elements, counting every pass a point
+makes: rows times d times 1 for nll, 1 + K for K candidates (a point over
+that gets a chunk to itself).  A chunk makes one ``corrupt``, one
+unconditional denoiser call (none for nll) and one call per candidate, each
+under a single condition, so a mixture evaluates only the components that
+condition selects.  Past about ten thousand rows a chunk's arrays no longer
+fit in the processor's cache, and a pass slows again.
+
+A point's result is the one-point call's on the same seed, up to how the
+denoiser's output for a row depends on the rest of its batch.  For
+:class:`~diffinfo.denoise.GmmDenoiser` at hundreds of rows a point it does
+not, and the two agree bit for bit.  An MLP agrees to the last bits: a
+(64, 64) MLP at d = 2 gives a row the same output in batches of 400 to
+6,400 rows but not from 8,000 rows on, an nll chunk there.  At one or two
+rows a point, numpy and BLAS may evaluate a one-point call's small products
+another way for either denoiser.
 """
 
 from __future__ import annotations
@@ -60,13 +68,13 @@ ESTIMATOR_KINDS = ("nll", "pointwise_s", "pointwise_o", "mi", "cmi")
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
-# Denoiser-input elements (rows x d) per chunk of points in nll.  On the
+# Denoiser-input elements (rows x d x passes) per chunk of points.  On the
 # nll-wide benchmark's estimate (3072 points at d = 2, 800 rows a point; one
 # core of a 2-vCPU x86 host, median of 5), a chunk of 800 rows took 1.75 s,
 # 3,200 rows 1.21 s, 6,400 rows 1.06 s, 8,000 rows (this budget) 0.95 s,
 # 12,800 rows 0.97 s and 25,600 rows 1.19 s: past about ten thousand rows the
 # arrays of a chunk no longer fit in cache.
-NLL_CHUNK_ELEMENTS = 2**14
+CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +199,6 @@ def _check_points(denoiser, x):
     return rows, single
 
 
-def _check_point(denoiser, x):
-    rows, single = _check_points(denoiser, x)
-    if not single:
-        raise ValueError(f"x must be a vector, got shape {rows.shape}")
-    return rows[0]
-
-
 def nll(
     denoiser,
     x,
@@ -205,98 +206,95 @@ def nll(
     n_eps: int = 4,
     seed=0,
     condition=None,
-) -> InfoReport | list[InfoReport]:
+) -> InfoReport | list:
     """Estimate -log p(x) in nats (conditional when ``condition`` is given).
 
     ``x`` is one point, a vector, or a dataset of shape (n, d), which gives a
-    list of n reports.  A vector draws from ``seed`` as it is; row i of a
-    dataset draws from ``seed_sequence(seed).spawn(n)[i]``, so its report
-    equals a one-point call on that child (bit for bit, with the exception the
-    module docstring gives).  ``condition`` is one condition for every point,
-    or a list or tuple with one per point; any payload the denoiser accepts
-    will do.
-
-    The points are grouped by condition (equal conditions together; in a list
-    holding an unhashable payload, such as an array, by identity), and each
-    group is evaluated in chunks of at most ``NLL_CHUNK_ELEMENTS``
-    denoiser-input elements, each with one ``corrupt`` and one denoiser call
-    under that single condition; a point whose own rows exceed the budget gets
-    a chunk to itself.  The reports come back in the order of ``x``.
+    list of n reports; the module docstring gives the seed rule, the forms of
+    ``condition`` and the chunking.  A list or tuple of conditions for a
+    vector gives one report per condition, all on the same draws.
 
     The per-dimension vector splits both the d/2 log(2 pi e) constant and the
     integrand coordinate-wise, so it sums to the total.  A source with
     (near-)zero variance makes the integral diverge; an overflowing estimate
     is reported as +inf rather than NaN, without touching the other points.
     """
-    xs, single = _check_points(denoiser, x)
+    return _estimate("nll", denoiser, denoiser, x, condition, sampler, n_eps, seed, None)
+
+
+def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition):
+    """The reports of ``kind`` for a vector or an (n, d) dataset ``x``; see the module docstring."""
+    xs, single = _check_points(uncond, x)
     n, d = xs.shape
-    conditions = list(condition) if is_per_row(condition, n) else [condition] * n
-    if n_eps < 1:
-        raise ValueError(f"n_eps must be at least 1, got {n_eps}")
-    seeds = [seed] if single else seed_sequence(seed).spawn(n)
-    step = max(1, NLL_CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d))
-    reports = [None] * n
-    for group in _condition_groups(conditions):
-        for start in range(0, group.size, step):
-            chunk = group[start : start + step]
-            found = _nll_chunk(
-                denoiser, xs[chunk], sampler, n_eps, [seeds[i] for i in chunk], conditions[chunk[0]]
-            )
-            for i, report in zip(chunk.tolist(), found):
-                reports[i] = report
-    return reports[0] if single else reports
-
-
-def _condition_groups(conditions):
-    """Indices of the points with each distinct condition, in order of first appearance.
-
-    A list holding an unhashable payload, such as an array, is grouped by
-    identity instead.
-    """
-    try:
-        _, index = distinct_rows(conditions)
-    except TypeError:
-        _, index = distinct_rows([id(c) for c in conditions])
-    order = np.argsort(index, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(np.sort(index))) + 1)
-
-
-def _nll_chunk(denoiser, xs, sampler, n_eps, seeds, condition):
-    """Reports for the points ``xs`` (p, d), one seed each, all under ``condition``."""
-    draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
-    alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
-    x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
-    eps_hat = _predict(denoiser, x_a, alphas, condition)
-    mse = ((eps - eps_hat) ** 2).mean(axis=2)
-    contrib = weights[..., None] * 0.5 * (signal_weight(alphas)[..., None] - mse)
-    return _finalize(contrib, "nll", sampler, n_eps)
-
-
-def _pointwise(uncond, cond, x, condition, sampler, n_eps, seed, kind, uncond_condition):
-    """One report per condition on shared draws; a list or tuple gives a list."""
-    many = isinstance(condition, (list, tuple))
-    conditions = condition if many else [condition]
-    if not conditions:
-        raise ValueError("need at least one condition")
-    x = _check_point(uncond, x)
     if cond.dim != uncond.dim:
         raise ValueError(
             f"dimension mismatch: unconditional denoiser has dimension {uncond.dim} "
             f"but conditional has dimension {cond.dim}"
         )
-    alphas, weights, eps = _draws(sampler, n_eps, x.shape[0], seed)
-    x_a = corrupt(x, alphas[:, None], eps)
-    eps_u = _predict(uncond, x_a, alphas, uncond_condition)
+    seeds = [seed] if single else seed_sequence(seed).spawn(n)
+    conditions, uncond_conditions = (
+        list(c) if not single and is_per_row(c, n) else [c] * n for c in (condition, uncond_condition)
+    )
+    if any(isinstance(c, (list, tuple)) and not c for c in conditions):
+        raise ValueError("need at least one condition")
+    reports = [None] * n
+    for group in _groups(uncond_conditions, conditions):
+        entry, uncond_entry = conditions[group[0]], uncond_conditions[group[0]]
+        many = isinstance(entry, (list, tuple))
+        candidates = list(entry) if many else [entry]
+        passes = len(candidates) + (kind != "nll")
+        step = max(1, CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d * passes))
+        for start in range(0, group.size, step):
+            chunk = group[start : start + step]
+            found = _chunk(
+                kind, uncond, cond, xs[chunk], [seeds[i] for i in chunk], sampler, n_eps, uncond_entry, candidates
+            )
+            for i, row in zip(chunk.tolist(), found):
+                reports[i] = row if many else row[0]
+    return reports[0] if single else reports
+
+
+def _groups(uncond_conditions, conditions):
+    """Indices of the points with each distinct (unconditional, conditional) entry pair.
+
+    The groups come in order of first appearance.  A list of candidates is
+    compared as a tuple; if any entry cannot be hashed, such as an array,
+    entries are grouped by identity instead.
+    """
+    keys = [(u, tuple(c) if isinstance(c, list) else c) for u, c in zip(uncond_conditions, conditions)]
+    try:
+        _, index = distinct_rows(keys)
+    except TypeError:
+        _, index = distinct_rows([(id(u), id(c)) for u, c in zip(uncond_conditions, conditions)])
+    order = np.argsort(index, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(np.sort(index))) + 1)
+
+
+def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
+    """Per point of ``xs`` (p, d), one seed each, a list with one report per candidate.
+
+    One ``corrupt``, one unconditional denoiser call (none for nll) and one
+    call per candidate, each under a single condition.
+    """
+    draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
+    alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
+    x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
+    if kind != "nll":
+        eps_u = _predict(uncond, x_a, alphas, uncond_condition)
     contribs = []
-    for c in conditions:
+    for c in candidates:
         eps_c = _predict(cond, x_a, alphas, c)
-        if kind == "pointwise_o":
-            integrand = (eps_u - eps_c) ** 2
+        if kind == "nll":
+            integrand = signal_weight(alphas)[..., None] - ((eps - eps_c) ** 2).mean(axis=2)
+        elif kind == "pointwise_o":
+            integrand = ((eps_u - eps_c) ** 2).mean(axis=2)
         else:
-            integrand = (eps - eps_u) ** 2 - (eps - eps_c) ** 2
-        contribs.append(weights[:, None] * 0.5 * integrand.mean(axis=1))
-    reports = _finalize(np.stack(contribs), kind, sampler, n_eps)
-    return reports if many else reports[0]
+            integrand = ((eps - eps_u) ** 2 - (eps - eps_c) ** 2).mean(axis=2)
+        contribs.append(weights[..., None] * 0.5 * integrand)
+    k = len(candidates)
+    contrib = np.stack(contribs, axis=1).reshape(-1, *contribs[0].shape[1:])
+    reports = _finalize(contrib, kind, sampler, n_eps)
+    return [reports[i : i + k] for i in range(0, len(reports), k)]
 
 
 def pointwise_s(
@@ -308,20 +306,20 @@ def pointwise_s(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport | list[InfoReport]:
+) -> InfoReport | list:
     """Pointwise information of (x, condition): the log-likelihood-ratio form.
 
     Estimates log p(x|y) - log p(x) as the integrated reduction in squared
     denoising error from conditioning.  Can be negative: a condition that
     makes x less likely is misinformative.
 
-    A list or tuple of conditions gives a list of reports, one per condition,
-    all on the same draws and one shared unconditional prediction; an empty
-    one raises ``ValueError``.
+    A list or tuple of conditions for a vector gives a list of reports, one
+    per condition, all on the same draws and one shared unconditional
+    prediction; an empty one raises ``ValueError``.  A dataset ``x`` of shape
+    (n, d) gives a list of n such results; the module docstring gives the
+    forms ``condition`` and ``uncond_condition`` then take.
     """
-    return _pointwise(
-        uncond, cond, x, condition, sampler, n_eps, seed, "pointwise_s", uncond_condition
-    )
+    return _estimate("pointwise_s", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
 
 
 def pointwise_o(
@@ -333,18 +331,16 @@ def pointwise_o(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport | list[InfoReport]:
+) -> InfoReport | list:
     """Pointwise information of (x, condition): the orthogonality form.
 
     Integrates the squared difference between the conditional and
     unconditional predictions.  Non-negative by construction, equal to
     :func:`pointwise_s` in expectation over the joint distribution, and lower
-    variance on the same draws.  A list or tuple of conditions gives a list
-    of reports, as for :func:`pointwise_s`.
+    variance on the same draws.  Takes a vector or a dataset, and a list or
+    tuple of candidates, as :func:`pointwise_s` does.
     """
-    return _pointwise(
-        uncond, cond, x, condition, sampler, n_eps, seed, "pointwise_o", uncond_condition
-    )
+    return _estimate("pointwise_o", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
 
 
 def aggregate_reports(reports, kind, sampler, n_eps) -> InfoReport:
@@ -381,9 +377,10 @@ def pointwise_dataset(
     seed=0,
     condition_on_context: bool = False,
 ) -> list[InfoReport]:
-    """Per-sample pointwise reports with an independent draw stream per sample.
+    """Per-sample pointwise reports from one estimator call over the whole dataset.
 
-    With ``condition_on_context`` the unconditional side sees each sample's
+    Sample i draws from child i of ``seed_sequence(seed).spawn(n)``.  With
+    ``condition_on_context`` the unconditional side sees each sample's
     ``context`` payload, turning the pointwise quantity into its
     context-conditional variant.
     """
@@ -394,20 +391,9 @@ def pointwise_dataset(
     if estimator_kind not in ("pointwise_s", "pointwise_o"):
         raise ValueError(f"estimator_kind must be pointwise_s or pointwise_o, got {estimator_kind!r}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    children = seed_sequence(seed).spawn(len(dataset))
-    return [
-        estimate(
-            uncond,
-            cond,
-            s.x,
-            s.condition,
-            sampler,
-            n_eps,
-            child,
-            s.context if condition_on_context else None,
-        )
-        for s, child in zip(dataset, children)
-    ]
+    xs, conditions = np.stack([s.x for s in dataset]), [s.condition for s in dataset]
+    contexts = [s.context for s in dataset] if condition_on_context else None
+    return estimate(uncond, cond, xs, conditions, sampler, n_eps, seed, contexts)
 
 
 def mi(

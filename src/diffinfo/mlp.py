@@ -46,13 +46,6 @@ class MlpTrainConfig:
             raise ValueError(f"condition_drop must lie in [0, 1], got {self.condition_drop}")
 
 
-def alpha_embedding(alpha, n_frequencies: int = 8, base: float = FREQUENCY_BASE) -> np.ndarray:
-    """Sinusoidal features of the log-SNR: sin/cos at geometrically spaced frequencies."""
-    freqs = base * 2.0 ** np.arange(n_frequencies)
-    angles = np.asarray(alpha, dtype=float)[..., None] * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
-
-
 def _multi_hot(conditions, vocabulary) -> np.ndarray:
     """One row per condition, 1.0 at each of its tokens; ``None`` gives a zero row.
 
@@ -81,9 +74,14 @@ def _multi_hot(conditions, vocabulary) -> np.ndarray:
     return rows[index]
 
 
-def _features(x_a, alphas, cond, n_frequencies, base) -> np.ndarray:
-    """Network input rows ``[x_a, alpha_embedding(alphas), cond]``."""
-    return np.concatenate([x_a, alpha_embedding(alphas, n_frequencies, base), cond], axis=1)
+def _features(x_a, alphas, cond, n_frequencies, base, out=None) -> np.ndarray:
+    """Network input rows ``[x_a, sin(angles), cos(angles), cond]``, written into ``out`` if given.
+
+    The angles are the log-SNR times the geometrically spaced frequencies
+    ``base * 2**j``, j < ``n_frequencies``.
+    """
+    angles = np.asarray(alphas, dtype=float)[..., None] * (base * 2.0 ** np.arange(n_frequencies))
+    return np.concatenate([x_a, np.sin(angles), np.cos(angles), cond], axis=1, out=out)
 
 
 def _forward(layers, feats, hidden=None) -> list[np.ndarray]:
@@ -110,8 +108,8 @@ def _forward(layers, feats, hidden=None) -> list[np.ndarray]:
 class MlpDenoiser:
     """Tanh MLP noise predictor (see module docstring for the input layout).
 
-    ``predict_eps`` writes the hidden layers into arrays the instance keeps,
-    so one instance must not serve two threads at once.
+    ``predict_eps`` writes the input and hidden layers into arrays the
+    instance keeps, so one instance must not serve two threads at once.
     """
 
     def __init__(self, layers, dim, vocabulary=(), n_frequencies=8, frequency_base=FREQUENCY_BASE):
@@ -121,7 +119,7 @@ class MlpDenoiser:
         self.vocabulary = tuple(vocabulary)
         self.n_frequencies = int(n_frequencies)
         self.frequency_base = float(frequency_base)
-        self._hidden = (0, [])  # (rows, arrays) reused by predict_eps, see _hidden_arrays
+        self._layer_inputs = (0, [])  # (rows, arrays) reused by predict_eps, see _input_arrays
         expected = self._dim + 2 * self.n_frequencies + len(self.vocabulary)
         if self.layers[0][0].shape[0] != expected:
             raise ValueError(
@@ -146,21 +144,22 @@ class MlpDenoiser:
         else:
             one = _multi_hot([condition], self.vocabulary)
             cond = np.broadcast_to(one, (a.size, len(self.vocabulary)))
-        feats = _features(x2, a, cond, self.n_frequencies, self.frequency_base)
-        out = _forward(self.layers, feats, self._hidden_arrays(a.size))[-1]
+        feats, *hidden = self._input_arrays(a.size)
+        _features(x2, a, cond, self.n_frequencies, self.frequency_base, out=feats)
+        out = _forward(self.layers, feats, hidden)[-1]
         return out[0] if single else out
 
-    def _hidden_arrays(self, n_rows) -> list[np.ndarray]:
-        """Hidden-layer arrays for ``n_rows`` rows, kept while the batch size repeats.
+    def _input_arrays(self, n_rows) -> list[np.ndarray]:
+        """The input array of every layer for ``n_rows`` rows, kept while the batch size repeats.
 
-        A batch of a few hundred rows makes hidden layers of a few hundred KB.
-        Allocated afresh on every call, they can make glibc trim the heap when
-        they are freed and grow it again on the next call, at the cost of a
-        page fault per page.
+        A batch of a few hundred to a few thousand rows makes layer inputs of
+        a few hundred KB.  Allocated afresh on every call, they can make glibc
+        trim the heap when they are freed and grow it again on the next call,
+        at the cost of a page fault per page.
         """
-        if self._hidden[0] != n_rows:
-            self._hidden = (n_rows, [np.empty((n_rows, w.shape[1])) for w, _ in self.layers[:-1]])
-        return self._hidden[1]
+        if self._layer_inputs[0] != n_rows:
+            self._layer_inputs = (n_rows, [np.empty((n_rows, w.shape[0])) for w, _ in self.layers])
+        return self._layer_inputs[1]
 
 
 def _views(buffer, shapes) -> list[np.ndarray]:

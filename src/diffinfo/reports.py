@@ -69,11 +69,9 @@ def report_to_dict(report) -> dict:
     }
 
 
-def write_report_csv(path, reports, ids=None) -> None:
-    """One row per report: id, total, std_error."""
-    if ids is None:
-        ids = range(len(reports))
-    rows = [(i, r.total, r.std_error) for i, r in zip(ids, reports)]
+def write_report_csv(path, reports) -> None:
+    """One row per report: its index, total, std_error."""
+    rows = [(i, r.total, r.std_error) for i, r in enumerate(reports)]
     write_csv(path, ["id", "total", "std_error"], rows)
 
 

@@ -1,11 +1,13 @@
 """Toy evaluation tasks: condition ranking, heatmap segmentation, and
 intervention-effect correlation.
 
-Ranking is a score matrix: :func:`evaluate_ranking` gives one row per point
-and one column per candidate, in the order the candidates are listed, and
-:func:`select` picks each row's best candidate.  Which candidate is the
-truth is the caller's business, so a tie resolves to the first listed
-candidate whatever the truth is.
+Ranking is a score matrix: :func:`rank_conditions` scores the candidates of
+a vector or of every point of an (n, d) dataset in one estimator pass,
+:func:`evaluate_ranking` gives one row per point and one column per
+candidate, in the order the candidates are listed, and :func:`select` picks
+each row's best candidate.  Which candidate is the truth is the caller's
+business, so a tie resolves to the first listed candidate whatever the
+truth is.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LogSnrSampler
-from .estimators import pointwise_o, pointwise_s, seed_sequence
+from .estimators import pointwise_o, pointwise_s
 
 # Scores within this many nats of the best count as tied.  It sits far above
 # float rounding at score magnitudes of about 1e2 (about 1e-14) and far below
@@ -44,24 +46,32 @@ def rank_conditions(
     seed=0,
     estimator_kind: str = "pointwise_s",
 ) -> np.ndarray:
-    """Score every candidate condition for one point on the same draws.
+    """Score every candidate condition of a point, or of each point of a dataset.
 
-    All candidates share the same (alpha, eps) draws, so score differences
-    are free of common Monte-Carlo noise, and they share the unconditional
-    prediction on those draws: K candidates cost one unconditional denoiser
-    pass and K conditional ones.  The default score is the
-    log-likelihood-ratio estimate, whose argmax matches the Bayes rule for
-    equal-prior candidate sets that cover the generating mixture; the
+    For a vector ``x`` the K scores come back as a vector.  For an (n, d)
+    dataset, ``candidates`` holds one list or tuple of K candidates per point
+    and the scores come back as an (n, K) array; point i draws from child i
+    of ``seed_sequence(seed).spawn(n)``, as in the estimators.
+
+    All candidates of a point share the same (alpha, eps) draws, so score
+    differences are free of common Monte-Carlo noise, and they share the
+    unconditional prediction on those draws: K candidates cost one
+    unconditional denoiser pass and K conditional ones.  The default score is
+    the log-likelihood-ratio estimate, whose argmax matches the Bayes rule
+    for equal-prior candidate sets that cover the generating mixture; the
     squared-difference score (``pointwise_o``) orders such candidate sets
     inversely, since it measures how far conditioning moves the denoiser,
     and is intended for approximate denoiser families instead.
     """
-    candidates = list(candidates)
-    if len(candidates) < 2:
-        raise ValueError(f"need at least 2 candidates, got {len(candidates)}")
+    dataset = np.ndim(x) > 1
+    per_point = list(candidates) if dataset else [list(candidates)]
+    for entry in per_point:
+        if len(entry) < 2:
+            raise ValueError(f"need at least 2 candidates, got {len(entry)}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    reports = estimate(uncond, cond, x, candidates, sampler, n_eps=n_eps, seed=seed)
-    return np.array([r.total for r in reports])
+    reports = estimate(uncond, cond, x, per_point if dataset else per_point[0], sampler, n_eps=n_eps, seed=seed)
+    scores = np.array([[r.total for r in row] for row in (reports if dataset else [reports])])
+    return scores if dataset else scores[0]
 
 
 def evaluate_ranking(
@@ -77,13 +87,8 @@ def evaluate_ranking(
     """The (n, K) scores of K candidates for n points, one spawned seed per point."""
     if len(xs) == 0:
         raise ValueError("no points to rank")
-    children = seed_sequence(seed).spawn(len(xs))
-    return np.stack(
-        [
-            rank_conditions(x, candidates, uncond, cond, sampler, n_eps, child, estimator_kind)
-            for x, child in zip(xs, children)
-        ]
-    )
+    per_point = [tuple(candidates)] * len(xs)
+    return rank_conditions(xs, per_point, uncond, cond, sampler, n_eps, seed, estimator_kind)
 
 
 def rescale_unit(values) -> np.ndarray:

@@ -538,6 +538,28 @@ class TestDecompose:
         csv_lines = (tmp_path / "out" / "decompose.csv").read_text().splitlines()
         assert csv_lines[0] == "id,total,std_error,dim_0,dim_1,dim_2,dim_3"
 
+    @pytest.mark.parametrize(
+        "field, value", [("grid", [3, 3]), ("truth_mask", [1, 0, 1])], ids=["grid", "truth_mask"]
+    )
+    def test_bad_layout_exits_2_before_estimating(self, tmp_path, capsys, field, value):
+        gmm = {
+            "components": [
+                {"weight": 0.5, "mean": [0.0, 0.0], "cov": np.eye(2).tolist()},
+                {"weight": 0.5, "mean": [3.0, 0.0], "cov": np.eye(2).tolist()},
+            ],
+            "condition_map": {"lo": [0], "hi": [1]},
+        }
+        data = {
+            "gmm": gmm,
+            "n_samples": 4,
+            "component_conditions": [{"label": "lo"}, {"label": "hi"}],
+            field: value,
+        }
+        cfg = write_config(tmp_path, {"seed": 3, "data": data, "decompose": {"kind": "pointwise_o"}})
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"data.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRank:
     def test_separated_ranking_accuracy(self, tmp_path):

@@ -11,7 +11,7 @@ from scipy.stats import norm
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
 from diffinfo.estimators import (
-    NLL_CHUNK_ELEMENTS,
+    CHUNK_ELEMENTS,
     InfoReport,
     cmi,
     mi,
@@ -21,7 +21,7 @@ from diffinfo.estimators import (
     pointwise_s,
     seed_sequence,
 )
-from diffinfo.mlp import MlpTrainConfig, train_mlp
+from diffinfo.mlp import MlpDenoiser, MlpTrainConfig, train_mlp
 from diffinfo.oracle import gaussian_mi, gaussian_pointwise, gmm_mi_numeric
 
 from toys import (
@@ -436,69 +436,104 @@ class TestTranslationInvariance:
 
 
 def assert_same_report(report, expected):
+    """Equal bit for bit; a list of reports is compared report by report."""
+    if isinstance(expected, list):
+        assert isinstance(report, list) and len(report) == len(expected)
+        for r, e in zip(report, expected):
+            assert_same_report(r, e)
+        return
     assert report.total == expected.total
     assert report.std_error == expected.std_error
     np.testing.assert_array_equal(report.per_dim, expected.per_dim)
 
 
+def estimate(kind, den, x, sampler, n_eps, seed, condition, uncond_condition=None):
+    """``nll``, or a pointwise kind with ``den`` on both sides."""
+    if kind == "nll":
+        assert uncond_condition is None
+        return nll(den, x, sampler, n_eps, seed, condition)
+    pointwise = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[kind]
+    return pointwise(den, den, x, condition, sampler, n_eps, seed, uncond_condition)
+
+
 class TestDatasetNll:
-    """nll over an (n, d) array: one report per point, each on its own spawned seed."""
+    """Every kind over an (n, d) array: one result per point, each on its own spawned seed."""
 
     LABELS = [ConditionId(label="lo"), ConditionId(label="hi")]
+    CONTEXT = ConditionId(context=("lo",))
 
-    def check_against_single_points(self, den, xs, sampler, n_eps, seed, condition):
-        reports = nll(den, xs, sampler, n_eps, seed, condition)
+    def check_against_single_points(self, den, xs, sampler, n_eps, seed, condition, kind="nll", uncond=None):
+        reports = estimate(kind, den, xs, sampler, n_eps, seed, condition, uncond)
         assert isinstance(reports, list) and len(reports) == len(xs)
         children = seed_sequence(seed).spawn(len(xs))
         for i, report in enumerate(reports):
-            c = condition[i] if isinstance(condition, (list, tuple)) else condition
-            assert_same_report(report, nll(den, xs[i], sampler, n_eps, children[i], c))
+            c, u = (e[i] if isinstance(e, (list, tuple)) else e for e in (condition, uncond))
+            assert_same_report(report, estimate(kind, den, xs[i], sampler, n_eps, children[i], c, u))
 
-    @pytest.mark.parametrize("conditions", ["none", "one", "per_point"])
-    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
-    def test_chunks_equal_single_points_bit_for_bit(self, localized_denoisers, kind, conditions):
-        den = localized_denoisers[kind]
+    @pytest.mark.parametrize(
+        "kind, form",
+        [("nll", "none"), ("nll", "one"), ("nll", "per_point")]
+        + [(k, f) for k in ("pointwise_s", "pointwise_o") for f in ("per_point", "contexts", "candidates")],
+    )
+    @pytest.mark.parametrize("den_kind", ["gmm", "mlp"])
+    def test_chunks_equal_single_points_bit_for_bit(self, localized_denoisers, den_kind, kind, form):
         sampler, n_eps, n = LogSnrSampler(n_draws=200), 4, 23
+        lo, hi = self.LABELS
+        condition, uncond, groups = {
+            "none": (None, None, [n]),
+            "one": (hi, None, [n]),
+            # None (4 points), "hi" (11) and "lo" (8), each group chunked on its own.
+            "per_point": (tuple(self.LABELS[i % 2] if i % 6 else None for i in range(n)), None, [4, 11, 8]),
+            # Unconditional side: None (8 points) and a context (15), as cmi passes them.
+            "contexts": (hi, [self.CONTEXT if i % 3 else None for i in range(n)], [8, 15]),
+            # One candidate list per point, in two orders (12 and 11 points).
+            "candidates": ([[lo, hi] if i % 2 == 0 else [hi, lo] for i in range(n)], None, [12, 11]),
+        }[form]
+        passes = (2 if form == "candidates" else 1) + (kind != "nll")
         rows_per_point = sampler.n_draws * n_eps
-        per_chunk = NLL_CHUNK_ELEMENTS // (rows_per_point * 2)
+        per_chunk = CHUNK_ELEMENTS // (rows_per_point * 2 * passes)
         assert 1 < per_chunk < n and n % per_chunk  # several chunks, the last one partial
         xs = np.random.default_rng(40).standard_normal((n, 2))
-        condition = {
-            "none": None,
-            "one": self.LABELS[1],
-            "per_point": tuple(self.LABELS[i % 2] if i % 6 else None for i in range(n)),
-        }[conditions]
-        counting = CountingDenoiser(den)
-        self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition)
-        # Per point: None (4 points), "hi" (11) and "lo" (8), each group chunked on its own.
-        groups = [4, 11, 8] if conditions == "per_point" else [n]
+        counting = CountingDenoiser(localized_denoisers[den_kind])
+        self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition, kind, uncond)
         chunks = [p for g in groups for p in [per_chunk] * (g // per_chunk) + [g % per_chunk] if p]
-        assert counting.rows[: len(chunks)] == [p * rows_per_point for p in chunks]
+        expected = [p * rows_per_point for p in chunks for _ in range(passes)]
+        assert counting.rows[: len(expected)] == expected
+        assert all(c is None or isinstance(c, ConditionId) for c in counting.conditions)
 
     def test_point_over_the_budget_gets_its_own_chunk(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
-        sampler, n_eps = LogSnrSampler(n_draws=NLL_CHUNK_ELEMENTS // 2 + 1), 1
+        sampler, n_eps = LogSnrSampler(n_draws=CHUNK_ELEMENTS // 2 + 1), 1
         xs = np.array([[0.5, -0.5], [3.0, 0.0], [-1.0, 2.0]])
         self.check_against_single_points(den, xs, sampler, n_eps, 42, self.LABELS[0])
         assert den.rows[:3] == [sampler.n_draws] * 3
 
     def test_every_call_gets_a_single_condition(self, localized_denoisers):
-        seen = []
-
-        class Recording(CountingDenoiser):
-            def predict_eps(self, x_alpha, alpha, condition=None):
-                seen.append(condition)
-                return super().predict_eps(x_alpha, alpha, condition)
-
-        den = Recording(localized_denoisers["gmm"])
+        den = CountingDenoiser(localized_denoisers["gmm"])
         xs = np.zeros((5, 2))
         nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 5)
-        assert seen == [self.LABELS[0]]
-        seen.clear()
+        assert den.conditions == [self.LABELS[0]]
+        den.conditions.clear()
         equal_copy = ConditionId(label="lo")
         nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, equal_copy, None, self.LABELS[1]])
-        assert seen == [self.LABELS[0], None, self.LABELS[1]]
+        assert den.conditions == [self.LABELS[0], None, self.LABELS[1]]
         assert den.rows[1:] == [2 * SAMPLER.n_draws * 2, 2 * SAMPLER.n_draws * 2, SAMPLER.n_draws * 2]
+
+    def test_wide_mlp_agrees_with_single_points_to_the_last_bits(self):
+        """A (64, 64) MLP may give a row other last bits in a chunk than in one point's batch."""
+        rng = np.random.default_rng(49)
+        widths = (2 + 2 * 8, 64, 64, 2)
+        layers = [
+            (rng.standard_normal((a, b)) / math.sqrt(a), 0.1 * rng.standard_normal(b))
+            for a, b in zip(widths, widths[1:])
+        ]
+        den = MlpDenoiser(layers, dim=2)
+        xs = rng.standard_normal((60, 2))
+        children = seed_sequence(50).spawn(len(xs))
+        for report, x, child in zip(nll(den, xs, SAMPLER, 4, 50), xs, children):
+            alone = nll(den, x, SAMPLER, 4, child)
+            assert report.total == pytest.approx(alone.total, rel=1e-12, abs=0)
+            np.testing.assert_allclose(report.per_dim, alone.per_dim, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("payload", ["float", "array"])
     def test_per_point_payloads_of_any_kind(self, payload):

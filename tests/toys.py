@@ -21,11 +21,12 @@ class ZeroDenoiser:
 
 
 class CountingDenoiser:
-    """Wraps a denoiser and records the row count of every ``predict_eps`` call."""
+    """Wraps a denoiser and records the row count and condition of every ``predict_eps`` call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.rows: list[int] = []
+        self.conditions: list = []
 
     @property
     def dim(self) -> int:
@@ -33,6 +34,7 @@ class CountingDenoiser:
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         self.rows.append(np.atleast_2d(x_alpha).shape[0])
+        self.conditions.append(condition)
         return self.inner.predict_eps(x_alpha, alpha, condition)
 
 
