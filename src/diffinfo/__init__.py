@@ -8,12 +8,10 @@ interface and verified against closed-form Gaussian and mixture oracles.
 
 from .channel import LogSnrSampler, corrupt, noise_weight, signal_weight
 from .checkpoint import load_checkpoint, save_checkpoint
-from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
+from .denoise import ConditionId, GmmDenoiser, GmmSpec, gmm_mmse
 from .estimators import (
     InfoReport,
     aggregate_reports,
-    cmi,
-    mi,
     nll,
     pointwise_dataset,
     pointwise_o,
@@ -51,12 +49,10 @@ __all__ = [
     "MlpTrainConfig",
     "OracleResult",
     "QuadratureError",
-    "Sample",
     "SolverConfig",
     "SolverError",
     "TrainingDivergedError",
     "aggregate_reports",
-    "cmi",
     "component_responsibilities",
     "corrupt",
     "decode",
@@ -70,7 +66,6 @@ __all__ = [
     "intervention_correlation",
     "iou",
     "load_checkpoint",
-    "mi",
     "mmse_gaussian",
     "nll",
     "noise_weight",

@@ -22,10 +22,11 @@ import numpy.random  # noqa: F401  numpy loads it lazily; every command but orac
 from . import estimators, oracle, tasks
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ORACLE_OPS, ConfigError, RunConfig, load_config
-from .denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, gmm_mmse
+from .denoise import ConditionId, GmmSpec, gmm_mmse
+from .flow import SolverError
 from .flow import intervene as flow_intervene
 from .mlp import MlpDenoiser, train_mlp
-from .reports import NonFiniteOutputError, report_to_dict, write_csv, write_json, write_pgm, write_report_csv
+from .reports import NonFiniteOutputError, report_records, write_csv, write_json, write_pgm, write_report_csv
 
 LN2 = math.log(2.0)
 
@@ -79,21 +80,15 @@ def _check_conditions(cfg: RunConfig, den, conditions, field_path: str) -> None:
     field = "denoiser.path" if cfg.denoiser.kind == "checkpoint" else field_path
     for condition in dict.fromkeys(conditions):
         try:
-            if isinstance(den, MlpDenoiser):
-                for token in () if condition is None else condition.tokens:
-                    if token not in den.vocabulary:
-                        raise ValueError(
-                            f"unknown condition token {token!r}; vocabulary is {list(den.vocabulary)}"
-                        )
-            else:
-                den.spec.components_for(condition)
+            den.check_condition(condition)
         except ValueError as exc:
             raise ConfigError(f"{field}: {exc}", field) from exc
 
 
-def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
-    """Samples from the data section: explicit points, or draws with conditions."""
-    samples: list[Sample] = []
+def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> tuple[np.ndarray, list, list]:
+    """Points (n, d) from the data section, explicit or drawn, with each point's
+    condition and context (``None`` where it has none)."""
+    parts, conditions = [], []
     if cfg.data.points is not None:
         if cfg.data.points.shape[1] != spec.dim:
             raise ConfigError(
@@ -101,7 +96,8 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
                 f"but the spec has dimension {spec.dim}",
                 "data.points",
             )
-        samples.extend(Sample(x=row) for row in cfg.data.points)
+        parts.append(cfg.data.points)
+        conditions += [None] * len(cfg.data.points)
     if cfg.data.n_samples is not None:
         conds = cfg.data.component_conditions
         if conds is not None and len(conds) != spec.n_components:
@@ -111,40 +107,37 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> list[Sample]:
                 "data.component_conditions",
             )
         x, comps = spec.sample(cfg.data.n_samples, rng)
-        for xi, k in zip(x, comps):
-            condition = context = None
-            if conds is not None and conds[k] is not None:
-                condition = conds[k]
-                if condition.context:
-                    context = ConditionId(context=condition.context)
-            samples.append(Sample(x=xi, condition=condition, context=context))
-    if not samples:
+        parts.append(x)
+        conditions += [None if conds is None else conds[k] for k in comps]
+    if not parts:
         raise ConfigError("the 'data' section yields no samples (need points or n_samples)", "data")
-    return samples
+    contexts = [ConditionId(context=c.context) if c is not None and c.context else None for c in conditions]
+    return np.concatenate(parts, dtype=float), conditions, contexts
 
 
-def _require_conditions(dataset) -> None:
+def _require_conditions(conditions) -> None:
     """Pointwise estimates contrast conditional and unconditional terms, so need conditions."""
-    for i, sample in enumerate(dataset):
-        if sample.condition is None:
-            raise ConfigError(
-                f"sample {i} carries no condition, which this estimate needs: data.points carry "
-                "no condition, and drawn samples take theirs from data.component_conditions",
-                "data.component_conditions",
-            )
+    if None in conditions:
+        raise ConfigError(
+            f"sample {conditions.index(None)} carries no condition, which this estimate needs: "
+            "data.points carry no condition, and drawn samples take theirs from "
+            "data.component_conditions",
+            "data.component_conditions",
+        )
 
 
-def _check_finite(reports, cfg: RunConfig) -> None:
+def _check_finite(report, cfg: RunConfig) -> None:
     """A non-finite estimate is not a result: exit 2 naming the sample it came from."""
     n_points = 0 if cfg.data.points is None else cfg.data.points.shape[0]
-    for i, report in enumerate(reports):
-        if not math.isfinite(report.total):
-            field = "data.points" if i < n_points else "data"
-            raise ConfigError(
-                f"{field}: sample {i} has the non-finite estimate {report.total!r}; "
-                "its point lies too far out for the estimate to be finite",
-                field,
-            )
+    bad = np.flatnonzero(~np.isfinite(report.total))
+    if bad.size:
+        i = int(bad[0])
+        field = "data.points" if i < n_points else "data"
+        raise ConfigError(
+            f"{field}: sample {i} has the non-finite estimate {float(report.total[i])!r}; "
+            "its point lies too far out for the estimate to be finite",
+            field,
+        )
 
 
 def _maybe_bits(report, bits: bool):
@@ -163,43 +156,36 @@ def cmd_estimate(cfg: RunConfig) -> int:
     spec = _load_spec(cfg)
     den = _build_denoiser(cfg, spec)
     s_data, s_est, _, _ = _streams(cfg.seed)
-    dataset = _build_dataset(cfg, spec, s_data)
+    x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     kind = cfg.estimate.kind
     if kind != "nll":
-        _require_conditions(dataset)
-    _check_conditions(cfg, den, [s.condition for s in dataset], "data.component_conditions")
+        _require_conditions(conditions)
+    _check_conditions(cfg, den, conditions, "data.component_conditions")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "nll":
-        xs = np.stack([s.x for s in dataset])
-        conditions = [s.condition for s in dataset]
-        reports = estimators.nll(den, xs, cfg.sampler, cfg.n_eps, s_est, conditions)
+        report = estimators.nll(den, x, cfg.sampler, cfg.n_eps, s_est, conditions)
         aggregate = None
     else:
         pointwise = kind in ("pointwise_s", "pointwise_o")
-        reports = estimators.pointwise_dataset(
-            den,
-            den,
-            dataset,
-            cfg.sampler,
-            kind if pointwise else cfg.estimate.estimator_kind,
-            cfg.n_eps,
-            s_est,
-            condition_on_context=(kind == "cmi"),
+        estimator = kind if pointwise else cfg.estimate.estimator_kind
+        contexts = contexts if kind == "cmi" else None
+        report = estimators.pointwise_dataset(
+            den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
         )
-        aggregate = None if pointwise else estimators.aggregate_reports(reports, kind, cfg.sampler, cfg.n_eps)
-    _check_finite(reports, cfg)
+        aggregate = None if pointwise else estimators.aggregate_reports(report, kind)
+    _check_finite(report, cfg)
 
-    reports = [_maybe_bits(r, cfg.bits) for r in reports]
-    write_report_csv(out / "estimates.csv", reports)
+    report = _maybe_bits(report, cfg.bits)
+    write_report_csv(out / "estimates.csv", report)
     payload = {
         "config": cfg.resolved(),
         "units": "bits" if cfg.bits else "nats",
-        "reports": [report_to_dict(r) for r in reports],
+        "reports": report_records(report),
     }
     if aggregate is not None:
-        payload["aggregate"] = report_to_dict(_maybe_bits(aggregate, cfg.bits))
+        payload["aggregate"] = report_records(_maybe_bits(aggregate, cfg.bits))[0]
     write_json(out / "estimates.json", payload)
     return 0
 
@@ -211,50 +197,41 @@ def cmd_decompose(cfg: RunConfig) -> int:
     spec = _load_spec(cfg)
     den = _build_denoiser(cfg, spec)
     s_data, s_est, _, _ = _streams(cfg.seed)
-    dataset = _build_dataset(cfg, spec, s_data)
-    _require_conditions(dataset)
-    _check_conditions(cfg, den, [s.condition for s in dataset], "data.component_conditions")
+    x, conditions, contexts = _build_dataset(cfg, spec, s_data)
+    _require_conditions(conditions)
+    _check_conditions(cfg, den, conditions, "data.component_conditions")
     d = spec.dim
     if cfg.data.grid is not None and math.prod(cfg.data.grid) != d:
         raise ConfigError(f"data.grid {cfg.data.grid} does not tile dimension {d}", "data.grid")
     if cfg.data.truth_mask is not None and cfg.data.truth_mask.shape[0] != d:
         raise ConfigError("data.truth_mask length must match the data dimension", "data.truth_mask")
     kind = cfg.decompose.kind
-    reports = estimators.pointwise_dataset(
-        den,
-        den,
-        dataset,
-        cfg.sampler,
-        "pointwise_o" if kind == "cmi" else kind,
-        cfg.n_eps,
-        s_est,
-        condition_on_context=(kind == "cmi"),
+    estimator, contexts = ("pointwise_o", contexts) if kind == "cmi" else (kind, None)
+    report = estimators.pointwise_dataset(
+        den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
     )
-    _check_finite(reports, cfg)
-    reports = [_maybe_bits(r, cfg.bits) for r in reports]
+    _check_finite(report, cfg)
+    report = _maybe_bits(report, cfg.bits)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["id", "total", "std_error"] + [f"dim_{j}" for j in range(d)]
-    rows = [(i, r.total, r.std_error, *r.per_dim) for i, r in enumerate(reports)]
-    write_csv(out / "decompose.csv", header, rows)
+    write_report_csv(out / "decompose.csv", report, per_dim=True)
 
-    mean_heatmap = np.mean([np.maximum(r.per_dim, 0.0) for r in reports], axis=0)
+    heatmaps = np.maximum(report.per_dim, 0.0)
+    mean_heatmap = heatmaps.mean(axis=0)
     payload = {
         "config": cfg.resolved(),
         "units": "bits" if cfg.bits else "nats",
-        "reports": [report_to_dict(r) for r in reports],
-        "mean_heatmap": [float(v) for v in mean_heatmap],
+        "reports": report_records(report),
+        "mean_heatmap": mean_heatmap.tolist(),
     }
     if cfg.data.grid is not None:
         rows_, cols = cfg.data.grid
         write_pgm(out / "heatmap_mean.pgm", mean_heatmap.reshape(rows_, cols))
-        for i, r in enumerate(reports):
-            write_pgm(out / f"heatmap_{i}.pgm", np.maximum(r.per_dim, 0.0).reshape(rows_, cols))
+        for i, heatmap in enumerate(heatmaps):
+            write_pgm(out / f"heatmap_{i}.pgm", heatmap.reshape(rows_, cols))
     if cfg.data.truth_mask is not None:
-        sweeps = [
-            tasks.sweep_threshold(np.maximum(r.per_dim, 0.0), cfg.data.truth_mask) for r in reports
-        ]
+        sweeps = [tasks.sweep_threshold(heatmap, cfg.data.truth_mask) for heatmap in heatmaps]
         payload["miou"] = float(np.mean([s.iou for s in sweeps]))
         payload["mean_heatmap_iou"] = tasks.sweep_threshold(mean_heatmap, cfg.data.truth_mask).iou
     write_json(out / "decompose.json", payload)
@@ -331,38 +308,34 @@ def cmd_intervene(cfg: RunConfig) -> int:
             "data.component_conditions",
         )
     s_data, s_est, _, _ = _streams(cfg.seed)
-    dataset = _build_dataset(cfg, spec, s_data)
-    if any(s.condition is None or s.condition.label is None for s in dataset):
+    x, conditions, contexts = _build_dataset(cfg, spec, s_data)
+    if any(c is None or c.label is None for c in conditions):
         raise ConfigError("every sampled component needs a labeled condition", "data.component_conditions")
     n_edit = cfg.intervene.n_samples
-    if n_edit > len(dataset):
+    if n_edit > len(conditions):
         raise ConfigError(
-            f"intervene.n_samples is {n_edit} but the data section yields {len(dataset)} samples",
+            f"intervene.n_samples is {n_edit} but the data section yields {len(conditions)} samples",
             "intervene.n_samples",
         )
-    samples = dataset[:n_edit]
+    x, sources, contexts = x[:n_edit], conditions[:n_edit], contexts[:n_edit]
     swap = cfg.intervene.swap
-    for sample in samples:
-        if sample.condition.label not in swap:
-            raise ConfigError(
-                f"intervene.swap does not cover label {sample.condition.label!r}", "intervene.swap"
-            )
-    sources = [s.condition for s in samples]
+    for c in sources:
+        if c.label not in swap:
+            raise ConfigError(f"intervene.swap does not cover label {c.label!r}", "intervene.swap")
     targets = [ConditionId(label=swap[c.label], context=c.context) for c in sources]
     _check_conditions(cfg, den, sources, "data.component_conditions")
     _check_conditions(cfg, den, targets, "intervene.swap")
-    edits = flow_intervene(np.stack([s.x for s in samples]), den, sources, targets, cfg.solver)
+    try:
+        edits = flow_intervene(x, den, sources, targets, cfg.solver)
+    except SolverError as exc:
+        raise ConfigError(f"solver: the probability flow failed: {exc}", "solver") from exc
     deltas = edits.delta_l2.tolist()
-    reports = estimators.pointwise_dataset(
-        den, den, samples, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, condition_on_context=True
+    report = estimators.pointwise_dataset(
+        den, den, x, sources, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, contexts
     )
-    scores = [_maybe_bits(r, cfg.bits).total for r in reports]
-    rows = [
-        (i, s.condition.label, "|".join(s.condition.context), score, roundtrip, delta)
-        for i, (s, score, roundtrip, delta) in enumerate(
-            zip(samples, scores, edits.roundtrip_l2.tolist(), deltas)
-        )
-    ]
+    scores = _maybe_bits(report, cfg.bits).total.tolist()
+    columns = zip(sources, scores, edits.roundtrip_l2.tolist(), deltas)
+    rows = [(i, c.label, "|".join(c.context), *values) for i, (c, *values) in enumerate(columns)]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -393,8 +366,8 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.data.n_samples is None:
         raise ConfigError("training needs data.n_samples", "data.n_samples")
     s_data, _, s_train, _ = _streams(cfg.seed)
-    dataset = _build_dataset(cfg, spec, s_data)
-    denoiser, trace = train_mlp(dataset, cfg.train.mlp, cfg.sampler, seed=s_train)
+    x, conditions, _ = _build_dataset(cfg, spec, s_data)
+    denoiser, trace = train_mlp(x, conditions, cfg.train.mlp, cfg.sampler, seed=s_train)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -396,7 +396,7 @@ _TRAIN = {
     "checkpoint_name": _string,
 }
 _RUN = {
-    "seed": _integer(),
+    "seed": _integer(0),
     "output": _Section({"dir": _string}, required=("dir",)),
     "bits": _boolean,
     "data": _Section(_DATA, ("data", DataConfig)),
@@ -437,6 +437,10 @@ class RunConfig:
     intervene: InterveneConfig | None = None
     train: TrainConfigSection | None = None
     oracle: OracleConfig | None = None
+
+    def __post_init__(self):
+        # Again here, for a seed that replaces the parsed one (``--seed``).
+        _RUN["seed"](self.seed, "seed")
 
     def resolved(self) -> dict:
         """The fully-defaulted configuration, embedded in every output."""

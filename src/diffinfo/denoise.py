@@ -7,7 +7,11 @@ or a batch of shape (n, d) with a scalar or per-row log-SNR, and returns an
 array of the same shape as ``x_alpha``.  ``condition`` is ``None``, one
 condition for every row, or a list or tuple with one condition per row; a
 per-row list of the wrong length raises ``ValueError``.  Predictions are
-deterministic: identical inputs yield identical outputs.
+deterministic: identical inputs yield identical outputs.  A condition is any
+payload the denoiser understands: a :class:`ConditionId` for the mixture and
+the MLP, each of which has a ``check_condition`` that raises ``ValueError``
+for one it cannot take.  A dataset is an (n, d) array with a list of one
+condition per point.
 
 The optimal noise predictor for the channel in :mod:`diffinfo.channel` is the
 posterior mean E[eps | x_a].  For a Gaussian source N(mu, C) the corrupted
@@ -90,24 +94,6 @@ class ConditionId:
         if self.label is None:
             return self.context
         return (self.label,) + self.context
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """A data point with optional conditioning payloads.
-
-    ``condition`` is handed verbatim to the conditional denoiser and
-    ``context`` to the context-only denoiser; for token-conditioned mixtures
-    these are :class:`ConditionId` instances, but any payload the denoiser
-    understands (e.g. a float for a conditional-Gaussian family) is allowed.
-    """
-
-    x: np.ndarray
-    condition: Any = None
-    context: Any = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
 def as_batch(x_alpha, alpha, dim: int):
@@ -309,6 +295,10 @@ class GmmDenoiser:
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
         resp = self._component_terms(x2, a, condition)[1].T
         return resp[0] if single else resp
+
+    def check_condition(self, condition) -> None:
+        """Raise ``ValueError`` unless ``condition`` selects components of the mixture."""
+        self._resolve(condition)
 
     def _resolve(self, condition):
         """Components ``condition`` selects and their log conditional weights.

@@ -24,25 +24,32 @@ draws (common random numbers): this lets i_o be evaluated as a single squared
 difference and removes shared noise from i_s.  Several conditions for one
 point share those draws too, and with them the unconditional prediction: a
 list or tuple of K candidates costs one unconditional pass and K conditional
-ones, and gives one report per candidate.  Each report carries the
+ones, and gives one estimate per candidate.  Each report carries the
 truncation interval the integral was taken over; contributions outside it
 are defined to be zero.
 
-Every kind takes a vector or an (n, d) dataset, which gives one result per
-point, through one pass.  A vector draws from ``seed`` as it is; point i of
-a dataset from child i of ``seed_sequence(seed).spawn(n)``.  For a dataset,
-``condition`` and ``uncond_condition`` are one entry for every point or a
-list or tuple of one entry per point (a list is always per point there, so
-candidates shared by all points are ``[tuple(candidates)] * n``); an entry
-is what a vector takes.  The points are grouped by their (unconditional,
-conditional) entry pair, and each group goes through in chunks of at most
-``CHUNK_ELEMENTS`` denoiser-input elements, counting every pass a point
-makes: rows times d times 1 for nll, 1 + K for K candidates (a point over
-that gets a chunk to itself).  A chunk makes one ``corrupt``, one
-unconditional denoiser call (none for nll) and one call per candidate, each
-under a single condition, so a mixture evaluates only the components that
-condition selects.  Past about ten thousand rows a chunk's arrays no longer
-fit in the processor's cache, and a pass slows again.
+Every kind takes a vector or an (n, d) dataset through one pass and returns
+one :class:`InfoReport` whose fields are arrays over the estimates: ``total``
+and ``std_error`` have shape () for a vector, (K,) for a vector with a list
+or tuple of K candidates, (n,) for a dataset and (n, K) for a dataset whose
+points each carry K candidates; ``per_dim`` adds a trailing d.
+``std_error`` is NaN where it cannot be estimated, from a single log-SNR
+draw, and an estimate that overflows reads +inf in all three.  A vector
+draws from ``seed`` as it is; point i of a dataset from child i of
+``seed_sequence(seed).spawn(n)``.  For a dataset, ``condition`` and
+``uncond_condition`` are one entry for every point or a list or tuple of one
+entry per point (a list is always per point there, so candidates shared by
+all points are ``[tuple(candidates)] * n``, and every point's candidate list
+must have the same length); an entry is what a vector takes.  The points are
+grouped by their (unconditional, conditional) entry pair, and each group goes
+through in chunks of at most ``CHUNK_ELEMENTS`` denoiser-input elements,
+counting every pass a point makes: rows times d times 1 for nll, 1 + K for K
+candidates (a point over that gets a chunk to itself).  A chunk makes one
+``corrupt``, one unconditional denoiser call (none for nll) and one call per
+candidate, each under a single condition, so a mixture evaluates only the
+components that condition selects, and writes its results into the report's
+arrays.  Past about ten thousand rows a chunk's arrays no longer fit in the
+processor's cache, and a pass slows again.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -52,6 +59,10 @@ not, and the two agree bit for bit.  An MLP agrees to the last bits: a
 6,400 rows but not from 8,000 rows on, an nll chunk there.  At one or two
 rows a point, numpy and BLAS may evaluate a one-point call's small products
 another way for either denoiser.
+
+A dataset-level mutual information is the average of pointwise estimates:
+``aggregate_reports(pointwise_dataset(...), "mi")``, and with the contexts on
+the unconditional side, ``"cmi"``.
 """
 
 from __future__ import annotations
@@ -79,19 +90,22 @@ CHUNK_ELEMENTS = 2**14
 
 @dataclass(frozen=True, eq=False)
 class InfoReport:
-    """A Monte-Carlo information estimate with its per-dimension breakdown.
+    """Monte-Carlo information estimates with their per-dimension breakdown.
 
-    ``per_dim`` always sums to ``total`` (to 1e-9 relative tolerance, checked
+    ``total`` and ``std_error`` are arrays of one shape, given in the module
+    docstring, and ``per_dim`` adds a trailing axis of length d that sums to
+    ``total`` (to 1e-9 relative tolerance where ``total`` is finite, checked
     at construction).  ``std_error`` is the sample standard deviation of the
     per-draw (or per-sample, for averaged estimators) contributions divided
-    by the square root of their count, and ``None`` when it cannot be
-    estimated because there is only one.  All values are in nats; use
-    :meth:`to_bits` for bits.
+    by the square root of their count, and NaN where it cannot be estimated
+    because there is only one.  ``n_samples`` is the number of data samples
+    each estimate averages.  All values are in nats; use :meth:`to_bits` for
+    bits.
     """
 
-    total: float
+    total: np.ndarray
     per_dim: np.ndarray
-    std_error: float | None
+    std_error: np.ndarray
     n_snr_draws: int
     n_eps_draws: int
     estimator_kind: str
@@ -101,26 +115,23 @@ class InfoReport:
     def __post_init__(self):
         if self.estimator_kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.estimator_kind!r}")
-        per_dim = np.asarray(self.per_dim, dtype=float)
-        per_dim.flags.writeable = False
-        object.__setattr__(self, "per_dim", per_dim)
-        object.__setattr__(self, "total", float(self.total))
-        if math.isfinite(self.total):
-            gap = abs(per_dim.sum() - self.total)
-            if gap > 1e-9 * max(1.0, abs(self.total)):
-                raise ValueError(
-                    f"per_dim sums to {per_dim.sum()!r} but total is {self.total!r}"
-                )
+        for name in ("total", "per_dim", "std_error"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        total, sums = self.total, self.per_dim.sum(axis=-1)
+        if sums.shape != total.shape or self.std_error.shape != total.shape:
+            raise ValueError("total, std_error and per_dim less its last axis must have one shape")
+        finite = np.isfinite(total)
+        sums, total = sums[finite], total[finite]
+        bad = np.abs(sums - total) > 1e-9 * np.maximum(1.0, np.abs(total))
+        if bad.any():
+            raise ValueError(f"per_dim sums to {float(sums[bad][0])!r} but total is {float(total[bad][0])!r}")
 
     def to_bits(self) -> "InfoReport":
         """The same report with total, per_dim and std_error converted to bits."""
         ln2 = math.log(2.0)
-        return replace(
-            self,
-            total=self.total / ln2,
-            per_dim=self.per_dim / ln2,
-            std_error=None if self.std_error is None else self.std_error / ln2,
-        )
+        return replace(self, total=self.total / ln2, per_dim=self.per_dim / ln2, std_error=self.std_error / ln2)
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -147,36 +158,6 @@ def _predict(denoiser, x_a, alphas, condition):
     n_eps, d = x_a.shape[-2:]
     flat = denoiser.predict_eps(x_a.reshape(-1, d), np.repeat(alphas.ravel(), n_eps), condition)
     return np.asarray(flat).reshape(x_a.shape)
-
-
-def _finalize(contrib, kind, sampler, n_eps):
-    """One report per point from contributions of shape (points, draws, d); overflow reads +inf."""
-    n_points, n, d = contrib.shape
-    per_dim = contrib.mean(axis=1)
-    if kind == "nll":
-        per_dim = 0.5 * LOG_2PI_E - per_dim
-    finite = np.isfinite(per_dim).all(axis=1)
-    std_error = [None] * n_points
-    if n > 1:
-        per_alpha = contrib.sum(axis=2)
-        per_alpha[~finite] = 0.0  # an overflowed point's error is +inf, set below
-        std_error = (per_alpha.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
-    reports = []
-    for row, total, se, ok in zip(per_dim, per_dim.sum(axis=1).tolist(), std_error, finite.tolist()):
-        if not ok:
-            row, total, se = np.full(d, math.inf), math.inf, math.inf
-        reports.append(
-            InfoReport(
-                total=total,
-                per_dim=row,
-                std_error=se,
-                n_snr_draws=sampler.n_draws,
-                n_eps_draws=n_eps,
-                estimator_kind=kind,
-                alpha_interval=sampler.support,
-            )
-        )
-    return reports
 
 
 def _check_points(denoiser, x):
@@ -206,13 +187,14 @@ def nll(
     n_eps: int = 4,
     seed=0,
     condition=None,
-) -> InfoReport | list:
+) -> InfoReport:
     """Estimate -log p(x) in nats (conditional when ``condition`` is given).
 
-    ``x`` is one point, a vector, or a dataset of shape (n, d), which gives a
-    list of n reports; the module docstring gives the seed rule, the forms of
-    ``condition`` and the chunking.  A list or tuple of conditions for a
-    vector gives one report per condition, all on the same draws.
+    ``x`` is one point, a vector, or a dataset of shape (n, d), which gives
+    n estimates; the module docstring gives the result shapes, the seed rule,
+    the forms of ``condition`` and the chunking.  A list or tuple of
+    conditions for a vector gives one estimate per condition, all on the
+    same draws.
 
     The per-dimension vector splits both the d/2 log(2 pi e) constant and the
     integrand coordinate-wise, so it sums to the total.  A source with
@@ -223,7 +205,7 @@ def nll(
 
 
 def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition):
-    """The reports of ``kind`` for a vector or an (n, d) dataset ``x``; see the module docstring."""
+    """The report of ``kind`` for a vector or an (n, d) dataset ``x``; see the module docstring."""
     xs, single = _check_points(uncond, x)
     n, d = xs.shape
     if cond.dim != uncond.dim:
@@ -235,23 +217,33 @@ def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_con
     conditions, uncond_conditions = (
         list(c) if not single and is_per_row(c, n) else [c] * n for c in (condition, uncond_condition)
     )
-    if any(isinstance(c, (list, tuple)) and not c for c in conditions):
+    lengths = {len(c) if isinstance(c, (list, tuple)) else None for c in conditions}
+    if len(lengths) > 1:
+        raise ValueError("every point needs a list of candidates of one common length, or none a list")
+    (k,) = lengths
+    if k == 0:
         raise ValueError("need at least one condition")
-    reports = [None] * n
+    per_dim, std_error = np.empty((n, k or 1, d)), np.empty((n, k or 1))
     for group in _groups(uncond_conditions, conditions):
         entry, uncond_entry = conditions[group[0]], uncond_conditions[group[0]]
-        many = isinstance(entry, (list, tuple))
-        candidates = list(entry) if many else [entry]
+        candidates = [entry] if k is None else list(entry)
         passes = len(candidates) + (kind != "nll")
         step = max(1, CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d * passes))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
-            found = _chunk(
+            per_dim[chunk], std_error[chunk] = _chunk(
                 kind, uncond, cond, xs[chunk], [seeds[i] for i in chunk], sampler, n_eps, uncond_entry, candidates
             )
-            for i, row in zip(chunk.tolist(), found):
-                reports[i] = row if many else row[0]
-    return reports[0] if single else reports
+    shape = (() if single else (n,)) + (() if k is None else (k,))
+    return InfoReport(
+        total=per_dim.sum(axis=2).reshape(shape),
+        per_dim=per_dim.reshape(*shape, d),
+        std_error=std_error.reshape(shape),
+        n_snr_draws=sampler.n_draws,
+        n_eps_draws=n_eps,
+        estimator_kind=kind,
+        alpha_interval=sampler.support,
+    )
 
 
 def _groups(uncond_conditions, conditions):
@@ -271,7 +263,8 @@ def _groups(uncond_conditions, conditions):
 
 
 def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
-    """Per point of ``xs`` (p, d), one seed each, a list with one report per candidate.
+    """Per-dimension estimates (p, K, d) and standard errors (p, K) for the points of
+    ``xs`` (p, d), one seed each, under each of the K candidates.
 
     One ``corrupt``, one unconditional denoiser call (none for nll) and one
     call per candidate, each under a single condition.
@@ -291,10 +284,19 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
         else:
             integrand = ((eps - eps_u) ** 2 - (eps - eps_c) ** 2).mean(axis=2)
         contribs.append(weights[..., None] * 0.5 * integrand)
-    k = len(candidates)
+    # (points x candidates, draws, d); an overflowed estimate reads +inf, its error too.
     contrib = np.stack(contribs, axis=1).reshape(-1, *contribs[0].shape[1:])
-    reports = _finalize(contrib, kind, sampler, n_eps)
-    return [reports[i : i + k] for i in range(0, len(reports), k)]
+    per_dim = contrib.mean(axis=1)
+    if kind == "nll":
+        per_dim = 0.5 * LOG_2PI_E - per_dim
+    finite = np.isfinite(per_dim).all(axis=1)
+    std_error = np.full(per_dim.shape[0], math.nan)
+    if contrib.shape[1] > 1:
+        per_alpha = contrib.sum(axis=2)
+        per_alpha[~finite] = 0.0
+        std_error = per_alpha.std(axis=1, ddof=1) / math.sqrt(contrib.shape[1])
+    per_dim[~finite] = std_error[~finite] = math.inf
+    return per_dim.reshape(len(xs), len(candidates), -1), std_error.reshape(len(xs), -1)
 
 
 def pointwise_s(
@@ -306,18 +308,18 @@ def pointwise_s(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport | list:
+) -> InfoReport:
     """Pointwise information of (x, condition): the log-likelihood-ratio form.
 
     Estimates log p(x|y) - log p(x) as the integrated reduction in squared
     denoising error from conditioning.  Can be negative: a condition that
     makes x less likely is misinformative.
 
-    A list or tuple of conditions for a vector gives a list of reports, one
-    per condition, all on the same draws and one shared unconditional
-    prediction; an empty one raises ``ValueError``.  A dataset ``x`` of shape
-    (n, d) gives a list of n such results; the module docstring gives the
-    forms ``condition`` and ``uncond_condition`` then take.
+    A list or tuple of K conditions for a vector gives K estimates, all on
+    the same draws and one shared unconditional prediction; an empty one
+    raises ``ValueError``.  A dataset ``x`` of shape (n, d) gives n such
+    results; the module docstring gives the result shapes and the forms
+    ``condition`` and ``uncond_condition`` then take.
     """
     return _estimate("pointwise_s", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
 
@@ -331,7 +333,7 @@ def pointwise_o(
     n_eps: int = 4,
     seed=0,
     uncond_condition=None,
-) -> InfoReport | list:
+) -> InfoReport:
     """Pointwise information of (x, condition): the orthogonality form.
 
     Integrates the squared difference between the conditional and
@@ -343,100 +345,52 @@ def pointwise_o(
     return _estimate("pointwise_o", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
 
 
-def aggregate_reports(reports, kind, sampler, n_eps) -> InfoReport:
-    """Average per-sample pointwise reports into a dataset-level estimate.
+def aggregate_reports(report, kind) -> InfoReport:
+    """Average a dataset's pointwise report over its first axis, the samples, into a
+    dataset-level estimate of ``kind`` (``"mi"`` or ``"cmi"``).
 
     The standard error is the spread of the per-sample totals, which covers
-    both the between-sample variance and each sample's Monte-Carlo noise.
+    both the between-sample variance and each sample's Monte-Carlo noise;
+    with one sample it is that sample's own.
     """
-    totals = np.array([r.total for r in reports])
-    per_dim = np.mean([r.per_dim for r in reports], axis=0)
-    if len(reports) > 1:
-        std_error = float(totals.std(ddof=1) / math.sqrt(len(reports)))
-    else:
-        std_error = reports[0].std_error
+    n = report.total.shape[0]
+    per_dim = report.per_dim.mean(axis=0)
+    std_error = report.total.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else report.std_error[0]
     return InfoReport(
-        total=float(per_dim.sum()),
+        total=per_dim.sum(axis=-1),
         per_dim=per_dim,
         std_error=std_error,
-        n_snr_draws=sampler.n_draws,
-        n_eps_draws=n_eps,
+        n_snr_draws=report.n_snr_draws,
+        n_eps_draws=report.n_eps_draws,
         estimator_kind=kind,
-        alpha_interval=sampler.support,
-        n_samples=len(reports),
+        alpha_interval=report.alpha_interval,
+        n_samples=n,
     )
 
 
 def pointwise_dataset(
     uncond,
     cond,
-    dataset,
+    x,
+    conditions,
     sampler: LogSnrSampler = LogSnrSampler(),
     estimator_kind: str = "pointwise_o",
     n_eps: int = 4,
     seed=0,
-    condition_on_context: bool = False,
-) -> list[InfoReport]:
-    """Per-sample pointwise reports from one estimator call over the whole dataset.
+    contexts=None,
+) -> InfoReport:
+    """Pointwise estimates for every point of the (n, d) dataset ``x``, in one report of shape (n,).
 
-    Sample i draws from child i of ``seed_sequence(seed).spawn(n)``.  With
-    ``condition_on_context`` the unconditional side sees each sample's
-    ``context`` payload, turning the pointwise quantity into its
-    context-conditional variant.
+    ``conditions`` holds each point's condition for the conditional side.
+    ``contexts``, if given, holds each point's payload for the unconditional
+    side, which turns the pointwise quantity into its context-conditional
+    variant.  Point i draws from child i of ``seed_sequence(seed).spawn(n)``.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
-    if any(s.condition is None for s in dataset):
+    if np.ndim(x) != 2 or len(x) == 0:
+        raise ValueError(f"the dataset must be a non-empty (n, d) array, got shape {np.shape(x)}")
+    if any(c is None for c in conditions):
         raise ValueError("every sample must carry a condition")
     if estimator_kind not in ("pointwise_s", "pointwise_o"):
         raise ValueError(f"estimator_kind must be pointwise_s or pointwise_o, got {estimator_kind!r}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    xs, conditions = np.stack([s.x for s in dataset]), [s.condition for s in dataset]
-    contexts = [s.context for s in dataset] if condition_on_context else None
-    return estimate(uncond, cond, xs, conditions, sampler, n_eps, seed, contexts)
-
-
-def mi(
-    uncond,
-    cond,
-    dataset,
-    sampler: LogSnrSampler = LogSnrSampler(),
-    estimator_kind: str = "pointwise_o",
-    n_eps: int = 4,
-    seed=0,
-) -> InfoReport:
-    """Mutual information: the dataset average of pointwise estimates.
-
-    Every sample must carry a condition; each gets an independent draw stream
-    spawned from ``seed``.
-    """
-    reports = pointwise_dataset(uncond, cond, dataset, sampler, estimator_kind, n_eps, seed)
-    return aggregate_reports(reports, "mi", sampler, n_eps)
-
-
-def cmi(
-    denoiser_full,
-    denoiser_ctx,
-    dataset,
-    sampler: LogSnrSampler = LogSnrSampler(),
-    estimator_kind: str = "pointwise_o",
-    n_eps: int = 4,
-    seed=0,
-) -> InfoReport:
-    """Conditional mutual information: both denoisers conditioned on the context.
-
-    ``denoiser_full`` sees each sample's ``condition`` (the label together
-    with its context) and ``denoiser_ctx`` sees the sample's ``context``
-    alone; otherwise identical to :func:`mi`.
-    """
-    reports = pointwise_dataset(
-        denoiser_ctx,
-        denoiser_full,
-        dataset,
-        sampler,
-        estimator_kind,
-        n_eps,
-        seed,
-        condition_on_context=True,
-    )
-    return aggregate_reports(reports, "cmi", sampler, n_eps)
+    return estimate(uncond, cond, x, list(conditions), sampler, n_eps, seed, contexts)

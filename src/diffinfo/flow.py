@@ -84,7 +84,7 @@ def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
         v1 = _velocity(denoiser, z_pred, grid[i + 1], condition)
         z = z + 0.5 * h * (v0 + v1)
         if not np.all(np.isfinite(z)):
-            raise SolverError(f"non-finite state at step {i + 1} (alpha={grid[i + 1]!r})", step=i + 1)
+            raise SolverError(f"non-finite state at step {i + 1} (alpha={float(grid[i + 1])!r})", step=i + 1)
     return z
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt
-from .denoise import ConditionId, Sample, as_batch, distinct_rows, is_per_row
+from .denoise import ConditionId, as_batch, distinct_rows, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
@@ -137,6 +137,10 @@ class MlpDenoiser:
     def layer_widths(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w, _ in self.layers) + (self.layers[-1][0].shape[1],)
 
+    def check_condition(self, condition) -> None:
+        """Raise ``ValueError`` unless every token of ``condition`` is in the vocabulary."""
+        _multi_hot([condition], self.vocabulary)
+
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self._dim)
         if is_per_row(condition, a.size):
@@ -169,29 +173,31 @@ def _views(buffer, shapes) -> list[np.ndarray]:
 
 
 def train_mlp(
-    dataset,
+    x,
+    conditions=None,
     config: MlpTrainConfig = MlpTrainConfig(),
     sampler: LogSnrSampler = LogSnrSampler(),
     seed: int = 0,
 ) -> tuple[MlpDenoiser, np.ndarray]:
     """Fit an :class:`MlpDenoiser` by stochastic noise-prediction regression.
 
-    ``dataset`` is a list of :class:`Sample` (conditions, when present, must
-    be :class:`ConditionId`).  Each step draws a batch of points, log-SNRs
+    ``x`` is an (n, d) array of training points and ``conditions`` holds one
+    :class:`ConditionId` or ``None`` per point (``None`` for all: an
+    unconditional denoiser).  Each step draws a batch of points, log-SNRs
     from ``sampler`` (each draw weighted equally in the loss) and fresh noise,
     and minimizes the mean squared error of the noise prediction with Adam.
 
     Returns the trained denoiser and the per-step loss trace.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
-    points = [np.atleast_1d(np.asarray(s.x, dtype=float)) for s in dataset]
-    d = points[0].shape[0]
-    if any(p.shape != (d,) for p in points):
-        raise ValueError("dataset points have inconsistent dimensions")
-    xs = np.stack(points)
-    vocab = sorted({t for s in dataset if s.condition is not None for t in s.condition.tokens})
-    cond_rows = _multi_hot([s.condition for s in dataset], vocab)
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] == 0:
+        raise ValueError(f"the dataset must be a non-empty (n, d) array, got shape {xs.shape}")
+    n, d = xs.shape
+    conditions = [None] * n if conditions is None else list(conditions)
+    if len(conditions) != n:
+        raise ValueError(f"got {len(conditions)} conditions for {n} points")
+    vocab = sorted({t for c in conditions if c is not None for t in c.tokens})
+    cond_rows = _multi_hot(conditions, vocab)
 
     rng = np.random.default_rng(seed)
     widths = (d + 2 * config.n_frequencies + len(vocab),) + tuple(config.hidden) + (d,)
@@ -208,7 +214,7 @@ def train_mlp(
     batch_sampler = LogSnrSampler(sampler.loc, sampler.scale, sampler.clip, config.batch_size)
 
     for step in range(1, config.n_steps + 1):
-        idx = rng.integers(0, len(dataset), config.batch_size)
+        idx = rng.integers(0, n, config.batch_size)
         x = xs[idx]
         cond = cond_rows[idx].copy()
         if vocab and config.condition_drop > 0:

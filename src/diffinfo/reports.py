@@ -3,8 +3,8 @@
 CSV floats use '.' as the decimal separator and 17 significant digits, which
 round-trips IEEE doubles exactly; JSON is dumped with sorted keys.  Rerunning
 a command with the same config and seed reproduces every output byte.  A value
-that could not be estimated is ``None``: JSON writes ``null`` and CSV an empty
-cell.  JSON never holds a non-finite number: ``write_json`` raises
+that could not be estimated is NaN in memory: JSON writes ``null`` and CSV an
+empty cell.  JSON never holds a non-finite number: ``write_json`` raises
 :class:`NonFiniteOutputError` on one and removes the partial file.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,23 +57,34 @@ def write_json(path, payload) -> None:
         raise NonFiniteOutputError(f"{path}: {exc}") from exc
 
 
-def report_to_dict(report) -> dict:
-    return {
-        "total": report.total,
-        "per_dim": [float(v) for v in report.per_dim],
-        "std_error": report.std_error,
+def _entries(report):
+    """(total, std_error, per_dim list) of each estimate of ``report`` in row-major
+    order, with None for a NaN std_error."""
+    errors = [None if math.isnan(v) else v for v in report.std_error.ravel().tolist()]
+    per_dim = report.per_dim.reshape(-1, report.per_dim.shape[-1]).tolist()
+    return zip(report.total.ravel().tolist(), errors, per_dim)
+
+
+def report_records(report) -> list[dict]:
+    """One JSON object per estimate of ``report``; a 0-d report gives one."""
+    shared = {
         "n_snr_draws": report.n_snr_draws,
         "n_eps_draws": report.n_eps_draws,
         "n_samples": report.n_samples,
         "estimator_kind": report.estimator_kind,
         "alpha_interval": list(report.alpha_interval),
     }
+    return [{"total": t, "std_error": s, "per_dim": p, **shared} for t, s, p in _entries(report)]
 
 
-def write_report_csv(path, reports) -> None:
-    """One row per report: its index, total, std_error."""
-    rows = [(i, r.total, r.std_error) for i, r in enumerate(reports)]
-    write_csv(path, ["id", "total", "std_error"], rows)
+def write_report_csv(path, report, per_dim: bool = False) -> None:
+    """One row per estimate of ``report``: its index, total and std_error, and
+    with ``per_dim`` one column per dimension."""
+    header = ["id", "total", "std_error"]
+    if per_dim:
+        header += [f"dim_{j}" for j in range(report.per_dim.shape[-1])]
+    rows = [(i, t, s, *(p if per_dim else ())) for i, (t, s, p) in enumerate(_entries(report))]
+    write_csv(path, header, rows)
 
 
 def write_pgm(path, image) -> None:

@@ -69,9 +69,8 @@ def rank_conditions(
         if len(entry) < 2:
             raise ValueError(f"need at least 2 candidates, got {len(entry)}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    reports = estimate(uncond, cond, x, per_point if dataset else per_point[0], sampler, n_eps=n_eps, seed=seed)
-    scores = np.array([[r.total for r in row] for row in (reports if dataset else [reports])])
-    return scores if dataset else scores[0]
+    report = estimate(uncond, cond, x, per_point if dataset else per_point[0], sampler, n_eps=n_eps, seed=seed)
+    return report.total
 
 
 def evaluate_ranking(

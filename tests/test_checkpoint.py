@@ -7,19 +7,17 @@ import pytest
 
 from diffinfo.channel import LogSnrSampler
 from diffinfo.checkpoint import load_checkpoint, save_checkpoint
-from diffinfo.denoise import ConditionId, GmmSpec, Sample
+from diffinfo.denoise import ConditionId, GmmSpec
 from diffinfo.mlp import MlpDenoiser, MlpTrainConfig, train_mlp
 
 
 @pytest.fixture(scope="module")
 def tiny_mlp():
     rng = np.random.default_rng(0)
-    dataset = [
-        Sample(x=row, condition=ConditionId(label="a" if i % 2 else "b"))
-        for i, row in enumerate(rng.standard_normal((64, 2)))
-    ]
+    x = rng.standard_normal((64, 2))
+    conditions = [ConditionId(label="a" if i % 2 else "b") for i in range(64)]
     denoiser, _ = train_mlp(
-        dataset, MlpTrainConfig(hidden=(16,), n_steps=50), LogSnrSampler(n_draws=16), seed=1
+        x, conditions, MlpTrainConfig(hidden=(16,), n_steps=50), LogSnrSampler(n_draws=16), seed=1
     )
     return denoiser
 

@@ -15,7 +15,8 @@ from diffinfo.cli import _COMMANDS, main
 from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.mlp import MlpDenoiser
-from diffinfo.reports import write_csv
+from diffinfo.estimators import InfoReport
+from diffinfo.reports import report_records, write_csv, write_report_csv
 
 STD_NORMAL_GMM = {
     "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}],
@@ -161,6 +162,19 @@ class TestEstimate:
         payload = read_json(tmp_path / "a" / "estimates.json")
         assert payload["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2_and_names_it(self, tmp_path, capsys, where):
+        base = {
+            "seed": -1 if where == "config" else 5,
+            "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]]},
+            "sampler": {"n_snr": 5, "n_eps": 2},
+            "estimate": {"kind": "nll"},
+        }
+        argv = ["estimate", "--config", write_config(tmp_path, base), "--out", str(tmp_path / "a")]
+        assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+        assert "'seed' must be an integer of at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_missing_section_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 1, "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]]}})
         assert main(["estimate", "--config", cfg]) == 2
@@ -226,7 +240,7 @@ class TestNonFiniteOutput:
         assert len(rows) == 20 and all(r["std_error"] == "" for r in rows)
 
     def test_non_finite_json_value_exits_2_and_names_the_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("diffinfo.cli.report_to_dict", lambda report: {"total": math.inf})
+        monkeypatch.setattr("diffinfo.cli.report_records", lambda report: [{"total": math.inf}])
         cfg = write_config(
             tmp_path,
             {
@@ -239,6 +253,21 @@ class TestNonFiniteOutput:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "estimates.json" in capsys.readouterr().err
         assert not (tmp_path / "out" / "estimates.json").exists()
+
+
+    def test_nan_std_error_is_written_as_null_and_an_empty_cell(self, tmp_path):
+        report = InfoReport(
+            total=[1.0, 2.0],
+            per_dim=[[1.0], [2.0]],
+            std_error=[math.nan, 0.5],
+            n_snr_draws=1,
+            n_eps_draws=2,
+            estimator_kind="pointwise_o",
+            alpha_interval=(-5.0, 7.0),
+        )
+        assert [r["std_error"] for r in report_records(report)] == [None, 0.5]
+        write_report_csv(tmp_path / "r.csv", report, per_dim=True)
+        assert (tmp_path / "r.csv").read_text() == "id,total,std_error,dim_0\n0,1,,1\n1,2,0.5,2\n"
 
 
 def test_csv_cells_spell_booleans_and_missing_values_one_way(tmp_path):
@@ -689,6 +718,34 @@ class TestIntervene:
         assert payload["pearson_image_level"] > 0
         lines = (tmp_path / "out" / "intervene.csv").read_text().splitlines()
         assert lines[0] == "id,label,context,cmi,roundtrip_l2,delta_l2"
+
+
+    def test_non_finite_flow_exits_2_and_names_the_solver(self, tmp_path, capsys):
+        gmm = {
+            "components": [
+                {"weight": 0.5, "mean": [1e308], "cov": [[1.0]]},
+                {"weight": 0.5, "mean": [-4.0], "cov": [[1.0]]},
+            ],
+            "condition_map": {"pos": [0], "neg": [1]},
+        }
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "data": {
+                    "gmm": gmm,
+                    "n_samples": 6,
+                    "component_conditions": [{"label": "pos"}, {"label": "neg"}],
+                },
+                "sampler": {"n_snr": 10, "n_eps": 2},
+                "solver": {"n_steps": 10},
+                "intervene": {"n_samples": 6, "swap": {"neg": "pos", "pos": "neg"}},
+            },
+        )
+        with np.errstate(all="ignore"):
+            assert main(["intervene", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: solver:" in err and "at step 1" in err
 
 
 class TestTrainAndCheckpoints:

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from diffinfo.channel import LogSnrSampler
-from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import (
     CHUNK_ELEMENTS,
     InfoReport,
-    cmi,
-    mi,
+    aggregate_reports,
     nll,
     pointwise_dataset,
     pointwise_o,
@@ -100,10 +99,16 @@ class TestNll:
 @pytest.fixture(scope="module")
 def rho08():
     bench = correlated_gaussian(0.8)
-    dataset = bench.dataset(400, seed=100)
-    reports_s = pointwise_dataset(bench.uncond, bench.cond, dataset, SAMPLER, "pointwise_s", 4, 7)
-    reports_o = pointwise_dataset(bench.uncond, bench.cond, dataset, SAMPLER, "pointwise_o", 4, 7)
-    return bench, dataset, reports_s, reports_o
+    x, ys = bench.dataset(400, seed=100)
+    reports_s = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_s", 4, 7)
+    reports_o = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_o", 4, 7)
+    return bench, (x, ys), reports_s, reports_o
+
+
+def dataset_mi(den, x, conditions, sampler, seed, contexts=None):
+    """MI, or CMI given ``contexts``: the average of per-sample i^o estimates."""
+    report = pointwise_dataset(den, den, x, conditions, sampler, seed=seed, contexts=contexts)
+    return aggregate_reports(report, "mi" if contexts is None else "cmi")
 
 
 class TestPointwise:
@@ -136,12 +141,10 @@ class TestPointwise:
         assert report.total < 0  # sign matches the analytic log-density ratio
 
     def test_llr_matches_analytic_ratio_on_average(self, rho08):
-        bench, dataset, reports_s, _ = rho08
+        bench, (x, ys), reports_s, _ = rho08
         cov = np.array([[1.0, 0.8], [0.8, 1.0]])
-        analytic = np.array(
-            [gaussian_pointwise(s.x, [s.condition], cov).value for s in dataset]
-        )
-        diffs = np.array([r.total for r in reports_s]) - analytic
+        analytic = np.array([gaussian_pointwise(xi, [y], cov).value for xi, y in zip(x, ys)])
+        diffs = reports_s.total - analytic
         assert abs(diffs.mean()) <= 3 * diffs.std(ddof=1) / math.sqrt(diffs.size)
 
     def test_identical_denoisers_give_exact_zero(self):
@@ -152,7 +155,7 @@ class TestPointwise:
 
     def test_orthogonal_estimator_recovers_gaussian_mi(self, rho08):
         _, _, _, reports_o = rho08
-        totals = np.array([r.total for r in reports_o])
+        totals = reports_o.total
         se = totals.std(ddof=1) / math.sqrt(totals.size)
         assert abs(totals.mean() - gaussian_mi(0.8).value) <= 3 * se
 
@@ -160,21 +163,17 @@ class TestPointwise:
         # Measured on the shared-draw benchmark only: the squared-difference
         # integrand drops the extra eps terms, so its totals scatter less.
         _, _, reports_s, reports_o = rho08
-        spread_s = np.std([r.total for r in reports_s], ddof=1)
-        spread_o = np.std([r.total for r in reports_o], ddof=1)
+        spread_s = np.std(reports_s.total, ddof=1)
+        spread_o = np.std(reports_o.total, ddof=1)
         assert spread_o <= spread_s
 
     def test_mean_reported_std_error_lower_for_orthogonal(self, rho08):
         _, _, reports_s, reports_o = rho08
-        assert np.mean([r.std_error for r in reports_o]) <= np.mean(
-            [r.std_error for r in reports_s]
-        )
+        assert reports_o.std_error.mean() <= reports_s.std_error.mean()
 
     def test_orthogonality_cross_term_vanishes_on_average(self, rho08):
         _, _, reports_s, reports_o = rho08
-        cross = 0.5 * (
-            np.array([r.total for r in reports_s]) - np.array([r.total for r in reports_o])
-        )
+        cross = 0.5 * (reports_s.total - reports_o.total)
         assert abs(cross.mean()) <= 3 * cross.std(ddof=1) / math.sqrt(cross.size)
 
     @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=-6, max_value=6))
@@ -203,45 +202,44 @@ class TestMi:
             condition_map={"a": (0,), "b": (1,)},
         )
         den = gmm_mmse(spec)
-        dataset = labeled_dataset(spec, ["a", "b"], 50, seed=6)
-        report = mi(den, den, dataset, SAMPLER, seed=8)
+        x, labels = labeled_dataset(spec, ["a", "b"], 50, seed=6)
+        report = dataset_mi(den, x, labels, SAMPLER, seed=8)
         assert abs(report.total) <= 1e-12  # identical conditionals, shared draws
 
     def test_separated_pair_recovers_label_entropy(self):
         spec = symmetric_pair_spec(4.0)
         den = gmm_mmse(spec)
-        dataset = labeled_dataset(spec, ["neg", "pos"], 400, seed=9)
+        x, labels = labeled_dataset(spec, ["neg", "pos"], 400, seed=9)
         # This benchmark still carries ~0.05 nats of label information at
         # alpha = -5, so the truncation interval must reach further down.
         wide = LogSnrSampler(loc=1.0, scale=2.0, clip=4.5, n_draws=100)
-        report = mi(den, den, dataset, wide, seed=10)
+        report = dataset_mi(den, x, labels, wide, seed=10)
         assert report.total == pytest.approx(math.log(2), rel=0.05)
         assert report.n_samples == 400
         assert report.alpha_interval == (-8.0, 10.0)
 
     def test_estimator_kinds_agree_in_expectation(self, rho08):
-        bench, dataset, reports_s, reports_o = rho08
-        t_s = np.array([r.total for r in reports_s])
-        t_o = np.array([r.total for r in reports_o])
+        _, _, reports_s, reports_o = rho08
+        t_s, t_o = reports_s.total, reports_o.total
         se = math.sqrt(t_s.var(ddof=1) / t_s.size + t_o.var(ddof=1) / t_o.size)
         assert abs(t_s.mean() - t_o.mean()) <= 3 * se
 
     def test_empty_dataset_rejected(self):
         den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match="empty"):
-            mi(den, den, [], SAMPLER)
+            pointwise_dataset(den, den, np.zeros((0, 1)), [], SAMPLER)
 
     def test_missing_condition_rejected(self):
         den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match="condition"):
-            mi(den, den, [Sample(x=np.zeros(1))], SAMPLER)
+            pointwise_dataset(den, den, np.zeros((1, 1)), [None], SAMPLER)
 
     def test_deterministic_given_seed(self):
         spec = symmetric_pair_spec(4.0)
         den = gmm_mmse(spec)
-        dataset = labeled_dataset(spec, ["neg", "pos"], 20, seed=11)
-        a = mi(den, den, dataset, SAMPLER, seed=12)
-        b = mi(den, den, dataset, SAMPLER, seed=12)
+        x, labels = labeled_dataset(spec, ["neg", "pos"], 20, seed=11)
+        a = dataset_mi(den, x, labels, SAMPLER, seed=12)
+        b = dataset_mi(den, x, labels, SAMPLER, seed=12)
         assert a.total == b.total and a.std_error == b.std_error
         np.testing.assert_array_equal(a.per_dim, b.per_dim)
 
@@ -251,9 +249,11 @@ class TestCmi:
         # Both labels select the same components given the "plain" context.
         spec = redundant_editing_spec()
         den = gmm_mmse(spec)
-        dataset = [s for s in editing_dataset(spec, 120, seed=13) if "plain" in s.context.context]
-        assert len(dataset) > 10
-        report = cmi(den, den, dataset, SAMPLER, seed=14)
+        x, conditions, contexts = editing_dataset(spec, 120, seed=13)
+        plain = [i for i, c in enumerate(contexts) if "plain" in c.context]
+        assert len(plain) > 10
+        pick = [conditions[i] for i in plain], [contexts[i] for i in plain]
+        report = dataset_mi(den, x[plain], pick[0], SAMPLER, seed=14, contexts=pick[1])
         assert report.total == 0.0
 
     def test_constant_context_reduces_to_mi(self):
@@ -264,27 +264,21 @@ class TestCmi:
             condition_map={"neg": (0,), "pos": (1,), "all": (0, 1)},
         )
         den = gmm_mmse(spec)
-        base = labeled_dataset(spec, ["neg", "pos"], 200, seed=15)
-        with_ctx = [
-            Sample(
-                x=s.x,
-                condition=ConditionId(label=s.condition.label, context=("all",)),
-                context=ConditionId(context=("all",)),
-            )
-            for s in base
-        ]
-        mi_report = mi(den, den, base, SAMPLER, seed=16)
-        cmi_report = cmi(den, den, with_ctx, SAMPLER, seed=16)
+        x, labels = labeled_dataset(spec, ["neg", "pos"], 200, seed=15)
+        with_ctx = [ConditionId(label=c.label, context=("all",)) for c in labels]
+        contexts = [ConditionId(context=("all",))] * len(labels)
+        mi_report = dataset_mi(den, x, labels, SAMPLER, seed=16)
+        cmi_report = dataset_mi(den, x, with_ctx, SAMPLER, seed=16, contexts=contexts)
         combined = math.hypot(mi_report.std_error, cmi_report.std_error)
         assert abs(mi_report.total - cmi_report.total) <= 3 * combined
 
     def test_hierarchy_refinement_matches_restricted_oracle(self):
         spec = hierarchy_spec(branching=4, spread=8.0)
         den = gmm_mmse(spec)
-        dataset = hierarchy_dataset(spec, 200, seed=17)
+        x, conditions, contexts = hierarchy_dataset(spec, 200, seed=17)
         # Four-way separation keeps label information alive below alpha = -5.
         wide = LogSnrSampler(loc=1.0, scale=2.0, clip=5.0, n_draws=100)
-        report = cmi(den, den, dataset, wide, seed=18)
+        report = dataset_mi(den, x, conditions, wide, seed=18, contexts=contexts)
         oracle_value = gmm_mi_numeric(
             spec.restrict(ConditionId(context=("c0",))), labels=["L0", "L1", "L2", "L3"]
         )
@@ -305,17 +299,15 @@ class TestPerDimDecomposition:
             condition_map={"neg": (0,), "pos": (1,)},
         )
         den = gmm_mmse(spec)
-        dataset = labeled_dataset(spec, ["neg", "pos"], 100, seed=19)
-        report = mi(den, den, dataset, SAMPLER, seed=20)
+        x, labels = labeled_dataset(spec, ["neg", "pos"], 100, seed=19)
+        report = dataset_mi(den, x, labels, SAMPLER, seed=20)
         assert abs(report.per_dim[1]) <= 1e-18
         assert report.per_dim[0] > 0.5
 
     def test_per_dim_sums_to_total(self, rho08):
         _, _, reports_s, reports_o = rho08
-        for report in (*reports_s[:50], *reports_o[:50]):
-            assert report.per_dim.sum() == pytest.approx(
-                report.total, rel=1e-9, abs=1e-12
-            )
+        for report in (reports_s, reports_o):
+            np.testing.assert_allclose(report.per_dim.sum(axis=1), report.total, rtol=1e-9, atol=1e-12)
 
     def test_exchangeable_coordinates_share_mass(self):
         eye = np.eye(2)
@@ -326,8 +318,8 @@ class TestPerDimDecomposition:
             condition_map={"neg": (0,), "pos": (1,)},
         )
         den = gmm_mmse(spec)
-        dataset = labeled_dataset(spec, ["neg", "pos"], 300, seed=21)
-        report = mi(den, den, dataset, SAMPLER, seed=22)
+        x, labels = labeled_dataset(spec, ["neg", "pos"], 300, seed=21)
+        report = dataset_mi(den, x, labels, SAMPLER, seed=22)
         assert abs(report.per_dim[0] - report.per_dim[1]) <= 3 * report.std_error
 
     def test_report_validation_rejects_mismatched_sum(self):
@@ -355,9 +347,9 @@ class TestPerDimDecomposition:
 def localized_denoisers():
     """The exact denoiser of a 2-D labeled pair and a small MLP trained on it."""
     spec = coordinate_localized_spec(dim=2, informative=1)
-    dataset = labeled_dataset(spec, ("lo", "hi"), 64, seed=30)
+    x, labels = labeled_dataset(spec, ("lo", "hi"), 64, seed=30)
     config = MlpTrainConfig(hidden=(8,), n_steps=60, batch_size=16)
-    trained, _ = train_mlp(dataset, config, SAMPLER, seed=31)
+    trained, _ = train_mlp(x, labels, config, SAMPLER, seed=31)
     return {"gmm": gmm_mmse(spec), "mlp": trained}
 
 
@@ -371,21 +363,19 @@ class TestConditionLists:
         x = [0.4, -1.2]
         seed = np.random.SeedSequence(32)
         together = estimate(den, den, x, self.CONDITIONS, SAMPLER, 3, seed)
-        assert isinstance(together, list) and len(together) == len(self.CONDITIONS)
-        for report, condition in zip(together, self.CONDITIONS):
-            alone = estimate(den, den, x, condition, SAMPLER, 3, seed)
-            assert report.total == alone.total
-            assert report.std_error == alone.std_error
-            np.testing.assert_array_equal(report.per_dim, alone.per_dim)
-        assert together[0].total != together[1].total
+        assert together.total.shape == (3,) and together.per_dim.shape == (3, 2)
+        for i, condition in enumerate(self.CONDITIONS):
+            assert_same_point(together, i, estimate(den, den, x, condition, SAMPLER, 3, seed))
+        assert together.total[0] != together.total[1]
 
     def test_tuple_is_a_list_and_one_condition_is_not(self):
         den = gmm_mmse(symmetric_pair_spec())
         condition = ConditionId(label="pos")
         single = pointwise_s(den, den, [1.0], condition, SAMPLER, seed=33)
-        assert isinstance(single, InfoReport)
-        (listed,) = pointwise_s(den, den, [1.0], (condition,), SAMPLER, seed=33)
-        assert listed.total == single.total
+        assert single.total.shape == single.std_error.shape == () and single.per_dim.shape == (1,)
+        listed = pointwise_s(den, den, [1.0], (condition,), SAMPLER, seed=33)
+        assert listed.total.shape == (1,)
+        assert_same_point(listed, 0, single)
 
     @pytest.mark.parametrize("estimate", [pointwise_s, pointwise_o], ids=["s", "o"])
     @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
@@ -426,25 +416,23 @@ class TestTranslationInvariance:
         den, moved = gmm_mmse(spec), gmm_mmse(source(means + shift))
         pairs = [(nll(den, x, seed=seed), nll(moved, x + shift, seed=seed))]
         for estimate in (pointwise_s, pointwise_o):
-            pairs += zip(
-                estimate(den, den, x, conditions, seed=seed),
-                estimate(moved, moved, x + shift, conditions, seed=seed),
+            pairs.append(
+                (
+                    estimate(den, den, x, conditions, seed=seed),
+                    estimate(moved, moved, x + shift, conditions, seed=seed),
+                )
             )
         for report, shifted in pairs:
-            assert abs(shifted.total - report.total) <= 1e-9
+            np.testing.assert_allclose(shifted.total, report.total, rtol=0, atol=1e-9)
             np.testing.assert_allclose(shifted.per_dim, report.per_dim, rtol=0, atol=1e-9)
 
 
-def assert_same_report(report, expected):
-    """Equal bit for bit; a list of reports is compared report by report."""
-    if isinstance(expected, list):
-        assert isinstance(report, list) and len(report) == len(expected)
-        for r, e in zip(report, expected):
-            assert_same_report(r, e)
-        return
-    assert report.total == expected.total
-    assert report.std_error == expected.std_error
-    np.testing.assert_array_equal(report.per_dim, expected.per_dim)
+def assert_same_point(report, i, alone):
+    """Entry i of ``report`` equals the report ``alone`` bit for bit, NaN standard errors included."""
+    assert report.total[i].shape == alone.total.shape
+    np.testing.assert_array_equal(report.total[i], alone.total)
+    np.testing.assert_array_equal(report.std_error[i], alone.std_error)
+    np.testing.assert_array_equal(report.per_dim[i], alone.per_dim)
 
 
 def estimate(kind, den, x, sampler, n_eps, seed, condition, uncond_condition=None):
@@ -463,12 +451,12 @@ class TestDatasetNll:
     CONTEXT = ConditionId(context=("lo",))
 
     def check_against_single_points(self, den, xs, sampler, n_eps, seed, condition, kind="nll", uncond=None):
-        reports = estimate(kind, den, xs, sampler, n_eps, seed, condition, uncond)
-        assert isinstance(reports, list) and len(reports) == len(xs)
+        report = estimate(kind, den, xs, sampler, n_eps, seed, condition, uncond)
+        assert report.total.shape[0] == len(xs)
         children = seed_sequence(seed).spawn(len(xs))
-        for i, report in enumerate(reports):
+        for i in range(len(xs)):
             c, u = (e[i] if isinstance(e, (list, tuple)) else e for e in (condition, uncond))
-            assert_same_report(report, estimate(kind, den, xs[i], sampler, n_eps, children[i], c, u))
+            assert_same_point(report, i, estimate(kind, den, xs[i], sampler, n_eps, children[i], c, u))
 
     @pytest.mark.parametrize(
         "kind, form",
@@ -530,10 +518,11 @@ class TestDatasetNll:
         den = MlpDenoiser(layers, dim=2)
         xs = rng.standard_normal((60, 2))
         children = seed_sequence(50).spawn(len(xs))
-        for report, x, child in zip(nll(den, xs, SAMPLER, 4, 50), xs, children):
+        report = nll(den, xs, SAMPLER, 4, 50)
+        for i, (x, child) in enumerate(zip(xs, children)):
             alone = nll(den, x, SAMPLER, 4, child)
-            assert report.total == pytest.approx(alone.total, rel=1e-12, abs=0)
-            np.testing.assert_allclose(report.per_dim, alone.per_dim, rtol=1e-12, atol=0)
+            assert report.total[i] == pytest.approx(alone.total, rel=1e-12, abs=0)
+            np.testing.assert_allclose(report.per_dim[i], alone.per_dim, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("payload", ["float", "array"])
     def test_per_point_payloads_of_any_kind(self, payload):
@@ -547,12 +536,13 @@ class TestDatasetNll:
 
     def test_vector_uses_the_seed_as_it_is(self):
         den = gmm_mmse(STD_NORMAL)
-        (first,) = nll(den, [[0.7]], SAMPLER, 2, 44)
+        first = nll(den, [[0.7]], SAMPLER, 2, 44)
+        assert first.total.shape == (1,)
         child = np.random.SeedSequence(44).spawn(1)[0]
-        assert_same_report(first, nll(den, [0.7], SAMPLER, 2, child))
+        assert_same_point(first, 0, nll(den, [0.7], SAMPLER, 2, child))
         as_is = nll(den, [0.7], SAMPLER, 2, 44)
-        assert_same_report(as_is, nll(den, 0.7, SAMPLER, 2, seed_sequence(44)))
-        assert as_is.total != first.total
+        assert_same_point(as_is, (), nll(den, 0.7, SAMPLER, 2, seed_sequence(44)))
+        assert as_is.total != first.total[0]
 
     def test_overflowing_row_is_inf_and_spares_its_neighbours(self):
         class FarExploding:
@@ -567,20 +557,19 @@ class TestDatasetNll:
 
         xs = np.array([[0.0], [1.0], [1e4], [-0.5]])
         with np.errstate(over="ignore"):
-            reports = nll(FarExploding(), xs, SAMPLER, 2, 45)
-        far = reports[2]
-        assert far.total == math.inf and far.std_error == math.inf
-        assert np.all(np.isinf(far.per_dim))
+            report = nll(FarExploding(), xs, SAMPLER, 2, 45)
+        assert report.total[2] == math.inf and report.std_error[2] == math.inf
+        assert np.all(np.isinf(report.per_dim[2]))
         children = seed_sequence(45).spawn(len(xs))
         for i in (0, 1, 3):
-            assert math.isfinite(reports[i].total)
-            assert_same_report(reports[i], nll(gmm_mmse(STD_NORMAL), xs[i], SAMPLER, 2, children[i]))
+            assert math.isfinite(report.total[i])
+            assert_same_point(report, i, nll(gmm_mmse(STD_NORMAL), xs[i], SAMPLER, 2, children[i]))
 
     def test_one_log_snr_draw_gives_no_std_error(self):
         den = gmm_mmse(STD_NORMAL)
-        reports = nll(den, np.linspace(-1.0, 1.0, 30)[:, None], LogSnrSampler(n_draws=1), 3, 46)
-        assert all(r.std_error is None for r in reports)
-        assert all(math.isfinite(r.total) for r in reports)
+        report = nll(den, np.linspace(-1.0, 1.0, 30)[:, None], LogSnrSampler(n_draws=1), 3, 46)
+        assert report.std_error.shape == (30,) and np.isnan(report.std_error).all()
+        assert np.isfinite(report.total).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_named_by_index(self, bad):
@@ -601,6 +590,21 @@ class TestDatasetNll:
     def test_malformed_points_rejected(self, xs, message):
         with pytest.raises(ValueError, match=message):
             nll(gmm_mmse(STD_NORMAL), xs, SAMPLER)
+
+    @pytest.mark.parametrize("estimate", [pointwise_s, pointwise_o], ids=["s", "o"])
+    @pytest.mark.parametrize("ragged", ["lengths", "list_and_single"])
+    def test_ragged_candidate_lists_rejected(self, localized_denoisers, estimate, ragged):
+        lo, hi = self.LABELS
+        den = localized_denoisers["gmm"]
+        condition = [[lo, hi], [lo], [hi, lo]] if ragged == "lengths" else [[lo, hi], lo, [hi, lo]]
+        with pytest.raises(ValueError, match="one common length"):
+            estimate(den, den, np.zeros((3, 2)), condition, SAMPLER)
+
+    def test_dataset_with_candidates_gives_n_by_k_arrays(self, localized_denoisers):
+        den = localized_denoisers["gmm"]
+        report = pointwise_o(den, den, np.zeros((4, 2)), [tuple(self.LABELS)] * 4, SAMPLER, 2, 51)
+        assert report.total.shape == report.std_error.shape == (4, 2)
+        assert report.per_dim.shape == (4, 2, 2)
 
     def test_wrong_number_of_conditions_rejected(self):
         den = gmm_mmse(symmetric_pair_spec())

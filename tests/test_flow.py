@@ -164,9 +164,7 @@ class TestBatchedIntervene:
     def edits(self):
         spec = redundant_editing_spec()
         den = gmm_mmse(spec)
-        samples = editing_dataset(spec, 10, seed=3)
-        x = np.stack([s.x for s in samples])
-        cond_in = [s.condition for s in samples]
+        x, cond_in, _ = editing_dataset(spec, 10, seed=3)
         swap = {"low": "high", "high": "low"}
         cond_out = [ConditionId(label=swap[c.label], context=c.context) for c in cond_in]
         return den, x, cond_in, cond_out, intervene(x, den, cond_in, cond_out)

@@ -6,7 +6,7 @@ import pytest
 from diffinfo import mlp
 from diffinfo.channel import LogSnrSampler, noise_weight, signal_weight
 from diffinfo.checkpoint import save_checkpoint
-from diffinfo.denoise import ConditionId, GmmSpec, Sample, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.mlp import MlpDenoiser, MlpTrainConfig, TrainingDivergedError, train_mlp
 from diffinfo.oracle import mmse_gaussian
 
@@ -28,8 +28,7 @@ def mse_at(denoiser, xs, alpha, seed, condition=None):
 def gaussian_mlp():
     rng = np.random.default_rng(0)
     xs = rng.standard_normal((2048, 1))
-    dataset = [Sample(x=row) for row in xs]
-    denoiser, trace = train_mlp(dataset, MlpTrainConfig(n_steps=8000), SAMPLER, seed=1)
+    denoiser, trace = train_mlp(xs, None, MlpTrainConfig(n_steps=8000), SAMPLER, seed=1)
     return denoiser, trace, xs
 
 
@@ -55,9 +54,8 @@ class TestGaussianTraining:
 
 class TestZeroVarianceDataset:
     def test_noise_recovered_when_data_is_deterministic(self):
-        dataset = [Sample(x=np.array([1.5])) for _ in range(256)]
-        denoiser, _ = train_mlp(dataset, MlpTrainConfig(n_steps=5000), SAMPLER, seed=4)
         xs = np.full((256, 1), 1.5)
+        denoiser, _ = train_mlp(xs, None, MlpTrainConfig(n_steps=5000), SAMPLER, seed=4)
         errors = {}
         for alpha in (0.0, 2.0, 4.0):
             errors[alpha], _ = mse_at(denoiser, xs, alpha, seed=5)
@@ -76,8 +74,8 @@ class TestConditionalTraining:
         rng = np.random.default_rng(6)
         x, comps = spec.sample(4096, rng)
         labels = np.array(["neg", "pos"])[comps]
-        dataset = [Sample(x=xi, condition=ConditionId(label=l)) for xi, l in zip(x, labels)]
-        denoiser, _ = train_mlp(dataset, MlpTrainConfig(n_steps=10_000), SAMPLER, seed=7)
+        conditions = [ConditionId(label=l) for l in labels]
+        denoiser, _ = train_mlp(x, conditions, MlpTrainConfig(n_steps=10_000), SAMPLER, seed=7)
         closed = gmm_mmse(spec)
         for alpha in (-2.0, 0.0, 2.0):
             eval_rng = np.random.default_rng(int(10 * alpha) + 100)
@@ -99,18 +97,21 @@ class TestConditionalTraining:
 
 class TestFailureModes:
     def test_non_finite_data_aborts_with_step_diagnostic(self):
-        dataset = [Sample(x=np.array([np.inf])) for _ in range(32)]
         with pytest.raises(TrainingDivergedError, match="step"):
-            train_mlp(dataset, MlpTrainConfig(n_steps=50), SAMPLER, seed=8)
+            train_mlp(np.full((32, 1), np.inf), None, MlpTrainConfig(n_steps=50), SAMPLER, seed=8)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_mlp([], MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
+            train_mlp(np.zeros((0, 1)), None, MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
 
-    def test_inconsistent_dimensions_rejected(self):
-        dataset = [Sample(x=np.zeros(2)), Sample(x=np.zeros(3))]
-        with pytest.raises(ValueError, match="dimension"):
-            train_mlp(dataset, MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 3, 1))], ids=["vector", "three_axes"])
+    def test_points_not_an_n_by_d_array_rejected(self, x):
+        with pytest.raises(ValueError, match="\\(n, d\\) array"):
+            train_mlp(x, None, MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
+
+    def test_wrong_number_of_conditions_rejected(self):
+        with pytest.raises(ValueError, match="1 conditions for 2 points"):
+            train_mlp(np.zeros((2, 1)), [None], MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
 
     def test_unknown_condition_token_rejected_at_inference(self, gaussian_mlp):
         denoiser, _, _ = gaussian_mlp
@@ -120,10 +121,10 @@ class TestFailureModes:
 
 class TestDeterminism:
     def test_same_seed_same_parameters(self):
-        dataset = [Sample(x=np.array([float(i % 5)])) for i in range(64)]
+        xs = np.array([[float(i % 5)] for i in range(64)])
         cfg = MlpTrainConfig(n_steps=200)
-        d1, t1 = train_mlp(dataset, cfg, SAMPLER, seed=9)
-        d2, t2 = train_mlp(dataset, cfg, SAMPLER, seed=9)
+        d1, t1 = train_mlp(xs, None, cfg, SAMPLER, seed=9)
+        d2, t2 = train_mlp(xs, None, cfg, SAMPLER, seed=9)
         np.testing.assert_array_equal(t1, t2)
         for (w1, b1), (w2, b2) in zip(d1.layers, d2.layers):
             np.testing.assert_array_equal(w1, w2)
@@ -240,13 +241,14 @@ class TestInPlaceForward:
     def test_training_gives_reference_checkpoint_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
         conds = [ConditionId(label="a"), ConditionId(label="b")]
-        dataset = [Sample(x=rng.standard_normal(2), condition=conds[i % 2]) for i in range(64)]
+        xs = np.stack([rng.standard_normal(2) for _ in range(64)])
+        conditions = [conds[i % 2] for i in range(64)]
         cfg = MlpTrainConfig(hidden=(16, 16), n_steps=150, batch_size=32)
         trained = {}
         for name in ("in_place", "reference"):
             if name == "reference":
                 monkeypatch.setattr(mlp, "_forward", reference_forward)
-            net, trace = train_mlp(dataset, cfg, SAMPLER, seed=8)
+            net, trace = train_mlp(xs, conditions, cfg, SAMPLER, seed=8)
             save_checkpoint(net, tmp_path / f"{name}.ckpt")
             trained[name] = ((tmp_path / f"{name}.ckpt").read_bytes(), trace)
         assert trained["in_place"][0] == trained["reference"][0]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
-from diffinfo.estimators import CHUNK_ELEMENTS, mi
+from diffinfo.estimators import CHUNK_ELEMENTS, aggregate_reports, pointwise_dataset
 from diffinfo.oracle import component_responsibilities
 from diffinfo.tasks import (
     TIE_ATOL,
@@ -173,12 +173,8 @@ class TestSegmentation:
         )
         den = gmm_mmse(spec)
         x, comps = spec.sample(60, 7)
-        from diffinfo.denoise import Sample
-
-        dataset = [
-            Sample(x=xi, condition=ConditionId(label=("lo", "hi")[k])) for xi, k in zip(x, comps)
-        ]
-        report = mi(den, den, dataset, SAMPLER, seed=8)
+        conditions = [ConditionId(label=("lo", "hi")[k]) for k in comps]
+        report = aggregate_reports(pointwise_dataset(den, den, x, conditions, SAMPLER, seed=8), "mi")
         truth = np.array([1, 1, 0, 0, 0, 0], dtype=bool)
         best = sweep_threshold(np.maximum(report.per_dim, 0.0), truth)
         assert best.iou >= 0.9

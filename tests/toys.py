@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffinfo.channel import noise_weight, signal_weight
-from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, Sample, as_batch, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, gmm_mmse
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,12 @@ class CorrelatedGaussian:
     uncond: GmmDenoiser
     cond: CorrelatedGaussianDenoiser
 
-    def dataset(self, n: int, seed) -> list[Sample]:
+    def dataset(self, n: int, seed) -> tuple[np.ndarray, list[float]]:
+        """Points x (n, 1) and each point's observed y, its condition."""
         rng = np.random.default_rng(seed)
         cov = np.array([[1.0, self.rho], [self.rho, 1.0]])
         xy = rng.multivariate_normal([0.0, 0.0], cov, size=n)
-        return [Sample(x=np.array([x]), condition=float(y)) for x, y in xy]
+        return xy[:, :1], xy[:, 1].tolist()
 
 
 def correlated_gaussian(rho: float) -> CorrelatedGaussian:
@@ -99,14 +100,15 @@ def symmetric_pair_spec(offset: float = 4.0, variance: float = 1.0, labels=("neg
     )
 
 
-def labeled_dataset(spec: GmmSpec, labels, n: int, seed) -> list[Sample]:
-    """Sample a spec whose listed labels partition its components one-to-one."""
+def labeled_dataset(spec: GmmSpec, labels, n: int, seed) -> tuple[np.ndarray, list[ConditionId]]:
+    """Points (n, d) of a spec whose listed labels partition its components one-to-one,
+    and each point's label."""
     label_of = {}
     for token in labels:
         for k in spec.condition_map[token]:
             label_of[k] = token
     x, comps = spec.sample(n, seed)
-    return [Sample(x=xi, condition=ConditionId(label=label_of[int(k)])) for xi, k in zip(x, comps)]
+    return x, [ConditionId(label=label_of[int(k)]) for k in comps]
 
 
 def coordinate_localized_spec(dim: int = 8, informative: int = 2, offset: float = 3.0) -> GmmSpec:
@@ -143,24 +145,20 @@ def redundant_editing_spec() -> GmmSpec:
     )
 
 
-def editing_dataset(spec: GmmSpec, n: int, seed) -> list[Sample]:
-    """Samples from :func:`redundant_editing_spec` with (label, context) conditions."""
+def editing_dataset(spec: GmmSpec, n: int, seed) -> tuple[np.ndarray, list, list]:
+    """Points of :func:`redundant_editing_spec`, with each point's (label, context)
+    condition and its context alone."""
     rng = np.random.default_rng(seed)
     x, comps = spec.sample(n, rng)
-    samples = []
-    for xi, k in zip(x, comps):
+    conditions, contexts = [], []
+    for k in comps:
         if k in (0, 1):
             context, label = "plain", ("low", "high")[rng.integers(0, 2)]
         else:
             context, label = "split", ("low" if k == 2 else "high")
-        samples.append(
-            Sample(
-                x=xi,
-                condition=ConditionId(label=label, context=(context,)),
-                context=ConditionId(context=(context,)),
-            )
-        )
-    return samples
+        conditions.append(ConditionId(label=label, context=(context,)))
+        contexts.append(ConditionId(context=(context,)))
+    return x, conditions, contexts
 
 
 def hierarchy_spec(branching: int = 4, spread: float = 8.0) -> GmmSpec:
@@ -187,18 +185,11 @@ def hierarchy_spec(branching: int = 4, spread: float = 8.0) -> GmmSpec:
     )
 
 
-def hierarchy_dataset(spec: GmmSpec, n: int, seed) -> list[Sample]:
+def hierarchy_dataset(spec: GmmSpec, n: int, seed) -> tuple[np.ndarray, list, list]:
+    """Points of :func:`hierarchy_spec`, with each point's (label, context) condition
+    and its context alone."""
     branching = len([t for t in spec.condition_map if t.startswith("L")])
     x, comps = spec.sample(n, seed)
-    samples = []
-    for xi, k in zip(x, comps):
-        ctx = "c0" if k < branching else "c1"
-        label = f"L{int(k) % branching}"
-        samples.append(
-            Sample(
-                x=xi,
-                condition=ConditionId(label=label, context=(ctx,)),
-                context=ConditionId(context=(ctx,)),
-            )
-        )
-    return samples
+    contexts = [("c0",) if k < branching else ("c1",) for k in comps]
+    conditions = [ConditionId(label=f"L{int(k) % branching}", context=c) for k, c in zip(comps, contexts)]
+    return x, conditions, [ConditionId(context=c) for c in contexts]
