@@ -265,7 +265,12 @@ class GmmSpec:
 
 
 class GmmDenoiser:
-    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source."""
+    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source.
+
+    ``predict_eps`` and ``responsibilities`` write their per-component terms
+    into arrays the instance keeps, so one instance must not serve two
+    threads at once.
+    """
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
@@ -273,6 +278,8 @@ class GmmDenoiser:
         self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances)
         self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
         self._resolved: dict = {}  # condition -> (components, log conditional weights)
+        self._per_row = (None, None)  # (per-row conditions, their _log_weights result)
+        self._work = (-1, ())  # (rows, arrays) reused by every call, see _work_arrays
 
     @property
     def dim(self) -> int:
@@ -280,10 +287,10 @@ class GmmDenoiser:
 
     def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        u, resp, zs, sna = self._component_terms(x2, a, condition)
-        zs *= np.sqrt(sna) * resp[:, None, :]
+        u, resp, zs, sna, prod, weight = self._component_terms(x2, a, condition)
+        zs *= np.multiply(np.sqrt(sna), resp, out=weight)[:, None, :]
         # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
-        eps_hat = (zs.transpose(0, 2, 1) @ u.transpose(0, 2, 1)).sum(axis=0)
+        eps_hat = np.matmul(zs.transpose(0, 2, 1), u.transpose(0, 2, 1), out=prod).sum(axis=0)
         return eps_hat[0] if single else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
@@ -293,7 +300,7 @@ class GmmDenoiser:
         per-row conditions, per component any row selects.
         """
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        resp = self._component_terms(x2, a, condition)[1].T
+        resp = self._component_terms(x2, a, condition)[1].T.copy()
         return resp[0] if single else resp
 
     def check_condition(self, condition) -> None:
@@ -317,38 +324,79 @@ class GmmDenoiser:
         """Components to evaluate and their log-weights, (k, 1) or per row (k, n).
 
         Per-row conditions get the union of their components, with -inf where
-        a row's condition excludes a component.
+        a row's condition excludes a component.  The last per-row result is
+        kept: the flow passes the same conditions to every step of a solve.
         """
         if not is_per_row(condition, n_rows):
             idx, log_w = self._resolve(condition)
             return idx, log_w[:, None]
-        distinct, columns = distinct_rows(condition)
-        entries = [self._resolve(c) for c in distinct]
-        # A sorted set, not np.unique, which would import numpy.ma.
-        idx = np.array(sorted({int(k) for sel, _ in entries for k in sel}))
-        log_w = np.full((idx.size, len(entries)), -np.inf)
-        for j, (sel, sel_log_w) in enumerate(entries):
-            log_w[np.searchsorted(idx, sel), j] = sel_log_w
-        return idx, log_w[:, columns]
+        key = tuple(condition)
+        if key != self._per_row[0]:
+            distinct, columns = distinct_rows(condition)
+            entries = [self._resolve(c) for c in distinct]
+            # A sorted set, not np.unique, which would import numpy.ma.
+            idx = np.array(sorted({int(k) for sel, _ in entries for k in sel}))
+            log_w = np.full((idx.size, len(entries)), -np.inf)
+            for j, (sel, sel_log_w) in enumerate(entries):
+                log_w[np.searchsorted(idx, sel), j] = sel_log_w
+            self._per_row = key, (idx, log_w[:, columns])
+        return self._per_row[1]
+
+    def _work_arrays(self, n_rows):
+        """Work arrays for ``n_rows`` rows and every component, kept while the batch size repeats.
+
+        One (k, n, d) array for the products with the eigenvectors, three
+        (k, d, n) for the rotated residual, the variances and z / s, and two
+        (k, n).  An estimator chunk of 8,000 rows at d = 2 and k = 3 keeps
+        1.9 MB of them.  Allocated afresh on every call, they made glibc trim
+        the heap when they were freed and fault it back in on the next call,
+        at the cost of a page fault per page.
+        """
+        if self._work[0] != n_rows:
+            k, d = self.spec.n_components, self.dim
+            self._work = n_rows, (
+                np.empty((k, n_rows, d)),
+                *(np.empty((k, d, n_rows)) for _ in range(3)),
+                *(np.empty((k, n_rows)) for _ in range(2)),
+            )
+        return self._work[1]
 
     def _component_terms(self, x2, a, condition):
-        """Eigenvectors (k, d, d), responsibilities (k, n), z / s (k, d, n) and sigma(-a)."""
+        """The per-component terms of a batch, and two work arrays left free.
+
+        Returns the eigenvectors (k, d, d), the responsibilities (k, n),
+        z / s (k, d, n) and sigma(-a), then free (k, n, d) and (k, n) arrays.
+        All but the eigenvectors are views of the instance's work arrays, so
+        they hold until the next call.
+        """
         idx, log_w = self._log_weights(condition, x2.shape[0])
+        k = idx.size
+        xu, z, s, zs, spare, log_joint = self._work_arrays(x2.shape[0])
+        xu, z, s, zs, spare, log_joint = xu[:k], z[:k], s[:k], zs[:k], spare[:k], log_joint[:k]
         # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
-        # weigh it once, on the sigmoid's scalar path.
+        # weigh it once, on the sigmoid's scalar path.  s and the mean shift
+        # are then (k, d, 1), small enough to take no work array.
         a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
+        scalar = isinstance(a, float)
         u = self._eigvecs[idx]
-        z = np.ascontiguousarray((x2 @ u).transpose(0, 2, 1))
-        z -= np.sqrt(sa) * self._rot_means[idx, :, None]
-        s = sa * self._eigvals[idx, :, None] + sna
-        zs = z / s
+        np.copyto(z, np.matmul(x2, u, out=xu).transpose(0, 2, 1))
+        z -= np.multiply(np.sqrt(sa), self._rot_means[idx, :, None], out=None if scalar else zs)
+        s = np.multiply(sa, self._eigvals[idx, :, None], out=None if scalar else s)
+        s += sna
+        np.divide(z, s, out=zs)
         z *= zs  # z^2 / s, the Mahalanobis terms
-        logdet, maha = np.log(s).sum(axis=1), z.sum(axis=1)
-        log_joint = log_w - 0.5 * (x2.shape[1] * np.log(2 * np.pi) + logdet + maha)
-        resp = np.exp(log_joint - log_joint.max(axis=0))
+        logdet = np.log(s, out=s).sum(axis=1, out=None if scalar else spare)
+        # log_w - (d log(2 pi) + log det S + Mahalanobis) / 2, in place
+        logdet += x2.shape[1] * np.log(2 * np.pi)
+        maha = z.sum(axis=1, out=log_joint)
+        maha += logdet
+        maha *= 0.5
+        np.subtract(log_w, maha, out=log_joint)
+        log_joint -= log_joint.max(axis=0)
+        resp = np.exp(log_joint, out=log_joint)
         resp /= resp.sum(axis=0)
-        return u, resp, zs, sna
+        return u, resp, zs, sna, xu, spare
 
 
 def gmm_mmse(spec: GmmSpec) -> GmmDenoiser:

@@ -48,8 +48,8 @@ candidates (a point over that gets a chunk to itself).  A chunk makes one
 ``corrupt``, one unconditional denoiser call (none for nll) and one call per
 candidate, each under a single condition, so a mixture evaluates only the
 components that condition selects, and writes its results into the report's
-arrays.  Past about ten thousand rows a chunk's arrays no longer fit in the
-processor's cache, and a pass slows again.
+arrays.  From about 8,000 rows a chunk on, a larger chunk no longer makes a
+pass faster.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -81,10 +81,11 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 # Denoiser-input elements (rows x d x passes) per chunk of points.  On the
 # nll-wide benchmark's estimate (3072 points at d = 2, 800 rows a point; one
-# core of a 2-vCPU x86 host, median of 5), a chunk of 800 rows took 1.75 s,
-# 3,200 rows 1.21 s, 6,400 rows 1.06 s, 8,000 rows (this budget) 0.95 s,
-# 12,800 rows 0.97 s and 25,600 rows 1.19 s: past about ten thousand rows the
-# arrays of a chunk no longer fit in cache.
+# core of a 2-vCPU x86 host, sizes taken in turn, median of 5 in each of two
+# runs), a chunk of 800 rows took 1.74-1.98 s, 3,200 rows 1.04-1.17 s,
+# 6,400 rows 0.99 s, 8,000 rows (this budget) 0.82-0.91 s, 12,800 rows
+# 0.91-0.93 s and 25,600 rows 0.90-0.92 s: from about 8,000 rows on, a larger
+# chunk no longer pays.
 CHUNK_ELEMENTS = 2**14
 
 

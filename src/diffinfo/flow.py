@@ -77,14 +77,18 @@ def _velocity(denoiser, state, alpha, condition) -> np.ndarray:
 
 def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
     z = np.asarray(z0, dtype=float).copy()
-    for i in range(grid.size - 1):
-        h = grid[i + 1] - grid[i]
-        v0 = _velocity(denoiser, z, grid[i], condition)
-        z_pred = z + h * v0
-        v1 = _velocity(denoiser, z_pred, grid[i + 1], condition)
-        z = z + 0.5 * h * (v0 + v1)
-        if not np.all(np.isfinite(z)):
-            raise SolverError(f"non-finite state at step {i + 1} (alpha={float(grid[i + 1])!r})", step=i + 1)
+    # A state that overflows fails the finiteness check below, which raises
+    # SolverError; numpy's warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.size - 1):
+            h = grid[i + 1] - grid[i]
+            v0 = _velocity(denoiser, z, grid[i], condition)
+            z_pred = z + h * v0
+            v1 = _velocity(denoiser, z_pred, grid[i + 1], condition)
+            z = z + 0.5 * h * (v0 + v1)
+            if not np.all(np.isfinite(z)):
+                alpha = float(grid[i + 1])
+                raise SolverError(f"non-finite state at step {i + 1} (alpha={alpha!r})", step=i + 1)
     return z
 
 

@@ -117,7 +117,11 @@ class SweepResult:
 
 
 def sweep_threshold(heatmap, truth_mask) -> SweepResult:
-    """Best fixed threshold on a 0.01 grid over [0, 1] of the rescaled heatmap."""
+    """Best fixed threshold on a 0.01 grid over [0, 1] of the rescaled heatmap.
+
+    All 101 thresholds are scored at once, each as :func:`iou` scores its
+    mask; of equal scores the lowest threshold wins.
+    """
     heatmap = np.asarray(heatmap, dtype=float)
     truth = np.asarray(truth_mask, dtype=bool)
     if heatmap.ndim != 1 or truth.shape != heatmap.shape:
@@ -127,14 +131,12 @@ def sweep_threshold(heatmap, truth_mask) -> SweepResult:
         )
     if np.any(heatmap < 0):
         raise ValueError("heatmap values must be non-negative")
-    scaled = rescale_unit(heatmap)
-    best = SweepResult(threshold=0.0, iou=-1.0, mask=np.zeros_like(truth))
-    for t in np.round(np.arange(0, 101) / 100.0, 2):
-        mask = scaled >= t
-        score = iou(mask, truth)
-        if score > best.iou:
-            best = SweepResult(threshold=float(t), iou=score, mask=mask)
-    return best
+    grid = np.round(np.arange(0, 101) / 100.0, 2)
+    masks = rescale_unit(heatmap) >= grid[:, None]  # one row per threshold
+    union = (masks | truth).sum(axis=1)
+    scores = np.where(union == 0, 1.0, (masks & truth).sum(axis=1) / np.maximum(union, 1))
+    best = int(scores.argmax())  # the first of equal scores, the lowest threshold
+    return SweepResult(threshold=float(grid[best]), iou=float(scores[best]), mask=masks[best].copy())
 
 
 def intervention_correlation(scores, deltas) -> float:

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffinfo
 from diffinfo import estimators, oracle
 from diffinfo.channel import LogSnrSampler
 from diffinfo.checkpoint import load_checkpoint, save_checkpoint
@@ -17,6 +22,8 @@ from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.mlp import MlpDenoiser
 from diffinfo.estimators import InfoReport
 from diffinfo.reports import report_records, write_csv, write_report_csv
+
+SRC = str(Path(diffinfo.__file__).resolve().parents[1])
 
 STD_NORMAL_GMM = {
     "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}],
@@ -676,6 +683,31 @@ class TestRank:
         assert "Traceback" not in err
 
 
+def overflowing_flow_config(tmp_path):
+    """An intervene config whose mixture mean of 1e308 overflows the flow at its first step."""
+    gmm = {
+        "components": [
+            {"weight": 0.5, "mean": [1e308], "cov": [[1.0]]},
+            {"weight": 0.5, "mean": [-4.0], "cov": [[1.0]]},
+        ],
+        "condition_map": {"pos": [0], "neg": [1]},
+    }
+    return write_config(
+        tmp_path,
+        {
+            "seed": 1,
+            "data": {
+                "gmm": gmm,
+                "n_samples": 6,
+                "component_conditions": [{"label": "pos"}, {"label": "neg"}],
+            },
+            "sampler": {"n_snr": 10, "n_eps": 2},
+            "solver": {"n_steps": 10},
+            "intervene": {"n_samples": 6, "swap": {"neg": "pos", "pos": "neg"}},
+        },
+    )
+
+
 class TestIntervene:
     def test_redundant_and_informative_swaps(self, tmp_path):
         gmm = {
@@ -721,31 +753,23 @@ class TestIntervene:
 
 
     def test_non_finite_flow_exits_2_and_names_the_solver(self, tmp_path, capsys):
-        gmm = {
-            "components": [
-                {"weight": 0.5, "mean": [1e308], "cov": [[1.0]]},
-                {"weight": 0.5, "mean": [-4.0], "cov": [[1.0]]},
-            ],
-            "condition_map": {"pos": [0], "neg": [1]},
-        }
-        cfg = write_config(
-            tmp_path,
-            {
-                "seed": 1,
-                "data": {
-                    "gmm": gmm,
-                    "n_samples": 6,
-                    "component_conditions": [{"label": "pos"}, {"label": "neg"}],
-                },
-                "sampler": {"n_snr": 10, "n_eps": 2},
-                "solver": {"n_steps": 10},
-                "intervene": {"n_samples": 6, "swap": {"neg": "pos", "pos": "neg"}},
-            },
-        )
+        cfg = overflowing_flow_config(tmp_path)
         with np.errstate(all="ignore"):
             assert main(["intervene", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error: solver:" in err and "at step 1" in err
+
+    def test_non_finite_flow_writes_only_the_error_line(self, tmp_path, capfd):
+        # A subprocess, so that numpy's warnings would reach the real stderr
+        # instead of pytest's warning capture.
+        cfg = overflowing_flow_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        argv = ["intervene", "--config", cfg, "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-m", "diffinfo.cli", *argv], env=env, timeout=60)
+        assert done.returncode == 2
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("config error: solver:") and "at step 1" in lines[0]
 
 
 class TestTrainAndCheckpoints:

@@ -1,5 +1,7 @@
 """Closed-form denoisers and their optimality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -448,3 +450,89 @@ class TestConditionCache:
         np.testing.assert_array_equal(
             den.predict_eps(np.zeros(1), 0.0, pos), fresh.predict_eps(np.zeros(1), 0.0, pos)
         )
+
+
+class TestWorkArrays:
+    """The arrays a denoiser keeps between calls change no result."""
+
+    @staticmethod
+    def two_component_case(n, seed):
+        spec = GmmSpec(
+            weights=[0.4, 0.6],
+            means=[[-1.0, 0.5], [2.0, -0.5]],
+            covariances=[np.eye(2), [[2.0, 0.3], [0.3, 0.5]]],
+            condition_map={"a": (0,), "b": (1,)},
+        )
+        rng = np.random.default_rng(seed)
+        return spec, rng.standard_normal((n, 2)) * 3.0, rng.uniform(-5.0, 7.0, n)
+
+    def test_warm_call_allocates_under_half_a_megabyte(self):
+        # An estimator chunk: 8,000 rows at k = 3, d = 2, one log-SNR per row.
+        # Allocating the work arrays on every call took 2.24 MB.
+        den = GmmDenoiser(reference_spec(2, seed=2))
+        rng = np.random.default_rng(3)
+        x_a, alpha = rng.standard_normal((8000, 2)), rng.uniform(-5.0, 7.0, 8000)
+        den.predict_eps(x_a, alpha)
+        tracemalloc.start()
+        try:
+            den.predict_eps(x_a, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
+    @pytest.mark.parametrize("single", [False, True], ids=["batch", "point"])
+    def test_results_are_not_changed_by_a_later_call(self, single):
+        spec, x_a, alpha = self.two_component_case(30, seed=4)
+        _, other_x, other_alpha = self.two_component_case(30, seed=5)
+        if single:
+            x_a, alpha, other_x, other_alpha = x_a[0], alpha[0], other_x[0], other_alpha[0]
+        den = GmmDenoiser(spec)
+        eps, resp = den.predict_eps(x_a, alpha), den.responsibilities(x_a, alpha)
+        kept = eps.copy(), resp.copy()
+        den.predict_eps(other_x, other_alpha)
+        den.responsibilities(other_x, other_alpha, ConditionId(label="b"))
+        den.predict_eps(other_x, 1.3)
+        np.testing.assert_array_equal(eps, kept[0])
+        np.testing.assert_array_equal(resp, kept[1])
+
+    @pytest.mark.parametrize("per_row_alpha", [False, True], ids=["one_log_snr", "per_row"])
+    def test_fewer_components_then_more_match_a_fresh_denoiser(self, per_row_alpha):
+        spec, x_a, alpha = self.two_component_case(40, seed=6)
+        alpha = alpha if per_row_alpha else 0.7
+        den = GmmDenoiser(spec)
+        for condition in (None, ConditionId(label="b"), None):  # k = 2, 1, 2
+            fresh = GmmDenoiser(spec)
+            np.testing.assert_array_equal(
+                den.predict_eps(x_a, alpha, condition), fresh.predict_eps(x_a, alpha, condition)
+            )
+            np.testing.assert_array_equal(
+                den.responsibilities(x_a, alpha, condition),
+                fresh.responsibilities(x_a, alpha, condition),
+            )
+
+    def test_per_row_conditions_are_matched_by_value(self):
+        # The last per-row log-weights are kept; equal lists reuse them, and a
+        # list changed in place, or a different list of the same length, does not.
+        spec, x_a, alpha = self.two_component_case(6, seed=7)
+        a, b = ConditionId(label="a"), ConditionId(label="b")
+        conditions = [a, b, None, a, b, None]
+        den = GmmDenoiser(spec)
+        queries = [conditions, list(conditions), [b] * 6, conditions]
+        expected = [GmmDenoiser(spec).predict_eps(x_a, alpha, list(q)) for q in queries]
+        for query, eps in zip(queries, expected):
+            np.testing.assert_array_equal(den.predict_eps(x_a, alpha, query), eps)
+        conditions[2] = a
+        np.testing.assert_array_equal(
+            den.predict_eps(x_a, alpha, conditions),
+            GmmDenoiser(spec).predict_eps(x_a, alpha, list(conditions)),
+        )
+
+    def test_empty_batch_between_calls(self):
+        spec, x_a, alpha = self.two_component_case(20, seed=8)
+        den = GmmDenoiser(spec)
+        before = den.predict_eps(x_a, alpha)
+        for empty_alpha in (1.3, np.zeros(0)):
+            assert den.predict_eps(np.zeros((0, 2)), empty_alpha).shape == (0, 2)
+            assert den.responsibilities(np.zeros((0, 2)), empty_alpha).shape == (0, 2)
+        np.testing.assert_array_equal(den.predict_eps(x_a, alpha), before)

@@ -144,6 +144,18 @@ class TestRanking:
         assert base_tie == shifted_tie
 
 
+def sweep_by_loop(heatmap, truth):
+    """(threshold, iou, mask) of the threshold sweep, one threshold at a time, as a reference."""
+    scaled = rescale_unit(heatmap)
+    best = (0.0, -1.0, None)
+    for t in np.round(np.arange(0, 101) / 100.0, 2):
+        mask = scaled >= t
+        score = iou(mask, truth)
+        if score > best[1]:
+            best = (float(t), score, mask)
+    return best
+
+
 class TestSegmentation:
     def test_perfect_heatmap_has_unit_iou(self):
         truth = np.array([1, 0, 1, 0, 0], dtype=bool)
@@ -202,6 +214,28 @@ class TestSegmentation:
         mask = rescale_unit(np.array(heat[:n])) >= 0.5
         score = iou(mask, np.array(truth[:n]))
         assert 0.0 <= score <= 1.0
+
+    @given(
+        st.integers(min_value=1, max_value=24).flatmap(
+            lambda n: st.tuples(
+                st.one_of(
+                    # few distinct values, so that masks and scores tie
+                    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.7]), min_size=n, max_size=n),
+                    st.lists(st.floats(min_value=0, max_value=10), min_size=n, max_size=n),
+                    st.floats(min_value=0, max_value=10).map(lambda v: [v] * n),  # constant map
+                ),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_equals_the_threshold_loop(self, case):
+        heatmap, truth = np.array(case[0]), np.array(case[1])
+        best = sweep_threshold(heatmap, truth)
+        threshold, score, mask = sweep_by_loop(heatmap, truth)
+        assert (best.threshold, best.iou) == (threshold, score)
+        assert best.mask.dtype == mask.dtype
+        np.testing.assert_array_equal(best.mask, mask)
 
     def test_sweep_threshold_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
