@@ -3,7 +3,10 @@
 Every command is a pure function of (config, seed): given the same
 configuration document and seed it reproduces its output files byte for
 byte.  Invalid configurations exit with status 2 and a message naming the
-offending field.
+offending field.  That includes a size field whose first array would not
+fit in the host's physical memory: each command checks the sizes it uses
+against ``HOST_MEMORY`` once the data dimension is known, before it
+allocates anything of that size.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import dataclasses
 import json
 import locale  # noqa: F401  argparse's first message lookup (gettext) imports it otherwise
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +33,49 @@ from .mlp import MlpDenoiser, train_mlp
 from .reports import NonFiniteOutputError, report_records, write_csv, write_json, write_pgm, write_report_csv
 
 LN2 = math.log(2.0)
+
+
+def _host_memory() -> float:
+    """The host's physical memory in bytes (unbounded where the OS does not say)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+HOST_MEMORY = _host_memory()
+
+
+def _check_size(field_path: str, what: str, n_floats: int) -> None:
+    """Exit 2 naming ``field_path`` if ``n_floats`` float64 values, ``what``, exceed ``HOST_MEMORY``."""
+    if 8 * n_floats > HOST_MEMORY:
+        raise ConfigError(
+            f"{field_path} is too large: {what} would not fit in the "
+            f"{HOST_MEMORY / 2**30:.3g} GiB of memory of this host",
+            field_path,
+        )
+
+
+def _check_samples(field_path: str, n: int, d: int) -> None:
+    _check_size(field_path, f"{n} samples of dimension {d}", n * d)
+
+
+def _check_draws(cfg: RunConfig, d: int) -> None:
+    """Bound one point's noise draws, which every estimate allocates first."""
+    n_snr, n_eps = cfg.sampler.n_draws, cfg.n_eps
+    field = "sampler.n_eps" if n_eps >= n_snr else "sampler.n_snr"
+    _check_size(field, f"one point's {n_snr} x {n_eps} noise draws of dimension {d}", n_snr * n_eps * d)
+
+
+def _check_training(config, d: int) -> None:
+    """Bound the training arrays: parameters with Adam's buffers, a batch's inputs, the loss trace."""
+    widths = (d + 2 * config.n_frequencies, *config.hidden, d)
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+    field = "train.n_frequencies" if 2 * config.n_frequencies > max(config.hidden, default=0) else "train.hidden"
+    _check_size(field, f"five buffers of {n_params} network parameters", 5 * n_params)
+    batch = config.batch_size
+    _check_size("train.batch_size", f"the inputs of a batch of {batch}", batch * widths[0])
+    _check_size("train.n_steps", f"the loss trace of {config.n_steps} steps", config.n_steps)
 
 
 def _load_checkpoint_field(path, field_path: str):
@@ -106,6 +153,7 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> tuple[np.ndarray, list
                 f"for {spec.n_components} components",
                 "data.component_conditions",
             )
+        _check_samples("data.n_samples", cfg.data.n_samples, spec.dim)
         x, comps = spec.sample(cfg.data.n_samples, rng)
         parts.append(x)
         conditions += [None if conds is None else conds[k] for k in comps]
@@ -155,6 +203,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError("the estimate command needs an 'estimate' section", "estimate")
     spec = _load_spec(cfg)
     den = _build_denoiser(cfg, spec)
+    _check_draws(cfg, spec.dim)
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     kind = cfg.estimate.kind
@@ -196,6 +245,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         raise ConfigError("the decompose command needs a 'decompose' section", "decompose")
     spec = _load_spec(cfg)
     den = _build_denoiser(cfg, spec)
+    _check_draws(cfg, spec.dim)
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     _require_conditions(conditions)
@@ -253,6 +303,8 @@ def cmd_rank(cfg: RunConfig) -> int:
         raise ConfigError(f"rank.candidates: {exc}", "rank.candidates") from exc
     candidates = [ConditionId(label=t) for t in tokens]
     _check_conditions(cfg, den, candidates, "rank.candidates")
+    _check_draws(cfg, spec.dim)
+    _check_samples("rank.n_samples", cfg.rank.n_samples, spec.dim)
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, comps = spec.sample(cfg.rank.n_samples, s_data)
     scores = tasks.evaluate_ranking(
@@ -307,6 +359,8 @@ def cmd_intervene(cfg: RunConfig) -> int:
             "intervention needs data.component_conditions to label the samples",
             "data.component_conditions",
         )
+    _check_draws(cfg, spec.dim)
+    _check_size("solver.n_steps", f"a grid of {cfg.solver.n_steps + 1} log-SNRs", cfg.solver.n_steps + 1)
     s_data, s_est, _, _ = _streams(cfg.seed)
     x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     if any(c is None or c.label is None for c in conditions):
@@ -365,6 +419,7 @@ def cmd_train(cfg: RunConfig) -> int:
     spec = _load_spec(cfg)
     if cfg.data.n_samples is None:
         raise ConfigError("training needs data.n_samples", "data.n_samples")
+    _check_training(cfg.train.mlp, spec.dim)
     s_data, _, s_train, _ = _streams(cfg.seed)
     x, conditions, _ = _build_dataset(cfg, spec, s_data)
     denoiser, trace = train_mlp(x, conditions, cfg.train.mlp, cfg.sampler, seed=s_train)

@@ -275,6 +275,8 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
     x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
     if kind != "nll":
         eps_u = _predict(uncond, x_a, alphas, uncond_condition)
+    if kind == "pointwise_s":
+        err_u = (eps - eps_u) ** 2  # shared by every candidate
     contribs = []
     for c in candidates:
         eps_c = _predict(cond, x_a, alphas, c)
@@ -283,7 +285,7 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
         elif kind == "pointwise_o":
             integrand = ((eps_u - eps_c) ** 2).mean(axis=2)
         else:
-            integrand = ((eps - eps_u) ** 2 - (eps - eps_c) ** 2).mean(axis=2)
+            integrand = (err_u - (eps - eps_c) ** 2).mean(axis=2)
         contribs.append(weights[..., None] * 0.5 * integrand)
     # (points x candidates, draws, d); an overflowed estimate reads +inf, its error too.
     contrib = np.stack(contribs, axis=1).reshape(-1, *contribs[0].shape[1:])

@@ -10,12 +10,29 @@ Inference and training share one feature builder and one forward pass,
 which keeps every activation for backpropagation.  Adam uses the fixed
 constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` and updates one flat
 buffer, of which the layer weights are views.
+
+Training runs in blocks of steps.  A block draws the batch indices, the
+condition-drop mask, the log-SNRs and the noise of all its steps at once,
+corrupts them with one ``corrupt`` call and builds their network inputs into
+one reused array; each step then runs only the forward pass, a backward pass
+into kept work arrays and the Adam update.  A block holds ``BLOCK_ROWS``
+training rows, which is 32 steps of the default batch of 128.  It is a fixed
+row budget, not an option, because the block arrays are what blocks cost in
+memory: at 22 inputs a row, the benchmark's shape, they and their
+temporaries take about 2 MB, and a 250-step block took about 16 MB.
+
+Adam is applied in the efficient form of Kingma & Ba (arXiv 1412.6980, §2):
+both bias corrections fold into the scalar step size
+``alpha_t = alpha * sqrt(1 - beta2**t) / (1 - beta1**t)`` and the scaled
+``eps_t = eps * sqrt(1 - beta2**t)``, so the update
+``alpha_t * m / (sqrt(v) + eps_t)`` is the textbook
+``alpha * m_hat / (sqrt(v_hat) + eps)`` without the two corrected buffers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +41,8 @@ from .denoise import ConditionId, as_batch, distinct_rows, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
+# Training rows drawn and featurized at once: 32 steps of a batch of 128.
+BLOCK_ROWS = 4096
 
 
 class TrainingDivergedError(RuntimeError):
@@ -74,14 +93,20 @@ def _multi_hot(conditions, vocabulary) -> np.ndarray:
     return rows[index]
 
 
-def _features(x_a, alphas, cond, n_frequencies, base, out=None) -> np.ndarray:
-    """Network input rows ``[x_a, sin(angles), cos(angles), cond]``, written into ``out`` if given.
+def _frequencies(n_frequencies, base) -> np.ndarray:
+    """The geometrically spaced embedding frequencies ``base * 2**j``, j < ``n_frequencies``."""
+    return base * 2.0 ** np.arange(n_frequencies)
 
-    The angles are the log-SNR times the geometrically spaced frequencies
-    ``base * 2**j``, j < ``n_frequencies``.
+
+def _features(x_a, alphas, cond, frequencies, out=None) -> np.ndarray:
+    """Network input rows ``[x_a, sin(angles), cos(angles), cond]`` on the last axis,
+    written into ``out`` if given.
+
+    The angles are the log-SNR times each of ``frequencies``.  The leading
+    axes are the rows': (n,) for a batch, (steps, batch) for a training block.
     """
-    angles = np.asarray(alphas, dtype=float)[..., None] * (base * 2.0 ** np.arange(n_frequencies))
-    return np.concatenate([x_a, np.sin(angles), np.cos(angles), cond], axis=1, out=out)
+    angles = np.asarray(alphas, dtype=float)[..., None] * frequencies
+    return np.concatenate([x_a, np.sin(angles), np.cos(angles), cond], axis=-1, out=out)
 
 
 def _forward(layers, feats, hidden=None) -> list[np.ndarray]:
@@ -119,7 +144,7 @@ class MlpDenoiser:
         self.vocabulary = tuple(vocabulary)
         self.n_frequencies = int(n_frequencies)
         self.frequency_base = float(frequency_base)
-        self._layer_inputs = (0, [])  # (rows, arrays) reused by predict_eps, see _input_arrays
+        self._layer_inputs = (-1, [])  # (rows, arrays) reused by predict_eps, see _input_arrays
         expected = self._dim + 2 * self.n_frequencies + len(self.vocabulary)
         if self.layers[0][0].shape[0] != expected:
             raise ValueError(
@@ -128,6 +153,7 @@ class MlpDenoiser:
             )
         if self.layers[-1][0].shape[1] != self._dim:
             raise ValueError("output layer width must match the data dimension")
+        self._frequencies = _frequencies(self.n_frequencies, self.frequency_base)
 
     @property
     def dim(self) -> int:
@@ -149,7 +175,7 @@ class MlpDenoiser:
             one = _multi_hot([condition], self.vocabulary)
             cond = np.broadcast_to(one, (a.size, len(self.vocabulary)))
         feats, *hidden = self._input_arrays(a.size)
-        _features(x2, a, cond, self.n_frequencies, self.frequency_base, out=feats)
+        _features(x2, a, cond, self._frequencies, out=feats)
         out = _forward(self.layers, feats, hidden)[-1]
         return out[0] if single else out
 
@@ -172,6 +198,48 @@ def _views(buffer, shapes) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(np.split(buffer, ends[:-1]), shapes)]
 
 
+def _gradients(layers, acts, err, grads, work, ones) -> None:
+    """Backpropagate the loss ``mean(err**2)`` into ``grads``, one array per weight and bias.
+
+    ``acts`` are the activations :func:`_forward` returned and ``err`` the
+    output minus its target, which is overwritten.  ``work`` holds two arrays
+    per hidden layer, shaped like its activations: the error signal and the
+    tanh slope.  ``ones`` holds one 1.0 per row: the bias gradients, sums
+    over the rows, are taken as products with it, one BLAS call each, which
+    costs less than ``np.sum(axis=0)``.
+    """
+    g = err
+    g *= 2.0 / g.size
+    for i in range(len(layers) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grads[2 * i])
+        np.matmul(ones, g, out=grads[2 * i + 1])
+        if i:
+            signal, slope = work[i - 1]
+            np.matmul(g, layers[i][0].T, out=signal)
+            np.multiply(acts[i], acts[i], out=slope)
+            np.subtract(1.0, slope, out=slope)
+            signal *= slope
+            g = signal
+
+
+def _adam_step(params, grads, m, v, step, learning_rate, work) -> None:
+    """Adam's update number ``step`` (from 1) of the flat ``params``, in place, in the
+    folded form of the module docstring; ``work`` is an array shaped like ``params``."""
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=work)
+    m *= ADAM_BETA1
+    m += work
+    np.multiply(grads, grads, out=work)
+    work *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += work
+    root = math.sqrt(1.0 - ADAM_BETA2**step)
+    np.sqrt(v, out=work)
+    work += ADAM_EPS * root
+    np.divide(m, work, out=work)
+    work *= learning_rate * root / (1.0 - ADAM_BETA1**step)
+    params -= work
+
+
 def train_mlp(
     x,
     conditions=None,
@@ -183,9 +251,14 @@ def train_mlp(
 
     ``x`` is an (n, d) array of training points and ``conditions`` holds one
     :class:`ConditionId` or ``None`` per point (``None`` for all: an
-    unconditional denoiser).  Each step draws a batch of points, log-SNRs
+    unconditional denoiser).  Each step takes a batch of points, log-SNRs
     from ``sampler`` (each draw weighted equally in the loss) and fresh noise,
     and minimizes the mean squared error of the noise prediction with Adam.
+
+    The draws come a block of steps at a time (see the module docstring):
+    for each block, in this order, the batch indices, the condition-drop mask
+    (when there are conditions to drop), the log-SNRs from one ``sampler``
+    call and the noise.  A given seed gives the same result on every run.
 
     Returns the trained denoiser and the per-step loss trace.
     """
@@ -204,51 +277,48 @@ def train_mlp(
     shapes = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         shapes += [(fan_in, fan_out), (fan_out,)]
-    flat_params, flat_grads, m, v = np.zeros((4, sum(math.prod(s) for s in shapes)))
+    flat_params, flat_grads, m, v, adam_work = np.zeros((5, sum(math.prod(s) for s in shapes)))
     params, grads = _views(flat_params, shapes), _views(flat_grads, shapes)
     for w in params[::2]:
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
     layers = list(zip(params[::2], params[1::2]))
-    n_hidden = len(config.hidden)
-    trace = np.empty(config.n_steps)
-    batch_sampler = LogSnrSampler(sampler.loc, sampler.scale, sampler.clip, config.batch_size)
 
-    for step in range(1, config.n_steps + 1):
-        idx = rng.integers(0, n, config.batch_size)
+    batch, n_steps = config.batch_size, config.n_steps
+    block = max(1, BLOCK_ROWS // batch)
+    frequencies = _frequencies(config.n_frequencies, FREQUENCY_BASE)
+    feats = np.empty((min(block, n_steps), batch, widths[0]))
+    hidden = [np.empty((batch, width)) for width in config.hidden]
+    work = [(np.empty_like(h), np.empty_like(h)) for h in hidden]
+    ones = np.ones(batch)
+    drop = bool(vocab) and config.condition_drop > 0
+    trace = np.empty(n_steps)
+
+    for start in range(0, n_steps, block):
+        nb = min(block, n_steps - start)
+        idx = rng.integers(0, n, (nb, batch))
+        cond = cond_rows[idx]
+        if drop:
+            cond[rng.random((nb, batch)) < config.condition_drop] = 0.0
+        alphas = replace(sampler, n_draws=nb * batch).sample(rng)[0].reshape(nb, batch)
+        eps = rng.standard_normal((nb, batch, d))
         x = xs[idx]
-        cond = cond_rows[idx].copy()
-        if vocab and config.condition_drop > 0:
-            drop = rng.random(config.batch_size) < config.condition_drop
-            cond[drop] = 0.0
-        alphas = batch_sampler.sample(rng)[0]
-        eps = rng.standard_normal((config.batch_size, d))
-        x_a = corrupt(x, alphas, eps)
-        acts = _forward(layers, _features(x_a, alphas, cond, config.n_frequencies, FREQUENCY_BASE))
-        err = acts[-1] - eps
-        loss = float((err**2).mean())
-        trace[step - 1] = loss
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss {loss!r} at step {step}: "
-                f"batch |x| max {np.abs(x).max()!r}, alpha range "
-                f"[{alphas.min()!r}, {alphas.max()!r}]"
-            )
-
-        g = 2.0 * err / err.size
-        grads[2 * n_hidden][...] = acts[-2].T @ g
-        grads[2 * n_hidden + 1][...] = g.sum(axis=0)
-        for i in range(n_hidden - 1, -1, -1):
-            g = (g @ params[2 * (i + 1)].T) * (1.0 - acts[i + 1] ** 2)
-            grads[2 * i][...] = acts[i].T @ g
-            grads[2 * i + 1][...] = g.sum(axis=0)
-
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * flat_grads
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * flat_grads * flat_grads
-        m_hat = m / (1 - ADAM_BETA1**step)
-        v_hat = v / (1 - ADAM_BETA2**step)
-        flat_params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        _features(corrupt(x, alphas, eps), alphas, cond, frequencies, out=feats[:nb])
+        for j in range(nb):
+            step = start + j + 1
+            acts = _forward(layers, feats[j], hidden)
+            err = acts[-1]
+            err -= eps[j]
+            flat_err = err.ravel()
+            loss = float(flat_err @ flat_err) / flat_err.size
+            trace[step - 1] = loss
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss {loss!r} at step {step}: "
+                    f"batch |x| max {float(np.abs(x[j]).max())!r}, alpha range "
+                    f"[{float(alphas[j].min())!r}, {float(alphas[j].max())!r}]"
+                )
+            _gradients(layers, acts, err, grads, work, ones)
+            _adam_step(flat_params, flat_grads, m, v, step, config.learning_rate, adam_work)
 
     denoiser = MlpDenoiser(layers, dim=d, vocabulary=vocab, n_frequencies=config.n_frequencies)
     return denoiser, trace

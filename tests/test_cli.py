@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import diffinfo
-from diffinfo import estimators, oracle
+from diffinfo import cli, estimators, oracle
 from diffinfo.channel import LogSnrSampler
 from diffinfo.checkpoint import load_checkpoint, save_checkpoint
 from diffinfo.cli import _COMMANDS, main
@@ -681,6 +681,69 @@ class TestRank:
         assert "config error: rank.candidates:" in err
         assert message in err
         assert "Traceback" not in err
+
+
+PAIR_DATA = {"gmm": PAIR_GMM, "n_samples": 5, "component_conditions": [{"label": "neg"}, {"label": "pos"}]}
+SIZE_SECTIONS = {
+    "estimate": {"data": PAIR_DATA, "estimate": {"kind": "pointwise_o"}},
+    "decompose": {"data": PAIR_DATA, "decompose": {"kind": "pointwise_o"}},
+    "rank": {"data": {"gmm": PAIR_GMM}, "rank": {"n_samples": 4}},
+    "intervene": {"data": PAIR_DATA, "intervene": {"n_samples": 2, "swap": {"neg": "pos", "pos": "neg"}}},
+    "train": {"data": PAIR_DATA, "train": {"hidden": [4], "n_steps": 3, "batch_size": 4}},
+}
+
+
+class TestSizeBounds:
+    """A size whose first array cannot fit in memory exits 2 naming its field, before any allocation."""
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("estimate", "sampler.n_eps", 10**9),
+            ("estimate", "sampler.n_eps", 10**30),
+            ("estimate", "sampler.n_snr", 10**30),
+            ("estimate", "data.n_samples", 10**30),
+            ("decompose", "sampler.n_snr", 10**9),
+            ("rank", "sampler.n_eps", 10**9),
+            ("rank", "rank.n_samples", 10**30),
+            ("intervene", "sampler.n_snr", 10**30),
+            ("intervene", "solver.n_steps", 10**30),
+            ("train", "train.n_steps", 10**9),
+            ("train", "train.n_steps", 10**30),
+            ("train", "train.batch_size", 10**30),
+            ("train", "train.hidden", [4, 10**30]),
+            ("train", "train.n_frequencies", 10**30),
+            ("train", "data.n_samples", 10**30),
+        ],
+    )
+    def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch, command, field, value):
+        doc = json.loads(json.dumps({"seed": 1, **SIZE_SECTIONS[command]}))
+        section, key = field.split(".")
+        doc.setdefault(section, {})[key] = value
+        # A host of 1 GiB, so that no test machine could allocate the size; and
+        # any call that draws data or trains fails the test.
+        monkeypatch.setattr(cli, "HOST_MEMORY", 2**30)
+
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(GmmSpec, "sample", allocates)
+        monkeypatch.setattr(cli, "train_mlp", allocates)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field} is too large" in err and "1 GiB of memory" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bound_is_the_host_memory(self, monkeypatch):
+        monkeypatch.setattr(cli, "HOST_MEMORY", 800)
+        cli._check_size("sampler.n_eps", "draws", 100)
+        with pytest.raises(ConfigError, match="sampler.n_eps is too large: draws would not fit") as info:
+            cli._check_size("sampler.n_eps", "draws", 101)
+        assert info.value.field == "sampler.n_eps"
+
+    def test_host_memory_is_known_here(self):
+        assert 0 < cli.HOST_MEMORY < math.inf
 
 
 def overflowing_flow_config(tmp_path):

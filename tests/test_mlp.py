@@ -1,5 +1,8 @@
 """Trainable denoiser: regression quality, conditioning, failure modes."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -253,3 +256,116 @@ class TestInPlaceForward:
             trained[name] = ((tmp_path / f"{name}.ckpt").read_bytes(), trace)
         assert trained["in_place"][0] == trained["reference"][0]
         np.testing.assert_array_equal(trained["in_place"][1], trained["reference"][1])
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("alpha", [0.0, np.zeros(0)], ids=["scalar_alpha", "per_row_alpha"])
+    def test_fresh_two_layer_net_returns_no_rows(self, alpha):
+        rng = np.random.default_rng(3)
+        layers = [(rng.standard_normal((18, 5)), np.zeros(5)), (rng.standard_normal((5, 2)), np.zeros(2))]
+        net = MlpDenoiser(layers, dim=2)
+        assert net.predict_eps(np.zeros((0, 2)), alpha).shape == (0, 2)
+
+
+def tiny_net(widths, seed):
+    """A flat parameter buffer and its (weight, bias) views for the layer ``widths``."""
+    shapes = [shape for a, b in zip(widths[:-1], widths[1:]) for shape in ((a, b), (b,))]
+    flat = 0.7 * np.random.default_rng(seed).standard_normal(sum(math.prod(s) for s in shapes))
+    params = mlp._views(flat, shapes)
+    return flat, shapes, list(zip(params[::2], params[1::2]))
+
+
+BATCH = 64
+BLOCK = mlp.BLOCK_ROWS // BATCH  # steps per block at this batch size
+
+
+def block_data():
+    rng = np.random.default_rng(20)
+    xs = rng.standard_normal((40, 1))
+    conditions = [ConditionId(label=("a", "b")[i % 2]) for i in range(40)]
+    return xs, conditions
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("hidden", [(3,), (3, 2)])
+    def test_gradients_match_finite_differences(self, hidden):
+        widths = (5, *hidden, 1)  # d = 1 with two frequencies
+        flat, shapes, layers = tiny_net(widths, seed=len(hidden))
+        rng = np.random.default_rng(21)
+        feats, eps = rng.standard_normal((4, 5)), rng.standard_normal((4, 1))
+
+        def loss():
+            return ((mlp._forward(layers, feats)[-1] - eps) ** 2).mean()
+
+        acts = mlp._forward(layers, feats)
+        flat_grads = np.zeros_like(flat)
+        work = [(np.empty((4, h)), np.empty((4, h))) for h in hidden]
+        mlp._gradients(layers, acts, acts[-1] - eps, mlp._views(flat_grads, shapes), work, np.ones(4))
+        numeric = np.empty_like(flat)
+        for i, value in enumerate(flat.copy()):
+            flat[i] = value + 1e-6
+            up = loss()
+            flat[i] = value - 1e-6
+            numeric[i] = (up - loss()) / 2e-6
+            flat[i] = value
+        np.testing.assert_allclose(flat_grads, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_folded_adam_equals_textbook(self):
+        rng = np.random.default_rng(22)
+        b1, b2 = mlp.ADAM_BETA1, mlp.ADAM_BETA2
+        for _ in range(50):
+            n = 200
+            m, g = rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 1, n)
+            v = 10.0 ** rng.uniform(-20, 1, n)  # from far below ADAM_EPS**2 to large
+            step, lr = int(rng.integers(1, 100_000)), 10.0 ** rng.uniform(-5, -1)
+            m_t, v_t = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g
+            m_hat, v_hat = m_t / (1 - b1**step), v_t / (1 - b2**step)
+            textbook = lr * m_hat / (np.sqrt(v_hat) + mlp.ADAM_EPS)
+            params = np.zeros(n)
+            mlp._adam_step(params, g, m, v, step, lr, np.empty(n))
+            np.testing.assert_allclose(-params, textbook, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(m, m_t, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(v, v_t, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK, 2 * BLOCK + 5], ids=["one", "one_block", "non_multiple"])
+    def test_trains_exactly_n_steps(self, monkeypatch, n_steps):
+        steps = []
+        adam = mlp._adam_step
+
+        def counting(params, grads, m, v, step, *rest):
+            steps.append(step)
+            adam(params, grads, m, v, step, *rest)
+
+        monkeypatch.setattr(mlp, "_adam_step", counting)
+        xs, conditions = block_data()
+        cfg = MlpTrainConfig(hidden=(8,), n_steps=n_steps, batch_size=BATCH)
+        _, trace = train_mlp(xs, conditions, cfg, SAMPLER, seed=23)
+        assert steps == list(range(1, n_steps + 1))
+        assert trace.shape == (n_steps,) and np.isfinite(trace).all()
+
+    @pytest.mark.parametrize("bad_step", [5, BLOCK + 3], ids=["first_block", "second_block"])
+    def test_divergence_inside_a_block_names_its_step(self, monkeypatch, bad_step):
+        calls, alphas = [], {}
+        forward = mlp._forward
+        xs, conditions = block_data()
+        n_frequencies = 8
+
+        def diverging(layers, feats, hidden=None):
+            acts = forward(layers, feats, hidden)
+            calls.append(None)
+            if len(calls) == bad_step:
+                # The first frequency's angle lies within (-pi, pi) over the sampler's range.
+                sin, cos = feats[:, 1], feats[:, 1 + n_frequencies]
+                alphas["step"] = np.arctan2(sin, cos) / mlp.FREQUENCY_BASE
+                acts[-1][0, 0] = np.nan
+            return acts
+
+        monkeypatch.setattr(mlp, "_forward", diverging)
+        cfg = MlpTrainConfig(hidden=(8,), n_steps=3 * BLOCK, batch_size=BATCH, n_frequencies=n_frequencies)
+        with pytest.raises(TrainingDivergedError, match=rf"non-finite loss nan at step {bad_step}: ") as info:
+            train_mlp(xs, conditions, cfg, SAMPLER, seed=24)
+        found = re.search(r"\|x\| max (\S+), alpha range \[(\S+), (\S+)\]", str(info.value))
+        assert float(found[1]) in np.abs(xs)
+        np.testing.assert_allclose(
+            [float(found[2]), float(found[3])], [alphas["step"].min(), alphas["step"].max()], rtol=1e-12
+        )
