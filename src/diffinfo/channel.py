@@ -88,10 +88,11 @@ def corrupt(x, alpha, eps) -> np.ndarray:
 class LogSnrSampler:
     """Truncated-logistic importance distribution over log-SNR values.
 
-    Draws lie in ``[loc - clip*scale, loc + clip*scale]`` and each comes with
-    the weight ``1/pdf(a)``, so that ``mean(weight * g(a))`` over the draws is
-    an unbiased estimate of the integral of ``g`` over the interval.  The pdf
-    is the logistic density renormalized over the interval.
+    Draws lie in ``[loc - clip*scale, loc + clip*scale]``, an interval that
+    must be finite, and each comes with the weight ``1/p(a)``, where ``p`` is
+    the logistic density renormalized over the interval; so
+    ``mean(weight * g(a))`` over the draws is an unbiased estimate of the
+    integral of ``g`` over the interval.
     """
 
     loc: float = 1.0
@@ -106,6 +107,8 @@ class LogSnrSampler:
             raise ValueError(f"clip must be positive, got {self.clip}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws must be at least 1, got {self.n_draws}")
+        if not all(map(math.isfinite, self.support)):
+            raise ValueError(f"the interval loc +- clip*scale must be finite, got {list(self.support)}")
         # Constants of the sampler, computed once: the untruncated logistic's
         # CDF at the ends of the interval, and its mass inside the interval.
         lo, hi = sigmoid(-self.clip), sigmoid(self.clip)
@@ -116,14 +119,6 @@ class LogSnrSampler:
     def support(self) -> tuple[float, float]:
         half = self.clip * self.scale
         return (self.loc - half, self.loc + half)
-
-    def pdf(self, alpha):
-        """Renormalized density; zero outside the truncation interval."""
-        alpha = np.asarray(alpha, dtype=float)
-        z = (alpha - self.loc) / self.scale
-        dens = sigmoid(z) * sigmoid(-z) / (self.scale * self._truncated_mass)
-        lo, hi = self.support
-        return np.where((alpha >= lo) & (alpha <= hi), dens, 0.0)
 
     def sample(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n_draws`` (alpha, weight) pairs, deterministic given the seed.

@@ -2,11 +2,23 @@
 
 Every command is a pure function of (config, seed): given the same
 configuration document and seed it reproduces its output files byte for
-byte.  Invalid configurations exit with status 2 and a message naming the
-offending field.  That includes a size field whose first array would not
-fit in the host's physical memory: each command checks the sizes it uses
-against ``HOST_MEMORY`` once the data dimension is known, before it
-allocates anything of that size.
+byte.  All commands run on one skeleton.  ``main`` applies ``--seed``,
+``--out`` and ``--bits`` and checks that the command's section is there.
+The command checks the rest of its input, most of it in ``_setup``, and
+bounds each size field by ``HOST_MEMORY`` before allocating its first
+array.  It computes, and only then does ``_output`` make the output
+directory and the head of the JSON document: a rejected configuration
+leaves no directory.  Each error the input can cause exits 2 with one line
+on stderr, as ``_EXIT_2`` maps it:
+
+=========================  =================================================
+``ConfigError``            ``config error:`` and the field at fault
+``NonFiniteOutputError``   ``output error:`` and the file
+``SolverError``            ``config error: solver:`` and the flow's step
+``TrainingDivergedError``  ``config error: train:`` and the training step
+``QuadratureError``        ``config error: data.gmm:`` and the last iterates
+``MemoryError``            ``config error:`` and the command's size fields
+=========================  =================================================
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from .config import ORACLE_OPS, ConfigError, RunConfig, load_config
 from .denoise import ConditionId, GmmSpec, gmm_mmse
 from .flow import SolverError
 from .flow import intervene as flow_intervene
-from .mlp import MlpDenoiser, train_mlp
+from .mlp import MlpDenoiser, TrainingDivergedError, train_mlp
 from .reports import NonFiniteOutputError, report_records, write_csv, write_json, write_pgm, write_report_csv
 
 LN2 = math.log(2.0)
@@ -110,12 +122,22 @@ def _build_denoiser(cfg: RunConfig, spec: GmmSpec):
     else:
         raise ConfigError("denoiser.path holds no usable checkpoint", "denoiser.path")
     if den.dim != spec.dim:
-        raise ConfigError(
-            f"denoiser.path: the checkpoint has dimension {den.dim} "
-            f"but the data have dimension {spec.dim}",
-            "denoiser.path",
-        )
+        message = f"denoiser.path: the checkpoint has dimension {den.dim} but the data have dimension {spec.dim}"
+        raise ConfigError(message, "denoiser.path")
     return den
+
+
+def _streams(seed: int):
+    """Fixed-order child seeds: dataset draws, estimation, training, editing."""
+    return np.random.SeedSequence(seed).spawn(4)
+
+
+def _setup(cfg: RunConfig):
+    """The mixture spec, the denoiser and the streams of a command that estimates."""
+    spec = _load_spec(cfg)
+    den = _build_denoiser(cfg, spec)
+    _check_draws(cfg, spec.dim)
+    return spec, den, _streams(cfg.seed)
 
 
 def _check_conditions(cfg: RunConfig, den, conditions, field_path: str) -> None:
@@ -136,15 +158,13 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> tuple[np.ndarray, list
     """Points (n, d) from the data section, explicit or drawn, with each point's
     condition and context (``None`` where it has none)."""
     parts, conditions = [], []
-    if cfg.data.points is not None:
-        if cfg.data.points.shape[1] != spec.dim:
-            raise ConfigError(
-                f"data.points have dimension {cfg.data.points.shape[1]} "
-                f"but the spec has dimension {spec.dim}",
-                "data.points",
-            )
-        parts.append(cfg.data.points)
-        conditions += [None] * len(cfg.data.points)
+    points = cfg.data.points
+    if points is not None:
+        if points.shape[1] != spec.dim:
+            message = f"data.points have dimension {points.shape[1]} but the spec has dimension {spec.dim}"
+            raise ConfigError(message, "data.points")
+        parts.append(points)
+        conditions += [None] * len(points)
     if cfg.data.n_samples is not None:
         conds = cfg.data.component_conditions
         if conds is not None and len(conds) != spec.n_components:
@@ -163,15 +183,19 @@ def _build_dataset(cfg: RunConfig, spec: GmmSpec, rng) -> tuple[np.ndarray, list
     return np.concatenate(parts, dtype=float), conditions, contexts
 
 
-def _require_conditions(conditions) -> None:
-    """Pointwise estimates contrast conditional and unconditional terms, so need conditions."""
-    if None in conditions:
+def _estimation_data(cfg: RunConfig, spec: GmmSpec, den, rng, kind: str):
+    """Points, conditions and, for ``cmi`` alone, contexts for an estimate of ``kind``;
+    every kind but ``nll`` contrasts conditional and unconditional terms, so needs conditions."""
+    x, conditions, contexts = _build_dataset(cfg, spec, rng)
+    if kind != "nll" and None in conditions:
         raise ConfigError(
             f"sample {conditions.index(None)} carries no condition, which this estimate needs: "
             "data.points carry no condition, and drawn samples take theirs from "
             "data.component_conditions",
             "data.component_conditions",
         )
+    _check_conditions(cfg, den, conditions, "data.component_conditions")
+    return x, conditions, contexts if kind == "cmi" else None
 
 
 def _check_finite(report, cfg: RunConfig) -> None:
@@ -188,93 +212,67 @@ def _check_finite(report, cfg: RunConfig) -> None:
         )
 
 
-def _maybe_bits(report, bits: bool):
-    return report.to_bits() if bits else report
+def _in_units(report, cfg: RunConfig):
+    return report.to_bits() if cfg.bits else report
 
 
-def _streams(seed: int):
-    """Fixed-order child seeds: dataset draws, estimation, training, editing."""
-    return np.random.SeedSequence(seed).spawn(4)
+def _output(cfg: RunConfig, units: bool = True) -> tuple[Path, dict]:
+    """Make the output directory; return it with the head of the command's JSON document."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    head = {"config": cfg.resolved()}
+    if units:
+        head["units"] = "bits" if cfg.bits else "nats"
+    return out, head
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
     """Estimate NLL or pointwise, mutual or conditional mutual information per sample."""
-    if cfg.estimate is None:
-        raise ConfigError("the estimate command needs an 'estimate' section", "estimate")
-    spec = _load_spec(cfg)
-    den = _build_denoiser(cfg, spec)
-    _check_draws(cfg, spec.dim)
-    s_data, s_est, _, _ = _streams(cfg.seed)
-    x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     kind = cfg.estimate.kind
-    if kind != "nll":
-        _require_conditions(conditions)
-    _check_conditions(cfg, den, conditions, "data.component_conditions")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    x, conditions, contexts = _estimation_data(cfg, spec, den, s_data, kind)
     if kind == "nll":
         report = estimators.nll(den, x, cfg.sampler, cfg.n_eps, s_est, conditions)
-        aggregate = None
     else:
-        pointwise = kind in ("pointwise_s", "pointwise_o")
-        estimator = kind if pointwise else cfg.estimate.estimator_kind
-        contexts = contexts if kind == "cmi" else None
+        estimator = kind if kind in ("pointwise_s", "pointwise_o") else cfg.estimate.estimator_kind
         report = estimators.pointwise_dataset(
             den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
         )
-        aggregate = None if pointwise else estimators.aggregate_reports(report, kind)
     _check_finite(report, cfg)
+    aggregate = estimators.aggregate_reports(report, kind) if kind in ("mi", "cmi") else None
+    report = _in_units(report, cfg)
 
-    report = _maybe_bits(report, cfg.bits)
+    out, payload = _output(cfg)
     write_report_csv(out / "estimates.csv", report)
-    payload = {
-        "config": cfg.resolved(),
-        "units": "bits" if cfg.bits else "nats",
-        "reports": report_records(report),
-    }
+    payload["reports"] = report_records(report)
     if aggregate is not None:
-        payload["aggregate"] = report_records(_maybe_bits(aggregate, cfg.bits))[0]
+        payload["aggregate"] = report_records(_in_units(aggregate, cfg))[0]
     write_json(out / "estimates.json", payload)
     return 0
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
     """Split pointwise information into per-dimension heatmaps, scored against a truth mask."""
-    if cfg.decompose is None:
-        raise ConfigError("the decompose command needs a 'decompose' section", "decompose")
-    spec = _load_spec(cfg)
-    den = _build_denoiser(cfg, spec)
-    _check_draws(cfg, spec.dim)
-    s_data, s_est, _, _ = _streams(cfg.seed)
-    x, conditions, contexts = _build_dataset(cfg, spec, s_data)
-    _require_conditions(conditions)
-    _check_conditions(cfg, den, conditions, "data.component_conditions")
+    kind = cfg.decompose.kind
+    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    x, conditions, contexts = _estimation_data(cfg, spec, den, s_data, kind)
     d = spec.dim
     if cfg.data.grid is not None and math.prod(cfg.data.grid) != d:
         raise ConfigError(f"data.grid {cfg.data.grid} does not tile dimension {d}", "data.grid")
     if cfg.data.truth_mask is not None and cfg.data.truth_mask.shape[0] != d:
         raise ConfigError("data.truth_mask length must match the data dimension", "data.truth_mask")
-    kind = cfg.decompose.kind
-    estimator, contexts = ("pointwise_o", contexts) if kind == "cmi" else (kind, None)
+    estimator = "pointwise_o" if kind == "cmi" else kind
     report = estimators.pointwise_dataset(
         den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
     )
     _check_finite(report, cfg)
-    report = _maybe_bits(report, cfg.bits)
+    report = _in_units(report, cfg)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, payload = _output(cfg)
     write_report_csv(out / "decompose.csv", report, per_dim=True)
-
     heatmaps = np.maximum(report.per_dim, 0.0)
     mean_heatmap = heatmaps.mean(axis=0)
-    payload = {
-        "config": cfg.resolved(),
-        "units": "bits" if cfg.bits else "nats",
-        "reports": report_records(report),
-        "mean_heatmap": mean_heatmap.tolist(),
-    }
+    payload.update(reports=report_records(report), mean_heatmap=mean_heatmap.tolist())
     if cfg.data.grid is not None:
         rows_, cols = cfg.data.grid
         write_pgm(out / "heatmap_mean.pgm", mean_heatmap.reshape(rows_, cols))
@@ -290,10 +288,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 def cmd_rank(cfg: RunConfig) -> int:
     """Rank candidate labels for samples by their pointwise information."""
-    if cfg.rank is None:
-        raise ConfigError("the rank command needs a 'rank' section", "rank")
-    spec = _load_spec(cfg)
-    den = _build_denoiser(cfg, spec)
+    spec, den, (s_data, s_est, _, _) = _setup(cfg)
     tokens = cfg.rank.candidates or tuple(sorted(spec.condition_map))
     if len(tokens) < 2:
         raise ConfigError("ranking needs at least two candidate tokens", "rank.candidates")
@@ -303,9 +298,7 @@ def cmd_rank(cfg: RunConfig) -> int:
         raise ConfigError(f"rank.candidates: {exc}", "rank.candidates") from exc
     candidates = [ConditionId(label=t) for t in tokens]
     _check_conditions(cfg, den, candidates, "rank.candidates")
-    _check_draws(cfg, spec.dim)
     _check_samples("rank.n_samples", cfg.rank.n_samples, spec.dim)
-    s_data, s_est, _, _ = _streams(cfg.seed)
     x, comps = spec.sample(cfg.rank.n_samples, s_data)
     scores = tasks.evaluate_ranking(
         x,
@@ -324,44 +317,28 @@ def cmd_rank(cfg: RunConfig) -> int:
     chosen, tie = tasks.select(scores)
     correct = chosen == truth
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, payload = _output(cfg, units=False)
     header = ["id", "true", "chosen", "tie", "correct"] + [f"score_{t}" for t in tokens]
     rows = [
         (i, tokens[t], tokens[c], ti, ok, *row)
         for i, (t, c, ti, ok, row) in enumerate(zip(truth, chosen, tie, correct, scores))
     ]
     write_csv(out / "rank.csv", header, rows)
-    write_json(
-        out / "rank.json",
-        {
-            "config": cfg.resolved(),
-            "accuracy": float(correct.mean()),
-            "n_ties": int(tie.sum()),
-            "per_condition": {
-                t: float(correct[truth == j].mean())
-                for j, t in enumerate(tokens)
-                if np.any(truth == j)
-            },
-        },
-    )
+    payload.update(accuracy=float(correct.mean()), n_ties=int(tie.sum()))
+    payload["per_condition"] = {
+        t: float(correct[truth == j].mean()) for j, t in enumerate(tokens) if np.any(truth == j)
+    }
+    write_json(out / "rank.json", payload)
     return 0
 
 
 def cmd_intervene(cfg: RunConfig) -> int:
     """Swap labels along the probability flow and relate each edit to its information."""
-    if cfg.intervene is None:
-        raise ConfigError("the intervene command needs an 'intervene' section", "intervene")
-    spec = _load_spec(cfg)
-    den = _build_denoiser(cfg, spec)
-    if cfg.data is None or cfg.data.component_conditions is None:
-        raise ConfigError(
-            "intervention needs data.component_conditions to label the samples",
-            "data.component_conditions",
-        )
-    _check_draws(cfg, spec.dim)
+    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    if cfg.data.component_conditions is None:
+        message = "intervention needs data.component_conditions to label the samples"
+        raise ConfigError(message, "data.component_conditions")
     _check_size("solver.n_steps", f"a grid of {cfg.solver.n_steps + 1} log-SNRs", cfg.solver.n_steps + 1)
-    s_data, s_est, _, _ = _streams(cfg.seed)
     x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     if any(c is None or c.label is None for c in conditions):
         raise ConfigError("every sampled component needs a labeled condition", "data.component_conditions")
@@ -379,26 +356,18 @@ def cmd_intervene(cfg: RunConfig) -> int:
     targets = [ConditionId(label=swap[c.label], context=c.context) for c in sources]
     _check_conditions(cfg, den, sources, "data.component_conditions")
     _check_conditions(cfg, den, targets, "intervene.swap")
-    try:
-        edits = flow_intervene(x, den, sources, targets, cfg.solver)
-    except SolverError as exc:
-        raise ConfigError(f"solver: the probability flow failed: {exc}", "solver") from exc
+    edits = flow_intervene(x, den, sources, targets, cfg.solver)
     deltas = edits.delta_l2.tolist()
     report = estimators.pointwise_dataset(
         den, den, x, sources, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, contexts
     )
-    scores = _maybe_bits(report, cfg.bits).total.tolist()
+    scores = _in_units(report, cfg).total.tolist()
     columns = zip(sources, scores, edits.roundtrip_l2.tolist(), deltas)
     rows = [(i, c.label, "|".join(c.context), *values) for i, (c, *values) in enumerate(columns)]
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, summary = _output(cfg)
     write_csv(out / "intervene.csv", ["id", "label", "context", "cmi", "roundtrip_l2", "delta_l2"], rows)
-    summary = {
-        "config": cfg.resolved(),
-        "units": "bits" if cfg.bits else "nats",
-        "n_samples": len(rows),
-    }
+    summary["n_samples"] = len(rows)
     try:
         r = tasks.intervention_correlation(scores, deltas)
         summary["pearson_image_level"] = r
@@ -414,8 +383,6 @@ def cmd_intervene(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     """Train a conditional MLP denoiser and save its checkpoint and loss trace."""
-    if cfg.train is None:
-        raise ConfigError("the train command needs a 'train' section", "train")
     spec = _load_spec(cfg)
     if cfg.data.n_samples is None:
         raise ConfigError("training needs data.n_samples", "data.n_samples")
@@ -424,26 +391,17 @@ def cmd_train(cfg: RunConfig) -> int:
     x, conditions, _ = _build_dataset(cfg, spec, s_data)
     denoiser, trace = train_mlp(x, conditions, cfg.train.mlp, cfg.sampler, seed=s_train)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(denoiser, out / cfg.train.checkpoint_name)
+    out, payload = _output(cfg, units=False)
+    name = cfg.train.checkpoint_name
+    save_checkpoint(denoiser, out / name)
     write_csv(out / "loss_trace.csv", ["step", "loss"], [(i + 1, v) for i, v in enumerate(trace)])
-    write_json(
-        out / "train.json",
-        {
-            "config": cfg.resolved(),
-            "final_loss": float(trace[-1]),
-            "vocabulary": list(denoiser.vocabulary),
-            "checkpoint": cfg.train.checkpoint_name,
-        },
-    )
+    payload.update(final_loss=float(trace[-1]), vocabulary=list(denoiser.vocabulary), checkpoint=name)
+    write_json(out / "train.json", payload)
     return 0
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
     """Print a closed-form or numerical reference value (Gaussian MI, MMSE, pointwise, mixture MI)."""
-    if cfg.oracle is None:
-        raise ConfigError("the oracle command needs an 'oracle' section", "oracle")
     op, params = cfg.oracle.op, cfg.oracle.params
     # Outside the try: a ConfigError is a ValueError too, and names its own field.
     args = (_load_spec(cfg),) if op == "gmm_mi_numeric" else ()
@@ -456,28 +414,33 @@ def cmd_oracle(cfg: RunConfig) -> int:
     value, bound = result.value, result.abs_error_bound
     if cfg.bits and op != "mmse_gaussian":
         value, bound = value / LN2, bound / LN2
-    payload = {
-        "op": op,
-        "value": value,
-        "method": result.method,
-        "abs_error_bound": bound,
-        "units": "mse" if op == "mmse_gaussian" else ("bits" if cfg.bits else "nats"),
-    }
+    units = "mse" if op == "mmse_gaussian" else ("bits" if cfg.bits else "nats")
+    payload = {"op": op, "value": value, "method": result.method, "abs_error_bound": bound, "units": units}
     print(json.dumps(payload, sort_keys=True))
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "oracle.json", {"config": cfg.resolved(), **payload})
+        out, head = _output(cfg, units=False)
+        write_json(out / "oracle.json", {**head, **payload})
     return 0
 
 
+# Each command, with the size fields its arrays grow with (named when memory runs out).
 _COMMANDS = {
-    "estimate": cmd_estimate,
-    "decompose": cmd_decompose,
-    "rank": cmd_rank,
-    "intervene": cmd_intervene,
-    "train": cmd_train,
-    "oracle": cmd_oracle,
+    "estimate": (cmd_estimate, "data.n_samples, sampler.n_snr or sampler.n_eps"),
+    "decompose": (cmd_decompose, "data.n_samples, sampler.n_snr or sampler.n_eps"),
+    "rank": (cmd_rank, "rank.n_samples, sampler.n_snr or sampler.n_eps"),
+    "intervene": (cmd_intervene, "data.n_samples, solver.n_steps, sampler.n_snr or sampler.n_eps"),
+    "train": (cmd_train, "data.n_samples, train.n_steps, train.batch_size, train.hidden or train.n_frequencies"),
+    "oracle": (cmd_oracle, "oracle or data.gmm"),
+}
+
+# Each error the input can cause, with its line on stderr; all exit 2.
+_EXIT_2 = {
+    ConfigError: "config error: {exc}",
+    NonFiniteOutputError: "output error: {exc}",
+    SolverError: "config error: solver: the probability flow failed: {exc}",
+    TrainingDivergedError: "config error: train: training diverged: {exc}",
+    oracle.QuadratureError: "config error: data.gmm: the oracle's quadrature failed: {exc}",
+    MemoryError: "config error: out of memory: {sizes} is too large for this host",
 }
 
 
@@ -487,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information estimates, decompositions and flow interventions for denoising models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -498,20 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, (run, sizes) = args.command, _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
-        if args.bits:
-            cfg = dataclasses.replace(cfg, bits=True)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteOutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        flags = {"seed": args.seed, "out_dir": args.out, "bits": args.bits or None}
+        cfg = dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+        if getattr(cfg, command) is None:
+            article = "an" if command[0] in "aeiou" else "a"
+            raise ConfigError(f"the {command} command needs {article} '{command}' section", command)
+        return run(cfg)
+    except tuple(_EXIT_2) as exc:
+        line = next(text for kind, text in _EXIT_2.items() if isinstance(exc, kind))
+        print(line.format(exc=exc, sizes=sizes), file=sys.stderr)
         return 2
 
 

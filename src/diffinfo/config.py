@@ -146,6 +146,13 @@ def _array(value, path: str) -> np.ndarray:
     return array.astype(float)
 
 
+def _vector(value, path: str) -> np.ndarray:
+    vector = _array(value, path)
+    if vector.ndim > 1:
+        raise ConfigError(f"{path!r} must be a number or a list of numbers, got {value!r}", path)
+    return vector
+
+
 def _points(value, path: str) -> np.ndarray:
     points = np.atleast_2d(_array(value, path))
     if points.ndim != 2:
@@ -355,13 +362,13 @@ class OracleOp(NamedTuple):
     required: bool = True  # all parameters must be given, or none
 
 
-_FINITE, _NUMBERS = _as_given(_number), _as_given(_array)
+_FINITE, _VECTOR, _NUMBERS = _as_given(_number), _as_given(_vector), _as_given(_array)
 
 # The oracle ops, each named after its function in ``oracle``.
 ORACLE_OPS = {
     "gaussian_mi": OracleOp({"correlation": _FINITE}, "correlation"),
     "mmse_gaussian": OracleOp({"variance": _FINITE, "alpha": _FINITE}, "variance"),
-    "gaussian_pointwise": OracleOp(dict.fromkeys(("x", "y", "joint_covariance"), _NUMBERS), "joint_covariance"),
+    "gaussian_pointwise": OracleOp({"x": _VECTOR, "y": _VECTOR, "joint_covariance": _NUMBERS}, "joint_covariance"),
     "gmm_mi_numeric": OracleOp({"labels": _as_given(_list(_string))}, "labels", required=False),
 }
 

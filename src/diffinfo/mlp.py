@@ -61,6 +61,8 @@ class MlpTrainConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.batch_size < 1:
             raise ValueError("n_steps and batch_size must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.condition_drop <= 1.0:
             raise ValueError(f"condition_drop must lie in [0, 1], got {self.condition_drop}")
 
@@ -293,32 +295,35 @@ def train_mlp(
     drop = bool(vocab) and config.condition_drop > 0
     trace = np.empty(n_steps)
 
-    for start in range(0, n_steps, block):
-        nb = min(block, n_steps - start)
-        idx = rng.integers(0, n, (nb, batch))
-        cond = cond_rows[idx]
-        if drop:
-            cond[rng.random((nb, batch)) < config.condition_drop] = 0.0
-        alphas = replace(sampler, n_draws=nb * batch).sample(rng)[0].reshape(nb, batch)
-        eps = rng.standard_normal((nb, batch, d))
-        x = xs[idx]
-        _features(corrupt(x, alphas, eps), alphas, cond, frequencies, out=feats[:nb])
-        for j in range(nb):
-            step = start + j + 1
-            acts = _forward(layers, feats[j], hidden)
-            err = acts[-1]
-            err -= eps[j]
-            flat_err = err.ravel()
-            loss = float(flat_err @ flat_err) / flat_err.size
-            trace[step - 1] = loss
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss!r} at step {step}: "
-                    f"batch |x| max {float(np.abs(x[j]).max())!r}, alpha range "
-                    f"[{float(alphas[j].min())!r}, {float(alphas[j].max())!r}]"
-                )
-            _gradients(layers, acts, err, grads, work, ones)
-            _adam_step(flat_params, flat_grads, m, v, step, config.learning_rate, adam_work)
+    # A diverging run fails the finiteness check on its loss, which raises
+    # TrainingDivergedError; numpy's warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            nb = min(block, n_steps - start)
+            idx = rng.integers(0, n, (nb, batch))
+            cond = cond_rows[idx]
+            if drop:
+                cond[rng.random((nb, batch)) < config.condition_drop] = 0.0
+            alphas = replace(sampler, n_draws=nb * batch).sample(rng)[0].reshape(nb, batch)
+            eps = rng.standard_normal((nb, batch, d))
+            x = xs[idx]
+            _features(corrupt(x, alphas, eps), alphas, cond, frequencies, out=feats[:nb])
+            for j in range(nb):
+                step = start + j + 1
+                acts = _forward(layers, feats[j], hidden)
+                err = acts[-1]
+                err -= eps[j]
+                flat_err = err.ravel()
+                loss = float(flat_err @ flat_err) / flat_err.size
+                trace[step - 1] = loss
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {loss!r} at step {step}: "
+                        f"batch |x| max {float(np.abs(x[j]).max())!r}, alpha range "
+                        f"[{float(alphas[j].min())!r}, {float(alphas[j].max())!r}]"
+                    )
+                _gradients(layers, acts, err, grads, work, ones)
+                _adam_step(flat_params, flat_grads, m, v, step, config.learning_rate, adam_work)
 
     denoiser = MlpDenoiser(layers, dim=d, vocabulary=vocab, n_frequencies=config.n_frequencies)
     return denoiser, trace

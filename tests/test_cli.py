@@ -140,6 +140,32 @@ class TestEstimate:
         assert payload["aggregate"]["n_samples"] == 40
         assert payload["aggregate"]["total"] > 0.3
 
+    @pytest.mark.parametrize(
+        "command, kind",
+        [("estimate", "pointwise_s"), ("estimate", "pointwise_o"), ("decompose", "pointwise_o")],
+    )
+    def test_only_cmi_uses_the_contexts(self, tmp_path, command, kind):
+        # mi's per-sample reports are its estimator's own; cmi's contrast with each sample's context.
+        gmm = {
+            "components": [{"weight": 0.25, "mean": [m], "cov": [[1.0]]} for m in (-6.0, -2.0, 3.0, 7.0)],
+            "condition_map": {"plain": [0, 1], "split": [2, 3], "low": [0, 2], "high": [1, 3]},
+        }
+        conditions = [
+            {"label": label, "context": [ctx]} for ctx in ("plain", "split") for label in ("low", "high")
+        ]
+        data = {"gmm": gmm, "n_samples": 8, "component_conditions": conditions}
+        totals = {}
+        for name in (kind, "mi", "cmi") if command == "estimate" else (kind, "cmi"):
+            section = {"kind": name, "estimator_kind": kind} if command == "estimate" else {"kind": name}
+            doc = {"seed": 3, "data": data, "sampler": {"n_snr": 20, "n_eps": 2}, command: section}
+            out = tmp_path / name
+            cfg = write_config(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            payload = read_json(out / ("estimates.json" if command == "estimate" else "decompose.json"))
+            totals[name] = [report["total"] for report in payload["reports"]]
+        assert totals.get("mi", totals[kind]) == totals[kind]
+        assert totals["cmi"] != totals[kind]
+
     def test_bits_flag_rescales(self, tmp_path):
         base = {
             "seed": 5,
@@ -474,6 +500,7 @@ class TestMalformedInput:
             ({"data": {"gmm": {**PAIR_GMM, "condition_map": {"neg": "0"}}}}, "data.gmm.condition_map.neg"),
             ({"intervene": {"n_samples": 1, "swap": {"neg": 3}}}, "intervene.swap.neg"),
             ({"oracle": {"op": "gaussian_mi"}}, "oracle.correlation"),
+            ({"oracle": {"op": "gaussian_pointwise", "x": [[1.0]], "y": 1, "joint_covariance": 1}}, "oracle.x"),
         ],
     )
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, raw, field):
@@ -835,6 +862,89 @@ class TestIntervene:
         assert lines[0].startswith("config error: solver:") and "at step 1" in lines[0]
 
 
+def diverging_train_config(tmp_path, learning_rate=1e-3, sampler=None):
+    """A train config; a learning rate or a log-SNR of 1e308 makes its loss non-finite."""
+    train = {"hidden": [4], "n_steps": 3, "batch_size": 4, "learning_rate": learning_rate}
+    doc = {"seed": 1, "data": PAIR_DATA, "sampler": sampler or {}, "train": train}
+    return write_config(tmp_path, doc)
+
+
+class TestTrainingDivergence:
+    @pytest.mark.parametrize(
+        "changes, step", [({"learning_rate": 1e308}, 2), ({"sampler": {"loc": 1e308}}, 1)]
+    )
+    def test_exits_2_and_names_train_and_the_step(self, tmp_path, capsys, changes, step):
+        cfg = diverging_train_config(tmp_path, **changes)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: train: training diverged: non-finite loss")
+        assert f"at step {step}:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_writes_only_the_error_line(self, tmp_path, capfd):
+        # A subprocess, so that numpy's warnings would reach the real stderr.
+        cfg = diverging_train_config(tmp_path, learning_rate=1e308)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        argv = ["train", "--config", cfg, "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-m", "diffinfo.cli", *argv], env=env, timeout=60)
+        assert done.returncode == 2
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("config error: train:") and "at step 2" in lines[0]
+
+
+class TestOutOfRangeSettings:
+    """Settings that used to run on, or fail later under another field's name."""
+
+    @pytest.mark.parametrize("learning_rate", [-1.0, 0.0])
+    def test_non_positive_learning_rate_exits_2(self, tmp_path, capsys, learning_rate):
+        cfg = diverging_train_config(tmp_path, learning_rate=learning_rate)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: invalid train: learning_rate must be positive, got {learning_rate}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, sampler",
+        [("nll", {"clip": 1e308}), ("mi", {"scale": 1e308}), ("mi", {"loc": -1.7e308, "scale": 1e307})],
+    )
+    def test_infinite_log_snr_interval_exits_2_naming_the_sampler(self, tmp_path, capsys, kind, sampler):
+        doc = {"seed": 1, "data": PAIR_DATA, "sampler": sampler, "estimate": {"kind": kind}}
+        argv = ["estimate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid sampler: the interval loc +- clip*scale must be finite")
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutOfMemory:
+    """Memory that runs out past the size checks exits 2 naming the command's size fields."""
+
+    @pytest.mark.parametrize(
+        "command, size_field",
+        [
+            ("estimate", "data.n_samples"),
+            ("decompose", "data.n_samples"),
+            ("rank", "rank.n_samples"),
+            ("intervene", "solver.n_steps"),
+            ("train", "train.batch_size"),
+        ],
+    )
+    def test_exits_2_and_names_the_size_fields(self, tmp_path, capsys, monkeypatch, command, size_field):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(GmmSpec, "sample", out_of_memory)
+        cfg = write_config(tmp_path, {"seed": 1, **SIZE_SECTIONS[command]})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ") and err.endswith(" is too large for this host\n")
+        assert size_field in err and "n_samples" in err
+        assert ("sampler.n_eps" in err) == (command != "train")
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainAndCheckpoints:
     def test_train_writes_checkpoint_and_trace(self, tmp_path):
         cfg = write_config(
@@ -942,6 +1052,16 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["value"] == pytest.approx(0.69305364548292, abs=1e-6)
+
+    def test_unconverged_quadrature_exits_2_and_names_the_mixture(self, tmp_path, capsys):
+        far = {"weight": 0.5, "mean": [-1e308], "cov": [[1.0]]}
+        gmm = {**PAIR_GMM, "components": [PAIR_GMM["components"][0], far]}
+        cfg = write_config(tmp_path, {"seed": 0, "data": {"gmm": gmm}, "oracle": {"op": "gmm_mi_numeric"}})
+        with np.errstate(all="ignore"):
+            assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: data.gmm: the oracle's quadrature failed: ")
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 class TestReproducibility:

@@ -103,6 +103,11 @@ class TestFailureModes:
         with pytest.raises(TrainingDivergedError, match="step"):
             train_mlp(np.full((32, 1), np.inf), None, MlpTrainConfig(n_steps=50), SAMPLER, seed=8)
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan")])
+    def test_non_positive_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            MlpTrainConfig(learning_rate=learning_rate)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_mlp(np.zeros((0, 1)), None, MlpTrainConfig(n_steps=10), SAMPLER, seed=0)
