@@ -69,6 +69,20 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _ranged(test, bound: str):
+    """A finite number that passes ``test``; ``bound`` says which numbers do."""
+
+    def check(value, path: str) -> float:
+        if not test(number := _number(value, path)):
+            raise ConfigError(f"{path!r} must be {bound}, got {value!r}", path)
+        return number
+
+    return check
+
+
+_positive_real = _ranged(lambda v: v > 0, "positive")
+
+
 def _typed(kind, noun: str):
     def check(value, path: str):
         if not isinstance(value, kind):
@@ -192,7 +206,8 @@ def _fields(raw, path: str, table: dict, required=()) -> dict:
 
 
 def _build(cls, kwargs: dict, path: str):
-    """``cls(**kwargs)``: a missing required field or a value ``cls`` rejects names its path."""
+    """``cls(**kwargs)``: a missing required field or a value ``cls`` rejects names its path,
+    the section for a joint condition (a value out of range alone fails the schema first)."""
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             _missing(_join(path, f.name))
@@ -392,13 +407,13 @@ _DATA = {
     "grid": _list(_positive, length=2),
     "truth_mask": _mask,
 }
-_SAMPLER = {"loc": _number, "scale": _number, "clip": _number, "n_snr": _positive, "n_eps": _positive}
+_SAMPLER = {"loc": _number, "scale": _positive_real, "clip": _positive_real, "n_snr": _positive, "n_eps": _positive}
 _TRAIN = {
     "hidden": _list(_positive),
     "n_steps": _positive,
     "batch_size": _positive,
-    "learning_rate": _number,
-    "condition_drop": _number,
+    "learning_rate": _positive_real,
+    "condition_drop": _ranged(lambda v: 0 <= v <= 1, "in [0, 1]"),
     "n_frequencies": _integer(0),
     "checkpoint_name": _string,
 }

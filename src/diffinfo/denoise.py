@@ -1,12 +1,15 @@
 """Minimum-mean-square-error denoisers for Gaussian and mixture data.
 
 Every denoiser in the package, here and in :mod:`diffinfo.mlp`, is a noise
-predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, condition=None)``.
-``predict_eps`` accepts a single point of shape (d,) with a scalar log-SNR,
-or a batch of shape (n, d) with a scalar or per-row log-SNR, and returns an
-array of the same shape as ``x_alpha``.  ``condition`` is ``None``, one
-condition for every row, or a list or tuple with one condition per row; a
-per-row list of the wrong length raises ``ValueError``.  Predictions are
+predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, condition=None,
+*, conditions=None)``.  ``predict_eps`` accepts a single point of shape (d,)
+with a scalar log-SNR, or a batch of shape (n, d) with a scalar or per-row
+log-SNR, and returns an array of the same shape as ``x_alpha``.  ``condition``
+is ``None``, one condition for every row, or a list or tuple with one
+condition per row; a per-row list of the wrong length raises ``ValueError``.
+``conditions=(c_0, ..., c_K)`` evaluates every row under each such entry,
+sharing what work it can, and returns the (K+1)·n rows stacked entry by entry,
+always 2-D; ``condition=c`` is its one-entry case.  Predictions are
 deterministic: identical inputs yield identical outputs.  A condition is any
 payload the denoiser understands: a :class:`ConditionId` for the mixture and
 the MLP, each of which has a ``check_condition`` that raises ``ValueError``
@@ -64,6 +67,10 @@ row the log-weights of its own conditional mixture, with -inf on the
 components its condition excludes; those get zero responsibility.  A single
 condition selects the same subset for every row, which keeps the arithmetic
 of a batch under one condition unchanged.
+
+The mixture evaluates the entries of ``conditions=`` one at a time: a pass
+shared over the union of the components they select would multiply each
+entry through the components it gives zero weight.
 """
 
 from __future__ import annotations
@@ -126,6 +133,17 @@ def distinct_rows(conditions):
     slot: dict = {}
     index = [slot.setdefault(c, len(slot)) for c in conditions]
     return list(slot), index
+
+
+def as_entries(condition, conditions) -> tuple:
+    """The entries of a ``predict_eps`` call: ``conditions``, or ``condition`` as the one entry."""
+    if conditions is None:
+        return (condition,)
+    if condition is not None:
+        raise ValueError("give condition or conditions, not both")
+    if not conditions:
+        raise ValueError("conditions must hold at least one entry")
+    return tuple(conditions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,22 +256,6 @@ class GmmSpec:
         w = self.weights[np.asarray(indices)]
         return w / w.sum()
 
-    def restrict(self, condition) -> "GmmSpec":
-        """The conditional mixture given ``condition`` as a standalone spec."""
-        idx = self.components_for(condition)
-        pos = {int(k): j for j, k in enumerate(idx)}
-        cmap = {}
-        for token, comps in self.condition_map.items():
-            kept = tuple(pos[c] for c in comps if c in pos)
-            if kept:
-                cmap[token] = kept
-        return GmmSpec(
-            weights=self.conditional_weights(idx),
-            means=self.means[idx],
-            covariances=self.covariances[idx],
-            condition_map=cmap,
-        )
-
     def sample(self, n, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` points and their component indices."""
         rng = np.random.default_rng(rng)
@@ -285,13 +287,16 @@ class GmmDenoiser:
     def dim(self) -> int:
         return self.spec.dim
 
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        u, resp, zs, sna, prod, weight = self._component_terms(x2, a, condition)
-        zs *= np.multiply(np.sqrt(sna), resp, out=weight)[:, None, :]
-        # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
-        eps_hat = np.matmul(zs.transpose(0, 2, 1), u.transpose(0, 2, 1), out=prod).sum(axis=0)
-        return eps_hat[0] if single else eps_hat
+        eps_hat = []
+        for c in as_entries(condition, conditions):
+            u, resp, zs, sna, prod, weight = self._component_terms(x2, a, c)
+            zs *= np.multiply(np.sqrt(sna), resp, out=weight)[:, None, :]
+            # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
+            eps_hat.append(np.matmul(zs.transpose(0, 2, 1), u.transpose(0, 2, 1), out=prod).sum(axis=0))
+        eps_hat = eps_hat[0] if len(eps_hat) == 1 else np.concatenate(eps_hat)
+        return eps_hat[0] if single and conditions is None else eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
         """Posterior component probabilities under the corrupted marginal.

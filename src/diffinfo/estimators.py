@@ -23,10 +23,10 @@ The conditional and unconditional denoisers always see the same (a, eps)
 draws (common random numbers): this lets i_o be evaluated as a single squared
 difference and removes shared noise from i_s.  Several conditions for one
 point share those draws too, and with them the unconditional prediction: a
-list or tuple of K candidates costs one unconditional pass and K conditional
-ones, and gives one estimate per candidate.  Each report carries the
-truncation interval the integral was taken over; contributions outside it
-are defined to be zero.
+list or tuple of K candidates gives one estimate per candidate, from one
+denoiser call that carries the unconditional entry and every candidate.
+Each report carries the truncation interval the integral was taken over;
+contributions outside it are defined to be zero.
 
 Every kind takes a vector or an (n, d) dataset through one pass and returns
 one :class:`InfoReport` whose fields are arrays over the estimates: ``total``
@@ -44,12 +44,13 @@ must have the same length); an entry is what a vector takes.  The points are
 grouped by their (unconditional, conditional) entry pair, and each group goes
 through in chunks of at most ``CHUNK_ELEMENTS`` denoiser-input elements,
 counting every pass a point makes: rows times d times 1 for nll, 1 + K for K
-candidates (a point over that gets a chunk to itself).  A chunk makes one
-``corrupt``, one unconditional denoiser call (none for nll) and one call per
-candidate, each under a single condition, so a mixture evaluates only the
-components that condition selects, and writes its results into the report's
-arrays.  From about 8,000 rows a chunk on, a larger chunk no longer makes a
-pass faster.
+candidates.  A chunk makes one ``corrupt`` and one ``predict_eps`` call with
+``conditions=(unconditional entry, *candidates)`` (the candidates alone for
+nll, one call a side when the sides are different denoisers), so a denoiser
+can do the work that does not depend on the condition once a chunk.  A point
+over the budget gets a chunk to itself, whose calls carry as many entries as
+fit, at least one.  From about 8,000 rows a chunk on, a larger chunk no
+longer makes a pass faster.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -67,6 +68,7 @@ the unconditional side, ``"cmi"``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,13 +154,6 @@ def _draws(sampler: LogSnrSampler, n_eps: int, dim: int, seed):
     alphas, weights = sampler.sample(rng)
     eps = rng.standard_normal((alphas.size, n_eps, dim))
     return alphas, weights, eps
-
-
-def _predict(denoiser, x_a, alphas, condition):
-    """Predictions for ``x_a`` of shape (..., n_eps, d), one log-SNR per entry of ``alphas`` (...)."""
-    n_eps, d = x_a.shape[-2:]
-    flat = denoiser.predict_eps(x_a.reshape(-1, d), np.repeat(alphas.ravel(), n_eps), condition)
-    return np.asarray(flat).reshape(x_a.shape)
 
 
 def _check_points(denoiser, x):
@@ -265,30 +260,34 @@ def _groups(uncond_conditions, conditions):
 
 def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
     """Per-dimension estimates (p, K, d) and standard errors (p, K) for the points of
-    ``xs`` (p, d), one seed each, under each of the K candidates.
-
-    One ``corrupt``, one unconditional denoiser call (none for nll) and one
-    call per candidate, each under a single condition.
-    """
+    ``xs`` (p, d), one seed each, under each of the K candidates."""
     draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
     alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
     x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
+    entries = candidates if kind == "nll" else [uncond_condition, *candidates]
+    calls = [(cond, entries)] if kind == "nll" or uncond is cond else [(uncond, entries[:1]), (cond, entries[1:])]
+    rows, row_alphas = x_a.reshape(-1, xs.shape[1]), np.repeat(alphas.ravel(), n_eps)
+    size = max(1, CHUNK_ELEMENTS // rows.size)  # entries a call: all, but for a point over the budget
+    passes = (  # (entries, p, draws, n_eps, d) each
+        den.predict_eps(rows, row_alphas, conditions=entries[i : i + size]).reshape(-1, *x_a.shape)
+        for den, entries in calls
+        for i in range(0, len(entries), size)
+    )
     if kind != "nll":
-        eps_u = _predict(uncond, x_a, alphas, uncond_condition)
-    if kind == "pointwise_s":
-        err_u = (eps - eps_u) ** 2  # shared by every candidate
-    contribs = []
-    for c in candidates:
-        eps_c = _predict(cond, x_a, alphas, c)
+        first = next(passes)
+        eps_u, passes = first[0], itertools.chain([first[1:]], passes)
+        err_u = (eps - eps_u) ** 2 if kind == "pointwise_s" else None  # shared by every candidate
+    parts = []
+    for eps_c in passes:
         if kind == "nll":
-            integrand = signal_weight(alphas)[..., None] - ((eps - eps_c) ** 2).mean(axis=2)
+            parts.append(signal_weight(alphas)[..., None] - ((eps - eps_c) ** 2).mean(axis=3))
         elif kind == "pointwise_o":
-            integrand = ((eps_u - eps_c) ** 2).mean(axis=2)
+            parts.append(((eps_u - eps_c) ** 2).mean(axis=3))
         else:
-            integrand = (err_u - (eps - eps_c) ** 2).mean(axis=2)
-        contribs.append(weights[..., None] * 0.5 * integrand)
+            parts.append((err_u - (eps - eps_c) ** 2).mean(axis=3))
+    integrand = np.concatenate(parts)  # (candidates, p, draws, d)
     # (points x candidates, draws, d); an overflowed estimate reads +inf, its error too.
-    contrib = np.stack(contribs, axis=1).reshape(-1, *contribs[0].shape[1:])
+    contrib = (weights[..., None] * 0.5 * integrand).swapaxes(0, 1).reshape(-1, *integrand.shape[2:])
     per_dim = contrib.mean(axis=1)
     if kind == "nll":
         per_dim = 0.5 * LOG_2PI_E - per_dim

@@ -6,8 +6,12 @@ condition tokens (all zeros when unconditional).  A fraction of each batch is
 trained with the condition encoding zeroed out, so a single network serves
 both the conditional and the unconditional estimator terms.
 
-Inference and training share one feature builder and one forward pass,
-which keeps every activation for backpropagation.  Adam uses the fixed
+Training runs ``_features`` through ``_forward``, which keeps every
+activation for backpropagation.  ``predict_eps`` splits the first layer at
+the condition: the product of ``[x_a, sin, cos]`` with that layer's rows for
+them is formed once a call, with the sines and cosines once per run of equal
+log-SNRs; each entry adds its tokens' rows and the bias, and the later
+layers run through ``_forward``.  Adam uses the fixed
 constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` and updates one flat
 buffer, of which the layer weights are views.
 
@@ -37,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt
-from .denoise import ConditionId, as_batch, distinct_rows, is_per_row
+from .denoise import ConditionId, as_batch, as_entries, distinct_rows, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
@@ -111,6 +115,15 @@ def _features(x_a, alphas, cond, frequencies, out=None) -> np.ndarray:
     return np.concatenate([x_a, np.sin(angles), np.cos(angles), cond], axis=-1, out=out)
 
 
+def _batch_features(x_a, alphas, frequencies, out) -> np.ndarray:
+    """:func:`_features` of a batch (n, d) without tokens, into ``out``, taking the sines and
+    cosines once per run of bit-equal log-SNRs: the estimators repeat each over its noise draws."""
+    starts = np.flatnonzero(np.diff(alphas.view(np.int64), prepend=~alphas[:1].view(np.int64)))
+    angles = alphas[starts, None] * frequencies
+    runs = np.diff(starts, append=alphas.size)
+    return np.concatenate([x_a, *(np.repeat(f(angles), runs, axis=0) for f in (np.sin, np.cos))], axis=1, out=out)
+
+
 def _forward(layers, feats, hidden=None) -> list[np.ndarray]:
     """Activations of every layer, input first and output last (tanh hidden layers).
 
@@ -169,20 +182,26 @@ class MlpDenoiser:
         """Raise ``ValueError`` unless every token of ``condition`` is in the vocabulary."""
         _multi_hot([condition], self.vocabulary)
 
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
         x2, a, single = as_batch(x_alpha, alpha, self._dim)
-        if is_per_row(condition, a.size):
-            cond = _multi_hot(condition, self.vocabulary)
-        else:
-            one = _multi_hot([condition], self.vocabulary)
-            cond = np.broadcast_to(one, (a.size, len(self.vocabulary)))
-        feats, *hidden = self._input_arrays(a.size)
-        _features(x2, a, cond, self._frequencies, out=feats)
-        out = _forward(self.layers, feats, hidden)[-1]
-        return out[0] if single else out
+        entries, n = as_entries(condition, conditions), a.size
+        data, product, *hidden = self._input_arrays(n)
+        (w, b), n_data = self.layers[0], data.shape[1]
+        np.matmul(_batch_features(x2, a, self._frequencies, out=data), w[:n_data], out=product)
+        eps = np.empty((len(entries) * n, self._dim))
+        for e, entry in enumerate(entries):
+            tokens = _multi_hot(entry if is_per_row(entry, n) else [entry], self.vocabulary)
+            # The first layer: the shared product, plus the entry's token rows and the bias.
+            h = np.add(product, tokens @ w[n_data:] + b, out=hidden[0] if hidden else None)
+            if hidden:
+                np.tanh(h, out=h)
+                h = _forward(self.layers[1:], h, hidden[1:])[-1]
+            eps[e * n : (e + 1) * n] = h
+        return eps[0] if single and conditions is None else eps
 
     def _input_arrays(self, n_rows) -> list[np.ndarray]:
-        """The input array of every layer for ``n_rows`` rows, kept while the batch size repeats.
+        """Arrays for ``n_rows`` rows, kept while the batch size repeats: the data and
+        log-SNR features, their product with the first layer, and one per hidden layer.
 
         A batch of a few hundred to a few thousand rows makes layer inputs of
         a few hundred KB.  Allocated afresh on every call, they can make glibc
@@ -190,7 +209,9 @@ class MlpDenoiser:
         at the cost of a page fault per page.
         """
         if self._layer_inputs[0] != n_rows:
-            self._layer_inputs = (n_rows, [np.empty((n_rows, w.shape[0])) for w, _ in self.layers])
+            n_data = self._dim + 2 * self.n_frequencies
+            widths = [n_data] + [w.shape[1] for w, _ in self.layers[:1] + self.layers[:-1]]
+            self._layer_inputs = (n_rows, [np.empty((n_rows, width)) for width in widths])
         return self._layer_inputs[1]
 
 

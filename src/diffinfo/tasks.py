@@ -55,8 +55,8 @@ def rank_conditions(
 
     All candidates of a point share the same (alpha, eps) draws, so score
     differences are free of common Monte-Carlo noise, and they share the
-    unconditional prediction on those draws: K candidates cost one
-    unconditional denoiser pass and K conditional ones.  The default score is
+    unconditional prediction on those draws: one denoiser call per chunk
+    carries the unconditional entry and all K candidates.  The default score is
     the log-likelihood-ratio estimate, whose argmax matches the Bayes rule
     for equal-prior candidate sets that cover the generating mixture; the
     squared-difference score (``pointwise_o``) orders such candidate sets

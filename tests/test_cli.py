@@ -900,9 +900,8 @@ class TestOutOfRangeSettings:
     def test_non_positive_learning_rate_exits_2(self, tmp_path, capsys, learning_rate):
         cfg = diverging_train_config(tmp_path, learning_rate=learning_rate)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: invalid train: learning_rate must be positive, got {learning_rate}" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert f"config error: 'train.learning_rate' must be positive, got {learning_rate}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

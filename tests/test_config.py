@@ -207,6 +207,34 @@ class TestRejections:
             parse_config(raw)
         assert info.value.field == f"{section}.n_samples"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "learning_rate", 0.0),
+            ("train", "learning_rate", -1e-3),
+            ("train", "condition_drop", -0.1),
+            ("train", "condition_drop", 1.5),
+            ("sampler", "scale", 0.0),
+            ("sampler", "clip", -2.0),
+        ],
+    )
+    def test_a_value_out_of_range_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be") as info:
+            parse_config({"seed": 1, section: {key: value}})
+        assert info.value.field == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("sampler", {"clip": 1e308}, "the interval loc"),
+            ("solver", {"alpha_min": 2.0, "alpha_max": 2.0}, "alpha_min must be below alpha_max"),
+        ],
+    )
+    def test_a_joint_condition_names_its_section(self, section, values, message):
+        with pytest.raises(ConfigError, match=f"invalid {section}: {message}") as info:
+            parse_config({"seed": 1, section: values})
+        assert info.value.field == section
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_points_rejected(self, bad):
         with pytest.raises(ConfigError, match=r"data\.points\[1\]") as info:

@@ -12,7 +12,7 @@ from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, gmm_mmse
 from diffinfo.oracle import mmse_gaussian
 
-from toys import ZeroDenoiser, redundant_editing_spec
+from toys import ZeroDenoiser, redundant_editing_spec, restrict
 
 STD_NORMAL = GmmSpec.single([0.0], [[1.0]])
 
@@ -23,7 +23,7 @@ def empirical_mse(denoiser, spec, alpha, n, seed, condition=None, components=Non
     if components is None:
         x, _ = spec.sample(n, rng)
     else:
-        x, _ = spec.restrict(components).sample(n, rng)
+        x, _ = restrict(spec, components).sample(n, rng)
     eps = rng.standard_normal(x.shape)
     x_a = np.sqrt(signal_weight(alpha)) * x + np.sqrt(noise_weight(alpha)) * eps
     pred = denoiser.predict_eps(x_a, alpha, condition)
@@ -109,7 +109,7 @@ class TestGmmMmse:
         x_a = np.array([10.0 * np.sqrt(signal_weight(alpha))])
         resp = den.responsibilities(x_a, alpha)
         assert resp[0] < 1e-20
-        only_pos = gmm_mmse(spec.restrict(ConditionId(label="pos")))
+        only_pos = gmm_mmse(restrict(spec, ConditionId(label="pos")))
         np.testing.assert_allclose(
             den.predict_eps(x_a, alpha), only_pos.predict_eps(x_a, alpha), atol=1e-6
         )
@@ -180,7 +180,7 @@ class TestSpecValidation:
             covariances=[[[1.0]]] * 3,
             condition_map={"a": (0, 1), "b": (2,)},
         )
-        sub = spec.restrict(ConditionId(label="a"))
+        sub = restrict(spec, ConditionId(label="a"))
         np.testing.assert_allclose(sub.weights, [0.4, 0.6])
         assert sub.condition_map["a"] == (0, 1)
         assert "b" not in sub.condition_map

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from diffinfo import estimators
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import (
@@ -31,7 +32,9 @@ from toys import (
     hierarchy_dataset,
     hierarchy_spec,
     labeled_dataset,
+    per_entry,
     redundant_editing_spec,
+    restrict,
     symmetric_pair_spec,
 )
 
@@ -87,7 +90,10 @@ class TestNll:
         class ExplodingDenoiser:
             dim = 1
 
-            def predict_eps(self, x_alpha, alpha, condition=None):
+            def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None):
+                return per_entry(self.predict_one, x_alpha, alpha, condition, conditions)
+
+            def predict_one(self, x_alpha, alpha, condition):
                 return np.full_like(np.asarray(x_alpha, dtype=float), 1e308)
 
         report = nll(ExplodingDenoiser(), [0.0], SAMPLER, n_eps=2, seed=0)
@@ -280,7 +286,7 @@ class TestCmi:
         wide = LogSnrSampler(loc=1.0, scale=2.0, clip=5.0, n_draws=100)
         report = dataset_mi(den, x, conditions, wide, seed=18, contexts=contexts)
         oracle_value = gmm_mi_numeric(
-            spec.restrict(ConditionId(context=("c0",))), labels=["L0", "L1", "L2", "L3"]
+            restrict(spec, ConditionId(context=("c0",))), labels=["L0", "L1", "L2", "L3"]
         )
         tolerance = max(3 * report.std_error, 1e-2)
         assert abs(report.total - oracle_value.value) <= tolerance
@@ -485,9 +491,10 @@ class TestDatasetNll:
         counting = CountingDenoiser(localized_denoisers[den_kind])
         self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition, kind, uncond)
         chunks = [p for g in groups for p in [per_chunk] * (g // per_chunk) + [g % per_chunk] if p]
-        expected = [p * rows_per_point for p in chunks for _ in range(passes)]
+        expected = [p * rows_per_point for p in chunks]  # one call per chunk, carrying every pass
         assert counting.rows[: len(expected)] == expected
-        assert all(c is None or isinstance(c, ConditionId) for c in counting.conditions)
+        assert [len(e) for e in counting.entries[: len(expected)]] == [passes] * len(expected)
+        assert all(c is None or isinstance(c, ConditionId) for e in counting.entries for c in e)
 
     def test_point_over_the_budget_gets_its_own_chunk(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
@@ -496,15 +503,33 @@ class TestDatasetNll:
         self.check_against_single_points(den, xs, sampler, n_eps, 42, self.LABELS[0])
         assert den.rows[:3] == [sampler.n_draws] * 3
 
+    @pytest.mark.parametrize("kind", ["nll", "pointwise_s", "pointwise_o"])
+    @pytest.mark.parametrize("den_kind", ["gmm", "mlp"])
+    def test_point_over_the_budget_splits_its_entries(self, localized_denoisers, monkeypatch, den_kind, kind):
+        """A point whose passes do not fit the budget makes calls of as many entries as fit,
+        and gets the estimates of one call carrying them all."""
+        lo, hi = self.LABELS
+        candidates = [lo, hi, None, lo]
+        x, sampler, n_eps = [0.5, -0.5], LogSnrSampler(n_draws=50), 2  # 200 elements a pass
+        whole = estimate(kind, localized_denoisers[den_kind], x, sampler, n_eps, 44, candidates)
+        monkeypatch.setattr(estimators, "CHUNK_ELEMENTS", 450)  # two passes a call
+        den = CountingDenoiser(localized_denoisers[den_kind])
+        split = estimate(kind, den, x, sampler, n_eps, 44, candidates)
+        entries = candidates if kind == "nll" else [None, *candidates]
+        assert den.entries == [tuple(entries[i : i + 2]) for i in range(0, len(entries), 2)]
+        assert den.rows == [100] * len(den.entries)
+        np.testing.assert_array_equal(split.per_dim, whole.per_dim)
+        np.testing.assert_array_equal(split.std_error, whole.std_error)
+
     def test_every_call_gets_a_single_condition(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
         xs = np.zeros((5, 2))
         nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 5)
-        assert den.conditions == [self.LABELS[0]]
-        den.conditions.clear()
+        assert den.entries == [(self.LABELS[0],)]
+        den.entries.clear()
         equal_copy = ConditionId(label="lo")
         nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, equal_copy, None, self.LABELS[1]])
-        assert den.conditions == [self.LABELS[0], None, self.LABELS[1]]
+        assert den.entries == [(self.LABELS[0],), (None,), (self.LABELS[1],)]
         assert den.rows[1:] == [2 * SAMPLER.n_draws * 2, 2 * SAMPLER.n_draws * 2, SAMPLER.n_draws * 2]
 
     def test_wide_mlp_agrees_with_single_points_to_the_last_bits(self):
@@ -551,7 +576,10 @@ class TestDatasetNll:
             dim = 1
             inner = gmm_mmse(STD_NORMAL)
 
-            def predict_eps(self, x_alpha, alpha, condition=None):
+            def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None):
+                return per_entry(self.predict_one, x_alpha, alpha, condition, conditions)
+
+            def predict_one(self, x_alpha, alpha, condition):
                 out = self.inner.predict_eps(x_alpha, alpha, condition)
                 return np.where(np.abs(x_alpha) > 50.0, 1e308, out)
 

@@ -146,10 +146,10 @@ class TestDeterminism:
         )
 
 
-def random_mlp(d, vocabulary, seed):
+def random_mlp(d, vocabulary, seed, hidden=(32, 32)):
     """An untrained net with random weights over ``vocabulary``."""
     rng = np.random.default_rng(seed)
-    widths = (d + 16 + len(vocabulary), 32, 32, d)
+    widths = (d + 16 + len(vocabulary), *hidden, d)
     layers = [
         (rng.standard_normal((m, k)) / np.sqrt(m), 0.1 * rng.standard_normal(k))
         for m, k in zip(widths[:-1], widths[1:])
@@ -227,6 +227,15 @@ def reference_forward(layers, feats, hidden=None):
     return activations
 
 
+def full_feature_pass(net, x_a, alpha, condition):
+    """The net's output from its whole input rows ``[x_a, sin, cos, tokens]``, as training
+    forms them, through the chain of fresh arrays."""
+    alpha = np.broadcast_to(alpha, len(x_a))
+    rows = condition if isinstance(condition, list) else [condition] * len(x_a)
+    feats = mlp._features(x_a, alpha, mlp._multi_hot(rows, net.vocabulary), net._frequencies)
+    return reference_forward(net.layers, feats)[-1]
+
+
 class TestInPlaceForward:
     def test_predict_eps_equals_reference_chain(self, monkeypatch):
         net = random_mlp(2, ("a", "b"), seed=5)
@@ -245,6 +254,24 @@ class TestInPlaceForward:
         monkeypatch.setattr(mlp, "_forward", reference_forward)
         for call, value in zip(calls, got):
             np.testing.assert_array_equal(value, net.predict_eps(*call))
+
+    @pytest.mark.parametrize("hidden", [(32, 32), (8,), ()], ids=["two_hidden", "one_hidden", "no_hidden"])
+    def test_predict_eps_equals_the_full_feature_pass(self, hidden):
+        """The first layer split at the condition, with the sines and cosines once per
+        run of log-SNRs, agrees with the product of the whole input rows."""
+        net = random_mlp(2, ("a", "b"), seed=5, hidden=hidden)
+        rng = np.random.default_rng(9)
+        x_a = 2.0 * rng.standard_normal((400, 2))
+        both = ConditionId(label="a", context=("b",))
+        per_row = [[None, ConditionId(label="b"), both, ConditionId(label="a")][i % 4] for i in range(400)]
+        entries = [None, ConditionId(label="a"), both, per_row]
+        for alpha in (np.repeat(rng.uniform(-5.0, 7.0, 100), 4), rng.uniform(-5.0, 7.0, 400), 1.5):
+            stacked = net.predict_eps(x_a, alpha, conditions=entries)
+            for e, entry in enumerate(entries):
+                want = full_feature_pass(net, x_a, alpha, entry)
+                atol = 1e-12 * np.abs(want).max()
+                np.testing.assert_allclose(net.predict_eps(x_a, alpha, entry), want, rtol=1e-12, atol=atol)
+                np.testing.assert_allclose(stacked[e * 400 : (e + 1) * 400], want, rtol=1e-12, atol=atol)
 
     def test_training_gives_reference_checkpoint_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)

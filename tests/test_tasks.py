@@ -101,7 +101,8 @@ class TestRanking:
         chunks = [per_chunk, per_chunk, per_chunk // 2]
         x, _ = spec.sample(sum(chunks), 7)
         scores = evaluate_ranking(x, CANDIDATES, den, den, SAMPLER, seed=8)
-        assert den.rows == [p * rows_per_point for p in chunks for _ in range(3)]
+        assert den.rows == [p * rows_per_point for p in chunks]  # one call per chunk
+        assert den.entries == [(None, *CANDIDATES)] * len(chunks)
         children = np.random.SeedSequence(8).spawn(len(x))
         for row, xi, child in zip(scores, x, children):
             np.testing.assert_array_equal(row, rank_conditions(xi, CANDIDATES, den, den, SAMPLER, seed=child))
@@ -116,7 +117,8 @@ class TestRanking:
         rank_conditions(
             np.array([3.0]), candidates, den, den, sampler, n_eps=3, seed=9, estimator_kind=estimator_kind
         )
-        assert den.rows == [30 * 3] * (len(candidates) + 1)
+        assert den.rows == [30 * 3]
+        assert den.entries == [(None, *candidates)]
 
     def test_select_is_row_wise_and_ties_go_to_the_first_index(self):
         chosen, tie = select([[1.0, 3.0, 3.0], [2.0, 1.0, 0.0], [5.0, 5.0 - 1e-12, 4.0]])

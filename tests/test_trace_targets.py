@@ -39,8 +39,8 @@ def test_patch_target_resolves(module, attr):
     assert getattr(owner, name) is fn and callable(fn)
 
 
-@pytest.mark.parametrize("name", workloads.NAMES)
-def test_every_required_layer_is_recorded(name, tmp_path):
+def traced_run(name, tmp_path):
+    """The workload ``name`` at its tiny size, and the spans of its CLI calls."""
     wl = workloads.build(name, 0, "tiny", tmp_path)
     tracer = spans.Tracer()
     tracer.install()
@@ -51,5 +51,28 @@ def test_every_required_layer_is_recorded(name, tmp_path):
             assert cli.main([op.command, "--config", str(config), "--out", op.out]) == 0
     finally:
         tracer.uninstall()
-    seen = {s["name"] for s in tracer.export()}
+    return wl, tracer.export()
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_every_required_layer_is_recorded(name, tmp_path):
+    wl, records = traced_run(name, tmp_path)
+    seen = {s["name"] for s in records}
     assert [layer for layer in wl.layers if layer not in seen] == []
+
+
+@pytest.mark.parametrize(
+    "name, span, command, section, candidates",
+    [
+        ("heatmap-d64", "denoise.gmm", "decompose", "data", 1),  # each sample's own label
+        ("mlp-train-rank", "mlp.predict_eps", "rank", "rank", len(workloads.RANK_LABELS)),
+    ],
+)
+def test_denoiser_spans_count_every_entry_row(name, span, command, section, candidates, tmp_path):
+    """``denoise.rows_per_item`` counts denoiser rows, points x draws x (1 + K), however many
+    entries one call carries: the span counts the rows of the 2-D result."""
+    wl, records = traced_run(name, tmp_path)
+    (cfg,) = [op.config for op in wl.ops if op.command == command]
+    draws = cfg["sampler"]["n_snr"] * cfg["sampler"]["n_eps"]
+    rows = sum(s["count"] for s in records if s["name"] == span)
+    assert rows == cfg[section]["n_samples"] * draws * (1 + candidates)

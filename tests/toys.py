@@ -7,7 +7,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffinfo.channel import noise_weight, signal_weight
-from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, as_entries, gmm_mmse
+
+
+def per_entry(predict, x_alpha, alpha, condition=None, conditions=None) -> np.ndarray:
+    """``predict(x_alpha, alpha, condition)``, or with ``conditions`` the rows of each
+    entry stacked entry by entry: the ``predict_eps`` contract for a denoiser that
+    shares no work between entries."""
+    if conditions is None:
+        return predict(x_alpha, alpha, condition)
+    return np.concatenate([np.atleast_2d(predict(x_alpha, alpha, c)) for c in as_entries(condition, conditions)])
+
+
+def restrict(spec: GmmSpec, condition) -> GmmSpec:
+    """The conditional mixture of ``spec`` given ``condition`` as a standalone spec."""
+    idx = spec.components_for(condition)
+    pos = {int(k): j for j, k in enumerate(idx)}
+    cmap = {}
+    for token, comps in spec.condition_map.items():
+        kept = tuple(pos[c] for c in comps if c in pos)
+        if kept:
+            cmap[token] = kept
+    return GmmSpec(
+        weights=spec.conditional_weights(idx),
+        means=spec.means[idx],
+        covariances=spec.covariances[idx],
+        condition_map=cmap,
+    )
 
 
 @dataclass(frozen=True)
@@ -16,26 +42,28 @@ class ZeroDenoiser:
 
     dim: int
 
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        return np.zeros_like(np.asarray(x_alpha, dtype=float))
+    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
+        return per_entry(
+            lambda x, a, c: np.zeros_like(np.asarray(x, dtype=float)), x_alpha, alpha, condition, conditions
+        )
 
 
 class CountingDenoiser:
-    """Wraps a denoiser and records the row count and condition of every ``predict_eps`` call."""
+    """Wraps a denoiser and records the row count and the entries of every ``predict_eps`` call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.rows: list[int] = []
-        self.conditions: list = []
+        self.entries: list[tuple] = []
 
     @property
     def dim(self) -> int:
         return self.inner.dim
 
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
         self.rows.append(np.atleast_2d(x_alpha).shape[0])
-        self.conditions.append(condition)
-        return self.inner.predict_eps(x_alpha, alpha, condition)
+        self.entries.append(as_entries(condition, conditions))
+        return self.inner.predict_eps(x_alpha, alpha, condition, conditions=conditions)
 
 
 class CorrelatedGaussianDenoiser:
@@ -55,7 +83,10 @@ class CorrelatedGaussianDenoiser:
     def dim(self) -> int:
         return 1
 
-    def predict_eps(self, x_alpha, alpha, condition=None) -> np.ndarray:
+    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
+        return per_entry(self._predict, x_alpha, alpha, condition, conditions)
+
+    def _predict(self, x_alpha, alpha, condition) -> np.ndarray:
         if condition is None:
             raise ValueError("this denoiser requires the observed y as the condition")
         x2, a, single = as_batch(x_alpha, alpha, self.dim)
