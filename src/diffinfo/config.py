@@ -329,6 +329,8 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.kind == "checkpoint" and self.path is None:
             _missing("denoiser.path")
+        if self.kind == "closed_form" and self.path is not None:
+            raise ConfigError("'denoiser.path' is read only under kind checkpoint, not closed_form", "denoiser.path")
 
 
 @dataclass(frozen=True)

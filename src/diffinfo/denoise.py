@@ -1,15 +1,15 @@
 """Minimum-mean-square-error denoisers for Gaussian and mixture data.
 
 Every denoiser in the package, here and in :mod:`diffinfo.mlp`, is a noise
-predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, condition=None,
-*, conditions=None)``.  ``predict_eps`` accepts a single point of shape (d,)
-with a scalar log-SNR, or a batch of shape (n, d) with a scalar or per-row
-log-SNR, and returns an array of the same shape as ``x_alpha``.  ``condition``
-is ``None``, one condition for every row, or a list or tuple with one
-condition per row; a per-row list of the wrong length raises ``ValueError``.
-``conditions=(c_0, ..., c_K)`` evaluates every row under each such entry,
-sharing what work it can, and returns the (K+1)·n rows stacked entry by entry,
-always 2-D; ``condition=c`` is its one-entry case.  Predictions are
+predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, *entries)``.
+``x_alpha`` is rows of shape (n, d), and ``alpha`` a scalar log-SNR or one
+per row; any other shape raises ``ValueError`` naming it.  Each entry is one
+hashable condition for every row, or a list or tuple with one condition per
+row; a per-row list of the wrong length raises ``ValueError``.  No entry
+means the one entry ``None``.  The result is every row under each entry,
+stacked entry by entry: (K·n, d) for K entries, so ``predict_eps(x, a, c)``
+is (n, d).  A denoiser may share work between the entries of one call, but
+each entry's rows are those of its own call.  Predictions are
 deterministic: identical inputs yield identical outputs.  A condition is any
 payload the denoiser understands: a :class:`ConditionId` for the mixture and
 the MLP, each of which has a ``check_condition`` that raises ``ValueError``
@@ -68,9 +68,9 @@ components its condition excludes; those get zero responsibility.  A single
 condition selects the same subset for every row, which keeps the arithmetic
 of a batch under one condition unchanged.
 
-The mixture evaluates the entries of ``conditions=`` one at a time: a pass
-shared over the union of the components they select would multiply each
-entry through the components it gives zero weight.
+The mixture evaluates the entries of a call one at a time: a pass shared
+over the union of the components they select would multiply each entry
+through the components it gives zero weight.
 """
 
 from __future__ import annotations
@@ -104,15 +104,16 @@ class ConditionId:
 
 
 def as_batch(x_alpha, alpha, dim: int):
-    """Rows (n, dim) of ``x_alpha``, one log-SNR per row, and whether one point was given."""
+    """The rows (n, dim) of ``x_alpha`` and one log-SNR per row."""
     x = np.asarray(x_alpha, dtype=float)
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != dim:
+    if x.ndim != 2:
+        raise ValueError(f"x_alpha must be rows of shape (n, {dim}), got shape {x.shape}")
+    if x.shape[1] != dim:
         raise ValueError(
             f"dimension mismatch: denoiser has dimension {dim} "
-            f"but x_alpha has dimension {x2.shape[1]}"
+            f"but x_alpha has dimension {x.shape[1]}"
         )
-    return x2, np.broadcast_to(np.asarray(alpha, dtype=float), (x2.shape[0],)), x.ndim == 1
+    return x, np.broadcast_to(np.asarray(alpha, dtype=float), (x.shape[0],))
 
 
 def is_per_row(condition, n_rows: int) -> bool:
@@ -133,17 +134,6 @@ def distinct_rows(conditions):
     slot: dict = {}
     index = [slot.setdefault(c, len(slot)) for c in conditions]
     return list(slot), index
-
-
-def as_entries(condition, conditions) -> tuple:
-    """The entries of a ``predict_eps`` call: ``conditions``, or ``condition`` as the one entry."""
-    if conditions is None:
-        return (condition,)
-    if condition is not None:
-        raise ValueError("give condition or conditions, not both")
-    if not conditions:
-        raise ValueError("conditions must hold at least one entry")
-    return tuple(conditions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +198,6 @@ class GmmSpec:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self.condition_map)
 
     def components_for(self, condition) -> np.ndarray:
         """Component indices consistent with ``condition`` (all, if None)."""
@@ -287,16 +273,15 @@ class GmmDenoiser:
     def dim(self) -> int:
         return self.spec.dim
 
-    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
-        x2, a, single = as_batch(x_alpha, alpha, self.dim)
+    def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
+        x2, a = as_batch(x_alpha, alpha, self.dim)
         eps_hat = []
-        for c in as_entries(condition, conditions):
+        for c in entries or (None,):
             u, resp, zs, sna, prod, weight = self._component_terms(x2, a, c)
             zs *= np.multiply(np.sqrt(sna), resp, out=weight)[:, None, :]
             # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
             eps_hat.append(np.matmul(zs.transpose(0, 2, 1), u.transpose(0, 2, 1), out=prod).sum(axis=0))
-        eps_hat = eps_hat[0] if len(eps_hat) == 1 else np.concatenate(eps_hat)
-        return eps_hat[0] if single and conditions is None else eps_hat
+        return eps_hat[0] if len(eps_hat) == 1 else np.concatenate(eps_hat)
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
         """Posterior component probabilities under the corrupted marginal.
@@ -304,9 +289,8 @@ class GmmDenoiser:
         One column per component the condition selects, in index order; for
         per-row conditions, per component any row selects.
         """
-        x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        resp = self._component_terms(x2, a, condition)[1].T.copy()
-        return resp[0] if single else resp
+        x2, a = as_batch(x_alpha, alpha, self.dim)
+        return self._component_terms(x2, a, condition)[1].T.copy()
 
     def check_condition(self, condition) -> None:
         """Raise ``ValueError`` unless ``condition`` selects components of the mixture."""

@@ -44,13 +44,13 @@ must have the same length); an entry is what a vector takes.  The points are
 grouped by their (unconditional, conditional) entry pair, and each group goes
 through in chunks of at most ``CHUNK_ELEMENTS`` denoiser-input elements,
 counting every pass a point makes: rows times d times 1 for nll, 1 + K for K
-candidates.  A chunk makes one ``corrupt`` and one ``predict_eps`` call with
-``conditions=(unconditional entry, *candidates)`` (the candidates alone for
-nll, one call a side when the sides are different denoisers), so a denoiser
-can do the work that does not depend on the condition once a chunk.  A point
-over the budget gets a chunk to itself, whose calls carry as many entries as
-fit, at least one.  From about 8,000 rows a chunk on, a larger chunk no
-longer makes a pass faster.
+candidates.  A chunk makes one ``corrupt`` call and one call
+``predict_eps(rows, alphas, unconditional entry, *candidates)`` (the
+candidates alone for nll, one call a side when the sides are different
+denoisers), so a denoiser can do the work that does not depend on the
+condition once a chunk.  A point over the budget gets a chunk to itself,
+whose calls carry as many entries as fit, at least one.  From about 8,000
+rows a chunk on, a larger chunk no longer makes a pass faster.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -246,14 +246,11 @@ def _groups(uncond_conditions, conditions):
     """Indices of the points with each distinct (unconditional, conditional) entry pair.
 
     The groups come in order of first appearance.  A list of candidates is
-    compared as a tuple; if any entry cannot be hashed, such as an array,
-    entries are grouped by identity instead.
+    compared as a tuple, and an entry by its hash and equality, so a float
+    payload groups by value; an unhashable entry raises ``TypeError``.
     """
     keys = [(u, tuple(c) if isinstance(c, list) else c) for u, c in zip(uncond_conditions, conditions)]
-    try:
-        _, index = distinct_rows(keys)
-    except TypeError:
-        _, index = distinct_rows([(id(u), id(c)) for u, c in zip(uncond_conditions, conditions)])
+    _, index = distinct_rows(keys)
     order = np.argsort(index, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(np.sort(index))) + 1)
 
@@ -269,7 +266,7 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
     rows, row_alphas = x_a.reshape(-1, xs.shape[1]), np.repeat(alphas.ravel(), n_eps)
     size = max(1, CHUNK_ELEMENTS // rows.size)  # entries a call: all, but for a point over the budget
     passes = (  # (entries, p, draws, n_eps, d) each
-        den.predict_eps(rows, row_alphas, conditions=entries[i : i + size]).reshape(-1, *x_a.shape)
+        den.predict_eps(rows, row_alphas, *entries[i : i + size]).reshape(-1, *x_a.shape)
         for den, entries in calls
         for i in range(0, len(entries), size)
     )

@@ -26,7 +26,8 @@ corrector update; an Euler fallback at the terminal node would contribute a
 local error around h^2/2 * |z''| by itself, which at 100 steps is larger
 than the round-trip budget.  Encoding integrates from alpha_max down to
 alpha_min (data to latent); decoding reverses the grid.  Both return only
-the end state, in the shape of their input: no path is stored.
+the end state, in the shape of their input: no path is stored.  The
+denoiser takes rows, so ``_integrate`` turns a single point into one row.
 
 Conditions pass through to the denoiser, so a batch may carry one condition
 per row.  ``intervene`` uses this: it encodes every point once under its own
@@ -70,13 +71,11 @@ class SolverConfig:
 def _velocity(denoiser, state, alpha, condition) -> np.ndarray:
     """dz/da of the probability flow at ``state`` and log-SNR ``alpha``."""
     sna = noise_weight(float(alpha))
-    return 0.5 * sna * state - 0.5 * np.sqrt(sna) * np.asarray(
-        denoiser.predict_eps(state, float(alpha), condition)
-    )
+    return 0.5 * sna * state - 0.5 * np.sqrt(sna) * denoiser.predict_eps(state, float(alpha), condition)
 
 
 def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
-    z = np.asarray(z0, dtype=float).copy()
+    z = np.array(z0, dtype=float, ndmin=2)  # the denoiser takes rows
     # A state that overflows fails the finiteness check below, which raises
     # SolverError; numpy's warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -89,7 +88,7 @@ def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
             if not np.all(np.isfinite(z)):
                 alpha = float(grid[i + 1])
                 raise SolverError(f"non-finite state at step {i + 1} (alpha={alpha!r})", step=i + 1)
-    return z
+    return z.reshape(np.shape(z0))
 
 
 def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import LogSnrSampler, corrupt
-from .denoise import ConditionId, as_batch, as_entries, distinct_rows, is_per_row
+from .denoise import ConditionId, as_batch, distinct_rows, is_per_row
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FREQUENCY_BASE = 0.25
@@ -77,19 +77,15 @@ def _multi_hot(conditions, vocabulary) -> np.ndarray:
     Each distinct condition is encoded once and its row gathered, so a
     per-row list costs one encoding per distinct condition, not one per row.
     """
+    for condition in conditions:  # before hashing: an unhashable condition is no ConditionId
+        if condition is not None and not isinstance(condition, ConditionId):
+            raise TypeError(f"expected ConditionId or None, got {type(condition).__name__}")
     lookup = {token: i for i, token in enumerate(vocabulary)}
-    try:
-        distinct, index = distinct_rows(conditions)
-    except TypeError:
-        # An unhashable condition is no ConditionId: encoding every row raises
-        # at the first bad one.
-        distinct, index = list(conditions), None
+    distinct, index = distinct_rows(conditions)
     rows = np.zeros((len(distinct), len(vocabulary)))
     for row, condition in zip(rows, distinct):
         if condition is None:
             continue
-        if not isinstance(condition, ConditionId):
-            raise TypeError(f"expected ConditionId or None, got {type(condition).__name__}")
         for token in condition.tokens:
             if token not in lookup:
                 raise ValueError(
@@ -182,9 +178,9 @@ class MlpDenoiser:
         """Raise ``ValueError`` unless every token of ``condition`` is in the vocabulary."""
         _multi_hot([condition], self.vocabulary)
 
-    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
-        x2, a, single = as_batch(x_alpha, alpha, self._dim)
-        entries, n = as_entries(condition, conditions), a.size
+    def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
+        x2, a = as_batch(x_alpha, alpha, self._dim)
+        entries, n = entries or (None,), a.size
         data, product, *hidden = self._input_arrays(n)
         (w, b), n_data = self.layers[0], data.shape[1]
         np.matmul(_batch_features(x2, a, self._frequencies, out=data), w[:n_data], out=product)
@@ -197,7 +193,7 @@ class MlpDenoiser:
                 np.tanh(h, out=h)
                 h = _forward(self.layers[1:], h, hidden[1:])[-1]
             eps[e * n : (e + 1) * n] = h
-        return eps[0] if single and conditions is None else eps
+        return eps
 
     def _input_arrays(self, n_rows) -> list[np.ndarray]:
         """Arrays for ``n_rows`` rows, kept while the batch size repeats: the data and

@@ -332,6 +332,21 @@ class TestSchemaDiagnostics:
         assert main(["estimate", "--config", cfg]) == 2
         assert "denoiser.path" in capsys.readouterr().err
 
+    def test_denoiser_path_under_closed_form_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "output": {"dir": str(tmp_path / "out")},
+                "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]]},
+                "denoiser": {"kind": "closed_form", "path": "does_not_exist.ckpt"},
+                "estimate": {"kind": "nll"},
+            },
+        )
+        assert main(["estimate", "--config", cfg]) == 2
+        assert "denoiser.path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "damage",
         [

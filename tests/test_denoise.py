@@ -106,9 +106,9 @@ class TestGmmMmse:
         )
         den = gmm_mmse(spec)
         alpha = 3.0
-        x_a = np.array([10.0 * np.sqrt(signal_weight(alpha))])
+        x_a = np.array([[10.0 * np.sqrt(signal_weight(alpha))]])
         resp = den.responsibilities(x_a, alpha)
-        assert resp[0] < 1e-20
+        assert resp[0, 0] < 1e-20
         only_pos = gmm_mmse(restrict(spec, ConditionId(label="pos")))
         np.testing.assert_allclose(
             den.predict_eps(x_a, alpha), only_pos.predict_eps(x_a, alpha), atol=1e-6
@@ -117,8 +117,8 @@ class TestGmmMmse:
     def test_symmetric_mixture_zero_at_origin(self):
         den = gmm_mmse(pair_spec(3.0))
         for alpha in (-2.0, 0.0, 2.0):
-            pred = den.predict_eps(np.zeros(1), alpha)
-            assert abs(pred[0]) <= 1e-12
+            pred = den.predict_eps(np.zeros((1, 1)), alpha)
+            assert abs(pred[0, 0]) <= 1e-12
 
     @given(
         st.floats(min_value=-30, max_value=30),
@@ -127,7 +127,7 @@ class TestGmmMmse:
     @settings(max_examples=60)
     def test_responsibilities_sum_to_one(self, x, alpha):
         den = gmm_mmse(pair_spec(4.0))
-        resp = den.responsibilities(np.array([x]), alpha)
+        resp = den.responsibilities(np.array([[x]]), alpha)
         assert resp.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(resp >= 0)
 
@@ -140,10 +140,10 @@ class TestGmmMmse:
     def test_conditioning_selects_subsets(self):
         spec = pair_spec(4.0)
         den = gmm_mmse(spec)
-        x_a = np.array([0.5])
+        x_a = np.array([[0.5]])
         pos = den.predict_eps(x_a, 0.0, ConditionId(label="pos"))
         neg = den.predict_eps(x_a, 0.0, ConditionId(label="neg"))
-        assert pos[0] != neg[0]
+        assert pos[0, 0] != neg[0, 0]
         with pytest.raises(ValueError, match="unknown condition token"):
             den.predict_eps(x_a, 0.0, ConditionId(label="missing"))
 
@@ -301,13 +301,15 @@ class TestEigenbasisMatchesDirectSolve:
             den.responsibilities(x_a, alpha, condition), ref_resp, rtol=1e-9, atol=1e-12
         )
 
-    def test_single_point_matches_batch_row(self):
-        spec = reference_spec(8, seed=3)
-        den = GmmDenoiser(spec)
+    def test_single_point_is_rejected_naming_its_shape(self):
+        den = GmmDenoiser(reference_spec(8, seed=3))
         x_a = np.random.default_rng(4).standard_normal((3, 8))
-        batch = den.predict_eps(x_a, -2.0)
-        assert den.predict_eps(x_a[1], -2.0).shape == (8,)
-        np.testing.assert_allclose(den.predict_eps(x_a[1], -2.0), batch[1], rtol=1e-12, atol=1e-15)
+        for call in (den.predict_eps, den.responsibilities):
+            with pytest.raises(ValueError, match=r"rows of shape \(n, 8\), got shape \(8,\)"):
+                call(x_a[1], -2.0)
+        np.testing.assert_allclose(
+            den.predict_eps(x_a[1:2], -2.0), den.predict_eps(x_a, -2.0)[1:2], rtol=1e-12, atol=1e-15
+        )
 
     def test_one_log_snr_matches_the_same_value_per_row(self):
         # A scalar log-SNR takes the sigmoid's scalar path, an array its array path.
@@ -376,10 +378,10 @@ class TestPerRowConditions:
         assert resp.shape == (len(conditions), spec.n_components)
         for i, condition in enumerate(conditions):
             np.testing.assert_allclose(
-                eps[i], den.predict_eps(x_a[i], alpha[i], condition), rtol=1e-12, atol=1e-15
+                eps[i : i + 1], den.predict_eps(x_a[i : i + 1], alpha[i], condition), rtol=1e-12, atol=1e-15
             )
             row = np.zeros(spec.n_components)
-            row[spec.components_for(condition)] = den.responsibilities(x_a[i], alpha[i], condition)
+            row[spec.components_for(condition)] = den.responsibilities(x_a[i : i + 1], alpha[i], condition)[0]
             np.testing.assert_allclose(resp[i], row, rtol=1e-12, atol=1e-15)
 
     def test_wrong_length_names_both_lengths(self):
@@ -387,7 +389,7 @@ class TestPerRowConditions:
         with pytest.raises(ValueError, match="2 per-row conditions for 3 rows"):
             den.predict_eps(np.zeros((3, 1)), 0.0, [None, ConditionId(label="low")])
         with pytest.raises(ValueError, match="2 per-row conditions for 1 rows"):
-            den.responsibilities(np.zeros(1), 0.0, [None, None])
+            den.responsibilities(np.zeros((1, 1)), 0.0, [None, None])
 
 
 class TestRowPositionIndependence:
@@ -443,12 +445,12 @@ class TestConditionCache:
         den = gmm_mmse(pair_spec(4.0))
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                den.predict_eps(np.zeros(1), 0.0, bad)
+                den.predict_eps(np.zeros((1, 1)), 0.0, bad)
             with pytest.raises(ValueError, match=message):
                 den.predict_eps(np.zeros((2, 1)), 0.0, [None, bad])
         pos, fresh = ConditionId(label="pos"), gmm_mmse(pair_spec(4.0))
         np.testing.assert_array_equal(
-            den.predict_eps(np.zeros(1), 0.0, pos), fresh.predict_eps(np.zeros(1), 0.0, pos)
+            den.predict_eps(np.zeros((1, 1)), 0.0, pos), fresh.predict_eps(np.zeros((1, 1)), 0.0, pos)
         )
 
 
@@ -486,7 +488,7 @@ class TestWorkArrays:
         spec, x_a, alpha = self.two_component_case(30, seed=4)
         _, other_x, other_alpha = self.two_component_case(30, seed=5)
         if single:
-            x_a, alpha, other_x, other_alpha = x_a[0], alpha[0], other_x[0], other_alpha[0]
+            x_a, alpha, other_x, other_alpha = x_a[:1], alpha[0], other_x[:1], other_alpha[0]
         den = GmmDenoiser(spec)
         eps, resp = den.predict_eps(x_a, alpha), den.responsibilities(x_a, alpha)
         kept = eps.copy(), resp.copy()

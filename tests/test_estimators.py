@@ -26,13 +26,13 @@ from diffinfo.oracle import gaussian_mi, gaussian_pointwise, gmm_mi_numeric
 
 from toys import (
     CountingDenoiser,
+    PerEntry,
     coordinate_localized_spec,
     correlated_gaussian,
     editing_dataset,
     hierarchy_dataset,
     hierarchy_spec,
     labeled_dataset,
-    per_entry,
     redundant_editing_spec,
     restrict,
     symmetric_pair_spec,
@@ -87,11 +87,8 @@ class TestNll:
         np.testing.assert_array_equal(a.per_dim, b.per_dim)
 
     def test_overflowing_estimate_flagged_as_inf(self):
-        class ExplodingDenoiser:
+        class ExplodingDenoiser(PerEntry):
             dim = 1
-
-            def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None):
-                return per_entry(self.predict_one, x_alpha, alpha, condition, conditions)
 
             def predict_one(self, x_alpha, alpha, condition):
                 return np.full_like(np.asarray(x_alpha, dtype=float), 1e308)
@@ -551,11 +548,15 @@ class TestDatasetNll:
 
     @pytest.mark.parametrize("payload", ["float", "array"])
     def test_per_point_payloads_of_any_kind(self, payload):
-        """Float payloads group by value, unhashable 0-d arrays by identity."""
+        """Float payloads group by value; an unhashable payload, such as a 0-d array, raises."""
         cond = CountingDenoiser(correlated_gaussian(0.6).cond)
         ys = [0.5, -1.0, 0.5, 2.0] if payload == "float" else [np.array(y) for y in (0.5, -1.0, 2.0)]
         condition = [ys[i % len(ys)] for i in range(9)]
         xs = np.random.default_rng(47).standard_normal((9, 1))
+        if payload == "array":
+            with pytest.raises(TypeError, match="unhashable"):
+                nll(cond, xs, SAMPLER, 2, 48, condition)
+            return
         self.check_against_single_points(cond, xs, SAMPLER, 2, 48, condition)
         assert len(cond.rows) - 9 == 3  # three distinct conditions, each one chunk
 
@@ -570,14 +571,11 @@ class TestDatasetNll:
         assert as_is.total != first.total[0]
 
     def test_overflowing_row_is_inf_and_spares_its_neighbours(self):
-        class FarExploding:
+        class FarExploding(PerEntry):
             """Exact for a standard normal, but explodes on rows far from the origin."""
 
             dim = 1
             inner = gmm_mmse(STD_NORMAL)
-
-            def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None):
-                return per_entry(self.predict_one, x_alpha, alpha, condition, conditions)
 
             def predict_one(self, x_alpha, alpha, condition):
                 out = self.inner.predict_eps(x_alpha, alpha, condition)

@@ -124,7 +124,7 @@ class TestFailureModes:
     def test_unknown_condition_token_rejected_at_inference(self, gaussian_mlp):
         denoiser, _, _ = gaussian_mlp
         with pytest.raises(ValueError, match="vocabulary"):
-            denoiser.predict_eps(np.zeros(1), 0.0, ConditionId(label="nope"))
+            denoiser.predict_eps(np.zeros((1, 1)), 0.0, ConditionId(label="nope"))
 
 
 class TestDeterminism:
@@ -170,7 +170,7 @@ class TestPerRowConditions:
         batch = net.predict_eps(x_a, alpha, conditions)
         for i, condition in enumerate(conditions):
             np.testing.assert_allclose(
-                batch[i], net.predict_eps(x_a[i], alpha[i], condition), rtol=1e-12, atol=1e-15
+                batch[i : i + 1], net.predict_eps(x_a[i : i + 1], alpha[i], condition), rtol=1e-12, atol=1e-15
             )
 
     def test_equals_single_condition_batches_exactly(self):
@@ -247,7 +247,7 @@ class TestInPlaceForward:
             (x_a, alpha, None),
             (x_a, alpha, [ConditionId(label="b"), None] * 200),
             (x_a[:7], alpha[:7], ConditionId(label="a")),
-            (x_a[0], alpha[0], None),
+            (x_a[:1], alpha[0], None),
             (x_a, alpha, ConditionId(label="a")),
         ]
         got = [net.predict_eps(*call) for call in calls]
@@ -266,7 +266,7 @@ class TestInPlaceForward:
         per_row = [[None, ConditionId(label="b"), both, ConditionId(label="a")][i % 4] for i in range(400)]
         entries = [None, ConditionId(label="a"), both, per_row]
         for alpha in (np.repeat(rng.uniform(-5.0, 7.0, 100), 4), rng.uniform(-5.0, 7.0, 400), 1.5):
-            stacked = net.predict_eps(x_a, alpha, conditions=entries)
+            stacked = net.predict_eps(x_a, alpha, *entries)
             for e, entry in enumerate(entries):
                 want = full_feature_pass(net, x_a, alpha, entry)
                 atol = 1e-12 * np.abs(want).max()

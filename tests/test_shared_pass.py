@@ -1,9 +1,11 @@
-"""``predict_eps(..., conditions=...)``: one pass for several entries.
+"""``predict_eps(x_alpha, alpha, *entries)``: one call for several entries.
 
-Each entry's rows must be those of its own ``condition=`` call, and two
-entries that select the same components with the same weights, or the same
-tokens for the MLP, must give identical bits: the flow's exact null edits
-and a conditional mutual information of exactly zero rely on it.
+Each entry's rows must be those of its own one-entry call, and two entries
+that select the same components with the same weights, or the same tokens
+for the MLP, must give identical bits: the flow's exact null edits and a
+conditional mutual information of exactly zero rely on it.  Every denoiser,
+the toys included, keeps the one contract of the ``denoise`` module
+docstring.
 """
 
 import numpy as np
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec
 from diffinfo.mlp import MlpTrainConfig, train_mlp
+
+from toys import CorrelatedGaussianDenoiser, CountingDenoiser, ZeroDenoiser
 
 N = 12  # rows per call
 
@@ -70,7 +74,7 @@ class TestMixture:
         spec = random_spec(d, seed)
         den = GmmDenoiser(spec)
         x, alpha = batch(d, seed)
-        for entry, rows in zip(entries, blocks(den.predict_eps(x, alpha, conditions=entries), len(entries))):
+        for entry, rows in zip(entries, blocks(den.predict_eps(x, alpha, *entries), len(entries))):
             assert rows.tobytes() == GmmDenoiser(spec).predict_eps(x, alpha, entry).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
@@ -81,7 +85,7 @@ class TestMixture:
         x, alpha = batch(d, seed)
         per_row = [order[i % len(order)] for i in range(N)]
         entries = [*order, *others[:2], per_row]
-        out = blocks(den.predict_eps(x, alpha, conditions=entries), len(entries))
+        out = blocks(den.predict_eps(x, alpha, *entries), len(entries))
         assert out[0].tobytes() == out[1].tobytes() == out[2].tobytes() == out[-1].tobytes()
 
 
@@ -100,7 +104,7 @@ class TestMlp:
     @settings(max_examples=20, deadline=None)
     def test_each_entry_equals_its_own_call_bit_for_bit(self, small_mlp, seed, entries):
         x, alpha = batch(2, seed)
-        stacked = small_mlp.predict_eps(x, alpha, conditions=entries)
+        stacked = small_mlp.predict_eps(x, alpha, *entries)
         for entry, rows in zip(entries, blocks(stacked, len(entries))):
             assert rows.tobytes() == small_mlp.predict_eps(x, alpha, entry).tobytes()
 
@@ -109,21 +113,49 @@ class TestMlp:
     def test_entries_with_the_same_tokens_give_identical_bits(self, small_mlp, seed):
         x, alpha = batch(2, seed)
         same = [ConditionId(label="a", context=("c",)), None, ConditionId(label="c", context=("a",))]
-        out = blocks(small_mlp.predict_eps(x, alpha, conditions=same + same[:1]), 4)
+        out = blocks(small_mlp.predict_eps(x, alpha, *same, same[0]), 4)
         assert out[0].tobytes() == out[2].tobytes() == out[3].tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gmm", "mlp"])
-def test_call_forms(kind, small_mlp):
-    den = GmmDenoiser(random_spec(2, 0)) if kind == "gmm" else small_mlp
-    x, alpha = batch(2, 0)
-    a = ConditionId(label="a")
-    assert den.predict_eps(x[0], alpha[0], a).shape == (2,)
-    assert den.predict_eps(x[0], alpha[0], conditions=[None, a]).shape == (2, 2)
-    np.testing.assert_array_equal(den.predict_eps(x, alpha, conditions=(a,)), den.predict_eps(x, alpha, a))
-    with pytest.raises(ValueError, match="not both"):
-        den.predict_eps(x, alpha, a, conditions=[a])
-    with pytest.raises(ValueError, match="at least one entry"):
-        den.predict_eps(x, alpha, conditions=[])
-    with pytest.raises(ValueError, match="per-row conditions for 12 rows"):
-        den.predict_eps(x, alpha, conditions=[None, [a]])
+def outcome(call):
+    """The bytes ``call`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return call().tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+A, B = ConditionId(label="a"), ConditionId(label="b")
+# Each denoiser, and the conditions it takes: the mixture and the MLP take ConditionIds,
+# the correlated Gaussian the observed y, and the zero denoiser ignores its condition.
+CONTRACT = {
+    "gmm": (lambda mlp: GmmDenoiser(random_spec(2, 0)), [None, A, B, COMMON[4]]),
+    "mlp": (lambda mlp: mlp, [None, A, B, COMMON[4]]),
+    "zero": (lambda mlp: ZeroDenoiser(dim=2), [None, A, B]),
+    "correlated": (lambda mlp: CorrelatedGaussianDenoiser(0.6), [0.5, -1.0, 2.0]),
+    "counting": (lambda mlp: CountingDenoiser(GmmDenoiser(random_spec(2, 1))), [None, A, B]),
+}
+
+
+@pytest.mark.parametrize("kind", list(CONTRACT))
+def test_one_contract(kind, small_mlp):
+    make, pool = CONTRACT[kind]
+    den = make(small_mlp)
+    x, alpha = batch(den.dim, 0)
+    # No entry is the one entry None, to the bit (or to the message, where None is no condition).
+    assert outcome(lambda: den.predict_eps(x, alpha)) == outcome(lambda: den.predict_eps(x, alpha, None))
+    # K entries are the K one-entry calls, stacked entry by entry.
+    stacked = den.predict_eps(x, alpha, *pool)
+    assert stacked.shape == (len(pool) * N, den.dim)
+    np.testing.assert_array_equal(stacked, np.concatenate([den.predict_eps(x, alpha, c) for c in pool]))
+    # A per-row entry gives each row its own condition's prediction.
+    per_row = [pool[i % len(pool)] for i in range(N)]
+    out = den.predict_eps(x, alpha, per_row)
+    for condition in pool:
+        rows = [i for i, c in enumerate(per_row) if c == condition]
+        np.testing.assert_array_equal(out[rows], den.predict_eps(x, alpha, condition)[rows])
+    with pytest.raises(ValueError, match="1 per-row conditions for 12 rows"):
+        den.predict_eps(x, alpha, pool[0], pool[:1])
+    # Rows only: a single point is rejected, naming its shape.
+    with pytest.raises(ValueError, match=rf"got shape \({den.dim},\)"):
+        den.predict_eps(x[0], alpha[0], pool[0])

@@ -7,16 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffinfo.channel import noise_weight, signal_weight
-from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, as_entries, gmm_mmse
+from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, gmm_mmse, is_per_row
 
 
-def per_entry(predict, x_alpha, alpha, condition=None, conditions=None) -> np.ndarray:
-    """``predict(x_alpha, alpha, condition)``, or with ``conditions`` the rows of each
-    entry stacked entry by entry: the ``predict_eps`` contract for a denoiser that
-    shares no work between entries."""
-    if conditions is None:
-        return predict(x_alpha, alpha, condition)
-    return np.concatenate([np.atleast_2d(predict(x_alpha, alpha, c)) for c in as_entries(condition, conditions)])
+class PerEntry:
+    """The ``predict_eps(x_alpha, alpha, *entries)`` contract for a denoiser that shares
+    no work between entries: ``predict_one(rows, alphas, entry)`` for each entry, with
+    one log-SNR per row, and the rows stacked entry by entry."""
+
+    def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
+        x2, a = as_batch(x_alpha, alpha, self.dim)
+        entries = entries or (None,)
+        for entry in entries:
+            is_per_row(entry, len(x2))  # raises for a per-row list of the wrong length
+        return np.concatenate([self.predict_one(x2, a, c) for c in entries])
 
 
 def restrict(spec: GmmSpec, condition) -> GmmSpec:
@@ -37,15 +41,13 @@ def restrict(spec: GmmSpec, condition) -> GmmSpec:
 
 
 @dataclass(frozen=True)
-class ZeroDenoiser:
+class ZeroDenoiser(PerEntry):
     """Predicts zero noise everywhere: the flow is then linear, with a closed-form map."""
 
     dim: int
 
-    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
-        return per_entry(
-            lambda x, a, c: np.zeros_like(np.asarray(x, dtype=float)), x_alpha, alpha, condition, conditions
-        )
+    def predict_one(self, x_alpha, alpha, condition) -> np.ndarray:
+        return np.zeros_like(x_alpha)
 
 
 class CountingDenoiser:
@@ -60,18 +62,19 @@ class CountingDenoiser:
     def dim(self) -> int:
         return self.inner.dim
 
-    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
-        self.rows.append(np.atleast_2d(x_alpha).shape[0])
-        self.entries.append(as_entries(condition, conditions))
-        return self.inner.predict_eps(x_alpha, alpha, condition, conditions=conditions)
+    def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
+        self.rows.append(len(x_alpha))
+        self.entries.append(entries or (None,))
+        return self.inner.predict_eps(x_alpha, alpha, *entries)
 
 
-class CorrelatedGaussianDenoiser:
+class CorrelatedGaussianDenoiser(PerEntry):
     """Conditional closed-form denoiser for x | y with (x, y) bivariate normal.
 
-    The condition payload is the observed y itself (a float): given y the
-    source is N(rho * y, 1 - rho^2), and the posterior-mean noise predictor
-    follows from the joint-Gaussian conditional-mean formula.
+    The condition payload is the observed y itself (a float), or a list of
+    one y per row: given y the source is N(rho * y, 1 - rho^2), and the
+    posterior-mean noise predictor follows from the joint-Gaussian
+    conditional-mean formula.
     """
 
     def __init__(self, rho: float):
@@ -83,18 +86,14 @@ class CorrelatedGaussianDenoiser:
     def dim(self) -> int:
         return 1
 
-    def predict_eps(self, x_alpha, alpha, condition=None, *, conditions=None) -> np.ndarray:
-        return per_entry(self._predict, x_alpha, alpha, condition, conditions)
-
-    def _predict(self, x_alpha, alpha, condition) -> np.ndarray:
+    def predict_one(self, x_alpha, alpha, condition) -> np.ndarray:
         if condition is None:
             raise ValueError("this denoiser requires the observed y as the condition")
-        x2, a, single = as_batch(x_alpha, alpha, self.dim)
-        sa, sna = signal_weight(a), noise_weight(a)
-        mean = self.rho * float(condition)
+        y = np.asarray(condition if is_per_row(condition, len(x_alpha)) else [condition], dtype=float)
+        sa, sna = signal_weight(alpha), noise_weight(alpha)
+        mean = self.rho * y[:, None]
         var = 1.0 - self.rho**2
-        out = np.sqrt(sna)[:, None] * (x2 - np.sqrt(sa)[:, None] * mean) / (sa * var + sna)[:, None]
-        return out[0] if single else out
+        return np.sqrt(sna)[:, None] * (x_alpha - np.sqrt(sa)[:, None] * mean) / (sa * var + sna)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
