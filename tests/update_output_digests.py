@@ -2,7 +2,9 @@
 
 The digests are the SHA-256 of every file that the five operations of the
 benchmark workloads write, built by ``bench/workloads.build(name, 7, "tiny",
-"w")`` and run in-process through ``cli.main``.  The work directory ``w`` is
+"w")`` and run in-process through ``cli.main``.  The operations that report
+information (``decompose``, ``intervene`` and ``estimate``) run a second time
+with ``--bits``, writing to ``<out>-bits``.  The work directory ``w`` is
 relative: every JSON output embeds ``output.dir`` and the rank config embeds
 ``denoiser.path``, so absolute temporary paths would change the bytes from
 run to run.
@@ -31,6 +33,8 @@ import numpy as np
 from diffinfo import cli
 
 SEED, SIZE, WORK = 7, "tiny", "w"
+# The commands whose outputs change with --bits.
+BITS_COMMANDS = ("decompose", "intervene", "estimate")
 DIGESTS = Path(__file__).resolve().with_name("output_digests.json")
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,8 +64,9 @@ def environment() -> dict:
 def run_operations() -> dict[str, dict[str, str]]:
     """Run every operation in the current directory; for each, the digest of each file it wrote.
 
-    An operation is named ``"<workload> <command>"`` and its files by their
-    paths under the current directory.
+    An operation is named ``"<workload> <command>"``, with `` --bits`` added
+    for its run in bits, and its files by their paths under the current
+    directory.
     """
     workloads = load_bench("workloads")
     digests = {}
@@ -69,14 +74,18 @@ def run_operations() -> dict[str, dict[str, str]]:
         for op in workloads.build(name, SEED, SIZE, WORK).ops:
             config = Path(f"{op.command}.json")
             config.write_text(json.dumps(op.config))
-            status = cli.main([op.command, "--config", str(config), "--out", op.out])
-            if status != 0:
-                raise RuntimeError(f"{name} {op.command} exited with status {status}")
-            digests[f"{name} {op.command}"] = {
-                path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(op.out).rglob("*"))
-                if path.is_file()
-            }
+            runs = [("", op.out, [])]
+            if op.command in BITS_COMMANDS:
+                runs.append((" --bits", f"{op.out}-bits", ["--bits"]))
+            for suffix, out, flags in runs:
+                status = cli.main([op.command, "--config", str(config), "--out", out, *flags])
+                if status != 0:
+                    raise RuntimeError(f"{name} {op.command}{suffix} exited with status {status}")
+                digests[f"{name} {op.command}{suffix}"] = {
+                    path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in sorted(Path(out).rglob("*"))
+                    if path.is_file()
+                }
     return digests
 
 
