@@ -289,9 +289,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
 def cmd_rank(cfg: RunConfig) -> int:
     """Rank candidate labels for samples by their pointwise information."""
     spec, den, (s_data, s_est, _, _) = _setup(cfg)
-    tokens = cfg.rank.candidates or tuple(sorted(spec.condition_map))
+    tokens = tuple(sorted(spec.condition_map)) if cfg.rank.candidates is None else cfg.rank.candidates
     if len(tokens) < 2:
-        raise ConfigError("ranking needs at least two candidate tokens", "rank.candidates")
+        message = f"rank.candidates: ranking needs at least two candidate tokens, got {list(tokens)}"
+        raise ConfigError(message, "rank.candidates")
     try:
         token_of = spec.partition(tokens)
     except ValueError as exc:
@@ -405,15 +406,18 @@ def cmd_oracle(cfg: RunConfig) -> int:
     op, params = cfg.oracle.op, cfg.oracle.params
     # Outside the try: a ConfigError is a ValueError too, and names its own field.
     args = (_load_spec(cfg),) if op == "gmm_mi_numeric" else ()
+    name = ORACLE_OPS[op].range_param
+    field = f"oracle.{name}" if name in params else "oracle"
     try:
-        result = getattr(oracle, op)(*args, **params)
+        with np.errstate(all="ignore"):  # a non-finite result exits 2 below, on one line
+            result = getattr(oracle, op)(*args, **params)
     except ValueError as exc:
-        name = ORACLE_OPS[op].range_param
-        field = f"oracle.{name}" if name in params else "oracle"
         raise ConfigError(f"{field}: {exc}", field) from exc
     value, bound = result.value, result.abs_error_bound
     if cfg.bits and op != "mmse_gaussian":
         value, bound = value / LN2, bound / LN2
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ConfigError(f"{field}: the oracle gives the non-finite value {value!r} with bound {bound!r}", field)
     units = "mse" if op == "mmse_gaussian" else ("bits" if cfg.bits else "nats")
     payload = {"op": op, "value": value, "method": result.method, "abs_error_bound": bound, "units": units}
     print(json.dumps(payload, sort_keys=True))

@@ -29,7 +29,7 @@ Each report carries the truncation interval the integral was taken over;
 contributions outside it are defined to be zero.
 
 Every kind takes a vector or an (n, d) dataset through one pass and returns
-one :class:`InfoReport` whose fields are arrays over the estimates: ``total``
+one :class:`InfoReport` whose arrays run over the estimates: ``total``
 and ``std_error`` have shape () for a vector, (K,) for a vector with a list
 or tuple of K candidates, (n,) for a dataset and (n, K) for a dataset whose
 points each carry K candidates; ``per_dim`` adds a trailing d.
@@ -68,6 +68,7 @@ the unconditional side, ``"cmi"``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -95,18 +96,17 @@ CHUNK_ELEMENTS = 2**14
 class InfoReport:
     """Monte-Carlo information estimates with their per-dimension breakdown.
 
-    ``total`` and ``std_error`` are arrays of one shape, given in the module
-    docstring, and ``per_dim`` adds a trailing axis of length d that sums to
-    ``total`` (to 1e-9 relative tolerance where ``total`` is finite, checked
-    at construction).  ``std_error`` is the sample standard deviation of the
-    per-draw (or per-sample, for averaged estimators) contributions divided
-    by the square root of their count, and NaN where it cannot be estimated
-    because there is only one.  ``n_samples`` is the number of data samples
+    ``per_dim`` holds the estimates' per-dimension terms on a trailing axis
+    of length d, and ``total`` is their sum over it.  ``total`` and
+    ``std_error`` have the shape given in the module docstring, that of
+    ``per_dim`` less its last axis.  ``std_error`` is the sample standard
+    deviation of the per-draw (or per-sample, for averaged estimators)
+    contributions divided by the square root of their count, and NaN where
+    it cannot be estimated because there is only one.  ``n_samples`` is the number of data samples
     each estimate averages.  All values are in nats; use :meth:`to_bits` for
     bits.
     """
 
-    total: np.ndarray
     per_dim: np.ndarray
     std_error: np.ndarray
     n_snr_draws: int
@@ -118,29 +118,29 @@ class InfoReport:
     def __post_init__(self):
         if self.estimator_kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.estimator_kind!r}")
-        for name in ("total", "per_dim", "std_error"):
+        for name in ("per_dim", "std_error"):
             value = np.asarray(getattr(self, name), dtype=float)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        total, sums = self.total, self.per_dim.sum(axis=-1)
-        if sums.shape != total.shape or self.std_error.shape != total.shape:
-            raise ValueError("total, std_error and per_dim less its last axis must have one shape")
-        finite = np.isfinite(total)
-        sums, total = sums[finite], total[finite]
-        bad = np.abs(sums - total) > 1e-9 * np.maximum(1.0, np.abs(total))
-        if bad.any():
-            raise ValueError(f"per_dim sums to {float(sums[bad][0])!r} but total is {float(total[bad][0])!r}")
+        if self.std_error.shape != self.per_dim.shape[:-1]:
+            raise ValueError(f"std_error {self.std_error.shape} must be per_dim {self.per_dim.shape} less its last axis")
+
+    @property
+    def total(self) -> np.ndarray:
+        """The estimates: ``per_dim`` summed over its last axis."""
+        return self.per_dim.sum(axis=-1)
 
     def to_bits(self) -> "InfoReport":
-        """The same report with total, per_dim and std_error converted to bits."""
+        """The same report with per_dim and std_error, and so total, converted to bits."""
         ln2 = math.log(2.0)
-        return replace(self, total=self.total / ln2, per_dim=self.per_dim / ln2, std_error=self.std_error / ln2)
+        return replace(self, per_dim=self.per_dim / ln2, std_error=self.std_error / ln2)
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int (or pass through a SeedSequence) for deterministic spawning."""
+    """Coerce an int, or copy a SeedSequence, for deterministic spawning: the copy spawns
+    what ``seed.spawn`` would without advancing ``seed``, so a call repeats."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return copy.copy(seed)
     if isinstance(seed, np.random.Generator):
         raise TypeError("need a reusable seed (int or SeedSequence), not a Generator")
     return np.random.SeedSequence(seed)
@@ -232,7 +232,6 @@ def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_con
             )
     shape = (() if single else (n,)) + (() if k is None else (k,))
     return InfoReport(
-        total=per_dim.sum(axis=2).reshape(shape),
         per_dim=per_dim.reshape(*shape, d),
         std_error=std_error.reshape(shape),
         n_snr_draws=sampler.n_draws,
@@ -356,7 +355,6 @@ def aggregate_reports(report, kind) -> InfoReport:
     per_dim = report.per_dim.mean(axis=0)
     std_error = report.total.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else report.std_error[0]
     return InfoReport(
-        total=per_dim.sum(axis=-1),
         per_dim=per_dim,
         std_error=std_error,
         n_snr_draws=report.n_snr_draws,

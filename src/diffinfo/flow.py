@@ -25,9 +25,9 @@ parametrization, so every step, including the final one, uses the full
 corrector update; an Euler fallback at the terminal node would contribute a
 local error around h^2/2 * |z''| by itself, which at 100 steps is larger
 than the round-trip budget.  Encoding integrates from alpha_max down to
-alpha_min (data to latent); decoding reverses the grid.  Both return only
-the end state, in the shape of their input: no path is stored.  The
-denoiser takes rows, so ``_integrate`` turns a single point into one row.
+alpha_min (data to latent); decoding reverses the grid.  Both take rows of
+shape (n, d), as the denoiser does, and return only the end state of each
+row: no path is stored.  A single point is the row ``x[None]``.
 
 Conditions pass through to the denoiser, so a batch may carry one condition
 per row.  ``intervene`` uses this: it encodes every point once under its own
@@ -75,7 +75,9 @@ def _velocity(denoiser, state, alpha, condition) -> np.ndarray:
 
 
 def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
-    z = np.array(z0, dtype=float, ndmin=2)  # the denoiser takes rows
+    z = np.asarray(z0, dtype=float)
+    if z.ndim != 2:
+        raise ValueError(f"the flow takes rows of shape (n, d), got shape {z.shape}")
     # A state that overflows fails the finiteness check below, which raises
     # SolverError; numpy's warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -88,13 +90,12 @@ def _integrate(denoiser, z0, grid, condition) -> np.ndarray:
             if not np.all(np.isfinite(z)):
                 alpha = float(grid[i + 1])
                 raise SolverError(f"non-finite state at step {i + 1} (alpha={alpha!r})", step=i + 1)
-    return z.reshape(np.shape(z0))
+    return z
 
 
 def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> np.ndarray:
-    """The latent that ``x`` flows to at the noise end (alpha_max -> alpha_min).
+    """The latents that the rows ``x`` (n, d) flow to at the noise end (alpha_max -> alpha_min).
 
-    ``x`` may be a single point of shape (d,) or a batch of shape (m, d);
     ``condition`` may be one condition or a list with one per row.  The
     result has the shape of ``x``.
     """
@@ -103,24 +104,26 @@ def encode(x, denoiser, condition=None, config: SolverConfig = SolverConfig()) -
 
 
 def decode(latent, denoiser, condition=None, config: SolverConfig = SolverConfig()) -> np.ndarray:
-    """The data point that ``latent`` flows back to (alpha_min -> alpha_max)."""
+    """The data rows that the rows ``latent`` (n, d) flow back to (alpha_min -> alpha_max)."""
     grid = np.linspace(config.alpha_min, config.alpha_max, config.n_steps + 1)
     return _integrate(denoiser, latent, grid, condition)
 
 
 @dataclass(frozen=True, eq=False)
 class InterventionResult:
-    """Edited points, their per-dimension squared change and L2 change, and
-    the L2 error of the round trip under the input condition.
-
-    For a single input point the L2 fields are floats; for rows of shape
-    (n, d) every field has one entry per row.
+    """Edited rows (n, d), their per-dimension squared change (n, d) and L2
+    change (n,), and the L2 error (n,) of the round trip under the input
+    condition.
     """
 
     x_edited: np.ndarray
     delta_per_dim: np.ndarray
-    delta_l2: float | np.ndarray
-    roundtrip_l2: float | np.ndarray
+    roundtrip_l2: np.ndarray
+
+    @property
+    def delta_l2(self) -> np.ndarray:
+        """The L2 change of each row: the root of its summed ``delta_per_dim``."""
+        return np.sqrt(self.delta_per_dim.sum(axis=1))
 
 
 def intervene(
@@ -132,21 +135,15 @@ def intervene(
 ) -> InterventionResult:
     """Encode under ``cond_in``, decode under ``cond_out``, measure the change.
 
-    ``x`` is one point of shape (d,) or rows of shape (n, d); ``cond_in`` and
-    ``cond_out`` are single conditions or lists with one per row.  The points
-    are encoded once, and the round trip and the edit are decoded in one
-    batch, so a row whose output condition equals its input condition has
-    ``delta_l2 == roundtrip_l2`` exactly.
+    ``x`` is rows of shape (n, d); ``cond_in`` and ``cond_out`` are single
+    conditions or lists with one per row.  The rows are encoded once, and the
+    round trip and the edit are decoded in one batch, so a row whose output
+    condition equals its input condition has ``delta_l2 == roundtrip_l2``
+    exactly.
     """
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    n = rows.shape[0]
+    latent = encode(x, denoiser, cond_in, config)  # checks that x is rows
+    n = len(latent)
     cond_in, cond_out = (list(c) if is_per_row(c, n) else [c] * n for c in (cond_in, cond_out))
-    latent = encode(rows, denoiser, cond_in, config)
     decoded = decode(np.concatenate([latent, latent]), denoiser, cond_in + cond_out, config)
-    delta = (rows - decoded[n:]) ** 2
-    delta_l2 = np.sqrt(delta.sum(axis=1))
-    roundtrip_l2 = np.sqrt(((rows - decoded[:n]) ** 2).sum(axis=1))
-    if x.ndim == 1:
-        return InterventionResult(decoded[n], delta[0], float(delta_l2[0]), float(roundtrip_l2[0]))
-    return InterventionResult(decoded[n:], delta, delta_l2, roundtrip_l2)
+    roundtrip_l2 = np.sqrt(((x - decoded[:n]) ** 2).sum(axis=1))
+    return InterventionResult(decoded[n:], (x - decoded[n:]) ** 2, roundtrip_l2)

@@ -207,7 +207,7 @@ def _gmm_mi_monte_carlo(spec, labels, n_samples, seed):
 
 
 def component_responsibilities(spec, x) -> np.ndarray:
-    """Posterior component probabilities of clean points under the mixture.
+    """Posterior component probabilities (n, k) of the clean rows ``x`` (n, d) under the mixture.
 
     Computed from scipy log-densities only (no denoiser code); used to build
     Bayes-classifier baselines and to check where edited points land.
@@ -215,7 +215,6 @@ def component_responsibilities(spec, x) -> np.ndarray:
     from scipy.special import logsumexp
     from scipy.stats import multivariate_normal
 
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     log_joint = np.stack(
         [
             np.log(spec.weights[k])
@@ -226,5 +225,4 @@ def component_responsibilities(spec, x) -> np.ndarray:
         ],
         axis=1,
     )
-    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
-    return resp[0] if x.shape[0] == 1 else resp
+    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,7 +291,6 @@ class TestNonFiniteOutput:
 
     def test_nan_std_error_is_written_as_null_and_an_empty_cell(self, tmp_path):
         report = InfoReport(
-            total=[1.0, 2.0],
             per_dim=[[1.0], [2.0]],
             std_error=[math.nan, 0.5],
             n_snr_draws=1,
@@ -697,8 +697,9 @@ class TestRank:
             ({"a": [0, 1], "b": [0, 1]}, None, "do not partition"),
             ({"neg": [0], "pos": [1], "far": [2]}, ["neg", "pos"], "do not cover components [2]"),
             ({"neg": [0], "pos": [1, 2]}, ["neg", "nope"], "unknown label token 'nope'"),
+            ({"neg": [0], "pos": [1, 2]}, [], "at least two candidate tokens, got []"),
         ],
-        ids=["overlapping_default_tokens", "uncovered_component", "unknown_token"],
+        ids=["overlapping_default_tokens", "uncovered_component", "unknown_token", "empty_list"],
     )
     def test_candidates_must_partition_the_components(
         self, tmp_path, capsys, condition_map, candidates, message
@@ -1057,6 +1058,22 @@ class TestOracleCommand:
         )
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    @pytest.mark.parametrize("flags", [["--out", ""], []], ids=["no_output", "default_output"])
+    def test_non_finite_value_exits_2_on_one_line(self, tmp_path, monkeypatch, capsys, flags):
+        """A point far in the tails gives inf - inf; nothing is printed or written, and no
+        numpy warning comes before the error line."""
+        monkeypatch.chdir(tmp_path)
+        section = {"op": "gaussian_pointwise", "x": [1e200], "y": [1e200], "joint_covariance": [[1, 0.5], [0.5, 1]]}
+        cfg = write_config(tmp_path, {"seed": 0, "oracle": section})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--config", cfg, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: oracle.joint_covariance: ")
+        assert "non-finite" in captured.err and captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_gmm_oracle_uses_data_section(self, tmp_path, capsys):
         cfg = write_config(

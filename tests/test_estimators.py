@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from diffinfo import estimators
+from diffinfo import estimators, tasks
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import (
@@ -325,12 +325,11 @@ class TestPerDimDecomposition:
         report = dataset_mi(den, x, labels, SAMPLER, seed=22)
         assert abs(report.per_dim[0] - report.per_dim[1]) <= 3 * report.std_error
 
-    def test_report_validation_rejects_mismatched_sum(self):
-        with pytest.raises(ValueError, match="per_dim"):
+    def test_report_validation_rejects_a_std_error_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"std_error \(2,\) must be per_dim \(2,\) less its last axis"):
             InfoReport(
-                total=1.0,
                 per_dim=np.array([0.2, 0.2]),
-                std_error=0.0,
+                std_error=[0.0, 0.0],
                 n_snr_draws=1,
                 n_eps_draws=1,
                 estimator_kind="mi",
@@ -569,6 +568,28 @@ class TestDatasetNll:
         as_is = nll(den, [0.7], SAMPLER, 2, 44)
         assert_same_point(as_is, (), nll(den, 0.7, SAMPLER, 2, seed_sequence(44)))
         assert as_is.total != first.total[0]
+
+    @pytest.mark.parametrize("call", ["nll", "pointwise_dataset", "evaluate_ranking"])
+    def test_a_seed_sequence_is_not_advanced(self, call):
+        """A dataset estimate spawns from a copy: the same SeedSequence twice gives the same
+        reports, and they are those of a fresh SeedSequence and of its int seed."""
+        den = gmm_mmse(symmetric_pair_spec(2.0))
+        xs = np.array([[0.1], [0.5], [-1.5]])
+        labels = [ConditionId(label=t) for t in ("neg", "pos")]
+        run = {
+            "nll": lambda seed: nll(den, xs, LogSnrSampler(n_draws=10), 2, seed).per_dim,
+            "pointwise_dataset": lambda seed: pointwise_dataset(
+                den, den, xs, labels + labels[:1], LogSnrSampler(n_draws=10), n_eps=2, seed=seed
+            ).per_dim,
+            "evaluate_ranking": lambda seed: tasks.evaluate_ranking(
+                xs, labels, den, den, LogSnrSampler(n_draws=10), n_eps=2, seed=seed
+            ),
+        }[call]
+        ss = np.random.SeedSequence(5)
+        first, second = run(ss), run(ss)
+        assert ss.n_children_spawned == 0
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, run(5))
 
     def test_overflowing_row_is_inf_and_spares_its_neighbours(self):
         class FarExploding(PerEntry):

@@ -27,7 +27,7 @@ class TestVelocityAlgebra:
         den = ZeroDenoiser(dim=2)
         z0 = np.array([1.7, -0.3])
         cfg = SolverConfig(n_steps=100)
-        latent = encode(z0, den, config=cfg)
+        latent = encode(z0[None], den, config=cfg)[0]
         exact = z0 * np.sqrt(signal_weight(-5.0) / signal_weight(7.0))
         np.testing.assert_allclose(latent, exact, atol=1e-3)
 
@@ -36,7 +36,7 @@ class TestVelocityAlgebra:
         z0 = np.array([2.0])
         exact = z0 * np.sqrt(signal_weight(-5.0) / signal_weight(7.0))
         errors = [
-            abs(encode(z0, den, config=SolverConfig(n_steps=n))[0] - exact[0])
+            abs(encode(z0[None], den, config=SolverConfig(n_steps=n))[0, 0] - exact[0])
             for n in (50, 100, 200)
         ]
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.5)
@@ -93,8 +93,8 @@ class TestEncodeDecode:
 
     def test_symmetric_mixture_fixes_the_origin(self):
         den = gmm_mmse(PAIR)
-        decoded = decode(np.zeros(1), den)
-        assert abs(decoded[0]) <= 1e-6
+        decoded = decode(np.zeros((1, 1)), den)
+        assert abs(decoded[0, 0]) <= 1e-6
 
     def test_deterministic(self, gmm_points):
         x, _, den = gmm_points
@@ -108,7 +108,22 @@ class TestEncodeDecode:
                 return np.full_like(np.asarray(x_alpha, dtype=float), np.nan)
 
         with pytest.raises(SolverError, match="step 1"):
-            encode(np.ones(1), BrokenDenoiser())
+            encode(np.ones((1, 1)), BrokenDenoiser())
+
+    @pytest.mark.parametrize(
+        "flow",
+        [encode, decode, lambda x, den: intervene(x, den, None, None)],
+        ids=["encode", "decode", "intervene"],
+    )
+    def test_a_single_point_raises_naming_its_shape(self, flow):
+        class UncalledDenoiser:
+            dim = 2
+
+            def predict_eps(self, x_alpha, alpha, *entries):
+                raise AssertionError("the denoiser was called")
+
+        with pytest.raises(ValueError, match=r"rows of shape \(n, d\), got shape \(2,\)"):
+            flow(np.array([0.5, -1.0]), UncalledDenoiser())
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
@@ -121,8 +136,8 @@ class TestIntervene:
     def test_null_intervention_equals_round_trip_exactly(self, gmm_points):
         x, comps, den = gmm_points
         cond = ConditionId(label="pos" if comps[0] else "neg")
-        null = intervene(x[0], den, cond, cond)
-        round_trip = decode(encode(x[0], den, cond), den, cond)
+        null = intervene(x[:1], den, cond, cond)
+        round_trip = decode(encode(x[:1], den, cond), den, cond)
         np.testing.assert_array_equal(null.x_edited, round_trip)
 
     def test_identical_conditionals_make_swaps_null(self):
@@ -133,10 +148,10 @@ class TestIntervene:
             condition_map={"a": (0, 1), "b": (0, 1)},
         )
         den = gmm_mmse(spec)
-        x = np.array([3.2])
+        x = np.array([[3.2]])
         swap = intervene(x, den, ConditionId(label="a"), ConditionId(label="b"))
         null = intervene(x, den, ConditionId(label="a"), ConditionId(label="a"))
-        assert swap.delta_l2 == null.delta_l2
+        assert swap.delta_l2[0] == null.delta_l2[0]
 
     def test_swap_lands_in_target_component(self, gmm_points):
         x, comps, den = gmm_points
@@ -144,17 +159,17 @@ class TestIntervene:
         for i in range(4):
             cond_in = ConditionId(label=labels[comps[i]])
             cond_out = ConditionId(label=labels[1 - comps[i]])
-            result = intervene(x[i], den, cond_in, cond_out)
+            result = intervene(x[i : i + 1], den, cond_in, cond_out)
             resp = component_responsibilities(PAIR, result.x_edited)
-            assert resp[1 - comps[i]] > 0.99
+            assert resp[0, 1 - comps[i]] > 0.99
 
     def test_delta_fields_are_consistent(self, gmm_points):
         x, comps, den = gmm_points
-        result = intervene(x[0], den, ConditionId(label="neg"), ConditionId(label="pos"))
-        np.testing.assert_allclose(result.delta_per_dim, (x[0] - result.x_edited) ** 2)
-        assert result.delta_l2 == pytest.approx(np.sqrt(result.delta_per_dim.sum()))
-        assert result.x_edited.shape == (1,)
-        assert isinstance(result.delta_l2, float) and isinstance(result.roundtrip_l2, float)
+        result = intervene(x[:1], den, ConditionId(label="neg"), ConditionId(label="pos"))
+        np.testing.assert_allclose(result.delta_per_dim, (x[:1] - result.x_edited) ** 2)
+        assert result.delta_l2[0] == pytest.approx(np.sqrt(result.delta_per_dim.sum()))
+        assert result.x_edited.shape == result.delta_per_dim.shape == (1, 1)
+        assert result.delta_l2.shape == result.roundtrip_l2.shape == (1,)
 
 
 class TestBatchedIntervene:
@@ -173,9 +188,9 @@ class TestBatchedIntervene:
         den, x, cond_in, cond_out, result = edits
         assert result.x_edited.shape == x.shape and result.delta_l2.shape == (len(x),)
         for i in range(len(x)):
-            latent = encode(x[i], den, cond_in[i])
-            edited = decode(latent, den, cond_out[i])
-            round_trip = decode(latent, den, cond_in[i])
+            latent = encode(x[i : i + 1], den, cond_in[i])
+            edited = decode(latent, den, cond_out[i])[0]
+            round_trip = decode(latent, den, cond_in[i])[0]
             np.testing.assert_array_equal(result.x_edited[i], edited)
             assert result.delta_l2[i] == np.sqrt(((x[i] - edited) ** 2).sum())
             assert result.roundtrip_l2[i] == np.sqrt(((x[i] - round_trip) ** 2).sum())

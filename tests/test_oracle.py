@@ -225,3 +225,16 @@ class TestOracleConsistency:
         resp = component_responsibilities(spec, np.array([[0.0], [1.0], [-3.0]]))
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert resp[2, 0] > 0.99  # a point at -3 belongs to the -2 component
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_component_responsibilities_of_one_row_are_one_row(self, dim):
+        spec = GmmSpec(
+            weights=[0.5, 0.5],
+            means=[-np.ones(dim), np.ones(dim)],
+            covariances=[np.eye(dim)] * 2,
+            condition_map={"neg": (0,), "pos": (1,)},
+        )
+        rows = np.linspace(-1.0, 2.0, 4 * dim).reshape(4, dim)
+        one = component_responsibilities(spec, rows[:1])
+        assert one.shape == (1, 2)
+        np.testing.assert_allclose(one, component_responsibilities(spec, rows)[:1], rtol=1e-12)
