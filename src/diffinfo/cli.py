@@ -417,7 +417,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.bits and op != "mmse_gaussian":
         value, bound = value / LN2, bound / LN2
     if not (math.isfinite(value) and math.isfinite(bound)):
-        raise ConfigError(f"{field}: the oracle gives the non-finite value {value!r} with bound {bound!r}", field)
+        at = " and ".join(f"oracle.{p}" for p in ORACLE_OPS[op].params if p != name) or field
+        raise ConfigError(f"{at}: the oracle gives the non-finite value {value!r} with bound {bound!r}", at)
     units = "mse" if op == "mmse_gaussian" else ("bits" if cfg.bits else "nats")
     payload = {"op": op, "value": value, "method": result.method, "abs_error_bound": bound, "units": units}
     print(json.dumps(payload, sort_keys=True))

@@ -375,7 +375,7 @@ class OracleConfig:
 
 class OracleOp(NamedTuple):
     params: dict  # parameter -> check; values are kept as written
-    range_param: str  # the parameter a ValueError from the oracle function is blamed on
+    range_param: str  # blamed for a ValueError; a non-finite value is blamed on the others, the point
     required: bool = True  # all parameters must be given, or none
 
 

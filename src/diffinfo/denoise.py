@@ -6,9 +6,9 @@ predictor with a ``dim`` and a ``predict_eps(x_alpha, alpha, *entries)``.
 per row; any other shape raises ``ValueError`` naming it.  Each entry is one
 hashable condition for every row, or a list or tuple with one condition per
 row; a per-row list of the wrong length raises ``ValueError``.  No entry
-means the one entry ``None``.  The result is every row under each entry,
-stacked entry by entry: (K·n, d) for K entries, so ``predict_eps(x, a, c)``
-is (n, d).  A denoiser may share work between the entries of one call, but
+means the one entry ``None``.  The result, a new array that the caller may
+overwrite, is every row under each entry, stacked entry by entry: (K·n, d)
+for K entries.  A denoiser may share work between the entries of one call, but
 each entry's rows are those of its own call.  Predictions are
 deterministic: identical inputs yield identical outputs.  A condition is any
 payload the denoiser understands: a :class:`ConditionId` for the mixture and

@@ -44,13 +44,13 @@ must have the same length); an entry is what a vector takes.  The points are
 grouped by their (unconditional, conditional) entry pair, and each group goes
 through in chunks of at most ``CHUNK_ELEMENTS`` denoiser-input elements,
 counting every pass a point makes: rows times d times 1 for nll, 1 + K for K
-candidates.  A chunk makes one ``corrupt`` call and one call
-``predict_eps(rows, alphas, unconditional entry, *candidates)`` (the
-candidates alone for nll, one call a side when the sides are different
-denoisers), so a denoiser can do the work that does not depend on the
-condition once a chunk.  A point over the budget gets a chunk to itself,
-whose calls carry as many entries as fit, at least one.  From about 8,000
-rows a chunk on, a larger chunk no longer makes a pass faster.
+candidates.  Only the draws run per point: its generator, one
+``LogSnrSampler.sample`` and its noise.  A chunk makes one ``corrupt`` call
+and one call ``predict_eps(rows, alphas, unconditional entry, *candidates)``
+(the candidates alone for nll, one call a side for two denoisers), so a
+denoiser can do the work that does not depend on the condition once a chunk,
+and forms the squared errors in place in its output.  A point over the budget
+gets a chunk to itself, whose calls carry as many entries as fit, at least one.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -84,11 +84,11 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 # Denoiser-input elements (rows x d x passes) per chunk of points.  On the
 # nll-wide benchmark's estimate (3072 points at d = 2, 800 rows a point; one
-# core of a 2-vCPU x86 host, sizes taken in turn, median of 5 in each of two
-# runs), a chunk of 800 rows took 1.74-1.98 s, 3,200 rows 1.04-1.17 s,
-# 6,400 rows 0.99 s, 8,000 rows (this budget) 0.82-0.91 s, 12,800 rows
-# 0.91-0.93 s and 25,600 rows 0.90-0.92 s: from about 8,000 rows on, a larger
-# chunk no longer pays.
+# core of a 2-vCPU x86 host, sizes taken in turn, median of 11 in each of two
+# runs), a chunk of 3,200 rows took 0.60-0.87 s, 6,400 rows 0.56-0.75 s,
+# 8,192 rows (this budget) 0.53-0.65 s, 12,800 rows 0.50-0.59 s and 25,600
+# rows 0.49-0.63 s: a larger chunk gains a few percent at most, and changes
+# the output bits of an MLP, whose rows depend on the batch from 8,000 rows on.
 CHUNK_ELEMENTS = 2**14
 
 
@@ -144,16 +144,6 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.Generator):
         raise TypeError("need a reusable seed (int or SeedSequence), not a Generator")
     return np.random.SeedSequence(seed)
-
-
-def _draws(sampler: LogSnrSampler, n_eps: int, dim: int, seed):
-    """Shared draw routine; the draw order never depends on the condition."""
-    if n_eps < 1:
-        raise ValueError(f"n_eps must be at least 1, got {n_eps}")
-    rng = np.random.default_rng(seed)
-    alphas, weights = sampler.sample(rng)
-    eps = rng.standard_normal((alphas.size, n_eps, dim))
-    return alphas, weights, eps
 
 
 def _check_points(denoiser, x):
@@ -219,6 +209,8 @@ def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_con
     (k,) = lengths
     if k == 0:
         raise ValueError("need at least one condition")
+    if n_eps < 1:
+        raise ValueError(f"n_eps must be at least 1, got {n_eps}")
     per_dim, std_error = np.empty((n, k or 1, d)), np.empty((n, k or 1))
     for group in _groups(uncond_conditions, conditions):
         entry, uncond_entry = conditions[group[0]], uncond_conditions[group[0]]
@@ -257,12 +249,16 @@ def _groups(uncond_conditions, conditions):
 def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
     """Per-dimension estimates (p, K, d) and standard errors (p, K) for the points of
     ``xs`` (p, d), one seed each, under each of the K candidates."""
-    draws = [_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
-    alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
+    (p, d), n_snr = xs.shape, sampler.n_draws
+    (alphas, weights), eps = np.empty((2, p, n_snr)), np.empty((p, n_snr, n_eps, d))
+    for i, seed in enumerate(seeds):  # the draw order never depends on the condition
+        rng = np.random.default_rng(seed)
+        alphas[i], weights[i] = sampler.sample(rng)
+        rng.standard_normal(out=eps[i])
     x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
     entries = candidates if kind == "nll" else [uncond_condition, *candidates]
     calls = [(cond, entries)] if kind == "nll" or uncond is cond else [(uncond, entries[:1]), (cond, entries[1:])]
-    rows, row_alphas = x_a.reshape(-1, xs.shape[1]), np.repeat(alphas.ravel(), n_eps)
+    rows, row_alphas = x_a.reshape(-1, d), np.repeat(alphas.ravel(), n_eps)
     size = max(1, CHUNK_ELEMENTS // rows.size)  # entries a call: all, but for a point over the budget
     passes = (  # (entries, p, draws, n_eps, d) each
         den.predict_eps(rows, row_alphas, *entries[i : i + size]).reshape(-1, *x_a.shape)
@@ -272,18 +268,23 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
     if kind != "nll":
         first = next(passes)
         eps_u, passes = first[0], itertools.chain([first[1:]], passes)
-        err_u = (eps - eps_u) ** 2 if kind == "pointwise_s" else None  # shared by every candidate
+        if kind == "pointwise_s":  # shared by every candidate
+            err_u = np.square(np.subtract(eps, eps_u, out=eps_u), out=eps_u)
     parts = []
-    for eps_c in passes:
-        if kind == "nll":
-            parts.append(signal_weight(alphas)[..., None] - ((eps - eps_c) ** 2).mean(axis=3))
-        elif kind == "pointwise_o":
-            parts.append(((eps_u - eps_c) ** 2).mean(axis=3))
-        else:
-            parts.append((err_u - (eps - eps_c) ** 2).mean(axis=3))
+    for out in passes:  # the squared errors, formed in place in the denoiser's output
+        np.square(np.subtract(eps_u if kind == "pointwise_o" else eps, out, out=out), out=out)
+        if kind == "pointwise_s":
+            np.subtract(err_u, out, out=out)
+        # numpy's mean over this short axis adds its slices in draw order, but slowly; at d = 1
+        # the axis is contiguous and numpy sums it pairwise from 8 draws on, so its mean stays.
+        noise = [out[:, :, :, j] for j in range(n_eps)]
+        parts.append(out.mean(axis=3) if d == 1 else sum(noise[1:], noise[0]) / n_eps)
     integrand = np.concatenate(parts)  # (candidates, p, draws, d)
+    if kind == "nll":
+        np.subtract(signal_weight(alphas)[..., None], integrand, out=integrand)
+    integrand *= weights[..., None] * 0.5
     # (points x candidates, draws, d); an overflowed estimate reads +inf, its error too.
-    contrib = (weights[..., None] * 0.5 * integrand).swapaxes(0, 1).reshape(-1, *integrand.shape[2:])
+    contrib = integrand.swapaxes(0, 1).reshape(-1, n_snr, d)
     per_dim = contrib.mean(axis=1)
     if kind == "nll":
         per_dim = 0.5 * LOG_2PI_E - per_dim

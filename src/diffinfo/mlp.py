@@ -11,8 +11,8 @@ takes the sines and cosines once per run of equal log-SNRs.  Training runs
 them through ``_forward``, which keeps every activation for backpropagation.
 ``predict_eps`` splits the first layer at the condition: the product of
 ``[x_a, sin, cos]`` with that layer's rows for them is formed once a call;
-each entry adds its tokens' rows and the bias, and the later layers run
-through ``_forward``.  Adam uses the fixed
+each entry adds its tokens' rows and the bias, kept per single condition,
+and the later layers run through ``_forward``.  Adam uses the fixed
 constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` and updates one flat
 buffer, of which the layer weights are views.
 
@@ -159,6 +159,7 @@ class MlpDenoiser:
         self.n_frequencies = int(n_frequencies)
         self.frequency_base = float(frequency_base)
         self._layer_inputs = (-1, [])  # (rows, arrays) reused by predict_eps, see _input_arrays
+        self._token_rows = {}  # condition -> its token rows of the first layer plus the bias
         expected = self._dim + 2 * self.n_frequencies + len(self.vocabulary)
         if self.layers[0][0].shape[0] != expected:
             raise ValueError(
@@ -189,9 +190,14 @@ class MlpDenoiser:
         np.matmul(_features(x2, a, None, self._frequencies, out=data), w[:n_data], out=product)
         eps = np.empty((len(entries) * n, self._dim))
         for e, entry in enumerate(entries):
-            tokens = _multi_hot(entry if is_per_row(entry, n) else [entry], self.vocabulary)
+            tokens = self._token_rows.get(entry) if entry is None or isinstance(entry, ConditionId) else None
+            if tokens is None:  # a per-row list, or a condition stored once it validates
+                per_row = is_per_row(entry, n)
+                tokens = _multi_hot(entry if per_row else [entry], self.vocabulary) @ w[n_data:] + b
+                if not per_row:
+                    self._token_rows[entry] = tokens
             # The first layer: the shared product, plus the entry's token rows and the bias.
-            h = np.add(product, tokens @ w[n_data:] + b, out=hidden[0] if hidden else None)
+            h = np.add(product, tokens, out=hidden[0] if hidden else None)
             if hidden:
                 np.tanh(h, out=h)
                 h = _forward(self.layers[1:], h, hidden[1:])[-1]

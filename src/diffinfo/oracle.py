@@ -212,6 +212,8 @@ def component_responsibilities(spec, x) -> np.ndarray:
     Computed from scipy log-densities only (no denoiser code); used to build
     Bayes-classifier baselines and to check where edited points land.
     """
+    if np.ndim(x) != 2 or np.shape(x)[1] != spec.dim:
+        raise ValueError(f"x must be rows of shape (n, {spec.dim}), the mixture's dimension, got shape {np.shape(x)}")
     from scipy.special import logsumexp
     from scipy.stats import multivariate_normal
 

@@ -1071,9 +1071,18 @@ class TestOracleCommand:
             assert main(["oracle", "--config", cfg, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: oracle.joint_covariance: ")
+        assert captured.err.startswith("config error: oracle.x and oracle.y: ")
         assert "non-finite" in captured.err and captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("x, y", [([1e200], [0.0]), ([0.0], [1e200])], ids=["x", "y"])
+    def test_non_finite_value_names_the_point_not_the_valid_covariance(self, tmp_path, capsys, x, y):
+        section = {"op": "gaussian_pointwise", "x": x, "y": y, "joint_covariance": [[1, 0.5], [0.5, 1]]}
+        cfg = write_config(tmp_path, {"seed": 0, "oracle": section})
+        assert main(["oracle", "--config", cfg, "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle.x and oracle.y: the oracle gives the non-finite value ")
+        assert "joint_covariance" not in err
 
     def test_gmm_oracle_uses_data_section(self, tmp_path, capsys):
         cfg = write_config(

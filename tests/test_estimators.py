@@ -73,6 +73,12 @@ class TestNll:
         with pytest.raises(ValueError, match="dimension"):
             nll(den, [0.0, 1.0], SAMPLER)
 
+    @pytest.mark.parametrize("n_eps", [0, -1])
+    def test_fewer_than_one_noise_draw_rejected(self, n_eps):
+        den = gmm_mmse(STD_NORMAL)
+        with pytest.raises(ValueError, match=f"n_eps must be at least 1, got {n_eps}"):
+            nll(den, [0.0], SAMPLER, n_eps)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_point_rejected(self, bad):
         den = gmm_mmse(STD_NORMAL)

@@ -215,6 +215,55 @@ class TestPerRowConditions:
             net.predict_eps(np.zeros((2, 1)), 0.0, (None, None, ConditionId(label="low")))
 
 
+def counting_multi_hot(monkeypatch):
+    """Replace ``mlp._multi_hot`` with a wrapper that records each call's conditions."""
+    calls, inner = [], mlp._multi_hot
+
+    def multi_hot(conditions, vocabulary):
+        calls.append(list(conditions))
+        return inner(conditions, vocabulary)
+
+    monkeypatch.setattr(mlp, "_multi_hot", multi_hot)
+    return calls
+
+
+class TestConditionRows:
+    def test_each_condition_is_encoded_once_and_gives_the_same_bits(self, monkeypatch):
+        net = random_mlp(2, ("a", "b"), seed=4)
+        rng = np.random.default_rng(5)
+        x_a, alpha = rng.standard_normal((50, 2)), rng.uniform(-5.0, 7.0, 50)
+        per_row = [[None, ConditionId(label="a")][i % 2] for i in range(50)]
+        # The third entry equals the first but is a separate object.
+        calls = [(ConditionId(label="a"),), (None, ConditionId(label="b")), (ConditionId(label="a"), per_row)] * 2
+        # An instance that has not seen a condition yet encodes it afresh: the reference bits.
+        fresh = [
+            MlpDenoiser(net.layers, dim=2, vocabulary=net.vocabulary).predict_eps(x_a, alpha, *entries)
+            for entries in calls
+        ]
+        encoded = counting_multi_hot(monkeypatch)
+        for entries, want in zip(calls, fresh):
+            np.testing.assert_array_equal(net.predict_eps(x_a, alpha, *entries), want)
+        singles = [c[0] for c in encoded if len(c) == 1]
+        assert singles == [ConditionId(label="a"), None, ConditionId(label="b")]
+        assert [c for c in encoded if len(c) > 1] == [per_row, per_row]  # a per-row list, on every call
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (ConditionId(label="missing"), ValueError, "unknown condition token 'missing'"),
+            (1.5, TypeError, "expected ConditionId or None, got float"),
+            (np.array(1.0), TypeError, "expected ConditionId or None, got ndarray"),
+        ],
+        ids=["unknown_token", "float", "unhashable"],
+    )
+    def test_a_bad_condition_raises_on_every_call(self, bad, error, message):
+        net = random_mlp(1, ("low",), seed=0)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                net.predict_eps(np.zeros((4, 1)), 0.0, bad)
+        assert net.predict_eps(np.zeros((4, 1)), 0.0, ConditionId(label="low")).shape == (4, 1)
+
+
 def reference_forward(layers, feats, hidden=None):
     """The chain ``np.tanh(h @ w + b)`` on new arrays, which ``mlp._forward`` computes in place."""
     activations = [feats]

@@ -238,3 +238,19 @@ class TestOracleConsistency:
         one = component_responsibilities(spec, rows[:1])
         assert one.shape == (1, 2)
         np.testing.assert_allclose(one, component_responsibilities(spec, rows)[:1], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim, x, shape",
+        [(1, np.zeros(3), r"\(3,\)"), (3, np.zeros(3), r"\(3,\)"), (1, np.zeros((4, 2)), r"\(4, 2\)"),
+         (3, np.zeros((4, 1)), r"\(4, 1\)"), (2, np.zeros((2, 1, 2)), r"\(2, 1, 2\)")],
+        ids=["vector_on_1d", "vector_on_3d", "too_wide", "too_narrow", "three_axes"],
+    )
+    def test_component_responsibilities_reject_other_shapes_naming_them(self, dim, x, shape):
+        spec = GmmSpec(
+            weights=[0.5, 0.5],
+            means=[-np.ones(dim), np.ones(dim)],
+            covariances=[np.eye(dim)] * 2,
+            condition_map={"neg": (0,), "pos": (1,)},
+        )
+        with pytest.raises(ValueError, match=rf"rows of shape \(n, {dim}\).*got shape {shape}"):
+            component_responsibilities(spec, x)

@@ -148,6 +148,9 @@ def test_one_contract(kind, small_mlp):
     stacked = den.predict_eps(x, alpha, *pool)
     assert stacked.shape == (len(pool) * N, den.dim)
     np.testing.assert_array_equal(stacked, np.concatenate([den.predict_eps(x, alpha, c) for c in pool]))
+    # The result is a new array that the caller may overwrite; the estimators do.
+    den.predict_eps(x, alpha, *pool)[...] = np.nan
+    np.testing.assert_array_equal(den.predict_eps(x, alpha, *pool), stacked)
     # A per-row entry gives each row its own condition's prediction.
     per_row = [pool[i % len(pool)] for i in range(N)]
     out = den.predict_eps(x, alpha, per_row)
