@@ -68,9 +68,10 @@ components its condition excludes; those get zero responsibility.  A single
 condition selects the same subset for every row, which keeps the arithmetic
 of a batch under one condition unchanged.
 
-The mixture evaluates the entries of a call one at a time: a pass shared
-over the union of the components they select would multiply each entry
-through the components it gives zero weight.
+A mixture call takes the terms no condition changes (x_a U, z, s, z / s, log
+det S and the Mahalanobis term) in one pass over the union of its entries'
+components.  Each entry then works over its own components only, by a
+one-entry call's arithmetic, so its rows are bit for bit those of its own call.
 """
 
 from __future__ import annotations
@@ -265,6 +266,7 @@ class GmmDenoiser:
         # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.
         self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances)
         self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
+        self._log_2pi_d = spec.dim * np.log(2 * np.pi)
         self._resolved: dict = {}  # condition -> (components, log conditional weights)
         self._per_row = (None, None)  # (per-row conditions, their _log_weights result)
         self._work = (-1, ())  # (rows, arrays) reused by every call, see _work_arrays
@@ -275,13 +277,22 @@ class GmmDenoiser:
 
     def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
         x2, a = as_batch(x_alpha, alpha, self.dim)
-        eps_hat = []
-        for c in entries or (None,):
-            u, resp, zs, sna, prod, weight = self._component_terms(x2, a, c)
-            zs *= np.multiply(np.sqrt(sna), resp, out=weight)[:, None, :]
+        n = x2.shape[0]
+        selections, idx, u, zs, neg_loglik, root_sna, free = self._shared_pass(x2, a, entries or (None,))
+        eps_hat, last = np.empty((len(selections) * n, x2.shape[1])), len(selections) - 1
+        for e, (sel, log_w) in enumerate(selections):  # each entry over its own components only
+            pos = None if sel.size == idx.size else np.searchsorted(idx, sel)
+            prod, weighted, log_joint = free if pos is None else [w[: sel.size] for w in free]
+            # mode="clip" lets np.take write into the work array; its default buffers a copy.
+            neg_ll = neg_loglik if pos is None else np.take(neg_loglik, pos, axis=0, out=log_joint, mode="clip")
+            resp = _responsibilities(log_w, neg_ll, log_joint)
+            wzs = zs if pos is None else np.take(zs, pos, axis=0, out=weighted, mode="clip")
+            # The last entry may weigh z / s in place: no later entry reads it.
+            wzs = np.multiply(wzs, np.multiply(root_sna, resp, out=resp)[:, None, :], out=weighted if e < last else wzs)
             # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
-            eps_hat.append(np.matmul(zs.transpose(0, 2, 1), u.transpose(0, 2, 1), out=prod).sum(axis=0))
-        return eps_hat[0] if len(eps_hat) == 1 else np.concatenate(eps_hat)
+            u_e = (u if pos is None else self._eigvecs[sel]).transpose(0, 2, 1)
+            np.add.reduce(np.matmul(wzs.transpose(0, 2, 1), u_e, out=prod), axis=0, out=eps_hat[e * n : (e + 1) * n])
+        return eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
         """Posterior component probabilities under the corrupted marginal.
@@ -290,7 +301,8 @@ class GmmDenoiser:
         per-row conditions, per component any row selects.
         """
         x2, a = as_batch(x_alpha, alpha, self.dim)
-        return self._component_terms(x2, a, condition)[1].T.copy()
+        [(_, log_w)], _, _, _, neg_loglik, _, (_, _, log_joint) = self._shared_pass(x2, a, [condition])
+        return _responsibilities(log_w, neg_loglik, log_joint).T.copy()
 
     def check_condition(self, condition) -> None:
         """Raise ``ValueError`` unless ``condition`` selects components of the mixture."""
@@ -323,8 +335,7 @@ class GmmDenoiser:
         if key != self._per_row[0]:
             distinct, columns = distinct_rows(condition)
             entries = [self._resolve(c) for c in distinct]
-            # A sorted set, not np.unique, which would import numpy.ma.
-            idx = np.array(sorted({int(k) for sel, _ in entries for k in sel}))
+            idx = _union(sel for sel, _ in entries)
             log_w = np.full((idx.size, len(entries)), -np.inf)
             for j, (sel, sel_log_w) in enumerate(entries):
                 log_w[np.searchsorted(idx, sel), j] = sel_log_w
@@ -334,12 +345,12 @@ class GmmDenoiser:
     def _work_arrays(self, n_rows):
         """Work arrays for ``n_rows`` rows and every component, kept while the batch size repeats.
 
-        One (k, n, d) array for the products with the eigenvectors, three
-        (k, d, n) for the rotated residual, the variances and z / s, and two
-        (k, n).  An estimator chunk of 8,000 rows at d = 2 and k = 3 keeps
-        1.9 MB of them.  Allocated afresh on every call, they made glibc trim
-        the heap when they were freed and fault it back in on the next call,
-        at the cost of a page fault per page.
+        (k, n, d) for x_a U, then each entry's back product; (k, d, n) for z,
+        then each entry's weighted z / s, for s and for z / s; (k, n) for the
+        negative log-likelihoods and for log det S, then each entry's
+        responsibilities.  An estimator chunk of 8,000 rows at d = 2 and k = 3
+        keeps 1.9 MB of them.  Allocated afresh on every call, they made glibc
+        trim the heap when freed and fault it back in, a fault per page.
         """
         if self._work[0] != n_rows:
             k, d = self.spec.n_components, self.dim
@@ -350,42 +361,50 @@ class GmmDenoiser:
             )
         return self._work[1]
 
-    def _component_terms(self, x2, a, condition):
-        """The per-component terms of a batch, and two work arrays left free.
-
-        Returns the eigenvectors (k, d, d), the responsibilities (k, n),
-        z / s (k, d, n) and sigma(-a), then free (k, n, d) and (k, n) arrays.
-        All but the eigenvectors are views of the instance's work arrays, so
-        they hold until the next call.
-        """
-        idx, log_w = self._log_weights(condition, x2.shape[0])
+    def _shared_pass(self, x2, a, conditions):
+        """The terms of a batch that no condition changes, over the union of the components
+        that ``conditions`` select: each condition's (components, log-weights), the union and
+        its eigenvectors (k, d, d), z / s, each component's negative log-likelihood (k, n),
+        sqrt(sigma(-a)) and three free work arrays.  The arrays hold until the next call."""
+        selections = [self._log_weights(c, x2.shape[0]) for c in conditions]
+        idx = selections[0][0] if len(selections) == 1 else _union(sel for sel, _ in selections)
         k = idx.size
-        xu, z, s, zs, spare, log_joint = self._work_arrays(x2.shape[0])
-        xu, z, s, zs, spare, log_joint = xu[:k], z[:k], s[:k], zs[:k], spare[:k], log_joint[:k]
+        xu, z, s, zs, neg_loglik, spare = self._work_arrays(x2.shape[0])
+        xu, z, s, zs, neg_loglik, spare = xu[:k], z[:k], s[:k], zs[:k], neg_loglik[:k], spare[:k]
         # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
         # weigh it once, on the sigmoid's scalar path.  s and the mean shift
         # are then (k, d, 1), small enough to take no work array.
         a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
         scalar = isinstance(a, float)
-        u = self._eigvecs[idx]
+        comps = slice(None) if k == len(self._eigvals) else idx  # every component: views, not copies
+        u = self._eigvecs[comps]
         np.copyto(z, np.matmul(x2, u, out=xu).transpose(0, 2, 1))
-        z -= np.multiply(np.sqrt(sa), self._rot_means[idx, :, None], out=None if scalar else zs)
-        s = np.multiply(sa, self._eigvals[idx, :, None], out=None if scalar else s)
+        z -= np.multiply(np.sqrt(sa), self._rot_means[comps, :, None], out=None if scalar else zs)
+        s = np.multiply(sa, self._eigvals[comps, :, None], out=None if scalar else s)
         s += sna
         np.divide(z, s, out=zs)
         z *= zs  # z^2 / s, the Mahalanobis terms
-        logdet = np.log(s, out=s).sum(axis=1, out=None if scalar else spare)
-        # log_w - (d log(2 pi) + log det S + Mahalanobis) / 2, in place
-        logdet += x2.shape[1] * np.log(2 * np.pi)
-        maha = z.sum(axis=1, out=log_joint)
-        maha += logdet
-        maha *= 0.5
-        np.subtract(log_w, maha, out=log_joint)
-        log_joint -= log_joint.max(axis=0)
-        resp = np.exp(log_joint, out=log_joint)
-        resp /= resp.sum(axis=0)
-        return u, resp, zs, sna, xu, spare
+        logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else spare)
+        # (d log(2 pi) + log det S + Mahalanobis) / 2, in place
+        logdet += self._log_2pi_d
+        np.add.reduce(z, axis=1, out=neg_loglik)
+        neg_loglik += logdet
+        neg_loglik *= 0.5
+        return selections, idx, u, zs, neg_loglik, np.sqrt(sna), (xu, z, spare)
+
+
+def _responsibilities(log_w, neg_loglik, out):
+    """Responsibilities (k, n) from log-weights and the negative log-likelihoods, in ``out``."""
+    np.subtract(log_w, neg_loglik, out=out)
+    out -= np.maximum.reduce(out, axis=0)
+    resp = np.exp(out, out=out)
+    return np.divide(resp, np.add.reduce(resp, axis=0), out=resp)
+
+
+def _union(selections) -> np.ndarray:
+    """The sorted union of index arrays: a sorted set, not np.unique, which imports numpy.ma."""
+    return np.array(sorted({int(k) for sel in selections for k in sel}))
 
 
 def gmm_mmse(spec: GmmSpec) -> GmmDenoiser:

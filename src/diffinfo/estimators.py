@@ -50,7 +50,7 @@ and one call ``predict_eps(rows, alphas, unconditional entry, *candidates)``
 (the candidates alone for nll, one call a side for two denoisers), so a
 denoiser can do the work that does not depend on the condition once a chunk,
 and forms the squared errors in place in its output.  A point over the budget
-gets a chunk to itself, whose calls carry as many entries as fit, at least one.
+gets a chunk to itself, whose calls carry as many entries as fit, at least two.
 
 A point's result is the one-point call's on the same seed, up to how the
 denoiser's output for a row depends on the rest of its batch.  For
@@ -259,7 +259,7 @@ def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, cand
     entries = candidates if kind == "nll" else [uncond_condition, *candidates]
     calls = [(cond, entries)] if kind == "nll" or uncond is cond else [(uncond, entries[:1]), (cond, entries[1:])]
     rows, row_alphas = x_a.reshape(-1, d), np.repeat(alphas.ravel(), n_eps)
-    size = max(1, CHUNK_ELEMENTS // rows.size)  # entries a call: all, but for a point over the budget
+    size = max(2, CHUNK_ELEMENTS // rows.size)  # entries a call: all, but for a point over the budget
     passes = (  # (entries, p, draws, n_eps, d) each
         den.predict_eps(rows, row_alphas, *entries[i : i + size]).reshape(-1, *x_a.shape)
         for den, entries in calls

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from diffinfo import denoise
 from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, gmm_mmse
 from diffinfo.oracle import mmse_gaussian
@@ -470,18 +471,21 @@ class TestWorkArrays:
 
     def test_warm_call_allocates_under_half_a_megabyte(self):
         # An estimator chunk: 8,000 rows at k = 3, d = 2, one log-SNR per row.
-        # Allocating the work arrays on every call took 2.24 MB.
+        # Allocating the work arrays on every call took 2.24 MB.  A second
+        # entry, over a strict subset of the components, reads the shared terms
+        # into the work arrays: it may add only its 128 KB of output.
         den = GmmDenoiser(reference_spec(2, seed=2))
         rng = np.random.default_rng(3)
         x_a, alpha = rng.standard_normal((8000, 2)), rng.uniform(-5.0, 7.0, 8000)
-        den.predict_eps(x_a, alpha)
-        tracemalloc.start()
-        try:
-            den.predict_eps(x_a, alpha)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5e6
+        for entries, bound in [((), 0.5e6), ((None, ConditionId(label="ill")), 0.5e6 + x_a.nbytes)]:
+            den.predict_eps(x_a, alpha, *entries)
+            tracemalloc.start()
+            try:
+                den.predict_eps(x_a, alpha, *entries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, entries
 
     @pytest.mark.parametrize("single", [False, True], ids=["batch", "point"])
     def test_results_are_not_changed_by_a_later_call(self, single):
@@ -538,3 +542,62 @@ class TestWorkArrays:
             assert den.predict_eps(np.zeros((0, 2)), empty_alpha).shape == (0, 2)
             assert den.responsibilities(np.zeros((0, 2)), empty_alpha).shape == (0, 2)
         np.testing.assert_array_equal(den.predict_eps(x_a, alpha), before)
+
+
+class CountingNumpy:
+    """numpy, with ``matmul`` counting the component rows of the eigenvectors it multiplies by:
+    forward for x_a U, whose left operand is the (n, d) rows, and back for (z / s)^T U^T."""
+
+    def __init__(self):
+        self.forward = self.back = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if np.ndim(a) == 2:
+            self.forward += b.shape[0]
+        else:
+            self.back += b.shape[0]
+        return np.matmul(a, b, **kwargs)
+
+
+class TestWorkPerCall:
+    """A call multiplies the union of its entries' components forward and each entry's own back,
+    never more than one call per entry; a rank over many labels is the case that gains."""
+
+    LABELS = [ConditionId(label=t) for t in ("l0", "l1", "l2")]
+
+    @staticmethod
+    def spec():
+        """Six components, two under each of three labels, and a context across labels."""
+        rng = np.random.default_rng(9)
+        factors = rng.standard_normal((6, 3, 3))
+        return GmmSpec(
+            weights=np.full(6, 1 / 6),
+            means=rng.standard_normal((6, 3)),
+            covariances=factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(3),
+            condition_map={"l0": (0, 1), "l1": (2, 3), "l2": (4, 5), "mid": (1, 2)},
+        )
+
+    @pytest.mark.parametrize(
+        "entries, forward, back",
+        [
+            ((None, *LABELS), 6, 12),  # None and K disjoint labels over k components: k and 2k
+            ((LABELS[0],), 2, 2),
+            ((LABELS[0], LABELS[0]), 2, 4),
+            ((LABELS[0], ConditionId(label="l1", context=("mid",)), LABELS[1]), 4, 5),
+            (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 6, 6),  # a per-row entry takes its union
+        ],
+        ids=["none_and_labels", "one", "twice", "overlapping", "per_row"],
+    )
+    def test_forward_over_the_union_and_back_over_each_entry(self, monkeypatch, entries, forward, back):
+        den = GmmDenoiser(self.spec())
+        x_a, alpha = np.random.default_rng(10).standard_normal((12, 3)), np.linspace(-4.0, 6.0, 12)
+        counting = CountingNumpy()
+        monkeypatch.setattr(denoise, "np", counting)
+        out = den.predict_eps(x_a, alpha, *entries)
+        monkeypatch.undo()
+        assert (counting.forward, counting.back) == (forward, back)
+        separate = [GmmDenoiser(self.spec()).predict_eps(x_a, alpha, c) for c in entries]
+        assert out.tobytes() == np.concatenate(separate).tobytes()

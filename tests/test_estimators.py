@@ -523,6 +523,38 @@ class TestDatasetNll:
         np.testing.assert_array_equal(split.per_dim, whole.per_dim)
         np.testing.assert_array_equal(split.std_error, whole.std_error)
 
+    def test_point_over_the_budget_shares_one_call(self):
+        """At d = 64 and 100 x 4 draws (heatmap-d64's), one pass of a point is over the budget;
+        the unconditional entry and the candidate still share one mixture call, and the report
+        is, bit for bit, that of one call per entry."""
+
+        class OneEntryPerCall(PerEntry):
+            def __init__(self, inner):
+                self.inner, self.dim = inner, inner.dim
+
+            def predict_one(self, rows, alphas, entry):
+                return self.inner.predict_eps(rows, alphas, entry)
+
+        rng = np.random.default_rng(45)
+        factors = rng.standard_normal((2, 64, 64))
+        spec = GmmSpec(
+            weights=[0.5, 0.5],
+            means=rng.standard_normal((2, 64)),
+            covariances=factors @ factors.transpose(0, 2, 1) / 64 + 0.1 * np.eye(64),
+            condition_map={"a": (0,), "b": (1,)},
+        )
+        sampler, n_eps, label = LogSnrSampler(n_draws=100), 4, ConditionId(label="b")
+        assert sampler.n_draws * n_eps * 64 > CHUNK_ELEMENTS
+        x = spec.means[1] + 0.3 * rng.standard_normal(64)
+        den = CountingDenoiser(gmm_mmse(spec))
+        shared = pointwise_o(den, den, x, label, sampler, n_eps, 46)
+        assert den.entries == [(None, label)] and den.rows == [sampler.n_draws * n_eps]
+        separate = OneEntryPerCall(gmm_mmse(spec))
+        alone = pointwise_o(separate, separate, x, label, sampler, n_eps, 46)
+        assert shared.total > 0
+        np.testing.assert_array_equal(shared.per_dim, alone.per_dim)
+        np.testing.assert_array_equal(shared.std_error, alone.std_error)
+
     def test_every_call_gets_a_single_condition(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
         xs = np.zeros((5, 2))

@@ -10,7 +10,8 @@ relative: every JSON output embeds ``output.dir`` and the rank config embeds
 run to run.
 
 Run it from the repository root, only in a change that means to alter output
-bytes, and list the files whose digests changed in CHANGES.md::
+bytes, and list the files whose digests changed in CHANGES.md; before it
+writes, it prints each of them, or "no digest changed"::
 
     PYTHONPATH=src python tests/update_output_digests.py
 
@@ -89,6 +90,21 @@ def run_operations() -> dict[str, dict[str, str]]:
     return digests
 
 
+def digest_changes(want: dict, got: dict) -> list[str]:
+    """Each operation and file whose digest in ``got`` differs from ``want``, is missing or is new."""
+    changes = []
+    for op in sorted(want.keys() | got.keys()):
+        old, new = want.get(op, {}), got.get(op, {})
+        for path in sorted(old.keys() | new.keys()):
+            if path not in new:
+                changes.append(f"missing {op}: {path}")
+            elif path not in old:
+                changes.append(f"new {op}: {path}")
+            elif old[path] != new[path]:
+                changes.append(f"changed {op}: {path}")
+    return changes
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -97,6 +113,8 @@ def main() -> int:
             digests = run_operations()
         finally:
             os.chdir(cwd)
+    committed = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
+    print("\n".join(digest_changes(committed, digests)) or "no digest changed")
     record = {"seed": SEED, "size": SIZE, "environment": environment(), "digests": digests}
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, digests.values()))} digests to {DIGESTS}")
