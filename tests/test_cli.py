@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import diffinfo
 from diffinfo import cli, estimators, oracle
@@ -22,7 +25,7 @@ from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.mlp import MlpDenoiser
 from diffinfo.estimators import InfoReport
-from diffinfo.reports import report_records, write_csv, write_report_csv
+from diffinfo.reports import _format_cell, report_records, write_csv, write_report_csv
 
 SRC = str(Path(diffinfo.__file__).resolve().parents[1])
 
@@ -306,6 +309,42 @@ class TestNonFiniteOutput:
 def test_csv_cells_spell_booleans_and_missing_values_one_way(tmp_path):
     write_csv(tmp_path / "cells.csv", list("abcdef"), [(True, np.True_, np.False_, None, 0.1, 3)])
     assert (tmp_path / "cells.csv").read_text() == "a,b,c,d,e,f\ntrue,true,false,,0.10000000000000001,3\n"
+
+
+# Finite floats, and the values whose spelling is least obvious.
+EDGE_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@given(
+    shape=st.sampled_from([(), (3,), (2, 4)]),
+    d=st.integers(1, 3),
+    per_dim=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_report_csv_rows_are_the_bytes_of_csv_writer_cells(tmp_path, shape, d, per_dim, data):
+    report = InfoReport(
+        per_dim=data.draw(arrays(float, shape + (d,), elements=EDGE_FLOATS)),
+        std_error=data.draw(arrays(float, shape, elements=EDGE_FLOATS)),
+        n_snr_draws=1,
+        n_eps_draws=1,
+        estimator_kind="nll",
+        alpha_interval=(-5.0, 7.0),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # totals of 1e308s and of inf - inf
+        write_report_csv(tmp_path / "r.csv", report, per_dim=per_dim)
+        totals = report.total.ravel()
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "total", "std_error"] + [f"dim_{j}" for j in range(d if per_dim else 0)])
+        terms = report.per_dim.reshape(-1, d)
+        for i, (total, error) in enumerate(zip(totals, report.std_error.ravel())):
+            row = [i, total, None if math.isnan(error) else error, *(terms[i] if per_dim else ())]
+            writer.writerow([_format_cell(v) for v in row])
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSchemaDiagnostics:

@@ -569,14 +569,15 @@ class TestWorkPerCall:
     LABELS = [ConditionId(label=t) for t in ("l0", "l1", "l2")]
 
     @staticmethod
-    def spec():
-        """Six components, two under each of three labels, and a context across labels."""
+    def spec(covariance_of=range(6)):
+        """Six components, two under each of three labels, and a context across labels;
+        component j takes covariance ``covariance_of[j]`` of six."""
         rng = np.random.default_rng(9)
         factors = rng.standard_normal((6, 3, 3))
         return GmmSpec(
             weights=np.full(6, 1 / 6),
             means=rng.standard_normal((6, 3)),
-            covariances=factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(3),
+            covariances=(factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(3))[list(covariance_of)],
             condition_map={"l0": (0, 1), "l1": (2, 3), "l2": (4, 5), "mid": (1, 2)},
         )
 
@@ -592,12 +593,33 @@ class TestWorkPerCall:
         ids=["none_and_labels", "one", "twice", "overlapping", "per_row"],
     )
     def test_forward_over_the_union_and_back_over_each_entry(self, monkeypatch, entries, forward, back):
-        den = GmmDenoiser(self.spec())
+        self.check_work(monkeypatch, self.spec(), entries, forward, back)
+
+    @pytest.mark.parametrize(
+        "entries, forward, back",
+        [
+            ((None, *LABELS), 3, 12),
+            ((LABELS[0],), 2, 2),
+            ((LABELS[2],), 1, 2),
+            ((LABELS[0], LABELS[1]), 2, 4),
+            ((ConditionId(label="l1", context=("mid",)),), 1, 1),
+            (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 3, 6),
+        ],
+        ids=["none_and_labels", "two_bases", "one_basis", "two_labels_two_bases", "one_component", "per_row"],
+    )
+    def test_forward_once_per_distinct_covariance(self, monkeypatch, entries, forward, back):
+        """Components 0 and 2, 1 and 3, and 4 and 5 share a covariance: forward work is the
+        number of distinct covariances in the union, back work still each entry's own."""
+        self.check_work(monkeypatch, self.spec([0, 1, 0, 1, 4, 4]), entries, forward, back)
+
+    @staticmethod
+    def check_work(monkeypatch, spec, entries, forward, back):
+        den = GmmDenoiser(spec)
         x_a, alpha = np.random.default_rng(10).standard_normal((12, 3)), np.linspace(-4.0, 6.0, 12)
         counting = CountingNumpy()
         monkeypatch.setattr(denoise, "np", counting)
         out = den.predict_eps(x_a, alpha, *entries)
         monkeypatch.undo()
         assert (counting.forward, counting.back) == (forward, back)
-        separate = [GmmDenoiser(self.spec()).predict_eps(x_a, alpha, c) for c in entries]
+        separate = [GmmDenoiser(spec).predict_eps(x_a, alpha, c) for c in entries]
         assert out.tobytes() == np.concatenate(separate).tobytes()

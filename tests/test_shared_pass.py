@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffinfo import denoise
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec
 from diffinfo.mlp import MlpTrainConfig, train_mlp
@@ -40,7 +41,12 @@ def entry_lists(pool):
     return st.lists(st.one_of(single, st.lists(single, min_size=N, max_size=N)), min_size=1, max_size=4)
 
 
-def random_spec(d, seed) -> GmmSpec:
+# Which covariance each of the four components takes: all different; one for "a" = (0, 1) and
+# another for "b" = (2, 3), so that "c" = (1, 2) and None span two shared bases; one for all.
+SHARINGS = ((0, 1, 2, 3), (0, 0, 2, 2), (0, 0, 0, 0))
+
+
+def random_spec(d, seed, sharing=SHARINGS[0]) -> GmmSpec:
     rng = np.random.default_rng(seed)
     covs = []
     for _ in range(4):
@@ -51,7 +57,7 @@ def random_spec(d, seed) -> GmmSpec:
     return GmmSpec(
         weights=weights / weights.sum(),
         means=2.0 * rng.standard_normal((4, d)),
-        covariances=covs,
+        covariances=[covs[i] for i in sharing],
         condition_map={"a": (0, 1), "b": (2, 3), "c": (1, 2), "all": (0, 1, 2, 3), "twin": (0, 1)},
     )
 
@@ -71,22 +77,38 @@ class TestMixture:
     @given(seed=st.integers(0, 2**32 - 1), entries=entry_lists(COMMON + list(TWINS[1:])))
     @settings(max_examples=15, deadline=None)
     def test_each_entry_equals_its_own_call_bit_for_bit(self, d, seed, entries):
-        spec = random_spec(d, seed)
-        den = GmmDenoiser(spec)
         x, alpha = batch(d, seed)
-        for entry, rows in zip(entries, blocks(den.predict_eps(x, alpha, *entries), len(entries))):
-            assert rows.tobytes() == GmmDenoiser(spec).predict_eps(x, alpha, entry).tobytes()
+        for sharing in SHARINGS:
+            spec = random_spec(d, seed, sharing)
+            stacked = GmmDenoiser(spec).predict_eps(x, alpha, *entries)
+            for entry, rows in zip(entries, blocks(stacked, len(entries))):
+                assert rows.tobytes() == GmmDenoiser(spec).predict_eps(x, alpha, entry).tobytes(), sharing
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    @given(seed=st.integers(0, 2**32 - 1), entries=entry_lists(COMMON))
+    @settings(max_examples=10, deadline=None)
+    def test_shared_bases_give_the_bits_of_a_basis_each(self, d, seed, entries):
+        """The reference takes a basis per component, as for covariances that all differ."""
+        x, alpha = batch(d, seed)
+        for sharing in SHARINGS[1:]:
+            spec = random_spec(d, seed, sharing)
+            with pytest.MonkeyPatch.context() as patch:  # no two covariances grouped
+                patch.setattr(denoise, "distinct_rows", lambda values: (list(values), list(range(len(values)))))
+                apart = GmmDenoiser(spec)
+            for a in (alpha, float(alpha[0])):
+                want = apart.predict_eps(x, a, *entries).tobytes()
+                assert GmmDenoiser(spec).predict_eps(x, a, *entries).tobytes() == want, sharing
 
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
     @given(seed=st.integers(0, 2**32 - 1), others=entry_lists(COMMON), order=st.permutations(TWINS))
     @settings(max_examples=10, deadline=None)
     def test_twins_give_identical_bits(self, d, seed, others, order):
-        den = GmmDenoiser(random_spec(d, seed))
         x, alpha = batch(d, seed)
         per_row = [order[i % len(order)] for i in range(N)]
         entries = [*order, *others[:2], per_row]
-        out = blocks(den.predict_eps(x, alpha, *entries), len(entries))
-        assert out[0].tobytes() == out[1].tobytes() == out[2].tobytes() == out[-1].tobytes()
+        for sharing in SHARINGS:
+            out = blocks(GmmDenoiser(random_spec(d, seed, sharing)).predict_eps(x, alpha, *entries), len(entries))
+            assert out[0].tobytes() == out[1].tobytes() == out[2].tobytes() == out[-1].tobytes(), sharing
 
 
 @pytest.fixture(scope="module")
