@@ -70,11 +70,11 @@ of a batch under one condition unchanged.
 
 A mixture call takes the terms no condition changes (x_a U, z, s, z / s, log
 det S and the Mahalanobis term) in one pass over the union of its entries'
-components, and x_a U, s and log det S once per distinct covariance there:
-components with bit-equal covariances, such as classes that differ only in
-their mean, share one eigenbasis.  Each entry then works over its own
-components only, by a one-entry call's arithmetic, so its rows are bit for bit
-those of its own call.
+components.  When every covariance is bit-equal, as for classes that differ
+only in their mean, the components share one eigenbasis and x_a U, s and log
+det S are taken once; else once a component.  Each entry then works over its
+own components only, by a one-entry call's arithmetic, so its rows are bit for
+bit those of its own call.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ class GmmSpec:
 class GmmDenoiser:
     """Exact posterior-mean noise predictor for a :class:`GmmSpec` source.
 
-    Components with bit-equal covariances share one eigenbasis, and a call
-    takes x_a U, s and log det S once per distinct covariance.
+    When every covariance is bit-equal the components share one eigenbasis,
+    and a call takes x_a U, s and log det S once, not once a component.
     ``predict_eps`` and ``responsibilities`` write their per-component terms
     into arrays the instance keeps, so one instance must not serve two
     threads at once.
@@ -272,15 +272,15 @@ class GmmDenoiser:
     def __init__(self, spec: GmmSpec):
         self.spec = spec
         # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.
-        # One eigh per basis, a bit-equal covariance; each component's basis and eigenvectors.
-        covs, basis = distinct_rows([c.tobytes() for c in spec.covariances])
-        firsts = [basis.index(b) for b in range(len(covs))]
-        self._basis_vals, self._basis_vecs = np.linalg.eigh(spec.covariances[firsts])
-        self._basis, self._eigvecs = np.array(basis), self._basis_vecs[basis]
+        # One eigh when every covariance is bit-equal, else one a component; each component
+        # keeps its basis's eigenvectors for the back product.
+        self._one_basis = len(distinct_rows([c.tobytes() for c in spec.covariances])[0]) == 1
+        n_bases = 1 if self._one_basis else spec.n_components
+        self._eigvals, vecs = np.linalg.eigh(spec.covariances[:n_bases])
+        self._eigvecs = np.repeat(vecs, spec.n_components // n_bases, axis=0)
         self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
         self._log_2pi_d = spec.dim * np.log(2 * np.pi)
         self._resolved: dict = {}  # condition -> (components, log conditional weights)
-        self._plans: dict = {}  # components of a call -> their arrays, see _plan
         self._per_row = (None, None)  # (per-row conditions, their _log_weights result)
         self._work = (-1, ())  # (rows, arrays) reused by every call, see _work_arrays
 
@@ -374,19 +374,6 @@ class GmmDenoiser:
             )
         return self._work[1]
 
-    def _plan(self, idx):
-        """For a union ``idx`` of k components over g bases, kept: the components' eigenvectors
-        and (k, d, 1) rotated means, the bases' eigenvectors and (g, d, 1) eigenvalues, and each
-        component's basis among the g, None where the g broadcast to the k (g is 1 or k)."""
-        key = idx.tobytes()
-        if key not in self._plans:
-            comps = slice(None) if idx.size == self._basis.size else idx  # every component: views
-            bases, pos = distinct_rows(self._basis[idx].tolist())
-            pos = None if len(bases) in (1, idx.size) else np.array(pos)
-            u_bases, lam = self._basis_vecs[bases], self._basis_vals[bases, :, None]
-            self._plans[key] = self._eigvecs[comps], u_bases, lam, self._rot_means[comps, :, None], pos
-        return self._plans[key]
-
     def _shared_pass(self, x2, a, conditions):
         """The terms of a batch that no condition changes, over the union of the components
         that ``conditions`` select: each condition's (components, log-weights), the union and
@@ -394,8 +381,7 @@ class GmmDenoiser:
         sqrt(sigma(-a)) and three free work arrays.  The arrays hold until the next call."""
         selections = [self._log_weights(c, x2.shape[0]) for c in conditions]
         idx = selections[0][0] if len(selections) == 1 else _union(sel for sel, _ in selections)
-        u, u_bases, lam, rot_means, pos = self._plan(idx)
-        k, g = idx.size, lam.shape[0]
+        k = idx.size
         xu, z, s, zs, neg_loglik, spare = self._work_arrays(x2.shape[0])
         xu, z, zs, neg_loglik, spare = xu[:k], z[:k], zs[:k], neg_loglik[:k], spare[:k]
         # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
@@ -404,24 +390,24 @@ class GmmDenoiser:
         a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
         scalar = isinstance(a, float)
-        # Each component's z = (x_a U)^T - sqrt(sigma(a)) U^T mu, from its basis's rows by a broadcast
-        # or a take.  (x_a U)^T is made contiguous first, in z to be shifted in place when each component
-        # has its own basis, else in s: read from the transpose, it would cross strides once a component.
+        comps = slice(None) if k == len(self._eigvecs) else idx  # every component: views, not copies
+        u = self._eigvecs[comps]
+        # g = 1 basis broadcast to the k components when they all share it, else g = k, one each.
+        bases, g = (slice(1), 1) if self._one_basis else (comps, k)
+        # z = (x_a U)^T - sqrt(sigma(a)) U^T mu, with (x_a U)^T made contiguous first: in z to be
+        # shifted in place when g = k, else in s; read from the transpose, it would cross strides.
         xut = z if g == k else s[:g]
-        np.copyto(xut, np.matmul(x2, u_bases, out=xu[:g]).transpose(0, 2, 1))
-        xut = xut if pos is None else np.take(xut, pos, axis=0, out=z, mode="clip")
-        np.subtract(xut, np.multiply(np.sqrt(sa), rot_means, out=None if scalar else zs), out=z)
-        s = np.multiply(sa, lam, out=None if scalar else s[:g])
+        np.copyto(xut, np.matmul(x2, self._eigvecs[bases], out=xu[:g]).transpose(0, 2, 1))
+        np.subtract(xut, np.multiply(np.sqrt(sa), self._rot_means[comps, :, None], out=None if scalar else zs), out=z)
+        s = np.multiply(sa, self._eigvals[bases, :, None], out=None if scalar else s[:g])
         s += sna
-        # x_a U is spent, so its work array can take each component's s.
-        s_k = s if pos is None else np.take(s, pos, axis=0, out=None if scalar else xu.reshape(z.shape), mode="clip")
-        np.divide(z, s_k, out=zs)
+        np.divide(z, s, out=zs)
         z *= zs  # z^2 / s, the Mahalanobis terms
         logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else spare[:g])
         # (d log(2 pi) + log det S + Mahalanobis) / 2, in place
         logdet += self._log_2pi_d
         np.add.reduce(z, axis=1, out=neg_loglik)
-        neg_loglik += logdet if pos is None else logdet[pos]
+        neg_loglik += logdet
         neg_loglik *= 0.5
         return selections, idx, u, zs, neg_loglik, np.sqrt(sna), (xu, z, spare)
 

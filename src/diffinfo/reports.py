@@ -78,15 +78,13 @@ def report_records(report) -> list[dict]:
 
 
 def write_report_csv(path, report, per_dim: bool = False) -> None:
-    """One row per estimate of ``report``: its index, total and std_error, and with
-    ``per_dim`` one column per dimension; :func:`write_csv`'s bytes, one ``%`` format a row."""
-    width = report.per_dim.shape[-1] if per_dim else 0
-    rest = ",%.17g" * width + "\n"
-    row, row_nan = "%d,%.17g,%.17g" + rest, "%d,%.17g," + rest  # NaN std_error: an empty cell
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["id", "total", "std_error", *(f"dim_{j}" for j in range(width))]) + "\n")
-        for i, (t, s, p) in enumerate(_entries(report)):
-            fh.write(row_nan % (i, t, *p[:width]) if s is None else row % (i, t, s, *p[:width]))
+    """One row per estimate of ``report``: its index, total and std_error, and
+    with ``per_dim`` one column per dimension."""
+    header = ["id", "total", "std_error"]
+    if per_dim:
+        header += [f"dim_{j}" for j in range(report.per_dim.shape[-1])]
+    rows = [(i, t, s, *(p if per_dim else ())) for i, (t, s, p) in enumerate(_entries(report))]
+    write_csv(path, header, rows)
 
 
 def write_pgm(path, image) -> None:

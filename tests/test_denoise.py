@@ -581,36 +581,28 @@ class TestWorkPerCall:
             condition_map={"l0": (0, 1), "l1": (2, 3), "l2": (4, 5), "mid": (1, 2)},
         )
 
-    @pytest.mark.parametrize(
-        "entries, forward, back",
-        [
-            ((None, *LABELS), 6, 12),  # None and K disjoint labels over k components: k and 2k
-            ((LABELS[0],), 2, 2),
-            ((LABELS[0], LABELS[0]), 2, 4),
-            ((LABELS[0], ConditionId(label="l1", context=("mid",)), LABELS[1]), 4, 5),
-            (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 6, 6),  # a per-row entry takes its union
-        ],
-        ids=["none_and_labels", "one", "twice", "overlapping", "per_row"],
-    )
+    WORK = [
+        ((None, *LABELS), 6, 12),  # None and K disjoint labels over k components: k and 2k
+        ((LABELS[0],), 2, 2),
+        ((LABELS[0], LABELS[0]), 2, 4),
+        ((LABELS[0], ConditionId(label="l1", context=("mid",)), LABELS[1]), 4, 5),
+        (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 6, 6),  # a per-row entry takes its union
+    ]
+    WORK_IDS = ["none_and_labels", "one", "twice", "overlapping", "per_row"]
+
+    @pytest.mark.parametrize("entries, forward, back", WORK, ids=WORK_IDS)
     def test_forward_over_the_union_and_back_over_each_entry(self, monkeypatch, entries, forward, back):
         self.check_work(monkeypatch, self.spec(), entries, forward, back)
 
     @pytest.mark.parametrize(
-        "entries, forward, back",
-        [
-            ((None, *LABELS), 3, 12),
-            ((LABELS[0],), 2, 2),
-            ((LABELS[2],), 1, 2),
-            ((LABELS[0], LABELS[1]), 2, 4),
-            ((ConditionId(label="l1", context=("mid",)),), 1, 1),
-            (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 3, 6),
-        ],
-        ids=["none_and_labels", "two_bases", "one_basis", "two_labels_two_bases", "one_component", "per_row"],
+        "covariance_of", [[0] * 6, [0, 1, 0, 1, 4, 4]], ids=["one_covariance", "three_covariances"]
     )
-    def test_forward_once_per_distinct_covariance(self, monkeypatch, entries, forward, back):
-        """Components 0 and 2, 1 and 3, and 4 and 5 share a covariance: forward work is the
-        number of distinct covariances in the union, back work still each entry's own."""
-        self.check_work(monkeypatch, self.spec([0, 1, 0, 1, 4, 4]), entries, forward, back)
+    @pytest.mark.parametrize("entries, forward, back", WORK, ids=WORK_IDS)
+    def test_forward_once_when_every_covariance_is_shared(self, monkeypatch, covariance_of, entries, forward, back):
+        """One covariance for all six components: forward work is one basis whatever the union,
+        back work still each entry's own.  Three covariances, shared in pairs, take one basis per component."""
+        shared = len(set(covariance_of)) == 1
+        self.check_work(monkeypatch, self.spec(covariance_of), entries, 1 if shared else forward, back)
 
     @staticmethod
     def check_work(monkeypatch, spec, entries, forward, back):

@@ -42,7 +42,7 @@ def entry_lists(pool):
 
 
 # Which covariance each of the four components takes: all different; one for "a" = (0, 1) and
-# another for "b" = (2, 3), so that "c" = (1, 2) and None span two shared bases; one for all.
+# another for "b" = (2, 3), which takes a basis a component as all different does; one for all.
 SHARINGS = ((0, 1, 2, 3), (0, 0, 2, 2), (0, 0, 0, 0))
 
 
@@ -88,16 +88,16 @@ class TestMixture:
     @given(seed=st.integers(0, 2**32 - 1), entries=entry_lists(COMMON))
     @settings(max_examples=10, deadline=None)
     def test_shared_bases_give_the_bits_of_a_basis_each(self, d, seed, entries):
-        """The reference takes a basis per component, as for covariances that all differ."""
+        """One covariance for all four components; the reference takes a basis per component,
+        as for covariances that all differ."""
         x, alpha = batch(d, seed)
-        for sharing in SHARINGS[1:]:
-            spec = random_spec(d, seed, sharing)
-            with pytest.MonkeyPatch.context() as patch:  # no two covariances grouped
-                patch.setattr(denoise, "distinct_rows", lambda values: (list(values), list(range(len(values)))))
-                apart = GmmDenoiser(spec)
-            for a in (alpha, float(alpha[0])):
-                want = apart.predict_eps(x, a, *entries).tobytes()
-                assert GmmDenoiser(spec).predict_eps(x, a, *entries).tobytes() == want, sharing
+        spec = random_spec(d, seed, SHARINGS[-1])
+        with pytest.MonkeyPatch.context() as patch:  # no covariance taken as shared: a basis each
+            patch.setattr(denoise, "distinct_rows", lambda values: (list(values), list(range(len(values)))))
+            apart = GmmDenoiser(spec)
+        for a in (alpha, float(alpha[0])):
+            want = apart.predict_eps(x, a, *entries).tobytes()
+            assert GmmDenoiser(spec).predict_eps(x, a, *entries).tobytes() == want
 
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
     @given(seed=st.integers(0, 2**32 - 1), others=entry_lists(COMMON), order=st.permutations(TWINS))
