@@ -41,7 +41,7 @@ from .config import ORACLE_OPS, ConfigError, RunConfig, load_config
 from .denoise import ConditionId, GmmSpec, gmm_mmse
 from .flow import SolverError
 from .flow import intervene as flow_intervene
-from .mlp import MlpDenoiser, TrainingDivergedError, train_mlp
+from .mlp import TrainingDivergedError, train_mlp
 from .reports import NonFiniteOutputError, report_records, write_csv, write_json, write_pgm, write_report_csv
 
 LN2 = math.log(2.0)
@@ -106,7 +106,7 @@ def _load_spec(cfg: RunConfig) -> GmmSpec:
     if cfg.data.checkpoint is not None:
         obj = _load_checkpoint_field(cfg.data.checkpoint, "data.checkpoint")
         if not isinstance(obj, GmmSpec):
-            raise ConfigError("data.checkpoint must contain a mixture spec", "data.checkpoint")
+            raise ConfigError("data.checkpoint: holds an MLP denoiser, not a mixture spec", "data.checkpoint")
         return obj
     raise ConfigError("the 'data' section needs 'gmm' or 'checkpoint'", "data")
 
@@ -115,12 +115,7 @@ def _build_denoiser(cfg: RunConfig, spec: GmmSpec):
     if cfg.denoiser.kind == "closed_form":
         return gmm_mmse(spec)
     obj = _load_checkpoint_field(cfg.denoiser.path, "denoiser.path")
-    if isinstance(obj, GmmSpec):
-        den = gmm_mmse(obj)
-    elif isinstance(obj, MlpDenoiser):
-        den = obj
-    else:
-        raise ConfigError("denoiser.path holds no usable checkpoint", "denoiser.path")
+    den = gmm_mmse(obj) if isinstance(obj, GmmSpec) else obj  # else an MlpDenoiser
     if den.dim != spec.dim:
         message = f"denoiser.path: the checkpoint has dimension {den.dim} but the data have dimension {spec.dim}"
         raise ConfigError(message, "denoiser.path")
@@ -198,18 +193,26 @@ def _estimation_data(cfg: RunConfig, spec: GmmSpec, den, rng, kind: str):
     return x, conditions, contexts if kind == "cmi" else None
 
 
-def _check_finite(report, cfg: RunConfig) -> None:
-    """A non-finite estimate is not a result: exit 2 naming the sample it came from."""
-    n_points = 0 if cfg.data.points is None else cfg.data.points.shape[0]
-    bad = np.flatnonzero(~np.isfinite(report.total))
-    if bad.size:
-        i = int(bad[0])
-        field = "data.points" if i < n_points else "data"
-        raise ConfigError(
-            f"{field}: sample {i} has the non-finite estimate {float(report.total[i])!r}; "
-            "its point lies too far out for the estimate to be finite",
-            field,
-        )
+def _check_finite(cfg: RunConfig, drawn: bool = False, **values) -> None:
+    """A non-finite result is not a result: exit 2 naming the sample it came from.
+
+    Each of ``values`` has one row per sample, which come from the data
+    section, ``data.points`` first unless every sample was ``drawn``.  The
+    checkpoint is at fault when the denoiser comes from one, and otherwise the
+    sample's point or the data it was drawn from.
+    """
+    n_points = 0 if drawn or cfg.data.points is None else cfg.data.points.shape[0]
+    for what, rows in values.items():
+        bad = np.argwhere(~np.isfinite(rows))
+        if bad.size:
+            i = int(bad[0][0])
+            if cfg.denoiser.kind == "checkpoint":
+                field, cause = "denoiser.path", "the checkpoint's denoiser gives no finite value there"
+            else:
+                field = "data.points" if i < n_points else "data"
+                cause = f"its point lies too far out for the {what} to be finite"
+            value = float(rows[tuple(bad[0])])
+            raise ConfigError(f"{field}: sample {i} has the non-finite {what} {value!r}; {cause}", field)
 
 
 def _in_units(report, cfg: RunConfig):
@@ -238,7 +241,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         report = estimators.pointwise_dataset(
             den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
         )
-    _check_finite(report, cfg)
+    _check_finite(cfg, estimate=report.total)
     aggregate = estimators.aggregate_reports(report, kind) if kind in ("mi", "cmi") else None
     report = _in_units(report, cfg)
 
@@ -265,7 +268,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     report = estimators.pointwise_dataset(
         den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
     )
-    _check_finite(report, cfg)
+    _check_finite(cfg, estimate=report.total)
     report = _in_units(report, cfg)
 
     out, payload = _output(cfg)
@@ -311,6 +314,7 @@ def cmd_rank(cfg: RunConfig) -> int:
         seed=s_est,
         estimator_kind=cfg.rank.estimator_kind,
     )
+    _check_finite(cfg, drawn=True, score=scores)
     # Columns follow ``tokens``.  ``chosen`` is the first candidate, in that
     # order, within tasks.TIE_ATOL of the row's best score, and ``tie`` says
     # whether another one was; a tie is correct only if the truth comes first.
@@ -358,11 +362,11 @@ def cmd_intervene(cfg: RunConfig) -> int:
     _check_conditions(cfg, den, sources, "data.component_conditions")
     _check_conditions(cfg, den, targets, "intervene.swap")
     edits = flow_intervene(x, den, sources, targets, cfg.solver)
-    deltas = edits.delta_l2.tolist()
     report = estimators.pointwise_dataset(
         den, den, x, sources, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, contexts
     )
-    scores = _in_units(report, cfg).total.tolist()
+    _check_finite(cfg, estimate=report.total, roundtrip_l2=edits.roundtrip_l2, delta_l2=edits.delta_l2)
+    scores, deltas = _in_units(report, cfg).total.tolist(), edits.delta_l2.tolist()
     columns = zip(sources, scores, edits.roundtrip_l2.tolist(), deltas)
     rows = [(i, c.label, "|".join(c.context), *values) for i, (c, *values) in enumerate(columns)]
 

@@ -10,13 +10,15 @@ nowhere else.  ``RunConfig.resolved`` reads the same tables back into JSON
 are field names, except the renames in ``_ATTR``, the keys a :class:`_Section`
 holds for an enclosing object (``sampler.n_eps``, ``output.dir``,
 ``train.checkpoint_name``), and the ``oracle`` parameters, which sit beside
-``op`` and are checked by ``ORACLE_OPS``.
+``op`` and are checked by ``ORACLE_OPS``.  The same checks, ``_fields`` and
+``_dump`` also read and write the headers of :mod:`diffinfo.checkpoint`.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -239,7 +241,7 @@ def _plain(value):
         return (value.astype(int) if value.dtype == bool else value).tolist()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, ConditionId):
         return {"label": value.label, "context": list(value.context)}

@@ -168,6 +168,9 @@ class GmmSpec:
             raise ValueError(f"expected {k} weights, got shape {w.shape}")
         if cov.shape != (k, d, d):
             raise ValueError(f"expected covariances of shape {(k, d, d)}, got {cov.shape}")
+        for noun, values in (("weight", w), ("mean", mu), ("covariance", cov)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"component {np.argwhere(~np.isfinite(values))[0][0]} has a non-finite {noun}")
         if np.any(w <= 0):
             raise ValueError("component weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:

@@ -4,7 +4,9 @@ Everything here is computed independently of the denoiser and estimator code
 paths: densities come from explicit formulas or ``scipy.stats``, integrals
 from step-halving trapezoid quadrature or plain Monte Carlo.  Quadrature
 domains span the component means plus/minus ten maximal standard deviations
-per dimension, where Gaussian tails are below 1e-22.
+per dimension, where Gaussian tails are below 1e-22.  Monte-Carlo points are
+drawn by ``GmmSpec.sample``, which a test of its own pins; their densities,
+like every other here, stay independent of the denoiser and estimator code.
 
 ``scipy.stats`` and ``scipy.special`` are imported inside the functions
 that use them, not with this module: importing them takes about a second,
@@ -94,26 +96,25 @@ def gaussian_pointwise(x, y, joint_covariance) -> OracleResult:
     return OracleResult(value=float(joint - marg_x - marg_y), method="closed_form", abs_error_bound=0.0)
 
 
-def _label_log_densities(spec, labels, points):
-    """Log densities of each label-conditional mixture and the label priors."""
-    from scipy.special import logsumexp
+def _log_joint(spec, points) -> np.ndarray:
+    """log w_k + log N(x; mu_k, C_k) of each row x of ``points`` (n, d) and component k: (n, k)."""
     from scipy.stats import multivariate_normal
 
-    comp_logpdf = np.stack(
-        [
-            multivariate_normal(mean=spec.means[k], cov=spec.covariances[k]).logpdf(points)
-            for k in range(spec.n_components)
-        ]
-    )
-    comp_logpdf = np.atleast_2d(comp_logpdf.reshape(spec.n_components, -1))
-    log_cond = []
-    priors = []
-    for token in labels:
-        idx = list(spec.condition_map[token])
-        w = spec.weights[idx]
-        priors.append(w.sum())
-        log_cond.append(logsumexp(np.log(w / w.sum())[:, None] + comp_logpdf[idx], axis=0))
-    return np.array(priors), np.stack(log_cond)
+    log_pdfs = [multivariate_normal(mean=m, cov=c).logpdf(points) for m, c in zip(spec.means, spec.covariances)]
+    return np.log(spec.weights) + np.column_stack([np.atleast_1d(v) for v in log_pdfs])
+
+
+def _label_log_densities(spec, owner, points):
+    """The label priors, log p(x | label) (labels, n) and log p(x) (n,) of the rows ``points``.
+
+    ``owner`` gives each component's label, as ``spec.partition`` returns it.
+    """
+    from scipy.special import logsumexp
+
+    log_joint = _log_joint(spec, points)
+    priors = np.bincount(owner, weights=spec.weights)
+    log_cond = [logsumexp(log_joint[:, owner == j], axis=1) - math.log(p) for j, p in enumerate(priors)]
+    return priors, np.stack(log_cond), logsumexp(log_joint, axis=1)
 
 
 def gmm_mi_numeric(
@@ -130,38 +131,31 @@ def gmm_mi_numeric(
 
     Uses step-halving trapezoid quadrature in one or two dimensions,
     refining until successive estimates differ by less than ``tol``;
-    higher-dimensional mixtures fall back to Monte Carlo with a reported
-    3-standard-error bound.  The label tokens must partition the components.
+    higher-dimensional mixtures fall back to Monte Carlo over
+    ``GmmSpec.sample`` with a reported 3-standard-error bound.  The label
+    tokens must partition the components.
     """
     labels = sorted(spec.condition_map) if labels is None else list(labels)
-    spec.partition(labels)
+    owner = spec.partition(labels)
     if spec.dim > 2:
-        return _gmm_mi_monte_carlo(spec, labels, mc_samples, seed)
-    from scipy.special import logsumexp
+        points, comps = spec.sample(mc_samples, seed)
+        _, log_cond, log_marg = _label_log_densities(spec, owner, points)
+        ratios = log_cond[owner[comps], np.arange(mc_samples)] - log_marg
+        bound = 3.0 * ratios.std(ddof=1) / math.sqrt(mc_samples)
+        return OracleResult(value=float(ratios.mean()), method="monte_carlo", abs_error_bound=float(bound))
 
-    stds = np.sqrt(np.max([np.diag(c) for c in spec.covariances], axis=0))
-    lo = spec.means.min(axis=0) - 10.0 * stds.max()
-    hi = spec.means.max(axis=0) + 10.0 * stds.max()
+    spread = 10.0 * math.sqrt(np.diagonal(spec.covariances, axis1=1, axis2=2).max())
+    lo, hi = spec.means.min(axis=0) - spread, spec.means.max(axis=0) + spread
 
     def integral(nodes: int) -> float:
         axes = [np.linspace(lo[j], hi[j], nodes) for j in range(spec.dim)]
-        if spec.dim == 1:
-            points = axes[0][:, None]
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            points = np.column_stack([gx.ravel(), gy.ravel()])
-        priors, log_cond = _label_log_densities(spec, labels, points)
-        log_marg = logsumexp(np.log(priors)[:, None] + log_cond, axis=0)
-        total = 0.0
-        for prior, lc in zip(priors, log_cond):
-            f = np.exp(lc) * (lc - log_marg)
-            f = np.where(np.isfinite(f), f, 0.0)
-            if spec.dim == 1:
-                total += prior * _trapezoid(f, axes[0])
-            else:
-                grid = f.reshape(len(axes[0]), len(axes[1]))
-                total += prior * _trapezoid(_trapezoid(grid, axes[1], axis=1), axes[0])
-        return float(total)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        priors, log_cond, log_marg = _label_log_densities(spec, owner, grid.reshape(-1, spec.dim))
+        f = np.exp(log_cond) * (log_cond - log_marg)
+        f = np.where(np.isfinite(f), f, 0.0).reshape(len(labels), *grid.shape[:-1])
+        for nodes_j in reversed(axes):  # the last grid axis first
+            f = _trapezoid(f, nodes_j)
+        return float(sum(priors * f))
 
     nodes = initial_nodes
     estimates = [integral(nodes)]
@@ -181,31 +175,6 @@ def gmm_mi_numeric(
     )
 
 
-def _gmm_mi_monte_carlo(spec, labels, n_samples, seed):
-    from scipy.special import logsumexp
-
-    rng = np.random.default_rng(seed)
-    priors = np.array([spec.weights[list(spec.condition_map[t])].sum() for t in labels])
-    which = rng.choice(len(labels), size=n_samples, p=priors)
-    chols = np.linalg.cholesky(spec.covariances)
-    points = np.empty((n_samples, spec.dim))
-    for j, token in enumerate(labels):
-        rows = np.flatnonzero(which == j)
-        if rows.size == 0:
-            continue
-        idx = list(spec.condition_map[token])
-        w = spec.weights[idx] / spec.weights[idx].sum()
-        comps = np.asarray(idx)[rng.choice(len(idx), size=rows.size, p=w)]
-        z = rng.standard_normal((rows.size, spec.dim))
-        points[rows] = spec.means[comps] + np.einsum("nij,nj->ni", chols[comps], z)
-    prior_vec, log_cond = _label_log_densities(spec, labels, points)
-    log_marg = logsumexp(np.log(prior_vec)[:, None] + log_cond, axis=0)
-    ratios = log_cond[which, np.arange(n_samples)] - log_marg
-    value = float(ratios.mean())
-    bound = float(3.0 * ratios.std(ddof=1) / math.sqrt(n_samples))
-    return OracleResult(value=value, method="monte_carlo", abs_error_bound=bound)
-
-
 def component_responsibilities(spec, x) -> np.ndarray:
     """Posterior component probabilities (n, k) of the clean rows ``x`` (n, d) under the mixture.
 
@@ -215,16 +184,6 @@ def component_responsibilities(spec, x) -> np.ndarray:
     if np.ndim(x) != 2 or np.shape(x)[1] != spec.dim:
         raise ValueError(f"x must be rows of shape (n, {spec.dim}), the mixture's dimension, got shape {np.shape(x)}")
     from scipy.special import logsumexp
-    from scipy.stats import multivariate_normal
 
-    log_joint = np.stack(
-        [
-            np.log(spec.weights[k])
-            + np.atleast_1d(
-                multivariate_normal(mean=spec.means[k], cov=spec.covariances[k]).logpdf(x)
-            )
-            for k in range(spec.n_components)
-        ],
-        axis=1,
-    )
+    log_joint = _log_joint(spec, x)
     return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))

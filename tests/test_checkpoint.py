@@ -147,6 +147,25 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_checkpoint(path)
 
+    def test_non_finite_frequency_base_rejected(self, tiny_mlp, tmp_path):
+        path = tmp_path / "mlp.ckpt"
+        save_checkpoint(tiny_mlp, path)
+        rewrite_header(path, lambda h: {**h, "frequency_base": float("nan")})
+        assert b'"frequency_base": NaN' in path.read_bytes()
+        with pytest.raises(ValueError, match="'frequency_base'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_array_value_rejected_naming_array_and_index(self, tmp_path, value):
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(GmmSpec(weights=[0.5, 0.5], means=[[0.0, 1.0], [2.0, 3.0]], covariances=[np.eye(2)] * 2), path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 8 * (8 + 1)  # the last mean; the two 2x2 covariances follow it
+        raw[at : at + 8] = np.array(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"array means\[1\]\[1\] is not finite"):
+            load_checkpoint(path)
+
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_checkpoint({"not": "a model"}, tmp_path / "x.ckpt")

@@ -244,6 +244,17 @@ class TestNonFiniteInput:
         assert "data.points" in err and "sample 1" in err
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    def test_each_checked_array_names_its_sample_and_source(self):
+        cfg = parse_config({"seed": 1, "data": {"gmm": STD_NORMAL_GMM, "points": [[0.0]], "n_samples": 2}})
+        edits = {"roundtrip_l2": np.zeros(3), "delta_l2": np.array([0.0, 1.0, np.nan])}
+        with pytest.raises(ConfigError, match=r"^data: sample 2 has the non-finite delta_l2 nan; ") as info:
+            cli._check_finite(cfg, estimate=np.ones(3), **edits)
+        assert info.value.field == "data"
+        with pytest.raises(ConfigError, match=r"^data: sample 0 has the non-finite score inf; "):
+            cli._check_finite(cfg, drawn=True, score=np.array([[0.0, np.inf], [0.0, 0.0]]))
+        with pytest.raises(ConfigError, match=r"^data.points: sample 0 has the non-finite score -inf; "):
+            cli._check_finite(cfg, score=np.array([[0.0, -np.inf], [0.0, 0.0]]))
+
 
 class TestNonFiniteOutput:
     def _refuse(self, name):
@@ -407,13 +418,45 @@ class TestSchemaDiagnostics:
         assert main(["estimate", "--config", cfg]) == 2
         assert "data.checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["nan_mean", "mlp"])
+    def test_data_checkpoint_without_a_finite_mixture_exits_2_and_names_it(self, tmp_path, capsys, content):
+        path = tmp_path / "data.ckpt"
+        if content == "mlp":
+            save_mlp_checkpoint(path, 1, ("neg", "pos"))
+        else:
+            save_checkpoint(GmmSpec.single([0.0], [[1.0]]), path)
+            write_nan(path, path.stat().st_size - 16)  # the mean, between the weight and the covariance
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "output": {"dir": str(tmp_path / "out")},
+                "data": {"checkpoint": str(path), "points": [[0.0]]},
+                "estimate": {"kind": "nll"},
+            },
+        )
+        assert main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.checkpoint:") and err.count("\n") == 1
+        assert ("means[0][0] is not finite" if content == "nan_mean" else "mixture spec") in err
+        assert not (tmp_path / "out").exists()
 
-def save_mlp_checkpoint(path, dim, vocabulary):
-    """An untrained MLP checkpoint of the given dimension and vocabulary."""
+
+def save_mlp_checkpoint(path, dim, vocabulary, output_scale=1.0):
+    """An untrained MLP checkpoint of the given dimension and vocabulary, its output layer
+    scaled by ``output_scale``."""
     rng = np.random.default_rng(0)
     n_in = dim + 2 * 8 + len(vocabulary)
-    layers = [(rng.standard_normal((n_in, 4)), np.zeros(4)), (rng.standard_normal((4, dim)), np.zeros(dim))]
+    w_in, w_out = rng.standard_normal((n_in, 4)), rng.standard_normal((4, dim))
+    layers = [(w_in, np.zeros(4)), (w_out * output_scale, np.zeros(dim))]
     save_checkpoint(MlpDenoiser(layers, dim, vocabulary), path)
+
+
+def write_nan(path, offset):
+    """Overwrite the float64 at byte ``offset`` of the file at ``path`` with NaN."""
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = np.array(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
 
 
 PAIR_2D_GMM = {
@@ -424,6 +467,14 @@ PAIR_2D_GMM = {
     "condition_map": {"neg": [0], "pos": [1]},
 }
 LABELED = [{"label": "neg"}, {"label": "pos"}]
+
+
+SCORING_SECTIONS = [
+    ("rank", {"rank": {"n_samples": 4}}),
+    ("estimate", {"estimate": {"kind": "pointwise_s"}}),
+    ("decompose", {"decompose": {}}),
+    ("intervene", {"intervene": {"n_samples": 4, "swap": {"neg": "pos", "pos": "neg"}}}),
+]
 
 
 class TestCheckpointMismatch:
@@ -475,6 +526,34 @@ class TestCheckpointMismatch:
         err = capsys.readouterr().err
         assert "config error: denoiser.path:" in err
         assert "'pos'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, section", SCORING_SECTIONS, ids=["rank", "pointwise_s", "decompose", "intervene"])
+    def test_overflowing_checkpoint_names_denoiser_path(self, tmp_path, capsys, command, section):
+        """An output layer scaled by 1e300 keeps every weight finite, but no score or edit."""
+        save_mlp_checkpoint(tmp_path / "mlp.ckpt", 1, ("neg", "pos"), output_scale=1e300)
+        payload = {
+            "data": {"gmm": PAIR_GMM, "n_samples": 8, "component_conditions": LABELED},
+            "denoiser": {"kind": "checkpoint", "path": str(tmp_path / "mlp.ckpt")},
+            **section,
+        }
+        with np.errstate(all="ignore"):
+            assert self._run(tmp_path, command, payload) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: denoiser.path: sample 0 has the non-finite ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+    def test_non_finite_weight_names_denoiser_path(self, tmp_path, capsys):
+        path = tmp_path / "mlp.ckpt"
+        save_mlp_checkpoint(path, 1, ("neg", "pos"))
+        write_nan(path, 16 + int.from_bytes(path.read_bytes()[8:16], "little"))  # the first weight
+        payload = {
+            "data": {"gmm": PAIR_GMM, "n_samples": 8, "component_conditions": LABELED},
+            "denoiser": {"kind": "checkpoint", "path": str(path)},
+            "rank": {"n_samples": 4},
+        }
+        assert self._run(tmp_path, "rank", payload) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: denoiser.path:") and "w0[0][0] is not finite" in err
 
     @pytest.mark.parametrize(
         "command, conditions, section, field",

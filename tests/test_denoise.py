@@ -168,6 +168,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             GmmSpec(weights=[1.2, -0.2], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]])
 
+    @pytest.mark.parametrize(
+        "weights, means, covariances, message",
+        [
+            ([np.nan, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]], "component 0 has a non-finite weight"),
+            ([0.5, 0.5], [[0.0], [np.inf]], [[[1.0]], [[1.0]]], "component 1 has a non-finite mean"),
+            ([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[np.nan]]], "component 1 has a non-finite covariance"),
+        ],
+        ids=["nan_weight", "inf_mean", "nan_covariance"],
+    )
+    def test_parameters_must_be_finite(self, weights, means, covariances, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GmmSpec(weights=weights, means=means, covariances=covariances)
+
     def test_condition_map_subsets_validated(self):
         with pytest.raises(ValueError, match="no components"):
             GmmSpec(weights=[1.0], means=[[0.0]], covariances=[[[1.0]]], condition_map={"t": ()})
@@ -189,6 +202,30 @@ class TestSpecValidation:
     def test_condition_requires_label_or_context(self):
         with pytest.raises(ValueError):
             ConditionId()
+
+
+class TestSampling:
+    def test_sample_draws_the_weights_means_and_covariances(self):
+        """Each statistic within 4 standard errors: binomial for the component
+        frequencies, sqrt(C_ii / m) for a mean and sqrt((C_ii C_jj + C_ij^2) / m)
+        for a covariance entry, over the m draws of a component."""
+        cov = np.array([[2.0, 0.9, -0.6], [0.9, 1.0, 0.4], [-0.6, 0.4, 1.5]])
+        spec = GmmSpec(
+            weights=[0.2, 0.3, 0.5],
+            means=[[-3.0, 0.0, 1.0], [2.0, 2.0, -1.0], [0.0, -4.0, 3.0]],
+            covariances=[cov, np.diag([0.5, 2.0, 1.0]), cov[::-1, ::-1]],
+        )
+        n = 20_000
+        x, comps = spec.sample(n, 11)
+        assert x.shape == (n, 3) and comps.shape == (n,)
+        w = spec.weights
+        assert np.all(np.abs(np.bincount(comps, minlength=3) - n * w) <= 4 * np.sqrt(n * w * (1 - w)))
+        for k, (mean, c) in enumerate(zip(spec.means, spec.covariances)):
+            rows = x[comps == k]
+            m, var = len(rows), np.diag(c)
+            assert np.all(np.abs(rows.mean(axis=0) - mean) <= 4 * np.sqrt(var / m))
+            cov_se = np.sqrt((np.outer(var, var) + c**2) / m)
+            assert np.all(np.abs(np.cov(rows.T) - c) <= 4 * cov_se)
 
 
 class TestOptimality:
