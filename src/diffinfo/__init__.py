@@ -19,15 +19,7 @@ from .estimators import (
 )
 from .flow import InterventionResult, SolverConfig, SolverError, decode, encode, intervene
 from .mlp import MlpDenoiser, MlpTrainConfig, TrainingDivergedError, train_mlp
-from .oracle import (
-    OracleResult,
-    QuadratureError,
-    component_responsibilities,
-    gaussian_mi,
-    gaussian_pointwise,
-    gmm_mi_numeric,
-    mmse_gaussian,
-)
+from .oracle import OracleResult, QuadratureError, gaussian_mi, gaussian_pointwise, gmm_mi_numeric, mmse_gaussian
 from .tasks import (
     evaluate_ranking,
     intervention_correlation,
@@ -53,7 +45,6 @@ __all__ = [
     "SolverError",
     "TrainingDivergedError",
     "aggregate_reports",
-    "component_responsibilities",
     "corrupt",
     "decode",
     "encode",

@@ -88,9 +88,7 @@ def _check_header(header, path) -> tuple[dict, list[tuple[str, tuple[int, ...]]]
             expected += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
     declared = [(e["name"], e["shape"]) for e in fields["arrays"]]
     if declared != expected:
-        raise ValueError(
-            f"{path}: header field 'arrays' declares {declared} but the header needs {expected}"
-        )
+        raise ValueError(f"{path}: header field 'arrays' declares {declared} but the header needs {expected}")
     return fields, expected
 
 
@@ -114,7 +112,11 @@ def load_checkpoint(path):
     offset = 16 + header_len
     if len(raw) < offset:
         raise ValueError(f"{path} is truncated: {len(raw)} bytes, header ends at byte {offset}")
-    header, shapes = _check_header(json.loads(raw[16:offset].decode("utf-8")), path)
+    try:
+        header = json.loads(raw[16:offset].decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: header is nested too deeply to read") from None
+    header, shapes = _check_header(header, path)
     expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != expected:
         problem = "truncated" if len(raw) < expected else "followed by trailing bytes"

@@ -486,4 +486,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, not UTF-8, nested too deep
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(raw)

@@ -35,23 +35,31 @@ at O(d^2) per row instead of a d x d solve.  No clamp on s is needed:
 :class:`GmmSpec` rejects covariances that are not positive definite, so
 lam > 0, and sigma(-a) > 0 for every finite a.
 
-The per-component terms are laid out (k, d, n), with the n rows on the last,
-contiguous axis.  Every elementwise step (s, the shift by sqrt(sigma(a)) U^T mu,
-z / s) and every sum over the d eigen-directions (log det S, the Mahalanobis
-term) is then one loop over rows, instead of a loop of length d per row; at
-small d, where the estimators call the denoiser with hundreds of rows, that
-loop overhead is most of the cost.  The two products with the eigenvectors,
-x_a U and (z / s)^T U^T, stay GEMMs with the rows as the matrices' rows, so
-each row's output is computed the same way wherever it sits in the batch:
-duplicate rows give identical bits, which the flow's exact null edits rely
-on.  Computing the second as a (d, d) @ (d, n) product, U (z / s), gave
-duplicate rows different last bits at d = 64.
+Terms are laid out (g, d, n), rows on the last, contiguous axis, so that each
+elementwise step and each sum over the eigen-directions is one loop over rows,
+not a loop of length d per row.  Every product keeps the rows as the matrices'
+rows, so duplicate rows give identical bits, which the flow's exact null edits
+rely on (U (z / s), a (d, d) @ (d, n) product, broke this at d = 64).
 
-For a mixture, eps_hat is the responsibility-weighted combination of the
-per-component predictors, with responsibilities taken under the corrupted
-marginals.  Responsibilities are computed from log densities shifted by their
-per-row maximum, so that far-separated components underflow to zero weight
-instead of NaN.
+For a mixture, eps_hat is the responsibility-weighted mean of the components'
+predictors; responsibilities come from log densities shifted by their per-row
+maximum, so that far-separated components get zero weight, not NaN.
+Components with bit-equal covariances, such as classes that differ only in
+their mean, form a group with one U and one s.  Its first component is the
+reference: with M_k = U^T (mu_k - mu_ref), z = U^T x_a - sqrt(sigma(a)) U^T
+mu_ref and q = z / s, member k's Mahalanobis term is sum z^2 / s - 2
+sqrt(sigma(a)) q . M_k + sigma(a) sum M_k^2 / s.  The first term cancels
+within the group, leaving a linear discriminant from two (n, d) x (d, m)
+products over all m members, so no entry changes its columns.  An entry across
+groups adds each group's log det S and reference's term, formed from z, so
+far-apart groups do not cancel.  Far-apart members of one group do: with
+members 800 apart and s = 1e-4, a responsibility between them is good to
+about 1e-7.  Per group, with R its share of the responsibility (one for an
+entry inside it), eps_hat = sqrt(sigma(-a)) (R q - sqrt(sigma(a)) sum_k r_k
+M_k / s) U^T, the sum taken member by member so that a member of zero weight
+adds exact zeros: one back GEMM a group an entry.  One (K n)-row GEMM for K
+entries would not keep each entry's rows those of its own call: numpy takes a
+matrix-vector path for a one-row operand.
 
 Conditioning is by token: a :class:`ConditionId` carries a label and/or
 context tokens, and selects the mixture components consistent with every one
@@ -60,21 +68,14 @@ renormalized.  Conditioning on context alone therefore marginalizes over all
 labels consistent with that context.  A :class:`GmmDenoiser` resolves each
 condition once, into its components and their log conditional weights, and
 keeps the result; a condition that fails to resolve raises on every call.
+Per-row conditions take the union of their components, each row with -inf
+log-weight on those its condition excludes, which then add exact zeros.
 
-A batch may carry one condition per row.  The mixture denoiser then
-evaluates the union of the components that any row selects, and gives each
-row the log-weights of its own conditional mixture, with -inf on the
-components its condition excludes; those get zero responsibility.  A single
-condition selects the same subset for every row, which keeps the arithmetic
-of a batch under one condition unchanged.
-
-A mixture call takes the terms no condition changes (x_a U, z, s, z / s, log
-det S and the Mahalanobis term) in one pass over the union of its entries'
-components.  When every covariance is bit-equal, as for classes that differ
-only in their mean, the components share one eigenbasis and x_a U, s and log
-det S are taken once; else once a component.  Each entry then works over its
-own components only, by a one-entry call's arithmetic, so its rows are bit for
-bit those of its own call.
+A mixture call takes the terms no condition changes (x_a U, z, s, q, the
+discriminant, and the common terms when an entry spans groups) once over the
+groups of its entries, in work arrays it keeps between calls.  Each entry then
+works over its own components by a one-entry call's arithmetic, so its rows
+are bit for bit those of its own call.
 """
 
 from __future__ import annotations
@@ -113,10 +114,7 @@ def as_batch(x_alpha, alpha, dim: int):
     if x.ndim != 2:
         raise ValueError(f"x_alpha must be rows of shape (n, {dim}), got shape {x.shape}")
     if x.shape[1] != dim:
-        raise ValueError(
-            f"dimension mismatch: denoiser has dimension {dim} "
-            f"but x_alpha has dimension {x.shape[1]}"
-        )
+        raise ValueError(f"dimension mismatch: denoiser has dimension {dim} but x_alpha has dimension {x.shape[1]}")
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:  # a read-only zero-stride row of one value, built at a fifth of np.broadcast_to's cost
         return x, np.ndarray((x.shape[0],), float, a.tobytes(), 0, (0,))
@@ -218,9 +216,7 @@ class GmmSpec:
         selected = set(range(self.n_components))
         for token in condition.tokens:
             if token not in self.condition_map:
-                raise ValueError(
-                    f"unknown condition token {token!r}; vocabulary is {sorted(self.condition_map)}"
-                )
+                raise ValueError(f"unknown condition token {token!r}; vocabulary is {sorted(self.condition_map)}")
             selected &= set(self.condition_map[token])
         if not selected:
             raise ValueError(f"condition {condition} selects no components")
@@ -238,10 +234,7 @@ class GmmSpec:
                 raise ValueError(f"unknown label token {token!r}")
             for k in self.condition_map[token]:
                 if owner[k] >= 0:
-                    raise ValueError(
-                        f"labels do not partition the components: {k} appears under "
-                        f"{tokens[owner[k]]!r} and {token!r}"
-                    )
+                    raise ValueError(f"labels do not partition the components: {k} appears under {tokens[owner[k]]!r} and {token!r}")
                 owner[k] = j
         missing = np.flatnonzero(owner < 0)
         if missing.size:
@@ -263,28 +256,31 @@ class GmmSpec:
 
 
 class GmmDenoiser:
-    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source.
+    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source, by covariance group.
 
-    When every covariance is bit-equal the components share one eigenbasis,
-    and a call takes x_a U, s and log det S once, not once a component.
-    ``predict_eps`` and ``responsibilities`` write their per-component terms
-    into arrays the instance keeps, so one instance must not serve two
-    threads at once.
+    It keeps its work arrays between calls, so one instance must not serve two threads at once.
     """
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
-        # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.
-        # One eigh when every covariance is bit-equal, else one a component; each component
-        # keeps its basis's eigenvectors for the back product.
-        self._one_basis = len(distinct_rows([c.tobytes() for c in spec.covariances])[0]) == 1
-        n_bases = 1 if self._one_basis else spec.n_components
-        self._eigvals, vecs = np.linalg.eigh(spec.covariances[:n_bases])
-        self._eigvecs = np.repeat(vecs, spec.n_components // n_bases, axis=0)
-        self._rot_means = np.einsum("kij,ki->kj", self._eigvecs, spec.means)
+        # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.  Components are
+        # ranked group by group, each group's first its reference; a selection is sorted ranks.
+        _, group = distinct_rows([c.tobytes() for c in spec.covariances])
+        self._order = np.argsort(group, kind="stable")  # the component at each rank
+        self._group = np.array(group)[self._order]  # the group at each rank, nondecreasing
+        self._bounds = np.searchsorted(self._group, np.arange(self._group[-1] + 2))  # group g: ranks [b_g, b_g+1)
+        self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances[self._order[self._bounds[:-1]]])
+        rotated = np.einsum("kij,ki->kj", self._eigvecs[self._group], spec.means[self._order])
+        self._ref_means = rotated[self._bounds[:-1]]
+        self._offsets = rotated - self._ref_means[self._group]  # M_k by rank, zero at a reference
+        with np.errstate(over="ignore"):  # a square past the float range is inf, and so is the result
+            self._discriminants = {  # a group of several: M_k and M_k^2 / 2 beyond the reference, (d, m)
+                g: (np.ascontiguousarray(m[1:].T), 0.5 * np.square(m[1:]).T)
+                for g, m in enumerate(np.split(self._offsets, self._bounds[1:-1])) if len(m) > 1
+            }
         self._log_2pi_d = spec.dim * np.log(2 * np.pi)
-        self._resolved: dict = {}  # condition -> (components, log conditional weights)
-        self._per_row = (None, None)  # (per-row conditions, their _log_weights result)
+        self._resolved: dict = {}  # condition -> its selection, see _selection
+        self._per_row = (None, None)  # (per-row conditions, their selection)
         self._work = (-1, ())  # (rows, arrays) reused by every call, see _work_arrays
 
     @property
@@ -294,125 +290,145 @@ class GmmDenoiser:
     def predict_eps(self, x_alpha, alpha, *entries) -> np.ndarray:
         x2, a = as_batch(x_alpha, alpha, self.dim)
         n = x2.shape[0]
-        selections, idx, u, zs, neg_loglik, root_sna, free = self._shared_pass(x2, a, entries or (None,))
+        shared = self._shared_pass(x2, a, entries or (None,))
+        selections, groups, scales, _, _, root_sna, (q_all, terms, prod, weighted, _) = shared
         eps_hat, last = np.empty((len(selections) * n, x2.shape[1])), len(selections) - 1
-        for e, (sel, log_w) in enumerate(selections):  # each entry over its own components only
-            pos = None if sel.size == idx.size else np.searchsorted(idx, sel)
-            prod, weighted, log_joint = free if pos is None else [w[: sel.size] for w in free]
+        for e, selection in enumerate(selections):
+            _, _, own, starts, segments, bases = selection
+            rs = np.multiply(root_sna, r := self._entry_responsibilities(selection, shared), out=r)
+            pos = None if own.size == groups.size else np.searchsorted(groups, own)
             # mode="clip" lets np.take write into the work array; its default buffers a copy.
-            neg_ll = neg_loglik if pos is None else np.take(neg_loglik, pos, axis=0, out=log_joint, mode="clip")
-            resp = _responsibilities(log_w, neg_ll, log_joint)
-            wzs = zs if pos is None else np.take(zs, pos, axis=0, out=weighted, mode="clip")
-            # The last entry may weigh z / s in place: no later entry reads it.
-            wzs = np.multiply(wzs, np.multiply(root_sna, resp, out=resp)[:, None, :], out=weighted if e < last else wzs)
-            # (zs r)^T U^T per component, rows as the GEMM's rows, summed over k.
-            u_e = (u if pos is None else self._eigvecs[sel]).transpose(0, 2, 1)
-            np.add.reduce(np.matmul(wzs.transpose(0, 2, 1), u_e, out=prod), axis=0, out=eps_hat[e * n : (e + 1) * n])
+            q = q_all if pos is None else np.take(q_all, pos, axis=0, out=weighted[: own.size], mode="clip")
+            # w = sqrt(sigma(-a)) R q per group, R its share of r, one for a single group, less the
+            # offsets' term below.  The last entry may weigh q in place: no later entry reads it.
+            shares = root_sna if own.size == 1 else rs if own.size == rs.shape[0] else np.add.reduceat(rs, starts, axis=0)
+            w = np.multiply(q, shares if own.size == 1 else shares[:, None, :], out=weighted[: own.size] if e < last else q)
+            for i, lo, hi, offsets in segments:  # - sqrt(sigma(a)) / s sum_k sqrt(sigma(-a)) r_k M_k
+                products = np.multiply(offsets, rs[lo:hi, None, :], out=terms[1 : hi - lo + 1])
+                t = products[0] if hi - lo == 1 else np.add.reduce(products, axis=0, out=terms[0])
+                w[i] -= np.multiply(t, scales[i if pos is None else pos[i]], out=t)
+            rows = eps_hat[e * n : (e + 1) * n]  # w^T U^T, rows as the GEMM's rows, summed over groups
+            if own.size == 1:
+                np.dot(w[0].T, bases[0], out=rows)
+            else:
+                np.add.reduce(np.matmul(w.transpose(0, 2, 1), bases, out=prod[: own.size]), axis=0, out=rows)
         return eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        """Posterior component probabilities under the corrupted marginal.
-
-        One column per component the condition selects, in index order; for
-        per-row conditions, per component any row selects.
-        """
+        """Posterior component probabilities under the corrupted marginal, one column per component
+        the condition (or any per-row condition) selects, in index order."""
         x2, a = as_batch(x_alpha, alpha, self.dim)
-        [(_, log_w)], _, _, _, neg_loglik, _, (_, _, log_joint) = self._shared_pass(x2, a, [condition])
-        return _responsibilities(log_w, neg_loglik, log_joint).T.copy()
+        shared = self._shared_pass(x2, a, [condition])
+        [selection] = shared[0]
+        return self._entry_responsibilities(selection, shared).T[:, np.argsort(self._order[selection[0]])]
 
     def check_condition(self, condition) -> None:
         """Raise ``ValueError`` unless ``condition`` selects components of the mixture."""
         self._resolve(condition)
 
     def _resolve(self, condition):
-        """Components ``condition`` selects and their log conditional weights.
-
-        Each condition is resolved once per denoiser; a condition that raises
-        is not stored, so it raises again on every call.
-        """
+        """The selection of ``condition``'s components, log conditional weights (k, 1), kept; a
+        condition that raises is not kept, so it raises on every call."""
         entry = self._resolved.get(condition)
         if entry is None:
-            idx = self.spec.components_for(condition)
-            entry = idx, np.log(self.spec.conditional_weights(idx))
+            ranks = np.sort(np.argsort(self._order)[self.spec.components_for(condition)])
+            entry = self._selection(ranks, np.log(self.spec.conditional_weights(self._order[ranks]))[:, None])
             self._resolved[condition] = entry
         return entry
 
-    def _log_weights(self, condition, n_rows):
-        """Components to evaluate and their log-weights, (k, 1) or per row (k, n).
-
-        Per-row conditions get the union of their components, with -inf where
-        a row's condition excludes a component.  The last per-row result is
-        kept: the flow passes the same conditions to every step of a solve.
-        """
+    def _select(self, condition, n_rows):
+        """The selection of a condition, or of per-row conditions: their union, log-weights (k, n) with
+        -inf where a row's condition excludes one.  The last is kept: a flow solve repeats it."""
         if not is_per_row(condition, n_rows):
-            idx, log_w = self._resolve(condition)
-            return idx, log_w[:, None]
+            return self._resolve(condition)
         key = tuple(condition)
         if key != self._per_row[0]:
             distinct, columns = distinct_rows(condition)
             entries = [self._resolve(c) for c in distinct]
-            idx = _union(sel for sel, _ in entries)
-            log_w = np.full((idx.size, len(entries)), -np.inf)
-            for j, (sel, sel_log_w) in enumerate(entries):
-                log_w[np.searchsorted(idx, sel), j] = sel_log_w
-            self._per_row = key, (idx, log_w[:, columns])
+            ranks = _union(sel for sel, *_ in entries)
+            log_w = np.full((ranks.size, len(entries)), -np.inf)
+            for j, (sel, sel_log_w, *_) in enumerate(entries):
+                log_w[np.searchsorted(ranks, sel), j] = sel_log_w[:, 0]
+            self._per_row = key, self._selection(ranks, log_w[:, columns])
         return self._per_row[1]
 
-    def _work_arrays(self, n_rows):
-        """Work arrays for ``n_rows`` rows and every component, kept while the batch size repeats.
+    def _selection(self, ranks, log_w):
+        """What a call needs of the components at the sorted ``ranks``: the ranks, their log-weights,
+        their distinct groups and where each one's ranks start, each group's run of members beyond
+        its reference as (group's place, start, end, M (m, d, 1)), and the groups' U^T."""
+        at = self._group[ranks]
+        starts = np.flatnonzero(np.diff(at, prepend=-1))
+        own, segments = at[starts], []
+        for i, (lo, hi) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), ranks.size])):
+            lo += int(ranks[lo] == self._bounds[own[i]])  # the reference has no offset
+            if hi > lo:
+                segments.append((i, lo, hi, self._offsets[ranks[lo:hi], :, None]))
+        return ranks, log_w, own, starts, segments, self._eigvecs[own].transpose(0, 2, 1)
 
-        (k, n, d) for x_a U, then each entry's back product; (k, d, n) for z,
-        then each entry's weighted z / s, for s and for z / s; (k, n) for the
-        negative log-likelihoods and for log det S, then each entry's
-        responsibilities.  An estimator chunk of 8,000 rows at d = 2 and k = 3
-        keeps 1.9 MB of them.  Allocated afresh on every call, they made glibc
-        trim the heap when freed and fault it back in, a fault per page.
-        """
+    def _entry_responsibilities(self, selection, shared):
+        """Responsibilities (k, n) of a selection, in a work array: from each member's terms beyond
+        its reference's, to which an entry across groups adds each reference's own."""
+        ranks, log_w, own, _, segments, _ = selection
+        _, groups, _, common, relative, _, free = shared
+        out = free[-1][: ranks.size]
+        if own.size > 1 and not segments:  # references only
+            neg_ll = common if own.size == groups.size else np.take(common, np.searchsorted(groups, own), axis=0, out=out, mode="clip")
+        else:
+            neg_ll = relative if ranks.size == len(relative) else np.take(relative, ranks, axis=0, out=out, mode="clip")
+            if own.size > 1:
+                neg_ll = np.add(neg_ll, common[np.searchsorted(groups, self._group[ranks])], out=out)
+        return _responsibilities(log_w, neg_ll, out)
+
+    def _work_arrays(self, n_rows):
+        """Work arrays for ``n_rows`` rows, kept while the batch size repeats: (g, n, d) for x_a U,
+        then back products; (g, d, n) for z then w, for s then log s, for q, and for sqrt(sigma(a)) / s;
+        (k - g + 1, d, n) for offset terms; (g, n) for the references' terms; (k, n) for each member's
+        excess over its reference's (zero at one), and for log det S then responsibilities.  Made
+        afresh each call (2.5 MB for an 8,000-row chunk at d = 2, k = 3), glibc trimmed and refaulted them."""
         if self._work[0] != n_rows:
-            k, d = self.spec.n_components, self.dim
-            self._work = n_rows, (
-                np.empty((k, n_rows, d)),
-                *(np.empty((k, d, n_rows)) for _ in range(3)),
-                *(np.empty((k, n_rows)) for _ in range(2)),
-            )
+            g, k, d = len(self._eigvals), self.spec.n_components, self.dim
+            by_group = [np.empty((g, n_rows, d)), *(np.empty((g, d, n_rows)) for _ in range(4))]
+            self._work = n_rows, (*by_group, np.empty((k - g + 1, d, n_rows)), np.empty((g, n_rows)), np.zeros((k, n_rows)), np.empty((k, n_rows)))
         return self._work[1]
 
     def _shared_pass(self, x2, a, conditions):
-        """The terms of a batch that no condition changes, over the union of the components
-        that ``conditions`` select: each condition's (components, log-weights), the union and
-        its eigenvectors (k, d, d), z / s, each component's negative log-likelihood (k, n),
-        sqrt(sigma(-a)) and three free work arrays.  The arrays hold until the next call."""
-        selections = [self._log_weights(c, x2.shape[0]) for c in conditions]
-        idx = selections[0][0] if len(selections) == 1 else _union(sel for sel, _ in selections)
-        k = idx.size
-        xu, z, s, zs, neg_loglik, spare = self._work_arrays(x2.shape[0])
-        xu, z, zs, neg_loglik, spare = xu[:k], z[:k], zs[:k], neg_loglik[:k], spare[:k]
-        # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
-        # weigh it once, on the sigmoid's scalar path.  s and the mean shift
-        # are then (g, d, 1) and (k, d, 1), small enough to take no work array.
+        """The terms no condition changes: selections, groups, sqrt(sigma(a)) / s by group place, the
+        references' and the members' excess negative log-likelihoods, sqrt(sigma(-a)), q, work arrays."""
+        selections = [self._select(c, x2.shape[0]) for c in conditions]
+        groups = selections[0][2] if len(selections) == 1 else _union(own for _, _, own, *_ in selections)
+        g, every = groups.size, groups.size == len(self._eigvals)
+        xu, z, s, q, tmp, terms, common, relative, spare = self._work_arrays(x2.shape[0])
+        xu, z, q, tmp, common = xu[:g], z[:g], q[:g], tmp[:g], common[:g]
+        # A batch at one log-SNR (each flow step) is a zero-stride broadcast: weigh it once, on the
+        # sigmoid's scalar path.  s and the mean shift are then (g, d, 1) and take no work array.
         a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
-        scalar = isinstance(a, float)
-        comps = slice(None) if k == len(self._eigvecs) else idx  # every component: views, not copies
-        u = self._eigvecs[comps]
-        # g = 1 basis broadcast to the k components when they all share it, else g = k, one each.
-        bases, g = (slice(1), 1) if self._one_basis else (comps, k)
-        # z = (x_a U)^T - sqrt(sigma(a)) U^T mu, with (x_a U)^T made contiguous first: in z to be
-        # shifted in place when g = k, else in s; read from the transpose, it would cross strides.
-        xut = z if g == k else s[:g]
-        np.copyto(xut, np.matmul(x2, self._eigvecs[bases], out=xu[:g]).transpose(0, 2, 1))
-        np.subtract(xut, np.multiply(np.sqrt(sa), self._rot_means[comps, :, None], out=None if scalar else zs), out=z)
-        s = np.multiply(sa, self._eigvals[bases, :, None], out=None if scalar else s[:g])
+        scalar, gs = isinstance(a, float), slice(None) if every else groups  # every group: views
+        root_sa = np.sqrt(sa)
+        # z = (x_a U)^T - sqrt(sigma(a)) m_ref, with (x_a U)^T made contiguous first: read from
+        # the transpose, it would cross strides.
+        np.copyto(z, np.matmul(x2, self._eigvecs[gs], out=xu).transpose(0, 2, 1))
+        np.subtract(z, np.multiply(root_sa, self._ref_means[gs, :, None], out=None if scalar else q), out=z)
+        s = np.multiply(sa, self._eigvals[gs, :, None], out=None if scalar else s[:g])
         s += sna
-        np.divide(z, s, out=zs)
-        z *= zs  # z^2 / s, the Mahalanobis terms
-        logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else spare[:g])
-        # (d log(2 pi) + log det S + Mahalanobis) / 2, in place
-        logdet += self._log_2pi_d
-        np.add.reduce(z, axis=1, out=neg_loglik)
-        neg_loglik += logdet
-        neg_loglik *= 0.5
-        return selections, idx, u, zs, neg_loglik, np.sqrt(sna), (xu, z, spare)
+        np.divide(z, s, out=q)
+        scales = {}
+        for grp in self._discriminants if every else [j for j in groups.tolist() if j in self._discriminants]:
+            offsets, half_squares = self._discriminants[grp]
+            j = grp if every else int(np.searchsorted(groups, grp))
+            scales[j] = np.divide(root_sa, s[j], out=None if scalar else tmp[j])
+            # sqrt(sigma(a)) (sqrt(sigma(a)) sum M_k^2 / 2s - q M_k), from two (n, d) x (d, m) products
+            excess = relative[self._bounds[grp] + 1 : self._bounds[grp + 1]]
+            np.subtract(np.dot(scales[j].T, half_squares).T, np.dot(q[j].T, offsets).T, out=excess)
+            excess *= root_sa
+        if any(selection[2].size > 1 for selection in selections):  # an entry across groups
+            z *= q  # z^2 / s, each reference's Mahalanobis terms
+            logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else spare[:g])
+            logdet += self._log_2pi_d
+            np.add.reduce(z, axis=1, out=common)
+            common += logdet
+            common *= 0.5  # (d log(2 pi) + log det S + Mahalanobis) / 2
+        return selections, groups, scales, common, relative, np.sqrt(sna), (q, terms, xu, z, spare)
 
 
 def _responsibilities(log_w, neg_loglik, out):

@@ -174,16 +174,3 @@ def gmm_mi_numeric(
         iterates=estimates[-2:],
     )
 
-
-def component_responsibilities(spec, x) -> np.ndarray:
-    """Posterior component probabilities (n, k) of the clean rows ``x`` (n, d) under the mixture.
-
-    Computed from scipy log-densities only (no denoiser code); used to build
-    Bayes-classifier baselines and to check where edited points land.
-    """
-    if np.ndim(x) != 2 or np.shape(x)[1] != spec.dim:
-        raise ValueError(f"x must be rows of shape (n, {spec.dim}), the mixture's dimension, got shape {np.shape(x)}")
-    from scipy.special import logsumexp
-
-    log_joint = _log_joint(spec, x)
-    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))

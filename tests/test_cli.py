@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 import diffinfo
 from diffinfo import cli, estimators, oracle
 from diffinfo.channel import LogSnrSampler
-from diffinfo.checkpoint import load_checkpoint, save_checkpoint
+from diffinfo.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from diffinfo.cli import _COMMANDS, main
 from diffinfo.config import ConfigError, parse_config
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
@@ -645,6 +646,38 @@ class TestMalformedInput:
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert info.value.field == field
+
+
+class TestUnreadableFiles:
+    """A config or checkpoint that cannot be read exits 2 on one line naming the file."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.write_text(TestUnreadableFiles.NESTED),
+            lambda path: path.write_bytes(b'{"seed": "\xff\xfe"}'),
+            lambda path: path.mkdir(),
+        ],
+        ids=["nested_too_deep", "not_utf8", "directory"],
+    )
+    def test_config_exits_2_naming_the_path(self, tmp_path, capsys, write):
+        path = tmp_path / "config.json"
+        write(path)
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {path}" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_checkpoint_header_nested_too_deep_exits_2(self, tmp_path, capsys):
+        header = self.NESTED.encode()
+        ckpt = tmp_path / "deep.ckpt"
+        ckpt.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(header)) + header)
+        cfg = write_config(tmp_path, {"seed": 1, "data": {"checkpoint": str(ckpt), "points": [[0.5]]}, "estimate": {"kind": "nll"}})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data.checkpoint" in err and "nested too deeply" in err and "Traceback" not in err
 
 
 def test_help_describes_every_command(capsys):

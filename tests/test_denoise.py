@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from diffinfo import denoise
 from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, gmm_mmse
 from diffinfo.oracle import mmse_gaussian
 
-from toys import ZeroDenoiser, redundant_editing_spec, restrict
+from toys import ZeroDenoiser, direct_solve_terms, redundant_editing_spec, restrict
 
 STD_NORMAL = GmmSpec.single([0.0], [[1.0]])
 
@@ -274,27 +273,6 @@ class TestOptimality:
                     err_c[rows] = ((eps[rows] - pred) ** 2).sum(axis=1)
                 diff = err_c - err_u
                 assert diff.mean() <= 3 * diff.std(ddof=1) / np.sqrt(diff.size)
-
-
-def direct_solve_terms(spec, x_a, alpha, condition=None):
-    """Reference posterior: a per-row d x d solve and slogdet of S = sigma(a) C + sigma(-a) I."""
-    idx = spec.components_for(condition)
-    w = spec.conditional_weights(idx)
-    a = np.broadcast_to(np.asarray(alpha, dtype=float), (x_a.shape[0],))
-    sa, sna = signal_weight(a), noise_weight(a)
-    n, d = x_a.shape
-    log_joint = np.empty((n, idx.size))
-    eps_k = np.empty((n, idx.size, d))
-    for j, k in enumerate(idx):
-        cov = sa[:, None, None] * spec.covariances[k] + sna[:, None, None] * np.eye(d)
-        diff = x_a - np.sqrt(sa)[:, None] * spec.means[k]
-        sol = np.linalg.solve(cov, diff[..., None])[..., 0]
-        _, logdet = np.linalg.slogdet(cov)
-        maha = np.einsum("ni,ni->n", diff, sol)
-        log_joint[:, j] = np.log(w[j]) - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-        eps_k[:, j] = np.sqrt(sna)[:, None] * sol
-    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
-    return resp, np.einsum("nk,nkd->nd", resp, eps_k)
 
 
 def reference_spec(d, seed):
@@ -582,26 +560,37 @@ class TestWorkArrays:
 
 
 class CountingNumpy:
-    """numpy, with ``matmul`` counting the component rows of the eigenvectors it multiplies by:
-    forward for x_a U, whose left operand is the (n, d) rows, and back for (z / s)^T U^T."""
+    """numpy, counting the products with the eigenvector bases, (g, d, d) or one (d, d): forward
+    for x_a U, whose left operand is the (n, d) rows, and back for w^T U^T.  The discriminant's
+    products, with (d, members) columns, are not counted."""
 
-    def __init__(self):
-        self.forward = self.back = 0
+    def __init__(self, dim):
+        self.dim, self.forward, self.back = dim, 0, 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
+    def count(self, a, b):
+        if np.ndim(b) == 3:
+            if np.ndim(a) == 2:
+                self.forward += b.shape[0]
+            else:
+                self.back += b.shape[0]
+        elif np.shape(b) == (self.dim, self.dim):
+            self.back += 1
+
     def matmul(self, a, b, **kwargs):
-        if np.ndim(a) == 2:
-            self.forward += b.shape[0]
-        else:
-            self.back += b.shape[0]
+        self.count(a, b)
         return np.matmul(a, b, **kwargs)
+
+    def dot(self, a, b, **kwargs):
+        self.count(a, b)
+        return np.dot(a, b, **kwargs)
 
 
 class TestWorkPerCall:
-    """A call multiplies the union of its entries' components forward and each entry's own back,
-    never more than one call per entry; a rank over many labels is the case that gains."""
+    """A call multiplies each covariance group of its entries' union forward once, and each
+    entry's own groups back once; a rank over many labels is the case that gains."""
 
     LABELS = [ConditionId(label=t) for t in ("l0", "l1", "l2")]
 
@@ -618,34 +607,34 @@ class TestWorkPerCall:
             condition_map={"l0": (0, 1), "l1": (2, 3), "l2": (4, 5), "mid": (1, 2)},
         )
 
-    WORK = [
-        ((None, *LABELS), 6, 12),  # None and K disjoint labels over k components: k and 2k
-        ((LABELS[0],), 2, 2),
-        ((LABELS[0], LABELS[0]), 2, 4),
-        ((LABELS[0], ConditionId(label="l1", context=("mid",)), LABELS[1]), 4, 5),
-        (([LABELS[0], LABELS[2]] * 6, LABELS[1]), 6, 6),  # a per-row entry takes its union
+    ENTRIES = [
+        (None, *LABELS),
+        (LABELS[0],),
+        (LABELS[0], LABELS[0]),
+        (LABELS[0], ConditionId(label="l1", context=("mid",)), LABELS[1]),
+        ([LABELS[0], LABELS[2]] * 6, LABELS[1]),  # a per-row entry takes its union
     ]
-    WORK_IDS = ["none_and_labels", "one", "twice", "overlapping", "per_row"]
+    ENTRY_IDS = ["none_and_labels", "one", "twice", "overlapping", "per_row"]
+    # (forward, back) for each list of entries, by covariance groups: six of one component;
+    # three pairs, {0, 2}, {1, 3} and {4, 5}, so that each label spans two pairs but l2 one;
+    # and one group of six.
+    SHARINGS = {
+        "six_covariances": (range(6), [(6, 12), (2, 2), (2, 4), (4, 5), (6, 6)]),
+        "paired_covariances": ([0, 1, 0, 1, 4, 4], [(3, 8), (2, 2), (2, 4), (2, 5), (3, 5)]),
+        "one_covariance": ([0] * 6, [(1, 4), (1, 1), (1, 2), (1, 3), (1, 2)]),
+    }
 
-    @pytest.mark.parametrize("entries, forward, back", WORK, ids=WORK_IDS)
-    def test_forward_over_the_union_and_back_over_each_entry(self, monkeypatch, entries, forward, back):
-        self.check_work(monkeypatch, self.spec(), entries, forward, back)
-
-    @pytest.mark.parametrize(
-        "covariance_of", [[0] * 6, [0, 1, 0, 1, 4, 4]], ids=["one_covariance", "three_covariances"]
-    )
-    @pytest.mark.parametrize("entries, forward, back", WORK, ids=WORK_IDS)
-    def test_forward_once_when_every_covariance_is_shared(self, monkeypatch, covariance_of, entries, forward, back):
-        """One covariance for all six components: forward work is one basis whatever the union,
-        back work still each entry's own.  Three covariances, shared in pairs, take one basis per component."""
-        shared = len(set(covariance_of)) == 1
-        self.check_work(monkeypatch, self.spec(covariance_of), entries, 1 if shared else forward, back)
+    @pytest.mark.parametrize("sharing", list(SHARINGS))
+    @pytest.mark.parametrize("case", range(len(ENTRIES)), ids=ENTRY_IDS)
+    def test_forward_once_a_group_and_back_once_a_group_an_entry(self, monkeypatch, sharing, case):
+        covariance_of, work = self.SHARINGS[sharing]
+        self.check_work(monkeypatch, self.spec(covariance_of), self.ENTRIES[case], *work[case])
 
     @staticmethod
     def check_work(monkeypatch, spec, entries, forward, back):
         den = GmmDenoiser(spec)
         x_a, alpha = np.random.default_rng(10).standard_normal((12, 3)), np.linspace(-4.0, 6.0, 12)
-        counting = CountingNumpy()
+        counting = CountingNumpy(spec.dim)
         monkeypatch.setattr(denoise, "np", counting)
         out = den.predict_eps(x_a, alpha, *entries)
         monkeypatch.undo()

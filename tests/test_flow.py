@@ -6,9 +6,14 @@ import pytest
 from diffinfo.channel import signal_weight
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.flow import SolverConfig, SolverError, decode, encode, intervene
-from diffinfo.oracle import component_responsibilities
 
-from toys import ZeroDenoiser, editing_dataset, redundant_editing_spec, symmetric_pair_spec
+from toys import (
+    ZeroDenoiser,
+    component_responsibilities,
+    editing_dataset,
+    redundant_editing_spec,
+    symmetric_pair_spec,
+)
 
 PAIR = symmetric_pair_spec(4.0)
 

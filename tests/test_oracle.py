@@ -14,13 +14,14 @@ from scipy.stats import norm
 from diffinfo.oracle import (
     OracleResult,
     QuadratureError,
-    component_responsibilities,
     gaussian_mi,
     gaussian_pointwise,
     gmm_mi_numeric,
     mmse_gaussian,
 )
 from diffinfo.denoise import GmmSpec
+
+from toys import component_responsibilities
 
 # Regression-pinned quadrature/closed-form values (step-halving to < 1e-6).
 GAUSSIAN_MI_RHO_08 = 0.5108256237659907

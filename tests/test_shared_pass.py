@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffinfo import denoise
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec
 from diffinfo.mlp import MlpTrainConfig, train_mlp
 
-from toys import CorrelatedGaussianDenoiser, CountingDenoiser, ZeroDenoiser
+from toys import CorrelatedGaussianDenoiser, CountingDenoiser, ZeroDenoiser, direct_solve_terms
 
 N = 12  # rows per call
+# One and two rows are where numpy's matmul may take a matrix-vector path.
+ROWS = [1, 2, N]
 
 # "a", "a" in context "all" and "twin" select the same components with the same weights.
 TWINS = (ConditionId(label="a"), ConditionId(label="a", context=("all",)), ConditionId(label="twin"))
@@ -35,10 +36,10 @@ COMMON = [
 ]
 
 
-def entry_lists(pool):
-    """Lists of 1 to 4 entries, each one condition of ``pool`` or a per-row list of them."""
+def entry_lists(pool, n=N):
+    """Lists of 1 to 4 entries, each one condition of ``pool`` or a per-row list of ``n`` of them."""
     single = st.sampled_from(pool)
-    return st.lists(st.one_of(single, st.lists(single, min_size=N, max_size=N)), min_size=1, max_size=4)
+    return st.lists(st.one_of(single, st.lists(single, min_size=n, max_size=n)), min_size=1, max_size=4)
 
 
 # Which covariance each of the four components takes: all different; one for "a" = (0, 1) and
@@ -62,52 +63,102 @@ def random_spec(d, seed, sharing=SHARINGS[0]) -> GmmSpec:
     )
 
 
-def batch(d, seed):
+def batch(d, seed, n=N):
     rng = np.random.default_rng(seed + 1)
-    return 3.0 * rng.standard_normal((N, d)), rng.uniform(-5.0, 7.0, N)
+    return 3.0 * rng.standard_normal((n, d)), rng.uniform(-5.0, 7.0, n)
 
 
-def blocks(stacked, n_entries) -> list[np.ndarray]:
-    assert stacked.shape[0] == n_entries * N
-    return [stacked[e * N : (e + 1) * N] for e in range(n_entries)]
+def blocks(stacked, n_entries, n=N) -> list[np.ndarray]:
+    assert stacked.shape[0] == n_entries * n
+    return [stacked[e * n : (e + 1) * n] for e in range(n_entries)]
+
+
+def assert_agrees_with_a_solve_per_component(den, x, alpha, entries, rtol, resp_atol):
+    """Each entry's rows against ``direct_solve_terms`` under each row's condition: predictions
+    to ``rtol`` of their largest, responsibilities to ``resp_atol``."""
+    stacked = den.predict_eps(x, alpha, *entries)
+    for entry, rows in zip(entries, blocks(stacked, len(entries), len(x))):
+        per_row = entry if isinstance(entry, list) else [entry] * len(x)
+        for condition in set(per_row):
+            at = [i for i, c in enumerate(per_row) if c == condition]
+            a = alpha if np.ndim(alpha) == 0 else alpha[at]
+            resp, eps = direct_solve_terms(den.spec, x[at], a, condition)
+            np.testing.assert_allclose(rows[at], eps, rtol=0, atol=rtol * np.abs(eps).max())
+            np.testing.assert_allclose(den.responsibilities(x[at], a, condition), resp, rtol=0, atol=resp_atol)
 
 
 class TestMixture:
+    @pytest.mark.parametrize("n", ROWS)
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
-    @given(seed=st.integers(0, 2**32 - 1), entries=entry_lists(COMMON + list(TWINS[1:])))
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
-    def test_each_entry_equals_its_own_call_bit_for_bit(self, d, seed, entries):
-        x, alpha = batch(d, seed)
+    def test_each_entry_equals_its_own_call_bit_for_bit(self, d, n, data, seed):
+        entries = data.draw(entry_lists(COMMON + list(TWINS[1:]), n))
+        x, alpha = batch(d, seed, n)
         for sharing in SHARINGS:
             spec = random_spec(d, seed, sharing)
             stacked = GmmDenoiser(spec).predict_eps(x, alpha, *entries)
-            for entry, rows in zip(entries, blocks(stacked, len(entries))):
+            for entry, rows in zip(entries, blocks(stacked, len(entries), n)):
                 assert rows.tobytes() == GmmDenoiser(spec).predict_eps(x, alpha, entry).tobytes(), sharing
 
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
-    @given(seed=st.integers(0, 2**32 - 1), entries=entry_lists(COMMON))
-    @settings(max_examples=10, deadline=None)
-    def test_shared_bases_give_the_bits_of_a_basis_each(self, d, seed, entries):
-        """One covariance for all four components; the reference takes a basis per component,
-        as for covariances that all differ."""
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_a_solve_per_component(self, d, seed):
+        """All four covariances equal, equal in pairs and all distinct, against the
+        per-component S^-1 solve of ``toys.direct_solve_terms``, per-row and scalar log-SNRs.
+        Responsibilities get 1e-11: at d = 64 the log-likelihoods reach 1e4, so each logit
+        carries about 1e-12 of rounding in either computation."""
         x, alpha = batch(d, seed)
-        spec = random_spec(d, seed, SHARINGS[-1])
-        with pytest.MonkeyPatch.context() as patch:  # no covariance taken as shared: a basis each
-            patch.setattr(denoise, "distinct_rows", lambda values: (list(values), list(range(len(values)))))
-            apart = GmmDenoiser(spec)
-        for a in (alpha, float(alpha[0])):
-            want = apart.predict_eps(x, a, *entries).tobytes()
-            assert GmmDenoiser(spec).predict_eps(x, a, *entries).tobytes() == want
+        per_row = [COMMON[i % len(COMMON)] for i in range(N)]
+        for sharing in SHARINGS:
+            den = GmmDenoiser(random_spec(d, seed, sharing))
+            for a in (alpha, float(alpha[0])):
+                assert_agrees_with_a_solve_per_component(den, x, a, [*COMMON, per_row], 1e-12, 1e-11)
 
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+    def test_far_separated_pair_stays_finite_and_agrees(self, per_row):
+        """A 1-D pair at +-400 with variance 1e-4, on rows out to 1e6: one group, its reference
+        800 from the other member.  Off the boundary between the means each row sits with one
+        member, and the result agrees to 1e-12.  On it the discriminant's two terms, each
+        sigma(a) 800^2 / 2s or about 3.2e9 at high log-SNR, cancel: a logit then carries a few
+        ulps of 3.2e9, about 1e-6, and the bound there is 1e-6 (seen: 6e-8 on a
+        responsibility and 1.3e-7 of the largest prediction, at x = 0 and a = 9)."""
+        den = GmmDenoiser(GmmSpec([0.5, 0.5], [[-400.0], [400.0]], [[[1e-4]], [[1e-4]]], {"a": (0,), "b": (1,)}))
+        far = np.array([1e6, 1e3, 400.01, 400.0, 399.99, 300.0, 1.0])
+        boundary = np.array([0.0, 1e-6, -1e-6, 1e-3, -1e-3])
+        for alpha in (-10.0, -3.0, 0.0, 3.0, 9.0, 15.0):
+            for x, rtol in ((np.concatenate([far, -far])[:, None], 1e-12), (boundary[:, None], 1e-6)):
+                a = np.full(len(x), alpha) if per_row else alpha
+                out = den.predict_eps(x, a, None, ConditionId(label="b"))
+                assert np.isfinite(out).all() and np.isfinite(den.responsibilities(x, a)).all()
+                assert_agrees_with_a_solve_per_component(den, x, a, [None, ConditionId(label="b")], rtol, rtol)
+
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_two_groups_with_far_apart_means(self, d):
+        """Two groups of two, 1e3 apart: the common terms added across groups are taken from
+        each group's reference, so the log-likelihoods of far means do not cancel."""
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        wide = (q * np.exp(rng.uniform(-2.0, 1.0, d))) @ q.T
+        covs = [np.eye(d), np.eye(d), (wide + wide.T) / 2, (wide + wide.T) / 2]
+        means = np.stack([np.full(d, -1e3), np.full(d, -1e3 + 2.0), np.full(d, 1e3), np.full(d, 1e3 - 1.5)])
+        den = GmmDenoiser(GmmSpec(np.full(4, 0.25), means, covs, {"a": (0, 2), "b": (1, 3)}))
+        x = np.concatenate([means + rng.standard_normal((4, d)), rng.uniform(-1.0, 1.0, (2, d))])
+        for a in (rng.uniform(-5.0, 7.0, len(x)), 2.0):
+            entries = [None, ConditionId(label="a"), ConditionId(label="b")]
+            assert_agrees_with_a_solve_per_component(den, x, a, entries, 1e-12, 1e-11)
+
+    @pytest.mark.parametrize("n", ROWS)
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
-    @given(seed=st.integers(0, 2**32 - 1), others=entry_lists(COMMON), order=st.permutations(TWINS))
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), order=st.permutations(TWINS))
     @settings(max_examples=10, deadline=None)
-    def test_twins_give_identical_bits(self, d, seed, others, order):
-        x, alpha = batch(d, seed)
-        per_row = [order[i % len(order)] for i in range(N)]
+    def test_twins_give_identical_bits(self, d, n, data, seed, order):
+        others = data.draw(entry_lists(COMMON, n))
+        x, alpha = batch(d, seed, n)
+        per_row = [order[i % len(order)] for i in range(n)]
         entries = [*order, *others[:2], per_row]
         for sharing in SHARINGS:
-            out = blocks(GmmDenoiser(random_spec(d, seed, sharing)).predict_eps(x, alpha, *entries), len(entries))
+            out = blocks(GmmDenoiser(random_spec(d, seed, sharing)).predict_eps(x, alpha, *entries), len(entries), n)
             assert out[0].tobytes() == out[1].tobytes() == out[2].tobytes() == out[-1].tobytes(), sharing
 
 

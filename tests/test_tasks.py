@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import CHUNK_ELEMENTS, aggregate_reports, pointwise_dataset
-from diffinfo.oracle import component_responsibilities
 from diffinfo.tasks import (
     TIE_ATOL,
     evaluate_ranking,
@@ -21,7 +20,7 @@ from diffinfo.tasks import (
     sweep_threshold,
 )
 
-from toys import CountingDenoiser, hierarchy_spec, symmetric_pair_spec
+from toys import CountingDenoiser, component_responsibilities, hierarchy_spec, symmetric_pair_spec
 
 SAMPLER = LogSnrSampler()
 LABELS = ("neg", "pos")

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
+from diffinfo import oracle
 from diffinfo.channel import noise_weight, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec, as_batch, gmm_mmse, is_per_row
 
@@ -223,3 +225,36 @@ def hierarchy_dataset(spec: GmmSpec, n: int, seed) -> tuple[np.ndarray, list, li
     contexts = [("c0",) if k < branching else ("c1",) for k in comps]
     conditions = [ConditionId(label=f"L{int(k) % branching}", context=c) for k, c in zip(comps, contexts)]
     return x, conditions, [ConditionId(context=c) for c in contexts]
+
+
+def component_responsibilities(spec, x) -> np.ndarray:
+    """Posterior component probabilities (n, k) of the clean rows ``x`` (n, d) under the mixture.
+
+    Computed from scipy log-densities only (no denoiser code); used to build
+    Bayes-classifier baselines and to check where edited points land.
+    """
+    if np.ndim(x) != 2 or np.shape(x)[1] != spec.dim:
+        raise ValueError(f"x must be rows of shape (n, {spec.dim}), the mixture's dimension, got shape {np.shape(x)}")
+    log_joint = oracle._log_joint(spec, x)
+    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+
+
+def direct_solve_terms(spec, x_a, alpha, condition=None):
+    """Reference posterior: a per-row d x d solve and slogdet of S = sigma(a) C + sigma(-a) I."""
+    idx = spec.components_for(condition)
+    w = spec.conditional_weights(idx)
+    a = np.broadcast_to(np.asarray(alpha, dtype=float), (x_a.shape[0],))
+    sa, sna = signal_weight(a), noise_weight(a)
+    n, d = x_a.shape
+    log_joint = np.empty((n, idx.size))
+    eps_k = np.empty((n, idx.size, d))
+    for j, k in enumerate(idx):
+        cov = sa[:, None, None] * spec.covariances[k] + sna[:, None, None] * np.eye(d)
+        diff = x_a - np.sqrt(sa)[:, None] * spec.means[k]
+        sol = np.linalg.solve(cov, diff[..., None])[..., 0]
+        _, logdet = np.linalg.slogdet(cov)
+        maha = np.einsum("ni,ni->n", diff, sol)
+        log_joint[:, j] = np.log(w[j]) - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
+        eps_k[:, j] = np.sqrt(sna)[:, None] * sol
+    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    return resp, np.einsum("nk,nkd->nd", resp, eps_k)
