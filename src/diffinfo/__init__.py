@@ -19,7 +19,14 @@ from .estimators import (
 )
 from .flow import InterventionResult, SolverConfig, SolverError, decode, encode, intervene
 from .mlp import MlpDenoiser, MlpTrainConfig, TrainingDivergedError, train_mlp
-from .oracle import OracleResult, QuadratureError, gaussian_mi, gaussian_pointwise, gmm_mi_numeric, mmse_gaussian
+from .oracle import (
+    OracleResult,
+    QuadratureError,
+    gaussian_mi,
+    gaussian_pointwise,
+    gmm_mi_numeric,
+    mmse_gaussian,
+)
 from .tasks import (
     evaluate_ranking,
     intervention_correlation,

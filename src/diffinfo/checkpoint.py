@@ -88,7 +88,9 @@ def _check_header(header, path) -> tuple[dict, list[tuple[str, tuple[int, ...]]]
             expected += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
     declared = [(e["name"], e["shape"]) for e in fields["arrays"]]
     if declared != expected:
-        raise ValueError(f"{path}: header field 'arrays' declares {declared} but the header needs {expected}")
+        raise ValueError(
+            f"{path}: header field 'arrays' declares {declared} but the header needs {expected}"
+        )
     return fields, expected
 
 

@@ -35,31 +35,36 @@ at O(d^2) per row instead of a d x d solve.  No clamp on s is needed:
 :class:`GmmSpec` rejects covariances that are not positive definite, so
 lam > 0, and sigma(-a) > 0 for every finite a.
 
-Terms are laid out (g, d, n), rows on the last, contiguous axis, so that each
-elementwise step and each sum over the eigen-directions is one loop over rows,
-not a loop of length d per row.  Every product keeps the rows as the matrices'
-rows, so duplicate rows give identical bits, which the flow's exact null edits
-rely on (U (z / s), a (d, d) @ (d, n) product, broke this at d = 64).
+The per-component terms are laid out (k, d, n), with the n rows on the last,
+contiguous axis.  Every elementwise step (s, the shift by sqrt(sigma(a)) U^T mu,
+z / s) and every sum over the d eigen-directions (log det S, the Mahalanobis
+term) is then one loop over rows, instead of a loop of length d per row; at
+small d, where the estimators call the denoiser with hundreds of rows, that
+loop overhead is most of the cost.  The two products with the eigenvectors,
+x_a U and (z / s)^T U^T, stay GEMMs with the rows as the matrices' rows, so
+each row's output is computed the same way wherever it sits in the batch:
+duplicate rows give identical bits, which the flow's exact null edits rely
+on.  Computing the second as a (d, d) @ (d, n) product, U (z / s), gave
+duplicate rows different last bits at d = 64.
 
-For a mixture, eps_hat is the responsibility-weighted mean of the components'
-predictors; responsibilities come from log densities shifted by their per-row
-maximum, so that far-separated components get zero weight, not NaN.
-Components with bit-equal covariances, such as classes that differ only in
-their mean, form a group with one U and one s.  Its first component is the
-reference: with M_k = U^T (mu_k - mu_ref), z = U^T x_a - sqrt(sigma(a)) U^T
-mu_ref and q = z / s, member k's Mahalanobis term is sum z^2 / s - 2
-sqrt(sigma(a)) q . M_k + sigma(a) sum M_k^2 / s.  The first term cancels
-within the group, leaving a linear discriminant from two (n, d) x (d, m)
-products over all m members, so no entry changes its columns.  An entry across
-groups adds each group's log det S and reference's term, formed from z, so
-far-apart groups do not cancel.  Far-apart members of one group do: with
-members 800 apart and s = 1e-4, a responsibility between them is good to
-about 1e-7.  Per group, with R its share of the responsibility (one for an
-entry inside it), eps_hat = sqrt(sigma(-a)) (R q - sqrt(sigma(a)) sum_k r_k
-M_k / s) U^T, the sum taken member by member so that a member of zero weight
-adds exact zeros: one back GEMM a group an entry.  One (K n)-row GEMM for K
-entries would not keep each entry's rows those of its own call: numpy takes a
-matrix-vector path for a one-row operand.
+For a mixture, eps_hat is the responsibility-weighted combination of the
+per-component predictors, with responsibilities taken under the corrupted
+marginals.  Components with bit-equal covariances, such as classes that differ
+only in their mean, form a group with one U and one s.  Each component keeps
+its own residual z, so its log-likelihood is as exact as a direct solve's (a
+linear discriminant against one member of the group, which would spare those
+terms, lost 6e-8 of a responsibility between members 800 apart at s = 1e-4),
+and a group's weighted z / s is summed before its one back product:
+
+    eps_hat = sqrt(sigma(-a)) * sum over groups of (sum_k r_k z_k / s)^T U^T.
+
+log det S is common to a group, so within one group the responsibilities are
+a softmax of log w_k - sum z_k^2 / 2s alone.  An entry across groups takes that
+softmax within each group, times one across the groups of each group's
+log-evidence less half its log det S; a row whose condition lies in one group
+gets the first times exactly one, the bits of its condition's own call.  Each
+softmax shifts its logits by their per-row maximum, so that far-separated
+components underflow to zero weight instead of NaN.
 
 Conditioning is by token: a :class:`ConditionId` carries a label and/or
 context tokens, and selects the mixture components consistent with every one
@@ -68,21 +73,29 @@ renormalized.  Conditioning on context alone therefore marginalizes over all
 labels consistent with that context.  A :class:`GmmDenoiser` resolves each
 condition once, into its components and their log conditional weights, and
 keeps the result; a condition that fails to resolve raises on every call.
-Per-row conditions take the union of their components, each row with -inf
-log-weight on those its condition excludes, which then add exact zeros.
 
-A mixture call takes the terms no condition changes (x_a U, z, s, q, the
-discriminant, and the common terms when an entry spans groups) once over the
-groups of its entries, in work arrays it keeps between calls.  Each entry then
-works over its own components by a one-entry call's arithmetic, so its rows
-are bit for bit those of its own call.
+A batch may carry one condition per row.  The mixture denoiser then
+evaluates the union of the components that any row selects, and gives each
+row the log-weights of its own conditional mixture, with -inf on the
+components its condition excludes; those get zero responsibility.  A single
+condition selects the same subset for every row, which keeps the arithmetic
+of a batch under one condition unchanged.
+
+A mixture call takes the terms no condition changes (x_a U and s once a
+group, z, z / s and the Mahalanobis term once a component, and log det S when
+an entry spans groups) in one pass over the union of its entries' components,
+in work arrays it keeps between calls.  Each entry then works over its own
+components only, by a one-entry call's arithmetic, so its rows are bit for bit
+those of its own call.  That is why its back product is an (n, d) GEMM a group
+and not one (K n)-row GEMM for K entries: numpy takes a matrix-vector path for
+a one-row operand, which gives other bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -114,7 +127,10 @@ def as_batch(x_alpha, alpha, dim: int):
     if x.ndim != 2:
         raise ValueError(f"x_alpha must be rows of shape (n, {dim}), got shape {x.shape}")
     if x.shape[1] != dim:
-        raise ValueError(f"dimension mismatch: denoiser has dimension {dim} but x_alpha has dimension {x.shape[1]}")
+        raise ValueError(
+            f"dimension mismatch: denoiser has dimension {dim} "
+            f"but x_alpha has dimension {x.shape[1]}"
+        )
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:  # a read-only zero-stride row of one value, built at a fifth of np.broadcast_to's cost
         return x, np.ndarray((x.shape[0],), float, a.tobytes(), 0, (0,))
@@ -216,7 +232,9 @@ class GmmSpec:
         selected = set(range(self.n_components))
         for token in condition.tokens:
             if token not in self.condition_map:
-                raise ValueError(f"unknown condition token {token!r}; vocabulary is {sorted(self.condition_map)}")
+                raise ValueError(
+                    f"unknown condition token {token!r}; vocabulary is {sorted(self.condition_map)}"
+                )
             selected &= set(self.condition_map[token])
         if not selected:
             raise ValueError(f"condition {condition} selects no components")
@@ -234,7 +252,10 @@ class GmmSpec:
                 raise ValueError(f"unknown label token {token!r}")
             for k in self.condition_map[token]:
                 if owner[k] >= 0:
-                    raise ValueError(f"labels do not partition the components: {k} appears under {tokens[owner[k]]!r} and {token!r}")
+                    raise ValueError(
+                        f"labels do not partition the components: {k} appears under "
+                        f"{tokens[owner[k]]!r} and {token!r}"
+                    )
                 owner[k] = j
         missing = np.flatnonzero(owner < 0)
         if missing.size:
@@ -255,32 +276,79 @@ class GmmSpec:
         return x, comps
 
 
-class GmmDenoiser:
-    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source, by covariance group.
+class _Selection(NamedTuple):
+    """Components at the sorted ``ranks``, their log-weights (k, 1) or per row (k, n), and their
+    ``runs`` of one covariance group each, as (start, end): the run of each component
+    (``places``), the runs' ``groups``, bases U (g, d, d) and eigenvalues (g, d, 1), and each
+    component's rotated mean U^T mu (k, d, 1)."""
 
-    It keeps its work arrays between calls, so one instance must not serve two threads at once.
+    ranks: np.ndarray
+    log_w: np.ndarray | None
+    runs: list
+    places: np.ndarray
+    groups: np.ndarray
+    bases: np.ndarray
+    eigvals: np.ndarray
+    means: np.ndarray
+
+    def spread(self, terms):
+        """Terms (g, ...) a run as terms (k, ...) a component: a view unless runs differ in size."""
+        return terms if len(terms) in (1, len(self.ranks)) else terms[self.places]
+
+
+class _Shared(NamedTuple):
+    """The terms of a call that no entry changes: z / s (k, d, n) and half the Mahalanobis
+    terms (k, n) over the ``union`` of the entries' components, and half of each group's log
+    det S, (g, n) or (g, 1), if an entry spans groups."""
+
+    selections: list
+    union: _Selection
+    q: np.ndarray
+    neg_loglik: np.ndarray
+    half_logdet: np.ndarray | None
+    root_sna: Any
+
+
+class _Work(NamedTuple):
+    """Work arrays for one batch size, kept between calls.  Allocated afresh on every call,
+    they made glibc trim the heap when freed and fault it back in, a fault per page; an
+    estimator chunk of 8,000 rows at d = 2 and k = 3 keeps 2.5 MB of them."""
+
+    xu: np.ndarray  # (g, n, d): x_a U, then each entry's back products
+    s: np.ndarray  # (g, d, n): s, then log s
+    z: np.ndarray  # (k, d, n): the mean shift, then z, then each entry's sums over a group
+    q: np.ndarray  # (k, d, n): (x_a U)^T, then z / s
+    taken: np.ndarray  # (k, d, n): the z / s of an entry's components
+    neg_loglik: np.ndarray  # (k, n)
+    resp: np.ndarray  # (k, n): each entry's responsibilities
+    half_logdet: np.ndarray  # (g, n)
+    evidence: np.ndarray  # (g, n): each entry's log-evidence a group
+
+
+class GmmDenoiser:
+    """Exact posterior-mean noise predictor for a :class:`GmmSpec` source.
+
+    Components with bit-equal covariances form a group with one eigenbasis:
+    a call takes x_a U and s once a group, and each entry's back product once
+    a group.  ``predict_eps`` and ``responsibilities`` write their
+    per-component terms into arrays the instance keeps, so one instance must
+    not serve two threads at once.
     """
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
-        # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.  Components are
-        # ranked group by group, each group's first its reference; a selection is sorted ranks.
+        # GmmSpec is frozen with read-only arrays, so these caches cannot go stale.
+        # Components are ranked group by group, so that the sorted ranks of any
+        # selection come in one run a group; one eigh a group.
         _, group = distinct_rows([c.tobytes() for c in spec.covariances])
         self._order = np.argsort(group, kind="stable")  # the component at each rank
+        self._rank = np.argsort(self._order)  # the rank of each component
         self._group = np.array(group)[self._order]  # the group at each rank, nondecreasing
-        self._bounds = np.searchsorted(self._group, np.arange(self._group[-1] + 2))  # group g: ranks [b_g, b_g+1)
-        self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances[self._order[self._bounds[:-1]]])
-        rotated = np.einsum("kij,ki->kj", self._eigvecs[self._group], spec.means[self._order])
-        self._ref_means = rotated[self._bounds[:-1]]
-        self._offsets = rotated - self._ref_means[self._group]  # M_k by rank, zero at a reference
-        with np.errstate(over="ignore"):  # a square past the float range is inf, and so is the result
-            self._discriminants = {  # a group of several: M_k and M_k^2 / 2 beyond the reference, (d, m)
-                g: (np.ascontiguousarray(m[1:].T), 0.5 * np.square(m[1:]).T)
-                for g, m in enumerate(np.split(self._offsets, self._bounds[1:-1])) if len(m) > 1
-            }
-        self._log_2pi_d = spec.dim * np.log(2 * np.pi)
-        self._resolved: dict = {}  # condition -> its selection, see _selection
-        self._per_row = (None, None)  # (per-row conditions, their selection)
+        firsts = self._order[np.flatnonzero(np.diff(self._group, prepend=-1))]
+        self._eigvals, self._eigvecs = np.linalg.eigh(spec.covariances[firsts])
+        self._rot_means = np.einsum("kij,ki->kj", self._eigvecs[self._group], spec.means[self._order])
+        self._resolved: dict = {}  # condition -> its _Selection
+        self._per_row = (None, None)  # (per-row conditions, their _Selection)
         self._work = (-1, ())  # (rows, arrays) reused by every call, see _work_arrays
 
     @property
@@ -291,152 +359,180 @@ class GmmDenoiser:
         x2, a = as_batch(x_alpha, alpha, self.dim)
         n = x2.shape[0]
         shared = self._shared_pass(x2, a, entries or (None,))
-        selections, groups, scales, _, _, root_sna, (q_all, terms, prod, weighted, _) = shared
-        eps_hat, last = np.empty((len(selections) * n, x2.shape[1])), len(selections) - 1
-        for e, selection in enumerate(selections):
-            _, _, own, starts, segments, bases = selection
-            rs = np.multiply(root_sna, r := self._entry_responsibilities(selection, shared), out=r)
-            pos = None if own.size == groups.size else np.searchsorted(groups, own)
+        work = self._work[1]
+        eps_hat, last = np.empty((len(shared.selections) * n, x2.shape[1])), len(shared.selections) - 1
+        for e, selection in enumerate(shared.selections):  # each over its own components only
+            k, g = len(selection.ranks), len(selection.runs)
+            pos = None if k == len(shared.union.ranks) else np.searchsorted(shared.union.ranks, selection.ranks)
+            rs = np.multiply(shared.root_sna, self._entry_responsibilities(selection, pos, shared), out=work.resp[:k])
             # mode="clip" lets np.take write into the work array; its default buffers a copy.
-            q = q_all if pos is None else np.take(q_all, pos, axis=0, out=weighted[: own.size], mode="clip")
-            # w = sqrt(sigma(-a)) R q per group, R its share of r, one for a single group, less the
-            # offsets' term below.  The last entry may weigh q in place: no later entry reads it.
-            shares = root_sna if own.size == 1 else rs if own.size == rs.shape[0] else np.add.reduceat(rs, starts, axis=0)
-            w = np.multiply(q, shares if own.size == 1 else shares[:, None, :], out=weighted[: own.size] if e < last else q)
-            for i, lo, hi, offsets in segments:  # - sqrt(sigma(a)) / s sum_k sqrt(sigma(-a)) r_k M_k
-                products = np.multiply(offsets, rs[lo:hi, None, :], out=terms[1 : hi - lo + 1])
-                t = products[0] if hi - lo == 1 else np.add.reduce(products, axis=0, out=terms[0])
-                w[i] -= np.multiply(t, scales[i if pos is None else pos[i]], out=t)
-            rows = eps_hat[e * n : (e + 1) * n]  # w^T U^T, rows as the GEMM's rows, summed over groups
-            if own.size == 1:
-                np.dot(w[0].T, bases[0], out=rows)
+            q = shared.q if pos is None else np.take(shared.q, pos, axis=0, out=work.taken[:k], mode="clip")
+            # w = sqrt(sigma(-a)) sum_k r_k z_k / s over each group's members, then w^T U^T a
+            # group, rows as the GEMM's rows, summed over groups.
+            if g == k:  # one member a group; the last entry may weigh z / s in place
+                w = np.multiply(q, rs[:, None, :], out=work.z[:k] if e < last else q)
             else:
-                np.add.reduce(np.matmul(w.transpose(0, 2, 1), bases, out=prod[: own.size]), axis=0, out=rows)
+                w = work.z[:g]
+                for i, (lo, hi) in enumerate(selection.runs):
+                    np.einsum("kn,kdn->dn", rs[lo:hi], q[lo:hi], out=w[i])
+            rows = eps_hat[e * n : (e + 1) * n]
+            out = rows[None] if g == 1 else work.xu[:g]
+            products = np.matmul(w.transpose(0, 2, 1), selection.bases.transpose(0, 2, 1), out=out)
+            if g > 1:
+                np.add.reduce(products, axis=0, out=rows)
         return eps_hat
 
     def responsibilities(self, x_alpha, alpha, condition=None) -> np.ndarray:
-        """Posterior component probabilities under the corrupted marginal, one column per component
-        the condition (or any per-row condition) selects, in index order."""
+        """Posterior component probabilities under the corrupted marginal.
+
+        One column per component the condition selects, in index order; for
+        per-row conditions, per component any row selects.
+        """
         x2, a = as_batch(x_alpha, alpha, self.dim)
         shared = self._shared_pass(x2, a, [condition])
-        [selection] = shared[0]
-        return self._entry_responsibilities(selection, shared).T[:, np.argsort(self._order[selection[0]])]
+        [selection] = shared.selections
+        return self._entry_responsibilities(selection, None, shared).T[:, np.argsort(self._order[selection.ranks])]
 
     def check_condition(self, condition) -> None:
         """Raise ``ValueError`` unless ``condition`` selects components of the mixture."""
         self._resolve(condition)
 
     def _resolve(self, condition):
-        """The selection of ``condition``'s components, log conditional weights (k, 1), kept; a
-        condition that raises is not kept, so it raises on every call."""
+        """The :class:`_Selection` of ``condition``'s components, with their log conditional weights.
+
+        Each condition is resolved once per denoiser; a condition that raises
+        is not stored, so it raises again on every call.
+        """
         entry = self._resolved.get(condition)
         if entry is None:
-            ranks = np.sort(np.argsort(self._order)[self.spec.components_for(condition)])
+            ranks = np.sort(self._rank[self.spec.components_for(condition)])
             entry = self._selection(ranks, np.log(self.spec.conditional_weights(self._order[ranks]))[:, None])
             self._resolved[condition] = entry
         return entry
 
     def _select(self, condition, n_rows):
-        """The selection of a condition, or of per-row conditions: their union, log-weights (k, n) with
-        -inf where a row's condition excludes one.  The last is kept: a flow solve repeats it."""
+        """The :class:`_Selection` of a condition, or of per-row conditions.
+
+        Per-row conditions get the union of their components, with -inf where
+        a row's condition excludes a component.  The last per-row result is
+        kept: the flow passes the same conditions to every step of a solve.
+        """
         if not is_per_row(condition, n_rows):
             return self._resolve(condition)
         key = tuple(condition)
         if key != self._per_row[0]:
             distinct, columns = distinct_rows(condition)
             entries = [self._resolve(c) for c in distinct]
-            ranks = _union(sel for sel, *_ in entries)
+            ranks = _union(sel.ranks for sel in entries)
             log_w = np.full((ranks.size, len(entries)), -np.inf)
-            for j, (sel, sel_log_w, *_) in enumerate(entries):
-                log_w[np.searchsorted(ranks, sel), j] = sel_log_w[:, 0]
+            for j, sel in enumerate(entries):
+                log_w[np.searchsorted(ranks, sel.ranks), j] = sel.log_w[:, 0]
             self._per_row = key, self._selection(ranks, log_w[:, columns])
         return self._per_row[1]
 
-    def _selection(self, ranks, log_w):
-        """What a call needs of the components at the sorted ``ranks``: the ranks, their log-weights,
-        their distinct groups and where each one's ranks start, each group's run of members beyond
-        its reference as (group's place, start, end, M (m, d, 1)), and the groups' U^T."""
+    def _selection(self, ranks, log_w) -> _Selection:
         at = self._group[ranks]
         starts = np.flatnonzero(np.diff(at, prepend=-1))
-        own, segments = at[starts], []
-        for i, (lo, hi) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), ranks.size])):
-            lo += int(ranks[lo] == self._bounds[own[i]])  # the reference has no offset
-            if hi > lo:
-                segments.append((i, lo, hi, self._offsets[ranks[lo:hi], :, None]))
-        return ranks, log_w, own, starts, segments, self._eigvecs[own].transpose(0, 2, 1)
+        groups = at[starts]
+        runs = list(zip(starts.tolist(), [*starts[1:].tolist(), ranks.size]))
+        places = np.cumsum(np.diff(at, prepend=at[:1]) != 0)
+        every = len(groups) == len(self._eigvals)  # every group: views, not copies
+        bases, eigvals = (self._eigvecs, self._eigvals) if every else (self._eigvecs[groups], self._eigvals[groups])
+        means = self._rot_means[ranks, :, None]
+        return _Selection(ranks, log_w, runs, places, groups, bases, eigvals[:, :, None], means)
 
-    def _entry_responsibilities(self, selection, shared):
-        """Responsibilities (k, n) of a selection, in a work array: from each member's terms beyond
-        its reference's, to which an entry across groups adds each reference's own."""
-        ranks, log_w, own, _, segments, _ = selection
-        _, groups, _, common, relative, _, free = shared
-        out = free[-1][: ranks.size]
-        if own.size > 1 and not segments:  # references only
-            neg_ll = common if own.size == groups.size else np.take(common, np.searchsorted(groups, own), axis=0, out=out, mode="clip")
-        else:
-            neg_ll = relative if ranks.size == len(relative) else np.take(relative, ranks, axis=0, out=out, mode="clip")
-            if own.size > 1:
-                neg_ll = np.add(neg_ll, common[np.searchsorted(groups, self._group[ranks])], out=out)
-        return _responsibilities(log_w, neg_ll, out)
+    def _entry_responsibilities(self, selection, pos, shared):
+        """Responsibilities (k, n) of the components of ``selection``, at ``pos`` in the union."""
+        work = self._work[1]
+        out = work.resp[: len(selection.ranks)]
+        neg_ll = shared.neg_loglik if pos is None else np.take(shared.neg_loglik, pos, axis=0, out=out, mode="clip")
+        half_logdet = shared.half_logdet
+        if 1 < len(selection.runs) < len(shared.union.runs):
+            half_logdet = half_logdet[np.searchsorted(shared.union.groups, selection.groups)]
+        logits = np.subtract(selection.log_w, neg_ll, out=out)
+        return _softmax_by_group(logits, selection.runs, half_logdet, work.evidence)
 
-    def _work_arrays(self, n_rows):
-        """Work arrays for ``n_rows`` rows, kept while the batch size repeats: (g, n, d) for x_a U,
-        then back products; (g, d, n) for z then w, for s then log s, for q, and for sqrt(sigma(a)) / s;
-        (k - g + 1, d, n) for offset terms; (g, n) for the references' terms; (k, n) for each member's
-        excess over its reference's (zero at one), and for log det S then responsibilities.  Made
-        afresh each call (2.5 MB for an 8,000-row chunk at d = 2, k = 3), glibc trimmed and refaulted them."""
+    def _work_arrays(self, n_rows) -> _Work:
+        """The :class:`_Work` arrays for ``n_rows`` rows, kept while the batch size repeats."""
         if self._work[0] != n_rows:
             g, k, d = len(self._eigvals), self.spec.n_components, self.dim
-            by_group = [np.empty((g, n_rows, d)), *(np.empty((g, d, n_rows)) for _ in range(4))]
-            self._work = n_rows, (*by_group, np.empty((k - g + 1, d, n_rows)), np.empty((g, n_rows)), np.zeros((k, n_rows)), np.empty((k, n_rows)))
+            shapes = [(g, n_rows, d), (g, d, n_rows), *[(k, d, n_rows)] * 3, *[(k, n_rows)] * 2]
+            self._work = n_rows, _Work(*map(np.empty, shapes + [(g, n_rows)] * 2))
         return self._work[1]
 
-    def _shared_pass(self, x2, a, conditions):
-        """The terms no condition changes: selections, groups, sqrt(sigma(a)) / s by group place, the
-        references' and the members' excess negative log-likelihoods, sqrt(sigma(-a)), q, work arrays."""
+    def _shared_pass(self, x2, a, conditions) -> _Shared:
+        """The terms of a batch that no condition changes, over the union of the components
+        that ``conditions`` select.  The arrays hold until the next call."""
         selections = [self._select(c, x2.shape[0]) for c in conditions]
-        groups = selections[0][2] if len(selections) == 1 else _union(own for _, _, own, *_ in selections)
-        g, every = groups.size, groups.size == len(self._eigvals)
-        xu, z, s, q, tmp, terms, common, relative, spare = self._work_arrays(x2.shape[0])
-        xu, z, q, tmp, common = xu[:g], z[:g], q[:g], tmp[:g], common[:g]
-        # A batch at one log-SNR (each flow step) is a zero-stride broadcast: weigh it once, on the
-        # sigmoid's scalar path.  s and the mean shift are then (g, d, 1) and take no work array.
+        union = selections[0]
+        if len(selections) > 1:
+            union = self._selection(_union(sel.ranks for sel in selections), None)
+        k, g = len(union.ranks), len(union.runs)
+        work = self._work_arrays(x2.shape[0])
+        # A batch at one log-SNR (each flow step) is a zero-stride broadcast:
+        # weigh it once, on the sigmoid's scalar path.  s and the mean shift
+        # are then (g, d, 1) and (k, d, 1), small enough to take no work array.
         a = float(a[0]) if a.size and a.strides == (0,) else a
         sa, sna = signal_weight(a), noise_weight(a)
-        scalar, gs = isinstance(a, float), slice(None) if every else groups  # every group: views
-        root_sa = np.sqrt(sa)
-        # z = (x_a U)^T - sqrt(sigma(a)) m_ref, with (x_a U)^T made contiguous first: read from
-        # the transpose, it would cross strides.
-        np.copyto(z, np.matmul(x2, self._eigvecs[gs], out=xu).transpose(0, 2, 1))
-        np.subtract(z, np.multiply(root_sa, self._ref_means[gs, :, None], out=None if scalar else q), out=z)
-        s = np.multiply(sa, self._eigvals[gs, :, None], out=None if scalar else s[:g])
+        scalar = isinstance(a, float)
+        # x_a U once a group, rows as the GEMM's rows, made contiguous (g, d, n): read from the
+        # transpose, each later step would cross strides.
+        xut = work.q[:g]
+        np.copyto(xut, np.matmul(x2, union.bases, out=work.xu[:g]).transpose(0, 2, 1))
+        s = np.multiply(sa, union.eigvals, out=None if scalar else work.s[:g])
         s += sna
-        np.divide(z, s, out=q)
-        scales = {}
-        for grp in self._discriminants if every else [j for j in groups.tolist() if j in self._discriminants]:
-            offsets, half_squares = self._discriminants[grp]
-            j = grp if every else int(np.searchsorted(groups, grp))
-            scales[j] = np.divide(root_sa, s[j], out=None if scalar else tmp[j])
-            # sqrt(sigma(a)) (sqrt(sigma(a)) sum M_k^2 / 2s - q M_k), from two (n, d) x (d, m) products
-            excess = relative[self._bounds[grp] + 1 : self._bounds[grp + 1]]
-            np.subtract(np.dot(scales[j].T, half_squares).T, np.dot(q[j].T, offsets).T, out=excess)
-            excess *= root_sa
-        if any(selection[2].size > 1 for selection in selections):  # an entry across groups
-            z *= q  # z^2 / s, each reference's Mahalanobis terms
-            logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else spare[:g])
-            logdet += self._log_2pi_d
-            np.add.reduce(z, axis=1, out=common)
-            common += logdet
-            common *= 0.5  # (d log(2 pi) + log det S + Mahalanobis) / 2
-        return selections, groups, scales, common, relative, np.sqrt(sna), (q, terms, xu, z, spare)
+        # z = (x_a U)^T - sqrt(sigma(a)) U^T mu and z / s, each component from its group's terms
+        shift = np.multiply(np.sqrt(sa), union.means, out=None if scalar else work.z[:k])
+        z = np.subtract(union.spread(xut), shift, out=work.z[:k])
+        q = np.divide(z, union.spread(s), out=work.q[:k])
+        z *= q  # z^2 / s, the Mahalanobis terms
+        neg_loglik = np.add.reduce(z, axis=1, out=work.neg_loglik[:k])
+        neg_loglik *= 0.5
+        # log det S is common to a group's members; only a softmax across groups needs it.
+        half_logdet = None
+        if any(len(selection.runs) > 1 for selection in selections):
+            half_logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else work.half_logdet[:g])
+            half_logdet *= 0.5
+        return _Shared(selections, union, q, neg_loglik, half_logdet, np.sqrt(sna))
 
 
-def _responsibilities(log_w, neg_loglik, out):
-    """Responsibilities (k, n) from log-weights and the negative log-likelihoods, in ``out``."""
-    np.subtract(log_w, neg_loglik, out=out)
-    out -= np.maximum.reduce(out, axis=0)
-    resp = np.exp(out, out=out)
+_LOWEST = np.finfo(float).min
+
+
+def _softmax(logits):
+    """Softmax over the first axis of ``logits`` (k, n), in place.  Shifted by their per-row
+    maximum, far-separated components get zero weight, not NaN."""
+    logits -= np.maximum.reduce(logits, axis=0)
+    resp = np.exp(logits, out=logits)
     return np.divide(resp, np.add.reduce(resp, axis=0), out=resp)
+
+
+def _softmax_by_group(logits, runs, half_logdet, evidence):
+    """Responsibilities from the ``logits`` (k, n) of components in covariance-group ``runs``, in
+    place: a softmax within each group, times one across the groups of each group's
+    log-evidence less half its log det S.  A row whose condition lies in one group gets the
+    first times exactly one, the bits of that condition's own call, as per-row conditions
+    must; one member a group, or one group, is the same arithmetic in fewer steps."""
+    if len(runs) == 1:
+        return _softmax(logits)
+    if len(runs) == len(logits):
+        logits -= half_logdet
+        return _softmax(logits)
+    for i, (lo, hi) in enumerate(runs):
+        group = logits[lo:hi]
+        # A row whose condition excludes every member is all -inf here: shifted by the lowest
+        # float, not by -inf, it gives zeros and a log-evidence of -inf, not NaN.
+        top = np.maximum(np.maximum.reduce(group, axis=0), _LOWEST, out=evidence[i])
+        group -= top
+        total = np.add.reduce(np.exp(group, out=group), axis=0)
+        np.divide(group, total, out=group, where=total > 0)
+        with np.errstate(divide="ignore"):
+            top += np.log(total)
+        top -= half_logdet[i]
+    across = _softmax(evidence[: len(runs)])
+    for i, (lo, hi) in enumerate(runs):
+        logits[lo:hi] *= across[i]
+    return logits
 
 
 def _union(selections) -> np.ndarray:

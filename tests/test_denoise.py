@@ -309,7 +309,7 @@ class TestEigenbasisMatchesDirectSolve:
         x, _ = spec.sample(n, rng)
         a = np.broadcast_to(alpha, (n,))[:, None]
         x_a = np.sqrt(signal_weight(a)) * x + np.sqrt(noise_weight(a)) * rng.standard_normal((n, d))
-        ref_resp, ref_eps = direct_solve_terms(spec, x_a, alpha, condition)
+        ref_resp, ref_eps, _ = direct_solve_terms(spec, x_a, alpha, condition)
         np.testing.assert_allclose(
             den.predict_eps(x_a, alpha, condition), ref_eps, rtol=1e-9, atol=1e-12
         )
@@ -343,8 +343,26 @@ class TestEigenbasisMatchesDirectSolve:
         assert den.predict_eps(np.zeros((0, 8)), np.zeros(0)).shape == (0, 8)
 
 
+def paired_spec(d, seed):
+    """Four components in two covariance groups, {0, 1} under "a" and {2, 3} under "b"."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(2):
+        r = rng.standard_normal((d, d))
+        covs.append(r @ r.T / d + 0.05 * np.eye(d))
+    return GmmSpec(
+        weights=np.full(4, 0.25),
+        means=rng.standard_normal((4, d)),
+        covariances=[covs[0], covs[0], covs[1], covs[1]],
+        condition_map={"a": (0, 1), "b": (2, 3), "c": (1, 2)},
+    )
+
+
 def mixed_conditions_case(d):
-    """A spec, and 42 noisy rows whose conditions mix None, label-only and label+context."""
+    """A spec, and 42 noisy rows whose conditions mix None, label-only and label+context.
+
+    ``d = "paired"`` is 8 dimensions in two covariance groups, with conditions that lie in
+    one group ("a", "b") or span both (None, "c")."""
     if d == 1:
         spec = redundant_editing_spec()
         distinct = [
@@ -353,6 +371,9 @@ def mixed_conditions_case(d):
             ConditionId(label="high", context=("plain",)),
             ConditionId(label="low", context=("split",)),
         ]
+    elif d == "paired":
+        d, spec = 8, paired_spec(8, seed=5)
+        distinct = [None, ConditionId(label="a"), ConditionId(label="b"), ConditionId(label="c")]
     else:
         spec = reference_spec(d, seed=5)
         distinct = [None, ConditionId(label="wide"), ConditionId(label="wide", context=("ill",))]
@@ -370,7 +391,7 @@ class TestPerRowConditions:
     """A list of per-row conditions gives each row its own conditional mixture."""
 
     @pytest.mark.parametrize("single_first", [False, True], ids=["per_row_first", "single_first"])
-    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("d", [1, 8, "paired"])
     def test_equals_single_condition_batches_exactly(self, d, single_first):
         spec, x_a, alpha, conditions = mixed_conditions_case(d)
         den = GmmDenoiser(spec)
@@ -384,7 +405,7 @@ class TestPerRowConditions:
                 batch[rows], den.predict_eps(x_a[rows], alpha[rows], condition)
             )
 
-    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("d", [1, 8, "paired"])
     def test_equals_one_call_per_row(self, d):
         spec, x_a, alpha, conditions = mixed_conditions_case(d)
         den = GmmDenoiser(spec)
@@ -416,7 +437,7 @@ class TestRowPositionIndependence:
     """
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["one_condition", "per_row"])
-    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, "paired"])
     def test_permuted_and_repeated_batches(self, d, per_row):
         spec, x_a, alpha, conditions = mixed_conditions_case(d)
         den = GmmDenoiser(spec)
@@ -428,7 +449,7 @@ class TestRowPositionIndependence:
 
         rows = np.arange(len(conditions))
         out = predict(rows)
-        perm = np.random.default_rng(d).permutation(rows)
+        perm = np.random.default_rng(spec.dim).permutation(rows)
         np.testing.assert_array_equal(predict(perm), out[perm])
         twice = np.concatenate([rows, rows])
         np.testing.assert_array_equal(predict(twice), np.concatenate([out, out]))
@@ -560,24 +581,22 @@ class TestWorkArrays:
 
 
 class CountingNumpy:
-    """numpy, counting the products with the eigenvector bases, (g, d, d) or one (d, d): forward
-    for x_a U, whose left operand is the (n, d) rows, and back for w^T U^T.  The discriminant's
-    products, with (d, members) columns, are not counted."""
+    """numpy, counting the products with an eigenvector basis, one (d, d) or a stack (g, d, d):
+    forward for x_a U, whose left operand is the call's ``rows``, and back for w^T U^T."""
 
-    def __init__(self, dim):
-        self.dim, self.forward, self.back = dim, 0, 0
+    def __init__(self, rows):
+        self.rows, self.forward, self.back = rows, 0, 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def count(self, a, b):
-        if np.ndim(b) == 3:
-            if np.ndim(a) == 2:
-                self.forward += b.shape[0]
+        if np.shape(b)[-2:] == (self.rows.shape[1],) * 2:
+            products = b.shape[0] if np.ndim(b) == 3 else 1
+            if a is self.rows:
+                self.forward += products
             else:
-                self.back += b.shape[0]
-        elif np.shape(b) == (self.dim, self.dim):
-            self.back += 1
+                self.back += products
 
     def matmul(self, a, b, **kwargs):
         self.count(a, b)
@@ -634,7 +653,7 @@ class TestWorkPerCall:
     def check_work(monkeypatch, spec, entries, forward, back):
         den = GmmDenoiser(spec)
         x_a, alpha = np.random.default_rng(10).standard_normal((12, 3)), np.linspace(-4.0, 6.0, 12)
-        counting = CountingNumpy(spec.dim)
+        counting = CountingNumpy(x_a)
         monkeypatch.setattr(denoise, "np", counting)
         out = den.predict_eps(x_a, alpha, *entries)
         monkeypatch.undo()

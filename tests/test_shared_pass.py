@@ -8,6 +8,8 @@ the toys included, keeps the one contract of the ``denoise`` module
 docstring.
 """
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,17 +76,40 @@ def blocks(stacked, n_entries, n=N) -> list[np.ndarray]:
 
 
 def assert_agrees_with_a_solve_per_component(den, x, alpha, entries, rtol, resp_atol):
-    """Each entry's rows against ``direct_solve_terms`` under each row's condition: predictions
-    to ``rtol`` of their largest, responsibilities to ``resp_atol``."""
+    """Each entry's rows against ``direct_solve_terms`` under each row's condition: each row's
+    prediction to ``rtol`` of that row's scale, responsibilities to ``resp_atol``."""
     stacked = den.predict_eps(x, alpha, *entries)
     for entry, rows in zip(entries, blocks(stacked, len(entries), len(x))):
         per_row = entry if isinstance(entry, list) else [entry] * len(x)
         for condition in set(per_row):
             at = [i for i, c in enumerate(per_row) if c == condition]
             a = alpha if np.ndim(alpha) == 0 else alpha[at]
-            resp, eps = direct_solve_terms(den.spec, x[at], a, condition)
-            np.testing.assert_allclose(rows[at], eps, rtol=0, atol=rtol * np.abs(eps).max())
+            resp, eps, scale = direct_solve_terms(den.spec, x[at], a, condition)
+            err = np.abs(rows[at] - eps).max(axis=1)
+            assert (err <= rtol * scale).all(), f"{condition}: {err.max():.3g} off at a scale of {scale[err.argmax()]:.3g}"
             np.testing.assert_allclose(den.responsibilities(x[at], a, condition), resp, rtol=0, atol=resp_atol)
+
+
+def exact_pair_terms(x, alpha, mean, variance):
+    """The equal-weight 1-D pair at +-``mean``, in 50-digit decimal arithmetic: per row, the
+    responsibilities (n, 2), each member's prediction (n, 2), the size of the terms that its
+    residual x - sqrt(sigma(a)) mu subtracts, as a prediction (n, 2), and the larger logit
+    z^2 / 2s (n,)."""
+    out = np.empty((4, len(x), 2))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        sa = 1 / (1 + (-decimal.Decimal(alpha)).exp())
+        s = sa * decimal.Decimal(variance) + (1 - sa)
+        root_sa, gain = sa.sqrt(), (1 - sa).sqrt() / s
+        for i, row in enumerate(x.tolist()):
+            z = [decimal.Decimal(row) - root_sa * m for m in (-decimal.Decimal(mean), decimal.Decimal(mean))]
+            logits = [-zk * zk / (2 * s) for zk in z]
+            weights = [(lk - max(logits)).exp() for lk in logits]
+            out[0, i] = [w / sum(weights) for w in weights]
+            out[1, i] = [gain * zk for zk in z]
+            out[2, i] = [gain * (abs(decimal.Decimal(row)) + root_sa * decimal.Decimal(mean))] * 2
+            out[3, i] = [-min(logits)] * 2
+    return out[0], out[1], out[2], out[3][:, 0]
 
 
 class TestMixture:
@@ -117,26 +142,33 @@ class TestMixture:
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
     def test_far_separated_pair_stays_finite_and_agrees(self, per_row):
-        """A 1-D pair at +-400 with variance 1e-4, on rows out to 1e6: one group, its reference
-        800 from the other member.  Off the boundary between the means each row sits with one
-        member, and the result agrees to 1e-12.  On it the discriminant's two terms, each
-        sigma(a) 800^2 / 2s or about 3.2e9 at high log-SNR, cancel: a logit then carries a few
-        ulps of 3.2e9, about 1e-6, and the bound there is 1e-6 (seen: 6e-8 on a
-        responsibility and 1.3e-7 of the largest prediction, at x = 0 and a = 9)."""
+        """A 1-D pair at +-400 with variance 1e-4, one covariance group, on rows out to 1e6 and
+        on the boundary between the means, against the exact values.  Each member's logit is
+        about z^2 / 2s, 7e8 at a = 9, so near the boundary a responsibility may carry a few
+        ulps of it (seen: 6e-10 at x = 1e-6); everywhere else the result agrees to 1e-12 of the
+        terms it is formed from, and on the boundary itself it is exactly half and zero."""
         den = GmmDenoiser(GmmSpec([0.5, 0.5], [[-400.0], [400.0]], [[[1e-4]], [[1e-4]]], {"a": (0,), "b": (1,)}))
         far = np.array([1e6, 1e3, 400.01, 400.0, 399.99, 300.0, 1.0])
-        boundary = np.array([0.0, 1e-6, -1e-6, 1e-3, -1e-3])
+        x = np.concatenate([far, -far, [0.0, 1e-6, -1e-6, 1e-3, -1e-3]])[:, None]
         for alpha in (-10.0, -3.0, 0.0, 3.0, 9.0, 15.0):
-            for x, rtol in ((np.concatenate([far, -far])[:, None], 1e-12), (boundary[:, None], 1e-6)):
-                a = np.full(len(x), alpha) if per_row else alpha
-                out = den.predict_eps(x, a, None, ConditionId(label="b"))
-                assert np.isfinite(out).all() and np.isfinite(den.responsibilities(x, a)).all()
-                assert_agrees_with_a_solve_per_component(den, x, a, [None, ConditionId(label="b")], rtol, rtol)
+            a = np.full(len(x), alpha) if per_row else alpha
+            both, upper = blocks(den.predict_eps(x, a, None, ConditionId(label="b")), 2, len(x))
+            resp = den.responsibilities(x, a)
+            assert np.isfinite(both).all() and np.isfinite(upper).all() and np.isfinite(resp).all()
+            r, eps_k, scale_k, logit = exact_pair_terms(x[:, 0], alpha, 400.0, 1e-4)
+            rounding = 4 * np.finfo(float).eps * logit * r[:, 0] * r[:, 1]
+            assert (np.abs(resp - r).max(axis=1) <= 1e-12 + rounding).all(), alpha
+            err = np.abs(both[:, 0] - (r * eps_k).sum(axis=1))
+            assert (err <= 1e-12 * (r * scale_k).sum(axis=1) + 2 * rounding * np.abs(eps_k).max(axis=1)).all(), alpha
+            assert (np.abs(upper[:, 0] - eps_k[:, 1]) <= 1e-12 * scale_k[:, 1]).all(), alpha
+            at_zero = x[:, 0] == 0.0
+            assert (resp[at_zero] == 0.5).all() and (both[at_zero] == 0.0).all(), alpha
 
     @pytest.mark.parametrize("d", [1, 16])
     def test_two_groups_with_far_apart_means(self, d):
-        """Two groups of two, 1e3 apart: the common terms added across groups are taken from
-        each group's reference, so the log-likelihoods of far means do not cancel."""
+        """Two groups of two, 1e3 apart, under entries within a group and across both: a
+        softmax within each group, then one across the groups, gives far means zero weight,
+        not NaN."""
         rng = np.random.default_rng(d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         wide = (q * np.exp(rng.uniform(-2.0, 1.0, d))) @ q.T

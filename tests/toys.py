@@ -240,7 +240,11 @@ def component_responsibilities(spec, x) -> np.ndarray:
 
 
 def direct_solve_terms(spec, x_a, alpha, condition=None):
-    """Reference posterior: a per-row d x d solve and slogdet of S = sigma(a) C + sigma(-a) I."""
+    """Reference posterior: a per-row d x d solve and slogdet of S = sigma(a) C + sigma(-a) I.
+
+    Returns the responsibilities (n, k), the prediction (n, d) and each row's scale, the
+    responsibility-weighted norm of the components' predictions: the size of the terms that
+    the prediction sums, and so of its rounding."""
     idx = spec.components_for(condition)
     w = spec.conditional_weights(idx)
     a = np.broadcast_to(np.asarray(alpha, dtype=float), (x_a.shape[0],))
@@ -257,4 +261,4 @@ def direct_solve_terms(spec, x_a, alpha, condition=None):
         log_joint[:, j] = np.log(w[j]) - 0.5 * (d * np.log(2 * np.pi) + logdet + maha)
         eps_k[:, j] = np.sqrt(sna)[:, None] * sol
     resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
-    return resp, np.einsum("nk,nkd->nd", resp, eps_k)
+    return resp, np.einsum("nk,nkd->nd", resp, eps_k), np.einsum("nk,nk->n", resp, np.linalg.norm(eps_k, axis=2))
