@@ -479,10 +479,15 @@ class GmmDenoiser:
         # transpose, each later step would cross strides.
         xut = work.q[:g]
         np.copyto(xut, np.matmul(x2, union.bases, out=work.xu[:g]).transpose(0, 2, 1))
-        s = np.multiply(sa, union.eigvals, out=None if scalar else work.s[:g])
+        # One log-SNR a row makes s and the mean shift outer products (n) x (g or k, d).  Up to
+        # about 1,000 rows numpy's broadcast loop takes about 1 ns a product, einsum half that
+        # plus 1-2 us a call; below 16 directions, or from about 4,000 rows, the broadcast is
+        # the faster.  Chosen by n and d, never k, an entry's own call takes the same path.
+        outer = _outer if not scalar and x2.shape[0] <= 1000 and x2.shape[1] >= 16 else np.multiply
+        s = outer(sa, union.eigvals, out=None if scalar else work.s[:g])
         s += sna
         # z = (x_a U)^T - sqrt(sigma(a)) U^T mu and z / s, each component from its group's terms
-        shift = np.multiply(np.sqrt(sa), union.means, out=None if scalar else work.z[:k])
+        shift = outer(np.sqrt(sa), union.means, out=None if scalar else work.z[:k])
         z = np.subtract(union.spread(xut), shift, out=work.z[:k])
         q = np.divide(z, union.spread(s), out=work.q[:k])
         z *= q  # z^2 / s, the Mahalanobis terms
@@ -533,6 +538,11 @@ def _softmax_by_group(logits, runs, half_logdet, evidence):
     for i, (lo, hi) in enumerate(runs):
         logits[lo:hi] *= across[i]
     return logits
+
+
+def _outer(v, m, out):
+    """The products of ``v`` (n,) and ``m`` (k, d, 1) as (k, d, n), by einsum."""
+    return np.einsum("n,kd->kdn", v, m[:, :, 0], out=out)
 
 
 def _union(selections) -> np.ndarray:
