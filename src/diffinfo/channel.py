@@ -89,7 +89,8 @@ class LogSnrSampler:
     """Truncated-logistic importance distribution over log-SNR values.
 
     Draws lie in ``[loc - clip*scale, loc + clip*scale]``, an interval that
-    must be finite, and each comes with the weight ``1/p(a)``, where ``p`` is
+    must be finite and wider than a billion ulps of its ends, so that its floats
+    resolve it; each draw comes with the weight ``1/p(a)``, where ``p`` is
     the logistic density renormalized over the interval; so
     ``mean(weight * g(a))`` over the draws is an unbiased estimate of the
     integral of ``g`` over the interval.
@@ -109,6 +110,9 @@ class LogSnrSampler:
             raise ValueError(f"n_draws must be at least 1, got {self.n_draws}")
         if not all(map(math.isfinite, self.support)):
             raise ValueError(f"the interval loc +- clip*scale must be finite, got {list(self.support)}")
+        lo, hi = self.support
+        if math.ulp(max(abs(lo), abs(hi))) > 1e-9 * (hi - lo):
+            raise ValueError(f"the interval loc +- clip*scale is too narrow for its floats, got {[lo, hi]}")
         # Constants of the sampler, computed once: the untruncated logistic's
         # CDF at the ends of the interval, and its mass inside the interval.
         lo, hi = sigmoid(-self.clip), sigmoid(self.clip)

@@ -58,13 +58,12 @@ and a group's weighted z / s is summed before its one back product:
 
     eps_hat = sqrt(sigma(-a)) * sum over groups of (sum_k r_k z_k / s)^T U^T.
 
-log det S is common to a group, so within one group the responsibilities are
-a softmax of log w_k - sum z_k^2 / 2s alone.  An entry across groups takes that
-softmax within each group, times one across the groups of each group's
-log-evidence less half its log det S; a row whose condition lies in one group
-gets the first times exactly one, the bits of its condition's own call.  Each
-softmax shifts its logits by their per-row maximum, so that far-separated
-components underflow to zero weight instead of NaN.
+The responsibilities are one softmax of log w_k - sum z_k^2 / 2s - log det S / 2,
+shifted by the per-row maximum so that far-separated components underflow to
+zero weight instead of NaN.  The mixture, not the call, decides the log det S
+term: with one covariance group it cancels and is never taken, with more it is
+always taken, even for an entry within one group.  So every call on a mixture
+forms a row's logits by the same steps, whatever the call's other entries.
 
 Conditioning is by token: a :class:`ConditionId` carries a label and/or
 context tokens, and selects the mixture components consistent with every one
@@ -77,18 +76,19 @@ keeps the result; a condition that fails to resolve raises on every call.
 A batch may carry one condition per row.  The mixture denoiser then
 evaluates the union of the components that any row selects, and gives each
 row the log-weights of its own conditional mixture, with -inf on the
-components its condition excludes; those get zero responsibility.  A single
-condition selects the same subset for every row, which keeps the arithmetic
-of a batch under one condition unchanged.
+components its condition excludes; those get zero responsibility and add
+exact zeros to the softmax's sum, so a row keeps its own condition's bits.
+A single condition selects the same subset for every row, which keeps the
+arithmetic of a batch under one condition unchanged.
 
 A mixture call takes the terms no condition changes (x_a U and s once a
-group, z, z / s and the Mahalanobis term once a component, and log det S when
-an entry spans groups) in one pass over the union of its entries' components,
-in work arrays it keeps between calls.  Each entry then works over its own
-components only, by a one-entry call's arithmetic, so its rows are bit for bit
-those of its own call.  That is why its back product is an (n, d) GEMM a group
-and not one (K n)-row GEMM for K entries: numpy takes a matrix-vector path for
-a one-row operand, which gives other bits.
+group, z, z / s and the Mahalanobis term once a component, and log det S
+unless the mixture has one group) in one pass over the union of its entries'
+components, in work arrays it keeps between calls.  Each entry then works over
+its own components only, by a one-entry call's arithmetic, so its rows are bit
+for bit those of its own call.  That is why its back product is an (n, d) GEMM
+a group and not one (K n)-row GEMM for K entries: numpy takes a matrix-vector
+path for a one-row operand, which gives other bits.
 """
 
 from __future__ import annotations
@@ -279,14 +279,13 @@ class GmmSpec:
 class _Selection(NamedTuple):
     """Components at the sorted ``ranks``, their log-weights (k, 1) or per row (k, n), and their
     ``runs`` of one covariance group each, as (start, end): the run of each component
-    (``places``), the runs' ``groups``, bases U (g, d, d) and eigenvalues (g, d, 1), and each
-    component's rotated mean U^T mu (k, d, 1)."""
+    (``places``), the runs' bases U (g, d, d) and eigenvalues (g, d, 1), and each component's
+    rotated mean U^T mu (k, d, 1)."""
 
     ranks: np.ndarray
     log_w: np.ndarray | None
     runs: list
     places: np.ndarray
-    groups: np.ndarray
     bases: np.ndarray
     eigvals: np.ndarray
     means: np.ndarray
@@ -298,8 +297,9 @@ class _Selection(NamedTuple):
 
 class _Shared(NamedTuple):
     """The terms of a call that no entry changes: z / s (k, d, n) and half the Mahalanobis
-    terms (k, n) over the ``union`` of the entries' components, and half of each group's log
-    det S, (g, n) or (g, 1), if an entry spans groups."""
+    terms (k, n) over the ``union`` of the entries' components, and half of each one's log
+    det S, (1, n) for one group and (k, n) for more, or None if the mixture has one group.
+    That rule is the mixture's, so an entry's logits take the same steps in every call."""
 
     selections: list
     union: _Selection
@@ -312,7 +312,9 @@ class _Shared(NamedTuple):
 class _Work(NamedTuple):
     """Work arrays for one batch size, kept between calls.  Allocated afresh on every call,
     they made glibc trim the heap when freed and fault it back in, a fault per page; an
-    estimator chunk of 8,000 rows at d = 2 and k = 3 keeps 2.5 MB of them."""
+    estimator chunk of 8,000 rows at d = 2 and k = 3 keeps 2.5 MB of them.  Every array is
+    written before it is read in each call, so no entry sees another's or a past call's bits;
+    half log det S is written only for a mixture of more than one group, in every call."""
 
     xu: np.ndarray  # (g, n, d): x_a U, then each entry's back products
     s: np.ndarray  # (g, d, n): s, then log s
@@ -322,7 +324,6 @@ class _Work(NamedTuple):
     neg_loglik: np.ndarray  # (k, n)
     resp: np.ndarray  # (k, n): each entry's responsibilities
     half_logdet: np.ndarray  # (g, n)
-    evidence: np.ndarray  # (g, n): each entry's log-evidence a group
 
 
 class GmmDenoiser:
@@ -439,25 +440,25 @@ class GmmDenoiser:
         every = len(groups) == len(self._eigvals)  # every group: views, not copies
         bases, eigvals = (self._eigvecs, self._eigvals) if every else (self._eigvecs[groups], self._eigvals[groups])
         means = self._rot_means[ranks, :, None]
-        return _Selection(ranks, log_w, runs, places, groups, bases, eigvals[:, :, None], means)
+        return _Selection(ranks, log_w, runs, places, bases, eigvals[:, :, None], means)
 
     def _entry_responsibilities(self, selection, pos, shared):
         """Responsibilities (k, n) of the components of ``selection``, at ``pos`` in the union."""
         work = self._work[1]
         out = work.resp[: len(selection.ranks)]
         neg_ll = shared.neg_loglik if pos is None else np.take(shared.neg_loglik, pos, axis=0, out=out, mode="clip")
-        half_logdet = shared.half_logdet
-        if 1 < len(selection.runs) < len(shared.union.runs):
-            half_logdet = half_logdet[np.searchsorted(shared.union.groups, selection.groups)]
         logits = np.subtract(selection.log_w, neg_ll, out=out)
-        return _softmax_by_group(logits, selection.runs, half_logdet, work.evidence)
+        half_logdet = shared.half_logdet
+        if half_logdet is not None:
+            logits -= half_logdet if pos is None or len(half_logdet) == 1 else half_logdet[pos]
+        return _softmax(logits)
 
     def _work_arrays(self, n_rows) -> _Work:
         """The :class:`_Work` arrays for ``n_rows`` rows, kept while the batch size repeats."""
         if self._work[0] != n_rows:
             g, k, d = len(self._eigvals), self.spec.n_components, self.dim
             shapes = [(g, n_rows, d), (g, d, n_rows), *[(k, d, n_rows)] * 3, *[(k, n_rows)] * 2]
-            self._work = n_rows, _Work(*map(np.empty, shapes + [(g, n_rows)] * 2))
+            self._work = n_rows, _Work(*map(np.empty, shapes + [(g, n_rows)]))
         return self._work[1]
 
     def _shared_pass(self, x2, a, conditions) -> _Shared:
@@ -493,15 +494,13 @@ class GmmDenoiser:
         z *= q  # z^2 / s, the Mahalanobis terms
         neg_loglik = np.add.reduce(z, axis=1, out=work.neg_loglik[:k])
         neg_loglik *= 0.5
-        # log det S is common to a group's members; only a softmax across groups needs it.
+        # log det S cancels from the softmax of a mixture with one covariance group.
         half_logdet = None
-        if any(len(selection.runs) > 1 for selection in selections):
+        if len(self._eigvals) > 1:
             half_logdet = np.add.reduce(np.log(s, out=s), axis=1, out=None if scalar else work.half_logdet[:g])
             half_logdet *= 0.5
+            half_logdet = union.spread(half_logdet)
         return _Shared(selections, union, q, neg_loglik, half_logdet, np.sqrt(sna))
-
-
-_LOWEST = np.finfo(float).min
 
 
 def _softmax(logits):
@@ -510,34 +509,6 @@ def _softmax(logits):
     logits -= np.maximum.reduce(logits, axis=0)
     resp = np.exp(logits, out=logits)
     return np.divide(resp, np.add.reduce(resp, axis=0), out=resp)
-
-
-def _softmax_by_group(logits, runs, half_logdet, evidence):
-    """Responsibilities from the ``logits`` (k, n) of components in covariance-group ``runs``, in
-    place: a softmax within each group, times one across the groups of each group's
-    log-evidence less half its log det S.  A row whose condition lies in one group gets the
-    first times exactly one, the bits of that condition's own call, as per-row conditions
-    must; one member a group, or one group, is the same arithmetic in fewer steps."""
-    if len(runs) == 1:
-        return _softmax(logits)
-    if len(runs) == len(logits):
-        logits -= half_logdet
-        return _softmax(logits)
-    for i, (lo, hi) in enumerate(runs):
-        group = logits[lo:hi]
-        # A row whose condition excludes every member is all -inf here: shifted by the lowest
-        # float, not by -inf, it gives zeros and a log-evidence of -inf, not NaN.
-        top = np.maximum(np.maximum.reduce(group, axis=0), _LOWEST, out=evidence[i])
-        group -= top
-        total = np.add.reduce(np.exp(group, out=group), axis=0)
-        np.divide(group, total, out=group, where=total > 0)
-        with np.errstate(divide="ignore"):
-            top += np.log(total)
-        top -= half_logdet[i]
-    across = _softmax(evidence[: len(runs)])
-    for i, (lo, hi) in enumerate(runs):
-        logits[lo:hi] *= across[i]
-    return logits
 
 
 def _outer(v, m, out):

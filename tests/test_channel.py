@@ -185,3 +185,13 @@ class TestLogSnrSampler:
     def test_infinite_interval_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
             LogSnrSampler(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"loc": 1e17}, {"loc": -1e308}, {"loc": 2.0**26}, {"scale": 1e-300}])
+    def test_interval_its_floats_cannot_resolve_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="too narrow for its floats"):
+            LogSnrSampler(**kwargs)
+
+    @pytest.mark.parametrize("loc", [700.0, -700.0, 6e7])
+    def test_far_but_resolvable_interval_accepted(self, loc):
+        alphas, _ = LogSnrSampler(loc=loc, n_draws=50).sample(3)
+        assert np.unique(alphas).size == 50 and (np.abs(alphas - loc) <= 6.0).all()

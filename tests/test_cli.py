@@ -1029,23 +1029,20 @@ class TestIntervene:
         assert lines[0].startswith("config error: solver:") and "at step 1" in lines[0]
 
 
-def diverging_train_config(tmp_path, learning_rate=1e-3, sampler=None):
-    """A train config; a learning rate or a log-SNR of 1e308 makes its loss non-finite."""
+def diverging_train_config(tmp_path, learning_rate=1e-3):
+    """A train config; a learning rate of 1e308 makes its loss non-finite."""
     train = {"hidden": [4], "n_steps": 3, "batch_size": 4, "learning_rate": learning_rate}
-    doc = {"seed": 1, "data": PAIR_DATA, "sampler": sampler or {}, "train": train}
+    doc = {"seed": 1, "data": PAIR_DATA, "train": train}
     return write_config(tmp_path, doc)
 
 
 class TestTrainingDivergence:
-    @pytest.mark.parametrize(
-        "changes, step", [({"learning_rate": 1e308}, 2), ({"sampler": {"loc": 1e308}}, 1)]
-    )
-    def test_exits_2_and_names_train_and_the_step(self, tmp_path, capsys, changes, step):
-        cfg = diverging_train_config(tmp_path, **changes)
+    def test_exits_2_and_names_train_and_the_step(self, tmp_path, capsys):
+        cfg = diverging_train_config(tmp_path, learning_rate=1e308)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: train: training diverged: non-finite loss")
-        assert f"at step {step}:" in err
+        assert "at step 2:" in err
         assert not (tmp_path / "out").exists()
 
     def test_writes_only_the_error_line(self, tmp_path, capfd):
@@ -1081,6 +1078,20 @@ class TestOutOfRangeSettings:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid sampler: the interval loc +- clip*scale must be finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section", [{"estimate": {"kind": "mi"}}, {"train": {"hidden": [4], "n_steps": 3}}], ids=["estimate", "train"]
+    )
+    @pytest.mark.parametrize("loc", [1e17, 1e308])
+    def test_log_snr_interval_too_narrow_for_floats_exits_2(self, tmp_path, capsys, section, loc):
+        """A log-SNR of 1e17 ran as the one draw 1e17, weighted as if the interval were 12
+        wide, and one of 1e308 trained to a non-finite loss; both now stop at config time."""
+        doc = {"seed": 1, "data": PAIR_DATA, "sampler": {"loc": loc}, **section}
+        argv = [*section, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid sampler: the interval loc +- clip*scale is too narrow")
         assert not (tmp_path / "out").exists()
 
 

@@ -164,20 +164,26 @@ class TestMixture:
             at_zero = x[:, 0] == 0.0
             assert (resp[at_zero] == 0.5).all() and (both[at_zero] == 0.0).all(), alpha
 
-    @pytest.mark.parametrize("d", [1, 16])
-    def test_two_groups_with_far_apart_means(self, d):
-        """Two groups of two, 1e3 apart, under entries within a group and across both: a
-        softmax within each group, then one across the groups, gives far means zero weight,
-        not NaN."""
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (1e-4, 1e4)], ids=["near", "distant_logdets"])
+    @pytest.mark.parametrize("d", [1, 16, 64])
+    def test_two_groups_with_far_apart_means(self, d, scales):
+        """Two groups of two, 1e3 apart, under entries within a group, across both and per row:
+        far means get zero weight, not NaN.  Scaled by 1e-4 and 1e4, the groups' half log det C
+        differ by about 575 nats at d = 64, and their half log det S by about 340 at a = 2, an
+        offset that every logit of an entry within one group carries as well."""
         rng = np.random.default_rng(d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         wide = (q * np.exp(rng.uniform(-2.0, 1.0, d))) @ q.T
-        covs = [np.eye(d), np.eye(d), (wide + wide.T) / 2, (wide + wide.T) / 2]
+        narrow, broad = scales[0] * np.eye(d), scales[1] * (wide + wide.T) / 2
+        covs = [narrow, narrow, broad, broad]
         means = np.stack([np.full(d, -1e3), np.full(d, -1e3 + 2.0), np.full(d, 1e3), np.full(d, 1e3 - 1.5)])
-        den = GmmDenoiser(GmmSpec(np.full(4, 0.25), means, covs, {"a": (0, 2), "b": (1, 3)}))
+        cmap = {"a": (0, 2), "b": (1, 3), "left": (0, 1)}
+        den = GmmDenoiser(GmmSpec(np.full(4, 0.25), means, covs, cmap))
         x = np.concatenate([means + rng.standard_normal((4, d)), rng.uniform(-1.0, 1.0, (2, d))])
+        a_label, left = ConditionId(label="a"), ConditionId(label="left")
+        per_row = [None, left, a_label, ConditionId(label="b"), left, None]
         for a in (rng.uniform(-5.0, 7.0, len(x)), 2.0):
-            entries = [None, ConditionId(label="a"), ConditionId(label="b")]
+            entries = [None, a_label, ConditionId(label="b"), left, per_row]
             assert_agrees_with_a_solve_per_component(den, x, a, entries, 1e-12, 1e-11)
 
     @pytest.mark.parametrize("n", ROWS)
