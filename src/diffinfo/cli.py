@@ -123,8 +123,8 @@ def _build_denoiser(cfg: RunConfig, spec: GmmSpec):
 
 
 def _streams(seed: int):
-    """Fixed-order child seeds: dataset draws, estimation, training, editing."""
-    return np.random.SeedSequence(seed).spawn(4)
+    """Fixed-order child seeds: dataset draws, estimation, training."""
+    return np.random.SeedSequence(seed).spawn(3)
 
 
 def _setup(cfg: RunConfig):
@@ -232,7 +232,7 @@ def _output(cfg: RunConfig, units: bool = True) -> tuple[Path, dict]:
 def cmd_estimate(cfg: RunConfig) -> int:
     """Estimate NLL or pointwise, mutual or conditional mutual information per sample."""
     kind = cfg.estimate.kind
-    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    spec, den, (s_data, s_est, _) = _setup(cfg)
     x, conditions, contexts = _estimation_data(cfg, spec, den, s_data, kind)
     if kind == "nll":
         report = estimators.nll(den, x, cfg.sampler, cfg.n_eps, s_est, conditions)
@@ -257,7 +257,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 def cmd_decompose(cfg: RunConfig) -> int:
     """Split pointwise information into per-dimension heatmaps, scored against a truth mask."""
     kind = cfg.decompose.kind
-    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    spec, den, (s_data, s_est, _) = _setup(cfg)
     x, conditions, contexts = _estimation_data(cfg, spec, den, s_data, kind)
     d = spec.dim
     if cfg.data.grid is not None and math.prod(cfg.data.grid) != d:
@@ -291,7 +291,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 def cmd_rank(cfg: RunConfig) -> int:
     """Rank candidate labels for samples by their pointwise information."""
-    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    spec, den, (s_data, s_est, _) = _setup(cfg)
     tokens = tuple(sorted(spec.condition_map)) if cfg.rank.candidates is None else cfg.rank.candidates
     if len(tokens) < 2:
         message = f"rank.candidates: ranking needs at least two candidate tokens, got {list(tokens)}"
@@ -339,14 +339,15 @@ def cmd_rank(cfg: RunConfig) -> int:
 
 def cmd_intervene(cfg: RunConfig) -> int:
     """Swap labels along the probability flow and relate each edit to its information."""
-    spec, den, (s_data, s_est, _, _) = _setup(cfg)
+    spec, den, (s_data, s_est, _) = _setup(cfg)
     if cfg.data.component_conditions is None:
         message = "intervention needs data.component_conditions to label the samples"
         raise ConfigError(message, "data.component_conditions")
     _check_size("solver.n_steps", f"a grid of {cfg.solver.n_steps + 1} log-SNRs", cfg.solver.n_steps + 1)
     x, conditions, contexts = _build_dataset(cfg, spec, s_data)
     if any(c is None or c.label is None for c in conditions):
-        raise ConfigError("every sampled component needs a labeled condition", "data.component_conditions")
+        message = "data.component_conditions: every sampled component needs a labeled condition"
+        raise ConfigError(message, "data.component_conditions")
     n_edit = cfg.intervene.n_samples
     if n_edit > len(conditions):
         raise ConfigError(
@@ -391,13 +392,13 @@ def cmd_train(cfg: RunConfig) -> int:
     spec = _load_spec(cfg)
     if cfg.data.n_samples is None:
         raise ConfigError("training needs data.n_samples", "data.n_samples")
-    _check_training(cfg.train.mlp, spec.dim)
-    s_data, _, s_train, _ = _streams(cfg.seed)
+    _check_training(cfg.train, spec.dim)
+    s_data, _, s_train = _streams(cfg.seed)
     x, conditions, _ = _build_dataset(cfg, spec, s_data)
-    denoiser, trace = train_mlp(x, conditions, cfg.train.mlp, cfg.sampler, seed=s_train)
+    denoiser, trace = train_mlp(x, conditions, cfg.train, cfg.sampler, seed=s_train)
 
     out, payload = _output(cfg, units=False)
-    name = cfg.train.checkpoint_name
+    name = cfg.checkpoint_name
     save_checkpoint(denoiser, out / name)
     write_csv(out / "loss_trace.csv", ["step", "loss"], [(i + 1, v) for i, v in enumerate(trace)])
     payload.update(final_loss=float(trace[-1]), vocabulary=list(denoiser.vocabulary), checkpoint=name)

@@ -7,8 +7,8 @@ naming the path.  ``_fields`` reads a table, rejecting unknown keys, and
 by its dotted path.  Defaults are the dataclass field defaults and are written
 nowhere else.  ``RunConfig.resolved`` reads the same tables back into JSON
 (``_dump``), omitting ``None``; the result parses back to itself.  JSON keys
-are field names, except the renames in ``_ATTR``, the keys a :class:`_Section`
-holds for an enclosing object (``sampler.n_eps``, ``output.dir``,
+are field names, except the renames in ``_ATTR``, the keys of a :class:`_Section`
+that are RunConfig fields (``sampler.n_eps``, ``output.dir``,
 ``train.checkpoint_name``), and the ``oracle`` parameters, which sit beside
 ``op`` and are checked by ``ORACLE_OPS``.  The same checks, ``_fields`` and
 ``_dump`` also read and write the headers of :mod:`diffinfo.checkpoint`.
@@ -226,7 +226,7 @@ def _dump(table: dict, *objs) -> dict:
     out = {}
     for key, check in table.items():
         if isinstance(check, _Section):
-            value = check.dump(objs[-1])
+            value = check.dump(objs[-1], key)
         else:
             attr = _ATTR.get(key, key)
             value = _plain(getattr(next(o for o in objs if hasattr(o, attr)), attr))
@@ -257,27 +257,23 @@ def _plain(value):
 
 
 class _Section:
-    """A top-level JSON object whose keys, checked by ``table``, fill the dataclasses of
-    ``chain``: ``(attribute, class)`` pairs, innermost first, each built from the keys that
-    are its fields and the object before it.  The keys left over are RunConfig fields."""
+    """A top-level JSON object whose keys, checked by ``table``, fill ``cls`` (the keys that
+    are its fields), stored at the RunConfig field named by the section's own key.  The keys
+    left over are RunConfig fields."""
 
-    def __init__(self, table: dict, *chain, required=()):
-        self.table, self.chain, self.required = table, chain, required
+    def __init__(self, table: dict, cls=None, required=()):
+        self.table, self.cls, self.required = table, cls, required
 
     def __call__(self, raw, path: str) -> dict:
         kwargs = _fields(raw, path, self.table, self.required)
-        for attr, cls in self.chain:
-            own = {f.name: kwargs.pop(f.name) for f in fields(cls) if f.name in kwargs}
-            kwargs[attr] = _build(cls, own, path)
+        if self.cls is not None:
+            own = {f.name: kwargs.pop(f.name) for f in fields(self.cls) if f.name in kwargs}
+            kwargs[path] = _build(self.cls, own, path)
         return kwargs
 
-    def dump(self, cfg):
-        objs = [cfg]
-        for attr, _ in reversed(self.chain):
-            objs.insert(0, getattr(objs[0], attr))
-            if objs[0] is None:
-                return None
-        return _dump(self.table, *objs)
+    def dump(self, cfg, key: str):
+        obj = cfg if self.cls is None else getattr(cfg, key)
+        return None if obj is None else _dump(self.table, obj, cfg)
 
 
 # --- sections --------------------------------------------------------------
@@ -295,10 +291,7 @@ def _gmm(raw, path: str) -> GmmSpec:
     if not comps:
         raise ConfigError(f"{path}.components must be a non-empty list", f"{path}.components")
     weights, means, covs = ([c[key] for c in comps] for key in _COMPONENT)
-    try:
-        return GmmSpec(weights, np.asarray(means), np.asarray(covs), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {path}: {exc}", path) from exc
+    return _build(GmmSpec, dict(weights=weights, means=means, covariances=covs, **kwargs), path)
 
 
 _CONDITION = {"label": _optional(_string), "context": _list(_string)}
@@ -364,12 +357,6 @@ class InterveneConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfigSection:
-    mlp: MlpTrainConfig
-    checkpoint_name: str = "mlp.ckpt"
-
-
-@dataclass(frozen=True)
 class OracleConfig:
     op: str
     params: Any = field(default_factory=dict)
@@ -425,24 +412,24 @@ _RUN = {
     "seed": _integer(0),
     "output": _Section({"dir": _string}, required=("dir",)),
     "bits": _boolean,
-    "data": _Section(_DATA, ("data", DataConfig)),
-    "sampler": _Section(_SAMPLER, ("sampler", LogSnrSampler)),
+    "data": _Section(_DATA, DataConfig),
+    "sampler": _Section(_SAMPLER, LogSnrSampler),
     "solver": _Section(
-        {"n_steps": _positive, "alpha_min": _number, "alpha_max": _number}, ("solver", SolverConfig)
+        {"n_steps": _positive, "alpha_min": _number, "alpha_max": _number}, SolverConfig
     ),
     "denoiser": _Section(
-        {"kind": _one_of("closed_form", "checkpoint"), "path": _string}, ("denoiser", DenoiserConfig)
+        {"kind": _one_of("closed_form", "checkpoint"), "path": _string}, DenoiserConfig
     ),
     "estimate": _Section(
-        {"kind": _one_of(*ESTIMATOR_KINDS), "estimator_kind": _POINTWISE}, ("estimate", EstimateConfig)
+        {"kind": _one_of(*ESTIMATOR_KINDS), "estimator_kind": _POINTWISE}, EstimateConfig
     ),
-    "decompose": _Section({"kind": _one_of("pointwise_s", "pointwise_o", "cmi")}, ("decompose", DecomposeConfig)),
+    "decompose": _Section({"kind": _one_of("pointwise_s", "pointwise_o", "cmi")}, DecomposeConfig),
     "rank": _Section(
         {"n_samples": _positive, "candidates": _optional(_list(_string)), "estimator_kind": _POINTWISE},
-        ("rank", RankConfig),
+        RankConfig,
     ),
-    "intervene": _Section({"n_samples": _positive, "swap": _mapping(_string)}, ("intervene", InterveneConfig)),
-    "train": _Section(_TRAIN, ("mlp", MlpTrainConfig), ("train", TrainConfigSection)),
+    "intervene": _Section({"n_samples": _positive, "swap": _mapping(_string)}, InterveneConfig),
+    "train": _Section(_TRAIN, MlpTrainConfig),
     "oracle": _oracle,
 }
 
@@ -461,7 +448,8 @@ class RunConfig:
     decompose: DecomposeConfig | None = None
     rank: RankConfig | None = None
     intervene: InterveneConfig | None = None
-    train: TrainConfigSection | None = None
+    train: MlpTrainConfig | None = None
+    checkpoint_name: str = "mlp.ckpt"
     oracle: OracleConfig | None = None
 
     def __post_init__(self):

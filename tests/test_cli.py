@@ -398,6 +398,63 @@ class TestSchemaDiagnostics:
         assert "denoiser.path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    LABELED_PAIR = {"gmm": PAIR_GMM, "n_samples": 8, "component_conditions": [{"label": "neg"}, {"label": "pos"}]}
+    SWAP = {"n_samples": 8, "swap": {"neg": "pos", "pos": "neg"}}
+
+    @pytest.mark.parametrize(
+        "command, raw, message",
+        [
+            ("estimate", {"data": {"points": [[0.0]]}, "estimate": {"kind": "nll"}}, "the 'data' section needs 'gmm'"),
+            (
+                "estimate",
+                {"data": {**LABELED_PAIR, "component_conditions": [{"label": "neg"}]}, "estimate": {"kind": "mi"}},
+                "data.component_conditions has 1 entries for 2 components",
+            ),
+            ("estimate", {"data": {"gmm": PAIR_GMM}, "estimate": {"kind": "nll"}}, "the 'data' section yields no samples"),
+            (
+                "intervene",
+                {"data": {"gmm": PAIR_GMM, "n_samples": 8}, "intervene": SWAP},
+                "intervention needs data.component_conditions",
+            ),
+            (
+                "intervene",
+                {"data": {**LABELED_PAIR, "component_conditions": [{"context": ["neg"]}, {"label": "pos"}]}, "intervene": SWAP},
+                "data.component_conditions: every sampled component needs a labeled condition",
+            ),
+            (
+                "intervene",
+                {"data": LABELED_PAIR, "intervene": {**SWAP, "swap": {"neg": "pos"}}},
+                "intervene.swap does not cover label 'pos'",
+            ),
+            ("intervene", {"data": LABELED_PAIR, "intervene": {**SWAP, "swap": {}}}, "intervene.swap must be a non-empty object"),
+            ("train", {"data": {"gmm": PAIR_GMM, "points": [[0.0]]}, "train": {}}, "training needs data.n_samples"),
+            ("estimate", {"data": {"gmm": PAIR_GMM, "points": [[[0.0]]]}}, "'data.points' must be a list of vectors"),
+            ("estimate", {"data": {"gmm": {"components": []}}}, "data.gmm.components must be a non-empty list"),
+            ("estimate", {"denoiser": {"kind": "checkpoint"}}, "missing required field 'denoiser.path'"),
+            ("estimate", [], "the configuration document must be a JSON object"),
+        ],
+        ids=[
+            "data_without_gmm_or_checkpoint",
+            "conditions_not_one_per_component",
+            "data_without_points_or_n_samples",
+            "intervene_without_conditions",
+            "intervene_with_a_context_only_condition",
+            "swap_missing_a_label",
+            "empty_swap",
+            "train_without_n_samples",
+            "three_axis_points",
+            "no_components",
+            "checkpoint_denoiser_without_path",
+            "document_not_an_object",
+        ],
+    )
+    def test_exits_2_on_one_line_naming_the_field(self, tmp_path, capsys, command, raw, message):
+        doc = raw if isinstance(raw, list) else {"seed": 1, **raw}
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -1168,6 +1225,26 @@ class TestOracleCommand:
         assert printed["value"] == pytest.approx(0.5108256237659907)
         assert printed["method"] == "closed_form"
         assert read_json(tmp_path / "out" / "oracle.json")["value"] == printed["value"]
+
+    @pytest.mark.parametrize(
+        "raw, units",
+        [
+            ({"oracle": {"op": "gaussian_mi", "correlation": 0.8}}, "bits"),
+            ({"data": {"gmm": PAIR_GMM}, "oracle": {"op": "gmm_mi_numeric"}}, "bits"),
+            ({"oracle": {"op": "mmse_gaussian", "variance": 2.0, "alpha": 0.5}}, "mse"),
+        ],
+        ids=["gaussian_mi", "gmm_mi_numeric", "mmse_gaussian"],
+    )
+    def test_bits_divides_information_by_ln_2_and_keeps_the_mse(self, tmp_path, capsys, raw, units):
+        cfg = write_config(tmp_path, {"seed": 0, **raw})
+        printed = []
+        for flags in ([], ["--bits"]):
+            assert main(["oracle", "--config", cfg, *flags]) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        nats, bits = printed
+        scale = math.log(2.0) if units == "bits" else 1.0
+        assert bits["value"] == nats["value"] / scale and bits["abs_error_bound"] == nats["abs_error_bound"] / scale
+        assert (nats["units"], bits["units"]) == ("nats" if units == "bits" else "mse", units)
 
     def test_mistyped_parameter_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = write_config(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffinfo.channel import LogSnrSampler
+from diffinfo.channel import LogSnrSampler, signal_weight
 from diffinfo.denoise import ConditionId, GmmDenoiser, GmmSpec
 from diffinfo.mlp import MlpTrainConfig, train_mlp
 
@@ -88,6 +88,15 @@ def assert_agrees_with_a_solve_per_component(den, x, alpha, entries, rtol, resp_
             err = np.abs(rows[at] - eps).max(axis=1)
             assert (err <= rtol * scale).all(), f"{condition}: {err.max():.3g} off at a scale of {scale[err.argmax()]:.3g}"
             np.testing.assert_allclose(den.responsibilities(x[at], a, condition), resp, rtol=0, atol=resp_atol)
+
+
+def two_group_covariances(rng, d, scales) -> list[np.ndarray]:
+    """Two covariance groups of two: ``scales[0]`` times the identity, and ``scales[1]`` times
+    a random one of eigenvalues between e^-2 and e."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    wide = (q * np.exp(rng.uniform(-2.0, 1.0, d))) @ q.T
+    narrow, broad = scales[0] * np.eye(d), scales[1] * (wide + wide.T) / 2
+    return [narrow, narrow, broad, broad]
 
 
 def exact_pair_terms(x, alpha, mean, variance):
@@ -172,10 +181,7 @@ class TestMixture:
         differ by about 575 nats at d = 64, and their half log det S by about 340 at a = 2, an
         offset that every logit of an entry within one group carries as well."""
         rng = np.random.default_rng(d)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        wide = (q * np.exp(rng.uniform(-2.0, 1.0, d))) @ q.T
-        narrow, broad = scales[0] * np.eye(d), scales[1] * (wide + wide.T) / 2
-        covs = [narrow, narrow, broad, broad]
+        covs = two_group_covariances(rng, d, scales)
         means = np.stack([np.full(d, -1e3), np.full(d, -1e3 + 2.0), np.full(d, 1e3), np.full(d, 1e3 - 1.5)])
         cmap = {"a": (0, 2), "b": (1, 3), "left": (0, 1)}
         den = GmmDenoiser(GmmSpec(np.full(4, 0.25), means, covs, cmap))
@@ -184,6 +190,23 @@ class TestMixture:
         per_row = [None, left, a_label, ConditionId(label="b"), left, None]
         for a in (rng.uniform(-5.0, 7.0, len(x)), 2.0):
             entries = [None, a_label, ConditionId(label="b"), left, per_row]
+            assert_agrees_with_a_solve_per_component(den, x, a, entries, 1e-12, 1e-11)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (1e-4, 1e4)], ids=["near", "distant_logdets"])
+    @pytest.mark.parametrize("d", [1, 16, 64])
+    def test_two_groups_with_shared_means(self, d, scales):
+        """Each label a narrow and a broad member at one mean, "a" at -2 and "b" at 2, on rows
+        within 1e-2 to 10 of the corrupted means sqrt(sigma(a)) mu: near a mean the members'
+        Mahalanobis terms differ little, and half log det S decides the responsibilities."""
+        rng = np.random.default_rng(d)
+        means = np.stack([np.full(d, -2.0), np.full(d, 2.0)] * 2)
+        cmap = {"a": (0, 2), "b": (1, 3), "narrow": (0, 1)}
+        den = GmmDenoiser(GmmSpec(np.full(4, 0.25), means, two_group_covariances(rng, d, scales), cmap))
+        spreads = np.repeat([1e-2, 1e-1, 1.0, 10.0], 4)[:, None]  # each spread about each member's mean
+        a_label, b_label, narrow = ConditionId(label="a"), ConditionId(label="b"), ConditionId(label="narrow")
+        entries = [None, a_label, b_label, narrow, [None, narrow, a_label, b_label] * 4]
+        for a in (-3.0, 2.0, 6.0):
+            x = np.sqrt(signal_weight(a)) * np.tile(means, (4, 1)) + spreads * rng.standard_normal((16, d))
             assert_agrees_with_a_solve_per_component(den, x, a, entries, 1e-12, 1e-11)
 
     @pytest.mark.parametrize("n", ROWS)
