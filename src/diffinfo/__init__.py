@@ -30,7 +30,6 @@ from .oracle import (
 from .tasks import (
     evaluate_ranking,
     intervention_correlation,
-    iou,
     rank_conditions,
     sweep_threshold,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "gmm_mmse",
     "intervene",
     "intervention_correlation",
-    "iou",
     "load_checkpoint",
     "mmse_gaussian",
     "nll",

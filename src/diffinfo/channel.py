@@ -86,20 +86,23 @@ def corrupt(x, alpha, eps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogSnrSampler:
-    """Truncated-logistic importance distribution over log-SNR values.
+    """The draw design of an estimate: a truncated-logistic importance distribution
+    over log-SNR values, and the noise draws taken at each.
 
     Draws lie in ``[loc - clip*scale, loc + clip*scale]``, an interval that
     must be finite and wider than a billion ulps of its ends, so that its floats
     resolve it; each draw comes with the weight ``1/p(a)``, where ``p`` is
     the logistic density renormalized over the interval; so
     ``mean(weight * g(a))`` over the draws is an unbiased estimate of the
-    integral of ``g`` over the interval.
+    integral of ``g`` over the interval.  An estimate takes ``n_draws``
+    log-SNRs and ``n_eps`` noise draws at each; training draws log-SNRs only.
     """
 
     loc: float = 1.0
     scale: float = 2.0
     clip: float = 3.0
     n_draws: int = 100
+    n_eps: int = 4
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -108,6 +111,8 @@ class LogSnrSampler:
             raise ValueError(f"clip must be positive, got {self.clip}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws must be at least 1, got {self.n_draws}")
+        if self.n_eps < 1:
+            raise ValueError(f"n_eps must be at least 1, got {self.n_eps}")
         if not all(map(math.isfinite, self.support)):
             raise ValueError(f"the interval loc +- clip*scale must be finite, got {list(self.support)}")
         lo, hi = self.support

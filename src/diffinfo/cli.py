@@ -74,7 +74,7 @@ def _check_samples(field_path: str, n: int, d: int) -> None:
 
 def _check_draws(cfg: RunConfig, d: int) -> None:
     """Bound one point's noise draws, which every estimate allocates first."""
-    n_snr, n_eps = cfg.sampler.n_draws, cfg.n_eps
+    n_snr, n_eps = cfg.sampler.n_draws, cfg.sampler.n_eps
     field = "sampler.n_eps" if n_eps >= n_snr else "sampler.n_snr"
     _check_size(field, f"one point's {n_snr} x {n_eps} noise draws of dimension {d}", n_snr * n_eps * d)
 
@@ -235,12 +235,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
     spec, den, (s_data, s_est, _) = _setup(cfg)
     x, conditions, contexts = _estimation_data(cfg, spec, den, s_data, kind)
     if kind == "nll":
-        report = estimators.nll(den, x, cfg.sampler, cfg.n_eps, s_est, conditions)
+        report = estimators.nll(den, x, cfg.sampler, s_est, conditions)
     else:
         estimator = kind if kind in ("pointwise_s", "pointwise_o") else cfg.estimate.estimator_kind
-        report = estimators.pointwise_dataset(
-            den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
-        )
+        report = estimators.pointwise_dataset(den, den, x, conditions, cfg.sampler, estimator, s_est, contexts)
     _check_finite(cfg, estimate=report.total)
     aggregate = estimators.aggregate_reports(report, kind) if kind in ("mi", "cmi") else None
     report = _in_units(report, cfg)
@@ -265,9 +263,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     if cfg.data.truth_mask is not None and cfg.data.truth_mask.shape[0] != d:
         raise ConfigError("data.truth_mask length must match the data dimension", "data.truth_mask")
     estimator = "pointwise_o" if kind == "cmi" else kind
-    report = estimators.pointwise_dataset(
-        den, den, x, conditions, cfg.sampler, estimator, cfg.n_eps, s_est, contexts
-    )
+    report = estimators.pointwise_dataset(den, den, x, conditions, cfg.sampler, estimator, s_est, contexts)
     _check_finite(cfg, estimate=report.total)
     report = _in_units(report, cfg)
 
@@ -310,7 +306,6 @@ def cmd_rank(cfg: RunConfig) -> int:
         den,
         den,
         cfg.sampler,
-        n_eps=cfg.n_eps,
         seed=s_est,
         estimator_kind=cfg.rank.estimator_kind,
     )
@@ -363,9 +358,7 @@ def cmd_intervene(cfg: RunConfig) -> int:
     _check_conditions(cfg, den, sources, "data.component_conditions")
     _check_conditions(cfg, den, targets, "intervene.swap")
     edits = flow_intervene(x, den, sources, targets, cfg.solver)
-    report = estimators.pointwise_dataset(
-        den, den, x, sources, cfg.sampler, "pointwise_o", cfg.n_eps, s_est, contexts
-    )
+    report = estimators.pointwise_dataset(den, den, x, sources, cfg.sampler, "pointwise_o", s_est, contexts)
     _check_finite(cfg, estimate=report.total, roundtrip_l2=edits.roundtrip_l2, delta_l2=edits.delta_l2)
     scores, deltas = _in_units(report, cfg).total.tolist(), edits.delta_l2.tolist()
     columns = zip(sources, scores, edits.roundtrip_l2.tolist(), deltas)

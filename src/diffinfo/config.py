@@ -8,10 +8,10 @@ by its dotted path.  Defaults are the dataclass field defaults and are written
 nowhere else.  ``RunConfig.resolved`` reads the same tables back into JSON
 (``_dump``), omitting ``None``; the result parses back to itself.  JSON keys
 are field names, except the renames in ``_ATTR``, the keys of a :class:`_Section`
-that are RunConfig fields (``sampler.n_eps``, ``output.dir``,
-``train.checkpoint_name``), and the ``oracle`` parameters, which sit beside
-``op`` and are checked by ``ORACLE_OPS``.  The same checks, ``_fields`` and
-``_dump`` also read and write the headers of :mod:`diffinfo.checkpoint`.
+that are RunConfig fields (``output.dir``, ``train.checkpoint_name``), and
+the ``oracle`` parameters, which sit beside ``op`` and are checked by
+``ORACLE_OPS``.  The same checks, ``_fields`` and ``_dump`` also read and
+write the headers of :mod:`diffinfo.checkpoint`.
 """
 
 from __future__ import annotations
@@ -441,7 +441,6 @@ class RunConfig:
     bits: bool = False
     data: DataConfig | None = None
     sampler: LogSnrSampler = LogSnrSampler()
-    n_eps: int = 4
     solver: SolverConfig = SolverConfig()
     denoiser: DenoiserConfig = DenoiserConfig("closed_form")
     estimate: EstimateConfig | None = None

@@ -3,7 +3,9 @@
 Every estimate is a one-dimensional integral over log-SNR of an expected
 squared denoising error, evaluated by importance sampling from a
 :class:`~diffinfo.channel.LogSnrSampler` (writing I[g] for the integral of g
-over the sampler's interval, and eps_hat for the denoiser output):
+over the sampler's interval, and eps_hat for the denoiser output).  The
+sampler is the estimate's whole draw design: ``n_draws`` log-SNRs a point,
+and ``n_eps`` noise draws at each, over which E averages:
 
     -log p(x)  =  d/2 log(2 pi e) - 1/2 I[ d sigma(a) - E|eps - eps_hat(x_a)|^2 ]
     i_s(x; y)  =  1/2 I[ E|eps - eps_hat(x_a)|^2 - E|eps - eps_hat(x_a|y)|^2 ]
@@ -25,8 +27,9 @@ difference and removes shared noise from i_s.  Several conditions for one
 point share those draws too, and with them the unconditional prediction: a
 list or tuple of K candidates gives one estimate per candidate, from one
 denoiser call that carries the unconditional entry and every candidate.
-Each report carries the truncation interval the integral was taken over;
-contributions outside it are defined to be zero.
+Each report carries the sampler it was drawn with, and with it the
+truncation interval the integral was taken over; contributions outside it
+are defined to be zero.
 
 Every kind takes a vector or an (n, d) dataset through one pass and returns
 one :class:`InfoReport` whose arrays run over the estimates: ``total``
@@ -102,17 +105,16 @@ class InfoReport:
     ``per_dim`` less its last axis.  ``std_error`` is the sample standard
     deviation of the per-draw (or per-sample, for averaged estimators)
     contributions divided by the square root of their count, and NaN where
-    it cannot be estimated because there is only one.  ``n_samples`` is the number of data samples
-    each estimate averages.  All values are in nats; use :meth:`to_bits` for
-    bits.
+    it cannot be estimated because there is only one.  ``sampler`` is the draw
+    design the estimates were drawn with, its interval and draw counts.
+    ``n_samples`` is the number of data samples each estimate averages.  All
+    values are in nats; use :meth:`to_bits` for bits.
     """
 
     per_dim: np.ndarray
     std_error: np.ndarray
-    n_snr_draws: int
-    n_eps_draws: int
+    sampler: LogSnrSampler
     estimator_kind: str
-    alpha_interval: tuple[float, float]
     n_samples: int = 1
 
     def __post_init__(self):
@@ -170,7 +172,6 @@ def nll(
     denoiser,
     x,
     sampler: LogSnrSampler = LogSnrSampler(),
-    n_eps: int = 4,
     seed=0,
     condition=None,
 ) -> InfoReport:
@@ -187,10 +188,10 @@ def nll(
     (near-)zero variance makes the integral diverge; an overflowing estimate
     is reported as +inf rather than NaN, without touching the other points.
     """
-    return _estimate("nll", denoiser, denoiser, x, condition, sampler, n_eps, seed, None)
+    return _estimate("nll", denoiser, denoiser, x, condition, sampler, seed, None)
 
 
-def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition):
+def _estimate(kind, uncond, cond, x, condition, sampler, seed, uncond_condition):
     """The report of ``kind`` for a vector or an (n, d) dataset ``x``; see the module docstring."""
     xs, single = _check_points(uncond, x)
     n, d = xs.shape
@@ -209,27 +210,23 @@ def _estimate(kind, uncond, cond, x, condition, sampler, n_eps, seed, uncond_con
     (k,) = lengths
     if k == 0:
         raise ValueError("need at least one condition")
-    if n_eps < 1:
-        raise ValueError(f"n_eps must be at least 1, got {n_eps}")
     per_dim, std_error = np.empty((n, k or 1, d)), np.empty((n, k or 1))
     for group in _groups(uncond_conditions, conditions):
         entry, uncond_entry = conditions[group[0]], uncond_conditions[group[0]]
         candidates = [entry] if k is None else list(entry)
         passes = len(candidates) + (kind != "nll")
-        step = max(1, CHUNK_ELEMENTS // (sampler.n_draws * n_eps * d * passes))
+        step = max(1, CHUNK_ELEMENTS // (sampler.n_draws * sampler.n_eps * d * passes))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             per_dim[chunk], std_error[chunk] = _chunk(
-                kind, uncond, cond, xs[chunk], [seeds[i] for i in chunk], sampler, n_eps, uncond_entry, candidates
+                kind, uncond, cond, xs[chunk], [seeds[i] for i in chunk], sampler, uncond_entry, candidates
             )
     shape = (() if single else (n,)) + (() if k is None else (k,))
     return InfoReport(
         per_dim=per_dim.reshape(*shape, d),
         std_error=std_error.reshape(shape),
-        n_snr_draws=sampler.n_draws,
-        n_eps_draws=n_eps,
+        sampler=sampler,
         estimator_kind=kind,
-        alpha_interval=sampler.support,
     )
 
 
@@ -246,10 +243,10 @@ def _groups(uncond_conditions, conditions):
     return np.split(order, np.flatnonzero(np.diff(np.sort(index))) + 1)
 
 
-def _chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
+def _chunk(kind, uncond, cond, xs, seeds, sampler, uncond_condition, candidates):
     """Per-dimension estimates (p, K, d) and standard errors (p, K) for the points of
     ``xs`` (p, d), one seed each, under each of the K candidates."""
-    (p, d), n_snr = xs.shape, sampler.n_draws
+    (p, d), n_snr, n_eps = xs.shape, sampler.n_draws, sampler.n_eps
     (alphas, weights), eps = np.empty((2, p, n_snr)), np.empty((p, n_snr, n_eps, d))
     for i, seed in enumerate(seeds):  # the draw order never depends on the condition
         rng = np.random.default_rng(seed)
@@ -304,7 +301,6 @@ def pointwise_s(
     x,
     condition,
     sampler: LogSnrSampler = LogSnrSampler(),
-    n_eps: int = 4,
     seed=0,
     uncond_condition=None,
 ) -> InfoReport:
@@ -320,7 +316,7 @@ def pointwise_s(
     results; the module docstring gives the result shapes and the forms
     ``condition`` and ``uncond_condition`` then take.
     """
-    return _estimate("pointwise_s", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
+    return _estimate("pointwise_s", uncond, cond, x, condition, sampler, seed, uncond_condition)
 
 
 def pointwise_o(
@@ -329,7 +325,6 @@ def pointwise_o(
     x,
     condition,
     sampler: LogSnrSampler = LogSnrSampler(),
-    n_eps: int = 4,
     seed=0,
     uncond_condition=None,
 ) -> InfoReport:
@@ -341,7 +336,7 @@ def pointwise_o(
     variance on the same draws.  Takes a vector or a dataset, and a list or
     tuple of candidates, as :func:`pointwise_s` does.
     """
-    return _estimate("pointwise_o", uncond, cond, x, condition, sampler, n_eps, seed, uncond_condition)
+    return _estimate("pointwise_o", uncond, cond, x, condition, sampler, seed, uncond_condition)
 
 
 def aggregate_reports(report, kind) -> InfoReport:
@@ -358,10 +353,8 @@ def aggregate_reports(report, kind) -> InfoReport:
     return InfoReport(
         per_dim=per_dim,
         std_error=std_error,
-        n_snr_draws=report.n_snr_draws,
-        n_eps_draws=report.n_eps_draws,
+        sampler=report.sampler,
         estimator_kind=kind,
-        alpha_interval=report.alpha_interval,
         n_samples=n,
     )
 
@@ -373,7 +366,6 @@ def pointwise_dataset(
     conditions,
     sampler: LogSnrSampler = LogSnrSampler(),
     estimator_kind: str = "pointwise_o",
-    n_eps: int = 4,
     seed=0,
     contexts=None,
 ) -> InfoReport:
@@ -391,4 +383,4 @@ def pointwise_dataset(
     if estimator_kind not in ("pointwise_s", "pointwise_o"):
         raise ValueError(f"estimator_kind must be pointwise_s or pointwise_o, got {estimator_kind!r}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    return estimate(uncond, cond, x, list(conditions), sampler, n_eps, seed, contexts)
+    return estimate(uncond, cond, x, list(conditions), sampler, seed, contexts)

@@ -68,11 +68,11 @@ def _entries(report):
 def report_records(report) -> list[dict]:
     """One JSON object per estimate of ``report``; a 0-d report gives one."""
     shared = {
-        "n_snr_draws": report.n_snr_draws,
-        "n_eps_draws": report.n_eps_draws,
+        "n_snr_draws": report.sampler.n_draws,
+        "n_eps_draws": report.sampler.n_eps,
         "n_samples": report.n_samples,
         "estimator_kind": report.estimator_kind,
-        "alpha_interval": list(report.alpha_interval),
+        "alpha_interval": list(report.sampler.support),
     }
     return [{"total": t, "std_error": s, "per_dim": p, **shared} for t, s, p in _entries(report)]
 

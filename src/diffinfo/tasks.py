@@ -42,7 +42,6 @@ def rank_conditions(
     uncond,
     cond,
     sampler: LogSnrSampler = LogSnrSampler(),
-    n_eps: int = 4,
     seed=0,
     estimator_kind: str = "pointwise_s",
 ) -> np.ndarray:
@@ -68,8 +67,10 @@ def rank_conditions(
     for entry in per_point:
         if len(entry) < 2:
             raise ValueError(f"need at least 2 candidates, got {len(entry)}")
+    if estimator_kind not in ("pointwise_s", "pointwise_o"):
+        raise ValueError(f"estimator_kind must be pointwise_s or pointwise_o, got {estimator_kind!r}")
     estimate = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[estimator_kind]
-    report = estimate(uncond, cond, x, per_point if dataset else per_point[0], sampler, n_eps=n_eps, seed=seed)
+    report = estimate(uncond, cond, x, per_point if dataset else per_point[0], sampler, seed=seed)
     return report.total
 
 
@@ -79,7 +80,6 @@ def evaluate_ranking(
     uncond,
     cond,
     sampler: LogSnrSampler = LogSnrSampler(),
-    n_eps: int = 4,
     seed=0,
     estimator_kind: str = "pointwise_s",
 ) -> np.ndarray:
@@ -87,7 +87,7 @@ def evaluate_ranking(
     if len(xs) == 0:
         raise ValueError("no points to rank")
     per_point = [tuple(candidates)] * len(xs)
-    return rank_conditions(xs, per_point, uncond, cond, sampler, n_eps, seed, estimator_kind)
+    return rank_conditions(xs, per_point, uncond, cond, sampler, seed, estimator_kind)
 
 
 def rescale_unit(values) -> np.ndarray:
@@ -97,16 +97,6 @@ def rescale_unit(values) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(values)
     return (values - lo) / (hi - lo)
-
-
-def iou(mask, truth) -> float:
-    """Intersection over union; an empty union counts as a perfect match."""
-    mask = np.asarray(mask, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    union = np.logical_or(mask, truth).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(mask, truth).sum() / union)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +109,9 @@ class SweepResult:
 def sweep_threshold(heatmap, truth_mask) -> SweepResult:
     """Best fixed threshold on a 0.01 grid over [0, 1] of the rescaled heatmap.
 
-    All 101 thresholds are scored at once, each as :func:`iou` scores its
-    mask; of equal scores the lowest threshold wins.
+    All 101 thresholds are scored at once by the intersection over union of
+    their masks with the truth, an empty union scoring 1; of equal scores the
+    lowest threshold wins.
     """
     heatmap = np.asarray(heatmap, dtype=float)
     truth = np.asarray(truth_mask, dtype=bool)
@@ -129,6 +120,8 @@ def sweep_threshold(heatmap, truth_mask) -> SweepResult:
             f"heatmap and truth_mask must be vectors of the same length, "
             f"got shapes {heatmap.shape} and {truth.shape}"
         )
+    if not np.isfinite(heatmap).all():
+        raise ValueError("heatmap values must be finite")
     if np.any(heatmap < 0):
         raise ValueError("heatmap values must be non-negative")
     grid = np.round(np.arange(0, 101) / 100.0, 2)
@@ -147,6 +140,8 @@ def intervention_correlation(scores, deltas) -> float:
         raise ValueError("scores and deltas must be vectors of the same length")
     if scores.size < 3:
         raise ValueError(f"need at least 3 pairs, got {scores.size}")
+    if not (np.isfinite(scores).all() and np.isfinite(deltas).all()):
+        raise ValueError("scores and deltas must be finite")
     if np.all(scores == scores[0]):
         raise ValueError("scores have zero variance")
     if np.all(deltas == deltas[0]):

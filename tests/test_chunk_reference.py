@@ -11,6 +11,7 @@ the d = 1, n_eps = 9 cases catch.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def reference_draws(sampler, n_eps, dim, seed):
     return alphas, weights, eps
 
 
-def reference_chunk(kind, uncond, cond, xs, seeds, sampler, n_eps, uncond_condition, candidates):
+def reference_chunk(kind, uncond, cond, xs, seeds, sampler, uncond_condition, candidates):
+    n_eps = sampler.n_eps
     draws = [reference_draws(sampler, n_eps, xs.shape[1], s) for s in seeds]
     alphas, weights, eps = (np.stack(arrays) for arrays in zip(*draws))
     x_a = corrupt(xs[:, None, None, :], alphas[..., None], eps)
@@ -82,10 +84,10 @@ def labelled_mixture(d):
     )
 
 
-def run(kind, uncond, cond, x, conditions, sampler, n_eps):
+def run(kind, uncond, cond, x, conditions, sampler):
     if kind == "nll":
-        return estimators.nll(cond, x, sampler, n_eps, 11, conditions)
-    return getattr(estimators, kind)(uncond, cond, x, conditions, sampler, n_eps, 11)
+        return estimators.nll(cond, x, sampler, 11, conditions)
+    return getattr(estimators, kind)(uncond, cond, x, conditions, sampler, 11)
 
 
 # 30 log-SNR draws: at d = 64 and 9 noise draws a point's pass is over the
@@ -108,9 +110,9 @@ def test_chunk_equals_the_reference_bit_for_bit(monkeypatch, kind, k, d, n_eps):
     uncond, cond = gmm_mmse(spec), gmm_mmse(spec)
     if d <= 2:
         uncond = cond
-    report = run(kind, uncond, cond, x, conditions, SAMPLER, n_eps)
+    report = run(kind, uncond, cond, x, conditions, replace(SAMPLER, n_eps=n_eps))
     monkeypatch.setattr(estimators, "_chunk", reference_chunk)
-    expected = run(kind, uncond, cond, x, conditions, SAMPLER, n_eps)
+    expected = run(kind, uncond, cond, x, conditions, replace(SAMPLER, n_eps=n_eps))
     assert report.per_dim.shape == (len(x), *(() if k == 1 else (k,)), d)
     for name in ("per_dim", "std_error"):
         got, want = getattr(report, name), getattr(expected, name)

@@ -121,7 +121,7 @@ class TestEstimate:
         payload = read_json(tmp_path / "out" / "estimates.json")
         for i, report in enumerate(payload["reports"]):
             label = ConditionId(label=("neg", "pos")[comps[i]])
-            expected = real_nll(den, x[i], LogSnrSampler(n_draws=30), 2, children[i], label)
+            expected = real_nll(den, x[i], LogSnrSampler(n_draws=30, n_eps=2), children[i], label)
             assert report["total"] == expected.total
 
     def test_mi_has_aggregate(self, tmp_path):
@@ -308,10 +308,8 @@ class TestNonFiniteOutput:
         report = InfoReport(
             per_dim=[[1.0], [2.0]],
             std_error=[math.nan, 0.5],
-            n_snr_draws=1,
-            n_eps_draws=2,
+            sampler=LogSnrSampler(n_draws=1, n_eps=2),
             estimator_kind="pointwise_o",
-            alpha_interval=(-5.0, 7.0),
         )
         assert [r["std_error"] for r in report_records(report)] == [None, 0.5]
         write_report_csv(tmp_path / "r.csv", report, per_dim=True)
@@ -341,10 +339,8 @@ def test_report_csv_rows_are_the_bytes_of_csv_writer_cells(tmp_path, shape, d, p
     report = InfoReport(
         per_dim=data.draw(arrays(float, shape + (d,), elements=EDGE_FLOATS)),
         std_error=data.draw(arrays(float, shape, elements=EDGE_FLOATS)),
-        n_snr_draws=1,
-        n_eps_draws=1,
+        sampler=LogSnrSampler(n_draws=1, n_eps=1),
         estimator_kind="nll",
-        alpha_interval=(-5.0, 7.0),
     )
     with np.errstate(over="ignore", invalid="ignore"):  # totals of 1e308s and of inf - inf
         write_report_csv(tmp_path / "r.csv", report, per_dim=per_dim)

@@ -80,7 +80,7 @@ class TestDefaults:
         assert cfg.seed == 7
         assert (cfg.sampler.loc, cfg.sampler.scale, cfg.sampler.clip) == (1.0, 2.0, 3.0)
         assert cfg.sampler.n_draws == 100
-        assert cfg.n_eps == 4
+        assert cfg.sampler.n_eps == 4
         assert cfg.solver.n_steps == 100
         assert (cfg.solver.alpha_min, cfg.solver.alpha_max) == (-5.0, 7.0)
         assert cfg.denoiser.kind == "closed_form"

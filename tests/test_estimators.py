@@ -1,6 +1,7 @@
 """Information estimators against analytic oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,14 +49,14 @@ class TestNll:
     @pytest.mark.parametrize("x, expected", [(0.0, HALF_LOG_2PI), (2.0, HALF_LOG_2PI + 2.0)])
     def test_standard_normal_points(self, x, expected):
         den = gmm_mmse(STD_NORMAL)
-        report = nll(den, [x], DENSE_SAMPLER, n_eps=8, seed=0)
+        report = nll(den, [x], replace(DENSE_SAMPLER, n_eps=8), seed=0)
         assert abs(report.total - expected) <= 3 * report.std_error
         assert report.estimator_kind == "nll"
-        assert report.alpha_interval == (-5.0, 7.0)
+        assert report.sampler.support == (-5.0, 7.0)
 
     def test_two_dims_factorize(self):
         den = gmm_mmse(GmmSpec.single([0.0, 0.0], np.eye(2)))
-        report = nll(den, [0.0, 0.0], DENSE_SAMPLER, n_eps=8, seed=1)
+        report = nll(den, [0.0, 0.0], replace(DENSE_SAMPLER, n_eps=8), seed=1)
         assert abs(report.total - 2 * HALF_LOG_2PI) <= 3 * report.std_error
         for value in report.per_dim:
             assert abs(value - HALF_LOG_2PI) <= 3 * report.std_error
@@ -64,8 +65,8 @@ class TestNll:
         spec = symmetric_pair_spec(4.0)
         den = gmm_mmse(spec)
         x = np.array([4.3])
-        unconditional = nll(den, x, SAMPLER, n_eps=4, seed=2)
-        conditional = nll(den, x, SAMPLER, n_eps=4, seed=2, condition=ConditionId(label="pos"))
+        unconditional = nll(den, x, SAMPLER, seed=2)
+        conditional = nll(den, x, SAMPLER, seed=2, condition=ConditionId(label="pos"))
         assert conditional.total < unconditional.total
 
     def test_dimension_mismatch(self):
@@ -77,7 +78,7 @@ class TestNll:
     def test_fewer_than_one_noise_draw_rejected(self, n_eps):
         den = gmm_mmse(STD_NORMAL)
         with pytest.raises(ValueError, match=f"n_eps must be at least 1, got {n_eps}"):
-            nll(den, [0.0], SAMPLER, n_eps)
+            nll(den, [0.0], replace(SAMPLER, n_eps=n_eps))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_point_rejected(self, bad):
@@ -87,8 +88,8 @@ class TestNll:
 
     def test_deterministic_given_seed(self):
         den = gmm_mmse(STD_NORMAL)
-        a = nll(den, [0.3], SAMPLER, n_eps=4, seed=11)
-        b = nll(den, [0.3], SAMPLER, n_eps=4, seed=11)
+        a = nll(den, [0.3], SAMPLER, seed=11)
+        b = nll(den, [0.3], SAMPLER, seed=11)
         assert a.total == b.total and a.std_error == b.std_error
         np.testing.assert_array_equal(a.per_dim, b.per_dim)
 
@@ -99,7 +100,8 @@ class TestNll:
             def predict_one(self, x_alpha, alpha, condition):
                 return np.full_like(np.asarray(x_alpha, dtype=float), 1e308)
 
-        report = nll(ExplodingDenoiser(), [0.0], SAMPLER, n_eps=2, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = nll(ExplodingDenoiser(), [0.0], replace(SAMPLER, n_eps=2), seed=0)
         assert math.isinf(report.total)
         assert not math.isnan(report.total)
         assert np.all(np.isinf(report.per_dim))
@@ -109,8 +111,8 @@ class TestNll:
 def rho08():
     bench = correlated_gaussian(0.8)
     x, ys = bench.dataset(400, seed=100)
-    reports_s = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_s", 4, 7)
-    reports_o = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_o", 4, 7)
+    reports_s = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_s", 7)
+    reports_o = pointwise_dataset(bench.uncond, bench.cond, x, ys, SAMPLER, "pointwise_o", 7)
     return bench, (x, ys), reports_s, reports_o
 
 
@@ -142,7 +144,7 @@ class TestPointwise:
             condition_map={"near": (0,), "far": (1,)},
         )
         den = gmm_mmse(spec)
-        report = pointwise_s(den, den, [0.0], ConditionId(label="far"), SAMPLER, n_eps=8, seed=4)
+        report = pointwise_s(den, den, [0.0], ConditionId(label="far"), replace(SAMPLER, n_eps=8), seed=4)
         analytic = norm.logpdf(0.0, 5.0, 1.0) - math.log(
             0.5 * norm.pdf(0.0, 0.0, 1.0) + 0.5 * norm.pdf(0.0, 5.0, 1.0)
         )
@@ -194,8 +196,7 @@ class TestPointwise:
             den,
             [x],
             ConditionId(label="pos"),
-            LogSnrSampler(n_draws=8),
-            n_eps=2,
+            LogSnrSampler(n_draws=8, n_eps=2),
             seed=seed,
         )
         assert report.total >= 0.0
@@ -225,7 +226,7 @@ class TestMi:
         report = dataset_mi(den, x, labels, wide, seed=10)
         assert report.total == pytest.approx(math.log(2), rel=0.05)
         assert report.n_samples == 400
-        assert report.alpha_interval == (-8.0, 10.0)
+        assert report.sampler.support == (-8.0, 10.0)
 
     def test_estimator_kinds_agree_in_expectation(self, rho08):
         _, _, reports_s, reports_o = rho08
@@ -336,15 +337,13 @@ class TestPerDimDecomposition:
             InfoReport(
                 per_dim=np.array([0.2, 0.2]),
                 std_error=[0.0, 0.0],
-                n_snr_draws=1,
-                n_eps_draws=1,
+                sampler=LogSnrSampler(n_draws=1, n_eps=1),
                 estimator_kind="mi",
-                alpha_interval=(-5.0, 7.0),
             )
 
     def test_bits_conversion_scales_all_fields(self):
         den = gmm_mmse(STD_NORMAL)
-        report = nll(den, [0.0], SAMPLER, n_eps=2, seed=23)
+        report = nll(den, [0.0], replace(SAMPLER, n_eps=2), seed=23)
         bits = report.to_bits()
         assert bits.total == pytest.approx(report.total / math.log(2))
         assert bits.std_error == pytest.approx(report.std_error / math.log(2))
@@ -370,10 +369,10 @@ class TestConditionLists:
         den = localized_denoisers[kind]
         x = [0.4, -1.2]
         seed = np.random.SeedSequence(32)
-        together = estimate(den, den, x, self.CONDITIONS, SAMPLER, 3, seed)
+        together = estimate(den, den, x, self.CONDITIONS, replace(SAMPLER, n_eps=3), seed)
         assert together.total.shape == (3,) and together.per_dim.shape == (3, 2)
         for i, condition in enumerate(self.CONDITIONS):
-            assert_same_point(together, i, estimate(den, den, x, condition, SAMPLER, 3, seed))
+            assert_same_point(together, i, estimate(den, den, x, condition, replace(SAMPLER, n_eps=3), seed))
         assert together.total[0] != together.total[1]
 
     def test_tuple_is_a_list_and_one_condition_is_not(self):
@@ -443,13 +442,13 @@ def assert_same_point(report, i, alone):
     np.testing.assert_array_equal(report.per_dim[i], alone.per_dim)
 
 
-def estimate(kind, den, x, sampler, n_eps, seed, condition, uncond_condition=None):
+def estimate(kind, den, x, sampler, seed, condition, uncond_condition=None):
     """``nll``, or a pointwise kind with ``den`` on both sides."""
     if kind == "nll":
         assert uncond_condition is None
-        return nll(den, x, sampler, n_eps, seed, condition)
+        return nll(den, x, sampler, seed, condition)
     pointwise = {"pointwise_s": pointwise_s, "pointwise_o": pointwise_o}[kind]
-    return pointwise(den, den, x, condition, sampler, n_eps, seed, uncond_condition)
+    return pointwise(den, den, x, condition, sampler, seed, uncond_condition)
 
 
 class TestDatasetNll:
@@ -458,13 +457,13 @@ class TestDatasetNll:
     LABELS = [ConditionId(label="lo"), ConditionId(label="hi")]
     CONTEXT = ConditionId(context=("lo",))
 
-    def check_against_single_points(self, den, xs, sampler, n_eps, seed, condition, kind="nll", uncond=None):
-        report = estimate(kind, den, xs, sampler, n_eps, seed, condition, uncond)
+    def check_against_single_points(self, den, xs, sampler, seed, condition, kind="nll", uncond=None):
+        report = estimate(kind, den, xs, sampler, seed, condition, uncond)
         assert report.total.shape[0] == len(xs)
         children = seed_sequence(seed).spawn(len(xs))
         for i in range(len(xs)):
             c, u = (e[i] if isinstance(e, (list, tuple)) else e for e in (condition, uncond))
-            assert_same_point(report, i, estimate(kind, den, xs[i], sampler, n_eps, children[i], c, u))
+            assert_same_point(report, i, estimate(kind, den, xs[i], sampler, children[i], c, u))
 
     @pytest.mark.parametrize(
         "kind, form",
@@ -473,7 +472,7 @@ class TestDatasetNll:
     )
     @pytest.mark.parametrize("den_kind", ["gmm", "mlp"])
     def test_chunks_equal_single_points_bit_for_bit(self, localized_denoisers, den_kind, kind, form):
-        sampler, n_eps, n = LogSnrSampler(n_draws=200), 4, 23
+        sampler, n = LogSnrSampler(n_draws=200, n_eps=4), 23
         lo, hi = self.LABELS
         condition, uncond, groups = {
             "none": (None, None, [n]),
@@ -486,12 +485,12 @@ class TestDatasetNll:
             "candidates": ([[lo, hi] if i % 2 == 0 else [hi, lo] for i in range(n)], None, [12, 11]),
         }[form]
         passes = (2 if form == "candidates" else 1) + (kind != "nll")
-        rows_per_point = sampler.n_draws * n_eps
+        rows_per_point = sampler.n_draws * sampler.n_eps
         per_chunk = CHUNK_ELEMENTS // (rows_per_point * 2 * passes)
         assert 1 < per_chunk < n and n % per_chunk  # several chunks, the last one partial
         xs = np.random.default_rng(40).standard_normal((n, 2))
         counting = CountingDenoiser(localized_denoisers[den_kind])
-        self.check_against_single_points(counting, xs, sampler, n_eps, 41, condition, kind, uncond)
+        self.check_against_single_points(counting, xs, sampler, 41, condition, kind, uncond)
         chunks = [p for g in groups for p in [per_chunk] * (g // per_chunk) + [g % per_chunk] if p]
         expected = [p * rows_per_point for p in chunks]  # one call per chunk, carrying every pass
         assert counting.rows[: len(expected)] == expected
@@ -500,9 +499,9 @@ class TestDatasetNll:
 
     def test_point_over_the_budget_gets_its_own_chunk(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
-        sampler, n_eps = LogSnrSampler(n_draws=CHUNK_ELEMENTS // 2 + 1), 1
+        sampler = LogSnrSampler(n_draws=CHUNK_ELEMENTS // 2 + 1, n_eps=1)
         xs = np.array([[0.5, -0.5], [3.0, 0.0], [-1.0, 2.0]])
-        self.check_against_single_points(den, xs, sampler, n_eps, 42, self.LABELS[0])
+        self.check_against_single_points(den, xs, sampler, 42, self.LABELS[0])
         assert den.rows[:3] == [sampler.n_draws] * 3
 
     @pytest.mark.parametrize("kind", ["nll", "pointwise_s", "pointwise_o"])
@@ -512,11 +511,11 @@ class TestDatasetNll:
         and gets the estimates of one call carrying them all."""
         lo, hi = self.LABELS
         candidates = [lo, hi, None, lo]
-        x, sampler, n_eps = [0.5, -0.5], LogSnrSampler(n_draws=50), 2  # 200 elements a pass
-        whole = estimate(kind, localized_denoisers[den_kind], x, sampler, n_eps, 44, candidates)
+        x, sampler = [0.5, -0.5], LogSnrSampler(n_draws=50, n_eps=2)  # 200 elements a pass
+        whole = estimate(kind, localized_denoisers[den_kind], x, sampler, 44, candidates)
         monkeypatch.setattr(estimators, "CHUNK_ELEMENTS", 450)  # two passes a call
         den = CountingDenoiser(localized_denoisers[den_kind])
-        split = estimate(kind, den, x, sampler, n_eps, 44, candidates)
+        split = estimate(kind, den, x, sampler, 44, candidates)
         entries = candidates if kind == "nll" else [None, *candidates]
         assert den.entries == [tuple(entries[i : i + 2]) for i in range(0, len(entries), 2)]
         assert den.rows == [100] * len(den.entries)
@@ -543,14 +542,14 @@ class TestDatasetNll:
             covariances=factors @ factors.transpose(0, 2, 1) / 64 + 0.1 * np.eye(64),
             condition_map={"a": (0,), "b": (1,)},
         )
-        sampler, n_eps, label = LogSnrSampler(n_draws=100), 4, ConditionId(label="b")
-        assert sampler.n_draws * n_eps * 64 > CHUNK_ELEMENTS
+        sampler, label = LogSnrSampler(n_draws=100, n_eps=4), ConditionId(label="b")
+        assert sampler.n_draws * sampler.n_eps * 64 > CHUNK_ELEMENTS
         x = spec.means[1] + 0.3 * rng.standard_normal(64)
         den = CountingDenoiser(gmm_mmse(spec))
-        shared = pointwise_o(den, den, x, label, sampler, n_eps, 46)
-        assert den.entries == [(None, label)] and den.rows == [sampler.n_draws * n_eps]
+        shared = pointwise_o(den, den, x, label, sampler, 46)
+        assert den.entries == [(None, label)] and den.rows == [sampler.n_draws * sampler.n_eps]
         separate = OneEntryPerCall(gmm_mmse(spec))
-        alone = pointwise_o(separate, separate, x, label, sampler, n_eps, 46)
+        alone = pointwise_o(separate, separate, x, label, sampler, 46)
         assert shared.total > 0
         np.testing.assert_array_equal(shared.per_dim, alone.per_dim)
         np.testing.assert_array_equal(shared.std_error, alone.std_error)
@@ -558,11 +557,11 @@ class TestDatasetNll:
     def test_every_call_gets_a_single_condition(self, localized_denoisers):
         den = CountingDenoiser(localized_denoisers["gmm"])
         xs = np.zeros((5, 2))
-        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0]] * 5)
+        nll(den, xs, replace(SAMPLER, n_eps=2), 43, [self.LABELS[0]] * 5)
         assert den.entries == [(self.LABELS[0],)]
         den.entries.clear()
         equal_copy = ConditionId(label="lo")
-        nll(den, xs, SAMPLER, 2, 43, [self.LABELS[0], None, equal_copy, None, self.LABELS[1]])
+        nll(den, xs, replace(SAMPLER, n_eps=2), 43, [self.LABELS[0], None, equal_copy, None, self.LABELS[1]])
         assert den.entries == [(self.LABELS[0],), (None,), (self.LABELS[1],)]
         assert den.rows[1:] == [2 * SAMPLER.n_draws * 2, 2 * SAMPLER.n_draws * 2, SAMPLER.n_draws * 2]
 
@@ -577,9 +576,9 @@ class TestDatasetNll:
         den = MlpDenoiser(layers, dim=2)
         xs = rng.standard_normal((60, 2))
         children = seed_sequence(50).spawn(len(xs))
-        report = nll(den, xs, SAMPLER, 4, 50)
+        report = nll(den, xs, SAMPLER, 50)
         for i, (x, child) in enumerate(zip(xs, children)):
-            alone = nll(den, x, SAMPLER, 4, child)
+            alone = nll(den, x, SAMPLER, child)
             assert report.total[i] == pytest.approx(alone.total, rel=1e-12, abs=0)
             np.testing.assert_allclose(report.per_dim[i], alone.per_dim, rtol=1e-12, atol=0)
 
@@ -592,19 +591,19 @@ class TestDatasetNll:
         xs = np.random.default_rng(47).standard_normal((9, 1))
         if payload == "array":
             with pytest.raises(TypeError, match="unhashable"):
-                nll(cond, xs, SAMPLER, 2, 48, condition)
+                nll(cond, xs, replace(SAMPLER, n_eps=2), 48, condition)
             return
-        self.check_against_single_points(cond, xs, SAMPLER, 2, 48, condition)
+        self.check_against_single_points(cond, xs, replace(SAMPLER, n_eps=2), 48, condition)
         assert len(cond.rows) - 9 == 3  # three distinct conditions, each one chunk
 
     def test_vector_uses_the_seed_as_it_is(self):
         den = gmm_mmse(STD_NORMAL)
-        first = nll(den, [[0.7]], SAMPLER, 2, 44)
+        first = nll(den, [[0.7]], replace(SAMPLER, n_eps=2), 44)
         assert first.total.shape == (1,)
         child = np.random.SeedSequence(44).spawn(1)[0]
-        assert_same_point(first, 0, nll(den, [0.7], SAMPLER, 2, child))
-        as_is = nll(den, [0.7], SAMPLER, 2, 44)
-        assert_same_point(as_is, (), nll(den, 0.7, SAMPLER, 2, seed_sequence(44)))
+        assert_same_point(first, 0, nll(den, [0.7], replace(SAMPLER, n_eps=2), child))
+        as_is = nll(den, [0.7], replace(SAMPLER, n_eps=2), 44)
+        assert_same_point(as_is, (), nll(den, 0.7, replace(SAMPLER, n_eps=2), seed_sequence(44)))
         assert as_is.total != first.total[0]
 
     @pytest.mark.parametrize("call", ["nll", "pointwise_dataset", "evaluate_ranking"])
@@ -615,12 +614,12 @@ class TestDatasetNll:
         xs = np.array([[0.1], [0.5], [-1.5]])
         labels = [ConditionId(label=t) for t in ("neg", "pos")]
         run = {
-            "nll": lambda seed: nll(den, xs, LogSnrSampler(n_draws=10), 2, seed).per_dim,
+            "nll": lambda seed: nll(den, xs, LogSnrSampler(n_draws=10, n_eps=2), seed).per_dim,
             "pointwise_dataset": lambda seed: pointwise_dataset(
-                den, den, xs, labels + labels[:1], LogSnrSampler(n_draws=10), n_eps=2, seed=seed
+                den, den, xs, labels + labels[:1], LogSnrSampler(n_draws=10, n_eps=2), seed=seed
             ).per_dim,
             "evaluate_ranking": lambda seed: tasks.evaluate_ranking(
-                xs, labels, den, den, LogSnrSampler(n_draws=10), n_eps=2, seed=seed
+                xs, labels, den, den, LogSnrSampler(n_draws=10, n_eps=2), seed=seed
             ),
         }[call]
         ss = np.random.SeedSequence(5)
@@ -642,17 +641,17 @@ class TestDatasetNll:
 
         xs = np.array([[0.0], [1.0], [1e4], [-0.5]])
         with np.errstate(over="ignore"):
-            report = nll(FarExploding(), xs, SAMPLER, 2, 45)
+            report = nll(FarExploding(), xs, replace(SAMPLER, n_eps=2), 45)
         assert report.total[2] == math.inf and report.std_error[2] == math.inf
         assert np.all(np.isinf(report.per_dim[2]))
         children = seed_sequence(45).spawn(len(xs))
         for i in (0, 1, 3):
             assert math.isfinite(report.total[i])
-            assert_same_point(report, i, nll(gmm_mmse(STD_NORMAL), xs[i], SAMPLER, 2, children[i]))
+            assert_same_point(report, i, nll(gmm_mmse(STD_NORMAL), xs[i], replace(SAMPLER, n_eps=2), children[i]))
 
     def test_one_log_snr_draw_gives_no_std_error(self):
         den = gmm_mmse(STD_NORMAL)
-        report = nll(den, np.linspace(-1.0, 1.0, 30)[:, None], LogSnrSampler(n_draws=1), 3, 46)
+        report = nll(den, np.linspace(-1.0, 1.0, 30)[:, None], LogSnrSampler(n_draws=1, n_eps=3), 46)
         assert report.std_error.shape == (30,) and np.isnan(report.std_error).all()
         assert np.isfinite(report.total).all()
 
@@ -687,7 +686,7 @@ class TestDatasetNll:
 
     def test_dataset_with_candidates_gives_n_by_k_arrays(self, localized_denoisers):
         den = localized_denoisers["gmm"]
-        report = pointwise_o(den, den, np.zeros((4, 2)), [tuple(self.LABELS)] * 4, SAMPLER, 2, 51)
+        report = pointwise_o(den, den, np.zeros((4, 2)), [tuple(self.LABELS)] * 4, replace(SAMPLER, n_eps=2), 51)
         assert report.total.shape == report.std_error.shape == (4, 2)
         assert report.per_dim.shape == (4, 2, 2)
 

@@ -5,14 +5,17 @@ import os
 import numpy as np
 import pytest
 
+from diffinfo.channel import LogSnrSampler
 from diffinfo.denoise import ConditionId, GmmSpec, gmm_mmse
 from diffinfo.estimators import InfoReport, pointwise_dataset, pointwise_s, seed_sequence
 from diffinfo.mlp import MlpDenoiser, MlpTrainConfig
 from diffinfo.oracle import gaussian_pointwise
 from diffinfo.reports import write_pgm
+from diffinfo.tasks import evaluate_ranking, intervention_correlation, sweep_threshold
 
 LINE = GmmSpec.single([0.0], [[1.0]])
 PLANE = GmmSpec.single([0.0, 0.0], np.eye(2))
+LABELS = [ConditionId(label="a"), ConditionId(label="b")]
 
 
 def mlp_layers(inputs, outputs):
@@ -35,7 +38,7 @@ def mlp_layers(inputs, outputs):
         ),
         (lambda: LINE.components_for("a"), TypeError, "^expected ConditionId or None, got str$"),
         (
-            lambda: InfoReport([[0.1]], [0.0], 1, 1, "entropy", (-5.0, 7.0)),
+            lambda: InfoReport([[0.1]], [0.0], LogSnrSampler(), "entropy"),
             ValueError,
             "^unknown estimator kind 'entropy'$",
         ),
@@ -68,6 +71,13 @@ def mlp_layers(inputs, outputs):
             r"^joint covariance shape \(1, 1\) does not match dim\(x\)\+dim\(y\)=2$",
         ),
         (lambda: write_pgm(os.devnull, [0.0, 1.0]), ValueError, r"^expected a 2-D image, got shape \(2,\)$"),
+        (
+            lambda: evaluate_ranking(np.zeros((2, 1)), LABELS, gmm_mmse(LINE), gmm_mmse(LINE), estimator_kind="bogus"),
+            ValueError,
+            "^estimator_kind must be pointwise_s or pointwise_o, got 'bogus'$",
+        ),
+        (lambda: sweep_threshold([0.1, np.nan], [1, 0]), ValueError, "^heatmap values must be finite$"),
+        (lambda: intervention_correlation([1, 2, np.nan], [1, 2, 3]), ValueError, "^scores and deltas must be finite$"),
     ],
     ids=[
         "gmm_weights_shape",
@@ -84,6 +94,9 @@ def mlp_layers(inputs, outputs):
         "mlp_output_width",
         "pointwise_oracle_covariance_shape",
         "pgm_image_axes",
+        "ranking_kind",
+        "sweep_non_finite_heatmap",
+        "correlation_non_finite_score",
     ],
 )
 def test_rejects_with_a_message_naming_the_fault(call, error, message):

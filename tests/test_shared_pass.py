@@ -86,7 +86,14 @@ def assert_agrees_with_a_solve_per_component(den, x, alpha, entries, rtol, resp_
             a = alpha if np.ndim(alpha) == 0 else alpha[at]
             resp, eps, scale = direct_solve_terms(den.spec, x[at], a, condition)
             err = np.abs(rows[at] - eps).max(axis=1)
-            assert (err <= rtol * scale).all(), f"{condition}: {err.max():.3g} off at a scale of {scale[err.argmax()]:.3g}"
+            bad = ~(err <= rtol * scale)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero scale reads inf
+                ratio = np.where(bad, err / scale, 0.0)
+            i = ratio.argmax()  # the worst failing row, a NaN first
+            assert not bad.any(), (
+                f"{condition}: row {at[i]} is {err[i]:.3g} off at a scale of {scale[i]:.3g}, "
+                f"{ratio[i]:.3g} of it against an rtol of {rtol:.3g}"
+            )
             np.testing.assert_allclose(den.responsibilities(x[at], a, condition), resp, rtol=0, atol=resp_atol)
 
 

@@ -12,7 +12,6 @@ from diffinfo.tasks import (
     TIE_ATOL,
     evaluate_ranking,
     intervention_correlation,
-    iou,
     pearson_confidence,
     rank_conditions,
     rescale_unit,
@@ -20,7 +19,7 @@ from diffinfo.tasks import (
     sweep_threshold,
 )
 
-from toys import CountingDenoiser, component_responsibilities, hierarchy_spec, symmetric_pair_spec
+from toys import CountingDenoiser, component_responsibilities, hierarchy_spec, iou, symmetric_pair_spec
 
 SAMPLER = LogSnrSampler()
 LABELS = ("neg", "pos")
@@ -112,9 +111,9 @@ class TestRanking:
     def test_one_unconditional_pass_shared_by_all_candidates(self, estimator_kind):
         den = CountingDenoiser(gmm_mmse(hierarchy_spec(branching=4)))
         candidates = [ConditionId(label=f"L{j}") for j in range(4)]
-        sampler = LogSnrSampler(n_draws=30)
+        sampler = LogSnrSampler(n_draws=30, n_eps=3)
         rank_conditions(
-            np.array([3.0]), candidates, den, den, sampler, n_eps=3, seed=9, estimator_kind=estimator_kind
+            np.array([3.0]), candidates, den, den, sampler, seed=9, estimator_kind=estimator_kind
         )
         assert den.rows == [30 * 3]
         assert den.entries == [(None, *candidates)]

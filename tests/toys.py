@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,3 +263,58 @@ def direct_solve_terms(spec, x_a, alpha, condition=None):
         eps_k[:, j] = np.sqrt(sna)[:, None] * sol
     resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
     return resp, np.einsum("nk,nkd->nd", resp, eps_k), np.einsum("nk,nk->n", resp, np.linalg.norm(eps_k, axis=2))
+
+
+def iou(mask, truth) -> float:
+    """Intersection over union; an empty union counts as a perfect match."""
+    mask = np.asarray(mask, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    union = np.logical_or(mask, truth).sum()
+    if union == 0:
+        return 1.0
+    return float(np.logical_and(mask, truth).sum() / union)
+
+
+
+def gaussian_error_curve(mean, cov, x, alphas) -> np.ndarray:
+    """The expected squared noise-prediction error m(a; x) of the Gaussian N(mean, cov)
+    at the clean point ``x``, one value a log-SNR of ``alphas``, from an eigendecomposition:
+
+        m(a; x) = tr((I - sigma(-a) S^-1)^2) + sigma(a) sigma(-a) |S^-1 (x - mean)|^2,
+
+    with S = sigma(a) cov + sigma(-a) I, whose eigenvalues are sigma(a) lam + sigma(-a)."""
+    lam, vecs = np.linalg.eigh(np.atleast_2d(cov))
+    z = vecs.T @ (np.atleast_1d(np.asarray(x, dtype=float)) - mean)
+    sa, sna = signal_weight(alphas)[:, None], noise_weight(alphas)[:, None]
+    s = sa * lam + sna
+    return ((1.0 - sna / s) ** 2).sum(axis=1) + (sa * sna * (z / s) ** 2).sum(axis=1)
+
+
+def truncated_integral(curve, sampler, nodes: int = 400) -> float:
+    """The integral of ``curve(alphas)`` over the sampler's interval, by a fixed Gauss-Legendre rule."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = sampler.support
+    half = 0.5 * (hi - lo)
+    return float(half * (w * curve(lo + half * (t + 1.0))).sum())
+
+
+def truncated_gaussian_nll(mean, cov, x, sampler) -> float:
+    """What ``nll`` estimates at ``x`` for the Gaussian source N(mean, cov) over the sampler's
+    interval: d/2 log(2 pi e) - 1/2 int (d sigma(a) - m(a; x)) da."""
+    d = len(mean)
+
+    def integrand(alphas):
+        return d * signal_weight(alphas) - gaussian_error_curve(mean, cov, x, alphas)
+
+    return 0.5 * d * math.log(2 * math.pi * math.e) - 0.5 * truncated_integral(integrand, sampler)
+
+
+def truncated_correlated_pointwise_s(rho: float, x: float, y: float, sampler) -> float:
+    """What ``pointwise_s`` estimates at (x, y) for :func:`correlated_gaussian` over the
+    sampler's interval: 1/2 int (m_u - m_c) da, for N(0, 1) against N(rho y, 1 - rho^2)."""
+
+    def integrand(alphas):
+        uncond = gaussian_error_curve(np.zeros(1), [[1.0]], [x], alphas)
+        return uncond - gaussian_error_curve(np.array([rho * y]), [[1.0 - rho**2]], [x], alphas)
+
+    return 0.5 * truncated_integral(integrand, sampler)
